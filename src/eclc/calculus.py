@@ -11,7 +11,6 @@ consuming the antecedent irreversibly and spending edge energy.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -25,7 +24,6 @@ from .formula import (
     With,
     curvature_cost,
     format_formula,
-    formula_key,
 )
 from .frame import Frame, accessible
 
@@ -107,28 +105,17 @@ def cost_valid(seq: Sequent, model: CostModel, kappa: float) -> bool:
     return spent >= produced
 
 
-# formulas interned to integers: multiset keys become sorted int
-# tuples, which keeps memo lookups and split dedup cheap
-_intern_ids: dict[Formula, int] = {}
-_intern_counter = itertools.count()
-
-
-def _fid(phi: Formula) -> int:
-    fid = _intern_ids.get(phi)
-    if fid is None:
-        fid = next(_intern_counter)
-        _intern_ids[phi] = fid
-    return fid
-
-
+# Formulas are hash-consed, so an object id stands for a whole tree.
+# A search meets only subformulas of the root sequent, which the caller
+# holds, so no id is freed and reused while its memo entries live.
 def _canon(side: tuple[Formula, ...]) -> tuple:
-    return tuple(sorted(map(_fid, side)))
+    return tuple(sorted(map(id, side)))
 
 
 def _splits(side: tuple[Formula, ...]):
     """All two-way multiset splits, bitmask order, duplicates skipped."""
     n = len(side)
-    ids = [_fid(phi) for phi in side]
+    ids = list(map(id, side))
     seen = set()
     for mask in range(1 << n):
         sig = tuple(sorted(ids[i] for i in range(n) if mask >> i & 1))
@@ -140,61 +127,60 @@ def _splits(side: tuple[Formula, ...]):
         yield first, second
 
 
-def _applications(gamma, delta, can_contract):
-    """Yield (rule, premises, contraction_uses) in the fixed rule order."""
+def _applications(gamma, delta):
+    """Yield (rule, premises) in the fixed rule order."""
     # tensor-right: split gamma and the remaining delta across premises
     for i, phi in enumerate(delta):
         if isinstance(phi, Tensor):
             rest = delta[:i] + delta[i + 1 :]
             for g1, g2 in _splits(gamma):
                 for d1, d2 in _splits(rest):
-                    yield "tensor-right", ((g1, d1 + (phi.left,)), (g2, d2 + (phi.right,))), 0
+                    yield "tensor-right", ((g1, d1 + (phi.left,)), (g2, d2 + (phi.right,)))
     # tensor-left
     for i, phi in enumerate(gamma):
         if isinstance(phi, Tensor):
             expanded = gamma[:i] + (phi.left, phi.right) + gamma[i + 1 :]
-            yield "tensor-left", ((expanded, delta),), 0
+            yield "tensor-left", ((expanded, delta),)
     # lolli-right
     for i, phi in enumerate(delta):
         if isinstance(phi, Lolli):
             rest = delta[:i] + delta[i + 1 :]
-            yield "lolli-right", ((gamma + (phi.left,), rest + (phi.right,)),), 0
+            yield "lolli-right", ((gamma + (phi.left,), rest + (phi.right,)),)
     # lolli-left: one premise proves the antecedent, the other spends the result
     for i, phi in enumerate(gamma):
         if isinstance(phi, Lolli):
             rest = gamma[:i] + gamma[i + 1 :]
             for g1, g2 in _splits(rest):
                 for d1, d2 in _splits(delta):
-                    yield "lolli-left", ((g1, d1 + (phi.left,)), (g2 + (phi.right,), d2)), 0
+                    yield "lolli-left", ((g1, d1 + (phi.left,)), (g2 + (phi.right,), d2))
     # with-right: additive, same context in both premises
     for i, phi in enumerate(delta):
         if isinstance(phi, With):
             rest = delta[:i] + delta[i + 1 :]
-            yield "with-right", ((gamma, rest + (phi.left,)), (gamma, rest + (phi.right,))), 0
+            yield "with-right", ((gamma, rest + (phi.left,)), (gamma, rest + (phi.right,)))
     # with-left, either projection
     for i, phi in enumerate(gamma):
         if isinstance(phi, With):
-            yield "with-left-1", ((gamma[:i] + (phi.left,) + gamma[i + 1 :], delta),), 0
+            yield "with-left-1", ((gamma[:i] + (phi.left,) + gamma[i + 1 :], delta),)
     for i, phi in enumerate(gamma):
         if isinstance(phi, With):
-            yield "with-left-2", ((gamma[:i] + (phi.right,) + gamma[i + 1 :], delta),), 0
+            yield "with-left-2", ((gamma[:i] + (phi.right,) + gamma[i + 1 :], delta),)
     # exponentials
     for i, phi in enumerate(gamma):
         if isinstance(phi, Bang):
-            yield "dereliction", ((gamma[:i] + (phi.inner,) + gamma[i + 1 :], delta),), 0
-    if can_contract > 0:
-        for i, phi in enumerate(gamma):
-            if isinstance(phi, Bang):
-                yield "contraction", ((gamma + (phi,), delta),), 1
+            yield "dereliction", ((gamma[:i] + (phi.inner,) + gamma[i + 1 :], delta),)
+    for phi in gamma:
+        if isinstance(phi, Bang):
+            yield "contraction", ((gamma + (phi,), delta),)
     for i, phi in enumerate(gamma):
         if isinstance(phi, Bang):
-            yield "weakening", ((gamma[:i] + gamma[i + 1 :], delta),), 0
+            yield "weakening", ((gamma[:i] + gamma[i + 1 :], delta),)
     if (
         len(delta) == 1
         and isinstance(delta[0], Bang)
         and all(isinstance(phi, Bang) for phi in gamma)
     ):
-        yield "promotion", ((gamma, (delta[0].inner,)),), 0
+        yield "promotion", ((gamma, (delta[0].inner,)),)
 
 
 def _is_axiom(gamma, delta) -> str | None:
@@ -235,7 +221,7 @@ def _refuted_outright(gamma, delta) -> bool:
         if fatal:
             return
         if isinstance(phi, Atom):
-            bucket = _QC_BUCKET if phi.name in (QUANTUM, CLASSICAL) else formula_key(phi)
+            bucket = _QC_BUCKET if phi.name in (QUANTUM, CLASSICAL) else phi
             if slack:
                 (can_increase if sign > 0 else can_decrease).add(bucket)
             else:
@@ -268,13 +254,12 @@ def _refuted_outright(gamma, delta) -> bool:
     return False
 
 
-def _search(gamma, delta, remaining, contractions_left, memo):
+def _search(gamma, delta, remaining, memo):
     """Depth-first backward search; returns (tree or None, died_to_depth).
 
     Failures memoize monotonically: a goal refuted with ``remaining``
-    levels is refuted with fewer.  The contraction budget stays out of
-    the key because the cap (root multiset size + depth bound) cannot
-    be exhausted within the depth bound, so it never alters behavior.
+    levels is refuted with fewer.  Each contraction spends a depth
+    level, so the depth bound also bounds contraction.
     """
     if remaining <= 0:
         return None, True
@@ -289,10 +274,10 @@ def _search(gamma, delta, remaining, contractions_left, memo):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
     died = False
-    for rule, premises, uses in _applications(gamma, delta, contractions_left):
+    for rule, premises in _applications(gamma, delta):
         subtrees = []
         for g, d in premises:
-            tree, sub_died = _search(g, d, remaining - 1, contractions_left - uses, memo)
+            tree, sub_died = _search(g, d, remaining - 1, memo)
             if tree is None:
                 died = died or sub_died
                 break
@@ -315,10 +300,7 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
         raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
     if not cost_valid(seq, model, kappa):
         return ProofResult(False, 0, None, 0.0, COST_INVALID)
-    # Contraction cap per branch; guarantees termination independently
-    # of the depth accounting.
-    cap = len(seq.gamma) + len(seq.delta) + depth_bound
-    tree, died = _search(seq.gamma, seq.delta, depth_bound, cap, {})
+    tree, died = _search(seq.gamma, seq.delta, depth_bound, {})
     if tree is not None:
         consumed = sum(curvature_cost(phi, model, kappa) for phi in seq.gamma)
         return ProofResult(True, tree.height, tree, consumed, None)

@@ -2,7 +2,7 @@
 
 Formulas are immutable trees built from atoms and the connectives
 tensor (*), lolli (-o), with (&), bang (!) and the budgeted diamond <r>.
-Every atom carries a coherence flag: coherent atoms stand for live
+They are hash-consed: each distinct tree is one live object.  Every atom carries a coherence flag: coherent atoms stand for live
 quantum resources, non-coherent ones for classical/decohered tokens.
 """
 
@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 # Atom names that always parse/serialize as non-coherent.
 DEFAULT_CLASSICAL_ATOMS = frozenset({"Classical", "Decohered"})
+
+DECOHERED_PREFIX = "Decohered_"
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -25,121 +27,120 @@ def _check_ident(text: str, what: str) -> None:
         raise ValueError(f"{what} must be a nonempty identifier, got {text!r}")
 
 
-def _seal_hash(node, parts: tuple) -> None:
-    # formula trees are deep and hashed constantly in multisets and
-    # memo tables; one precomputed hash per node keeps that O(1)
-    object.__setattr__(node, "_hash", hash(parts))
+# Hash-consing table: one live node per distinct tree, keyed by
+# (tag, fields...) with children compared by identity.  Entries go
+# away with the last reference to their node.
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _cached_hash(node) -> int:
-    return node._hash
+def _intern(cls, parts: tuple):
+    """The live ``cls`` node for ``parts`` = (tag, fields in slot order),
+    built on first use."""
+    node = _interned.get(parts)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, parts[1:]):
+            object.__setattr__(node, name, value)
+        # structural, from the children's hashes: a tree freed and built
+        # again hashes as before
+        object.__setattr__(node, "_hash", hash(parts))
+        object.__setattr__(node, "_key", tuple(getattr(v, "_key", v) for v in parts))
+        _interned[parts] = node
+    return node
 
 
-@dataclass(frozen=True)
-class Atom:
+class _Node:
+    """Immutable, hash-consed formula node: equal trees are one object,
+    so ``==`` is identity."""
+
+    __slots__ = ("_hash", "_key", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Atom(_Node):
     """Atomic proposition; ``coherent`` marks a live quantum resource."""
 
-    name: str
-    args: tuple[str, ...] = ()
-    coherent: bool = True
+    __slots__ = ("name", "args", "coherent")
 
-    def __post_init__(self) -> None:
-        _check_ident(self.name, "atom name")
-        object.__setattr__(self, "args", tuple(self.args))
-        for arg in self.args:
+    def __new__(cls, name: str, args: tuple[str, ...] = (), coherent: bool = True) -> Atom:
+        _check_ident(name, "atom name")
+        args = tuple(args)
+        for arg in args:
             _check_ident(arg, "atom argument")
-        _seal_hash(self, (0, self.name, self.args, self.coherent))
-
-    __hash__ = _cached_hash
+        return _intern(cls, (0, name, args, coherent))
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(_Node):
     """Multiplicative conjunction: both resources held at once."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
-        _seal_hash(self, (1, self.left, self.right))
-
-    __hash__ = _cached_hash
+    def __new__(cls, left: Formula, right: Formula) -> Tensor:
+        return _intern(cls, (1, left, right))
 
 
-@dataclass(frozen=True)
-class Lolli:
+class Lolli(_Node):
     """Linear implication: consumes its antecedent exactly once."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
-        _seal_hash(self, (2, self.left, self.right))
-
-    __hash__ = _cached_hash
+    def __new__(cls, left: Formula, right: Formula) -> Lolli:
+        return _intern(cls, (2, left, right))
 
 
-@dataclass(frozen=True)
-class With:
+class With(_Node):
     """Additive conjunction: an external choice between alternatives."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
-    def __post_init__(self) -> None:
-        _seal_hash(self, (3, self.left, self.right))
-
-    __hash__ = _cached_hash
+    def __new__(cls, left: Formula, right: Formula) -> With:
+        return _intern(cls, (3, left, right))
 
 
-@dataclass(frozen=True)
-class Bang:
+class Bang(_Node):
     """Exponential modality: permits controlled duplication/discarding."""
 
-    inner: "Formula"
+    __slots__ = ("inner",)
 
-    def __post_init__(self) -> None:
-        _seal_hash(self, (4, self.inner))
-
-    __hash__ = _cached_hash
+    def __new__(cls, inner: Formula) -> Bang:
+        return _intern(cls, (4, inner))
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(_Node):
     """Possibility bounded by a nonnegative transition budget."""
 
-    budget: float
-    inner: "Formula"
+    __slots__ = ("budget", "inner")
 
-    __hash__ = _cached_hash
-
-    def __post_init__(self) -> None:
-        budget = float(self.budget) + 0.0  # normalize -0.0
-        if not math.isfinite(budget) or budget < 0:
-            raise ValueError(f"diamond budget must be finite and >= 0, got {self.budget!r}")
-        object.__setattr__(self, "budget", budget)
-        _seal_hash(self, (5, budget, self.inner))
+    def __new__(cls, budget: float, inner: Formula) -> Diamond:
+        value = float(budget) + 0.0  # normalize -0.0
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(f"diamond budget must be finite and >= 0, got {budget!r}")
+        return _intern(cls, (5, value, inner))
 
 
 Formula = Union[Atom, Tensor, Lolli, With, Bang, Diamond]
 
 
-@lru_cache(maxsize=None)
 def formula_key(phi: Formula) -> tuple:
     """Canonical sort/memo key; total order over formula trees."""
-    if isinstance(phi, Atom):
-        return (0, phi.name, phi.args, phi.coherent)
-    if isinstance(phi, Tensor):
-        return (1, formula_key(phi.left), formula_key(phi.right))
-    if isinstance(phi, Lolli):
-        return (2, formula_key(phi.left), formula_key(phi.right))
-    if isinstance(phi, With):
-        return (3, formula_key(phi.left), formula_key(phi.right))
-    if isinstance(phi, Bang):
-        return (4, formula_key(phi.inner))
-    if isinstance(phi, Diamond):
-        return (5, phi.budget, formula_key(phi.inner))
-    raise TypeError(f"not a formula: {phi!r}")
+    if not isinstance(phi, _Node):
+        raise TypeError(f"not a formula: {phi!r}")
+    return phi._key
 
 
 def coherence(phi: Formula) -> int:
@@ -152,6 +153,24 @@ def coherence(phi: Formula) -> int:
     if isinstance(phi, (Tensor, Lolli, With)):
         return coherence(phi.left) & coherence(phi.right)
     return coherence(phi.inner)
+
+
+def decohere(phi: Formula) -> Formula:
+    """Rewrite every coherent atomic leaf to its classical counterpart:
+    name gains the Decohered_ prefix and the coherent flag is cleared."""
+    if isinstance(phi, Atom):
+        if not phi.coherent:
+            return phi
+        return Atom(DECOHERED_PREFIX + phi.name, phi.args, False)
+    if isinstance(phi, Tensor):
+        return Tensor(decohere(phi.left), decohere(phi.right))
+    if isinstance(phi, Lolli):
+        return Lolli(decohere(phi.left), decohere(phi.right))
+    if isinstance(phi, With):
+        return With(decohere(phi.left), decohere(phi.right))
+    if isinstance(phi, Bang):
+        return Bang(decohere(phi.inner))
+    return Diamond(phi.budget, decohere(phi.inner))
 
 
 @dataclass(frozen=True)

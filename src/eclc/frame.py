@@ -10,13 +10,10 @@ calculus transition operations mutate world state.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .formula import CostModel, Diamond, Formula
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+from .formula import _IDENT, CostModel, Diamond, Formula
 
 
 class UnknownWorldError(Exception):

@@ -10,18 +10,15 @@ a small antecedent drawn from the world's propositions.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 
 from .calculus import PreconditionError, Sequent, prove
-from .formula import CostModel, Formula, formula_key
+from .formula import _IDENT, CostModel, Formula
 from .frame import Frame, accessible, hop_distance
 
 PRESERVED = "preserved"
 VIOLATED = "violated"
 NOT_ESTABLISHED = "not_established"
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Antecedent search is capped at this many formulas to stay decidable.
 MAX_ANTECEDENT = 3
@@ -62,7 +59,7 @@ def observer_valuation(frame: Frame, o: Observer, w: str, phi: Formula, model: C
     seen = set()
     for size in range(1, MAX_ANTECEDENT + 1):
         for combo in itertools.combinations(items, size):
-            sig = tuple(sorted(formula_key(f) for f in combo))
+            sig = tuple(sorted(map(id, combo)))
             if sig in seen:
                 continue
             seen.add(sig)

@@ -17,26 +17,13 @@ from pathlib import Path
 
 from .calculus import Sequent, measure, prove
 from .dsl import ScenarioConfig
-from .formula import (
-    Atom,
-    Bang,
-    Diamond,
-    Formula,
-    Lolli,
-    Tensor,
-    With,
-    base_cost,
-    coherence,
-    curvature_cost,
-)
+from .formula import Atom, Bang, Formula, base_cost, coherence, curvature_cost, decohere
 from .frame import Frame, accessible
 from .metrics import ContingencyTable, FitResult, fisher_exact_two_tailed, fit_exponential, persistence_score, shannon_entropy
 from .observer import observer_valuation
 
 FORWARD = "forward"
 REVERSE = "reverse"
-
-DECOHERED_PREFIX = "Decohered_"
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -88,24 +75,6 @@ def derive_trial_seed(master_seed: int, trial_index: int) -> int:
     return _splitmix64((master_seed ^ ((trial_index + 1) * _GAMMA & _MASK)) & _MASK)
 
 
-def decohere(phi: Formula) -> Formula:
-    """Rewrite every coherent atomic leaf to its classical counterpart:
-    name gains the Decohered_ prefix and the coherent flag is cleared."""
-    if isinstance(phi, Atom):
-        if not phi.coherent:
-            return phi
-        return Atom(DECOHERED_PREFIX + phi.name, phi.args, False)
-    if isinstance(phi, Tensor):
-        return Tensor(decohere(phi.left), decohere(phi.right))
-    if isinstance(phi, Lolli):
-        return Lolli(decohere(phi.left), decohere(phi.right))
-    if isinstance(phi, With):
-        return With(decohere(phi.left), decohere(phi.right))
-    if isinstance(phi, Bang):
-        return Bang(decohere(phi.inner))
-    return Diamond(phi.budget, decohere(phi.inner))
-
-
 def chain_order(frame: Frame) -> list[str]:
     """World ids of a forward chain in path order; raises otherwise."""
     succ: dict[str, str] = {}
@@ -148,16 +117,22 @@ def _edge_sequent(config: ScenarioConfig, src: str, dst: str) -> Sequent | None:
     return None
 
 
+def _self_carry(phi, world, model, cache):
+    """The proof of phi |- phi under the world's capacity and curvature,
+    proved once per (phi, lambda, kappa) of a run."""
+    key = (phi, world.lam, world.kappa)
+    if key not in cache:
+        cache[key] = prove(Sequent((phi,), (phi,)), world.lam, model, world.kappa)
+    return cache[key]
+
+
 def _sustain_stats(formulas, world, model, cache) -> float:
     """Mean height of the self-carry proofs of the coherent formulas."""
     depths = []
     for phi in formulas:
         if coherence(phi) != 1:
             continue
-        key = (phi, world.lam, world.kappa)
-        if key not in cache:
-            cache[key] = prove(Sequent((phi,), (phi,)), world.lam, model, world.kappa)
-        result = cache[key]
+        result = _self_carry(phi, world, model, cache)
         if result.proved:
             depths.append(result.depth)
     return sum(depths) / len(depths) if depths else 0.0
@@ -208,10 +183,7 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
         for phi in current:
             if hop_ok and coherence(phi) == 1:
                 surcharge = curvature_cost(phi, model, target.kappa) - base_cost(phi, model)
-                key = (phi, source.lam, source.kappa)
-                if key not in cache:
-                    cache[key] = prove(Sequent((phi,), (phi,)), source.lam, model, source.kappa)
-                if cache[key].proved and spent + surcharge <= budget:
+                if _self_carry(phi, source, model, cache).proved and spent + surcharge <= budget:
                     spent += surcharge
                     carried.append(phi)
                     continue

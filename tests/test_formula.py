@@ -1,8 +1,13 @@
+import copy
+import gc
+import pickle
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from eclc import Atom, Bang, CostModel, Diamond, Lolli, Tensor, With, base_cost, coherence, curvature_cost
+from eclc import formula
 from gen import formulas
 
 from oracles import flat_cost
@@ -131,3 +136,27 @@ class TestValidation:
         assert hash(phi) == hash(Tensor(Atom("A"), Bang(Atom("B"))))
         with pytest.raises(AttributeError):
             phi.left = Atom("C")
+
+    def test_formulas_are_hash_consed(self):
+        a, b = Atom("A"), Atom("B")
+        assert Tensor(a, Bang(b)) is Tensor(Atom("A"), Bang(Atom("B")))
+        assert Diamond(-0.0, a) is Diamond(0.0, a)
+        assert Atom("A", coherent=False) is not a
+        assert Atom("A", coherent=False) != a
+        with pytest.raises(AttributeError):
+            Bang(a).inner = b
+        phi = Diamond(1.5, With(a, b))
+        assert copy.deepcopy(phi) is phi
+        assert pickle.loads(pickle.dumps(phi)) is phi
+
+    def test_intern_table_holds_only_live_formulas(self):
+        gc.collect()
+        before = len(formula._interned)
+        phi = Lolli(Atom("Probe_1", ("x",)), With(Atom("Probe_1", ("y",)), Atom("Probe_2")))
+        assert len(formula._interned) == before + 5
+        digest = hash(phi)
+        del phi
+        gc.collect()
+        assert len(formula._interned) == before
+        rebuilt = Lolli(Atom("Probe_1", ("x",)), With(Atom("Probe_1", ("y",)), Atom("Probe_2")))
+        assert hash(rebuilt) == digest
