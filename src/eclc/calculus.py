@@ -284,8 +284,7 @@ def _search(gamma, delta, remaining, memo):
             subtrees.append(tree)
         else:
             return ProofTree(rule, Sequent(gamma, delta), tuple(subtrees)), False
-    if hit is None or hit[0] < remaining:
-        memo[key] = (remaining, died)
+    memo[key] = (remaining, died)
     return None, died
 
 

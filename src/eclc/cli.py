@@ -26,11 +26,19 @@ from .sim import ScenarioError, ScenarioReport, run_scenario, write_report
 ENV_SEED = "ECLC_SEED"
 
 
-def _load_config(path: str) -> ScenarioConfig | int:
+def _read_text(path: str) -> str | None:
+    """The file's UTF-8 text, or None after reporting why it cannot be read."""
     try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+        return None
+
+
+def _load_config(path: str) -> ScenarioConfig | int:
+    text = _read_text(path)
+    if text is None:
         return 1
     try:
         return parse_scenario(text)
@@ -128,7 +136,11 @@ def cmd_run(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    written = write_report(report, args.out, args.format)
+    try:
+        written = write_report(report, args.out, args.format)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     print(_summary(report))
     for path in written:
         print(f"wrote {path}")
@@ -136,10 +148,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        text = open(args.path, encoding="utf-8").read()
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc.strerror or exc}", file=sys.stderr)
+    text = _read_text(args.path)
+    if text is None:
         return 1
     points = []
     try:

@@ -20,7 +20,13 @@ bind tightest; ``*`` (tensor) is left-associative; ``&`` binds below
 ``*``; ``-o`` is right-associative and loosest; parentheses group.
 Atoms prefixed ``~`` are non-coherent, as are atoms whose name is in
 the classical set (default: Classical, Decohered).  The Unicode
-spellings of tensor and lolli are accepted as aliases.
+spellings of tensor and lolli are accepted as aliases.  A formula may
+have at most MAX_FORMULA_NODES connectives and parentheses.
+
+Lexical rules: identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``;
+numbers are ASCII decimals with an optional fraction and exponent;
+spaces, tabs and carriage returns separate tokens; any other character
+is an error at its column.
 
 Serialization is canonical: parse(serialize(c)) is structurally equal
 to c, and serialize(parse(text)) is a fixed point after one pass.
@@ -29,6 +35,7 @@ to c, and serialize(parse(text)) is a fixed point after one pass.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +59,11 @@ from .observer import Observer
 SCENARIO_KINDS = ("coherence", "reciprocity", "accessibility")
 
 _MAX_SEED = (1 << 64) - 1
+
+# Most connectives (and parentheses) one formula may have.  The parser
+# and the formula walkers recurse once per nesting level, so the bound
+# keeps every input clear of the interpreter's recursion limit.
+MAX_FORMULA_NODES = 200
 
 
 class ParseError(Exception):
@@ -88,64 +100,38 @@ class _Token(NamedTuple):
     col: int
 
 
-_PUNCT = set("{}()=,:*&!~<>")
+# Blanks, then one token: a comment or the end of the line (no group),
+# a number, an identifier, punctuation, or any other character (an error).
+_LEX = re.compile(
+    r"([ \t\r]*)(?:#.*|\Z"
+    r"|([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(->|-o|\|-|[{}()=,:*&!~<>⊗⊸])"
+    r"|(.))",
+    re.DOTALL,
+)
 _ALIASES = {"⊗": "*", "⊸": "-o"}  # tensor, lolli
 
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":
+    col = 1
+    for blanks, number, ident, punct, other in _LEX.findall(text):
+        col += len(blanks)
+        if ident:
+            tokens.append(_Token("ident", ident, line_no, col))
+        elif punct:
+            word = _ALIASES.get(punct, punct)
+            tokens.append(_Token(word, word, line_no, col))
+        elif number:
+            tokens.append(_Token("number", number, line_no, col))
+        elif other:
+            raise ParseError(line_no, col, f"unexpected character {other!r}")
+        else:
             break
-        col = i + 1
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line_no, col))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k + 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("number", text[i:j], line_no, col))
-            i = j
-            continue
-        if ch in _ALIASES:
-            tokens.append(_Token(_ALIASES[ch], _ALIASES[ch], line_no, col))
-            i += 1
-            continue
-        pair = text[i : i + 2]
-        if pair in ("->", "-o", "|-"):
-            tokens.append(_Token(pair, pair, line_no, col))
-            i += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line_no, col))
-            i += 1
-            continue
-        raise ParseError(line_no, col, f"unexpected character {ch!r}")
-    end_col = tokens[-1].col + len(tokens[-1].text) - 1 if tokens else max(1, len(text))
-    tokens.append(_Token("end", "", line_no, max(1, min(end_col, max(1, len(text))))))
+        col += len(ident or punct or number)
+    end_col = min(tokens[-1].col + len(tokens[-1].text) - 1, len(text)) if tokens else max(1, len(text))
+    tokens.append(_Token("end", "", line_no, end_col))
     return tokens
 
 
@@ -153,6 +139,7 @@ class _Cursor:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.connectives = 0  # in the formula being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -161,6 +148,15 @@ class _Cursor:
         token = self.tokens[self.pos]
         if token.kind != "end":
             self.pos += 1
+        return token
+
+    def next_connective(self) -> _Token:
+        """Consume a connective or ``(``; past MAX_FORMULA_NODES of them
+        the formula is rejected, which bounds every recursive walk of it."""
+        token = self.next()
+        self.connectives += 1
+        if self.connectives > MAX_FORMULA_NODES:
+            raise ParseError(token.line, token.col, f"formula has more than {MAX_FORMULA_NODES} connectives")
         return token
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
@@ -189,42 +185,28 @@ def _parse_int(cursor: _Cursor, what: str) -> int:
     return int(token.text)
 
 
-def _parse_formula(cursor: _Cursor, classical_atoms: frozenset[str]) -> Formula:
-    return _parse_lolli(cursor, classical_atoms)
+# Binary connectives: token -> (precedence, constructor, right-associative).
+_BINARY = {"-o": (1, Lolli, True), "&": (2, With, False), "*": (3, Tensor, False)}
 
 
-def _parse_lolli(cursor: _Cursor, classical_atoms) -> Formula:
-    left = _parse_with(cursor, classical_atoms)
-    if cursor.peek().kind == "-o":
-        cursor.next()
-        right = _parse_lolli(cursor, classical_atoms)  # right-associative
-        return Lolli(left, right)
+def _parse_formula(cursor: _Cursor, classical_atoms: frozenset[str], min_prec: int = 1) -> Formula:
+    """Precedence climbing: operands are unary formulas, and each loop
+    takes one binary connective that binds at least ``min_prec``."""
+    left = _parse_unary(cursor, classical_atoms)
+    while (op := _BINARY.get(cursor.peek().kind)) and op[0] >= min_prec:
+        prec, make, right_assoc = op
+        cursor.next_connective()
+        left = make(left, _parse_formula(cursor, classical_atoms, prec if right_assoc else prec + 1))
     return left
-
-
-def _parse_with(cursor: _Cursor, classical_atoms) -> Formula:
-    node = _parse_tensor(cursor, classical_atoms)
-    while cursor.peek().kind == "&":
-        cursor.next()
-        node = With(node, _parse_tensor(cursor, classical_atoms))
-    return node
-
-
-def _parse_tensor(cursor: _Cursor, classical_atoms) -> Formula:
-    node = _parse_unary(cursor, classical_atoms)
-    while cursor.peek().kind == "*":
-        cursor.next()
-        node = Tensor(node, _parse_unary(cursor, classical_atoms))
-    return node
 
 
 def _parse_unary(cursor: _Cursor, classical_atoms) -> Formula:
     token = cursor.peek()
     if token.kind == "!":
-        cursor.next()
+        cursor.next_connective()
         return Bang(_parse_unary(cursor, classical_atoms))
     if token.kind == "<":
-        cursor.next()
+        cursor.next_connective()
         budget_tok = cursor.peek()
         budget = _parse_real(cursor, "diamond budget")
         if budget < 0:
@@ -235,7 +217,7 @@ def _parse_unary(cursor: _Cursor, classical_atoms) -> Formula:
         cursor.next()
         return _parse_atom(cursor, classical_atoms, coherent=False)
     if token.kind == "(":
-        cursor.next()
+        cursor.next_connective()
         inner = _parse_formula(cursor, classical_atoms)
         cursor.expect(")")
         return inner
@@ -274,11 +256,12 @@ def _parse_formula_list(cursor: _Cursor, classical_atoms, stops: tuple[str, ...]
     formulas: list[Formula] = []
     if cursor.peek().kind in stops:
         return formulas
-    formulas.append(_parse_formula(cursor, classical_atoms))
-    while cursor.peek().kind == ",":
-        cursor.next()
+    while True:
+        cursor.connectives = 0
         formulas.append(_parse_formula(cursor, classical_atoms))
-    return formulas
+        if cursor.peek().kind != ",":
+            return formulas
+        cursor.next()
 
 
 class _ScenarioBuilder:
@@ -307,6 +290,16 @@ class _ScenarioBuilder:
         if getattr(self, attr) is not None:
             raise ParseError(token.line, token.col, f"duplicate {token.text!r} directive")
         setattr(self, attr, value)
+
+
+# Directives ``<name> = <value>``: name -> (value parser, validity test, message if invalid).
+_SCALARS = {
+    "alpha": (_parse_real, lambda v: v > 0, "alpha must be > 0"),
+    "kappa0": (_parse_real, lambda v: v >= 0, "kappa0 must be >= 0"),
+    "trials": (_parse_int, lambda v: v >= 1, "trials must be >= 1"),
+    "seed": (_parse_int, lambda v: 0 <= v <= _MAX_SEED, "seed must fit in 64 unsigned bits"),
+    "noise": (_parse_real, lambda v: v >= 0, "noise must be >= 0"),
+}
 
 
 def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
@@ -396,44 +389,13 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
         builder.atom_costs[atom_tok.text] = value
         return
 
-    if word == "alpha":
+    if word in _SCALARS:
+        parse, valid, message = _SCALARS[word]
         cursor.expect("=")
-        value = _parse_real(cursor, "alpha")
-        if value <= 0:
-            raise ParseError(head.line, head.col, "alpha must be > 0")
-        builder.set_once("alpha", value, head)
-        return
-
-    if word == "kappa0":
-        cursor.expect("=")
-        value = _parse_real(cursor, "kappa0")
-        if value < 0:
-            raise ParseError(head.line, head.col, "kappa0 must be >= 0")
-        builder.set_once("kappa0", value, head)
-        return
-
-    if word == "trials":
-        cursor.expect("=")
-        value = _parse_int(cursor, "trials")
-        if value < 1:
-            raise ParseError(head.line, head.col, "trials must be >= 1")
-        builder.set_once("trials", value, head)
-        return
-
-    if word == "seed":
-        cursor.expect("=")
-        value = _parse_int(cursor, "seed")
-        if not (0 <= value <= _MAX_SEED):
-            raise ParseError(head.line, head.col, "seed must fit in 64 unsigned bits")
-        builder.set_once("seed", value, head)
-        return
-
-    if word == "noise":
-        cursor.expect("=")
-        value = _parse_real(cursor, "noise")
-        if value < 0:
-            raise ParseError(head.line, head.col, "noise must be >= 0")
-        builder.set_once("noise", value, head)
+        value = parse(cursor, word)
+        if not valid(value):
+            raise ParseError(head.line, head.col, message)
+        builder.set_once(word, value, head)
         return
 
     if word == "observer":

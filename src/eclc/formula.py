@@ -2,8 +2,9 @@
 
 Formulas are immutable trees built from atoms and the connectives
 tensor (*), lolli (-o), with (&), bang (!) and the budgeted diamond <r>.
-They are hash-consed: each distinct tree is one live object.  Every atom carries a coherence flag: coherent atoms stand for live
-quantum resources, non-coherent ones for classical/decohered tokens.
+They are hash-consed: each distinct tree is one live object.  Every
+atom carries a coherence flag: coherent atoms stand for live quantum
+resources, non-coherent ones for classical/decohered tokens.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ def _check_ident(text: str, what: str) -> None:
 # (tag, fields...) with children compared by identity.  Entries go
 # away with the last reference to their node.
 _interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _check_children(cls, **children) -> None:
+    for name, child in children.items():
+        if not isinstance(child, _Node):
+            raise TypeError(f"{cls.__name__} {name} must be a formula, got {child!r}")
 
 
 def _intern(cls, parts: tuple):
@@ -91,6 +98,7 @@ class Tensor(_Node):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula) -> Tensor:
+        _check_children(cls, left=left, right=right)
         return _intern(cls, (1, left, right))
 
 
@@ -100,6 +108,7 @@ class Lolli(_Node):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula) -> Lolli:
+        _check_children(cls, left=left, right=right)
         return _intern(cls, (2, left, right))
 
 
@@ -109,6 +118,7 @@ class With(_Node):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula) -> With:
+        _check_children(cls, left=left, right=right)
         return _intern(cls, (3, left, right))
 
 
@@ -118,6 +128,7 @@ class Bang(_Node):
     __slots__ = ("inner",)
 
     def __new__(cls, inner: Formula) -> Bang:
+        _check_children(cls, inner=inner)
         return _intern(cls, (4, inner))
 
 
@@ -130,6 +141,7 @@ class Diamond(_Node):
         value = float(budget) + 0.0  # normalize -0.0
         if not math.isfinite(value) or value < 0:
             raise ValueError(f"diamond budget must be finite and >= 0, got {budget!r}")
+        _check_children(cls, inner=inner)
         return _intern(cls, (5, value, inner))
 
 

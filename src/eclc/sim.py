@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .calculus import Sequent, measure, prove
@@ -368,35 +369,30 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     return runner(config)
 
 
+# Report column of each record field written under another name.
+_COLUMN = {"trial_index": "trial"}
+
+
+def _table(cls, records) -> tuple[list[str], list[tuple]]:
+    """The report columns of dataclass ``cls`` and each record's values."""
+    names = [f.name for f in fields(cls)]
+    values = attrgetter(*names)
+    return [_COLUMN.get(name, name) for name in names], [values(r) for r in records]
+
+
+def _dicts(cls, records) -> list[dict]:
+    columns, rows = _table(cls, records)
+    return [dict(zip(columns, row)) for row in rows]
+
+
 def report_to_json(report: ScenarioReport) -> str:
     doc = {
         "kind": report.kind,
         "seed": report.seed,
-        "per_world": [
-            {
-                "world": row.world,
-                "kappa": row.kappa,
-                "pi": row.pi,
-                "access_fraction": row.access_fraction,
-                "entropy": row.entropy,
-                "mean_proof_depth": row.mean_proof_depth,
-            }
-            for row in report.per_world
-        ],
-        "fit": None
-        if report.fit is None
-        else {"rate": report.fit.rate, "r_squared": report.fit.r_squared},
+        "per_world": _dicts(WorldRow, report.per_world),
+        "fit": None if report.fit is None else _dicts(FitResult, [report.fit])[0],
         "fisher_p": report.fisher_p,
-        "trials": [
-            {
-                "trial": t.trial_index,
-                "direction": t.direction,
-                "success": t.success,
-                "proof_depth": t.proof_depth,
-                "failure_reason": t.failure_reason,
-            }
-            for t in report.trials
-        ],
+        "trials": _dicts(TrialRecord, report.trials),
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -409,35 +405,17 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _csv(cls, records) -> str:
+    columns, rows = _table(cls, records)
+    return "\n".join([",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]) + "\n"
+
+
 def per_world_csv(report: ScenarioReport) -> str:
-    lines = ["world,kappa,pi,access_fraction,entropy,mean_proof_depth"]
-    for row in report.per_world:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (
-                    row.world,
-                    row.kappa,
-                    row.pi,
-                    row.access_fraction,
-                    row.entropy,
-                    row.mean_proof_depth,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(WorldRow, report.per_world)
 
 
 def trials_csv(report: ScenarioReport) -> str:
-    lines = ["trial,direction,success,proof_depth,failure_reason"]
-    for t in report.trials:
-        lines.append(
-            ",".join(
-                _csv_cell(v)
-                for v in (t.trial_index, t.direction, t.success, t.proof_depth, t.failure_reason)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(TrialRecord, report.trials)
 
 
 def write_report(report: ScenarioReport, out_dir, fmt: str = "both") -> list[Path]:

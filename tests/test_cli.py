@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
-from eclc import scenarios
+from eclc import scenarios, serialize_scenario
 from eclc.cli import main
+from gen import random_config
 
 THREE_WORLDS = """scenario coherence
 world w1 { energy=10.0, kappa=0.0, lambda=4 }
@@ -37,6 +39,13 @@ class TestValidate:
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.eclc")]) == 1
+
+    def test_undecodable_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.eclc"
+        path.write_bytes(b"world w1 \xff\n")
+        for command in ("validate", "fit"):
+            assert main([command, str(path)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
     def test_shipped_corpus_validates(self, capsys):
         for name in scenarios.NAMES:
@@ -137,6 +146,12 @@ class TestRun:
         monkeypatch.setenv("ECLC_SEED", "not-a-number")
         assert main(["run", str(bare), "--out", str(tmp_path / "out")]) == 1
 
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        assert main(["run", str(scenarios.path("coherence")), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
     def test_no_partial_output_on_config_error(self, tmp_path, capsys):
         # a coherence config whose frame is not a chain fails before any write
         path = tmp_path / "branchy.eclc"
@@ -158,6 +173,31 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 1
         assert not out.exists()
+
+
+# Edits that reach the lexer's non-ASCII cases, undecodable bytes and
+# formulas nested past the parser's bound.
+FUZZ_PIECES = (
+    "é", "²", "٣", "⊗", "⊸", b"\xff", "(" * 300, "!" * 300,
+    "(", ")", "{", "}", "=", ",", "*", "-o", "|-", "->", "#", "\n", " ", "0", ".", "e", "x",
+)
+
+
+class TestNoTraceback:
+    def test_mutated_scenario_files(self, tmp_path, capsys):
+        rng = random.Random(20_261_018)
+        path = tmp_path / "fuzz.eclc"
+        for _ in range(300):
+            data = serialize_scenario(random_config(rng)).encode()
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randint(0, len(data))
+                if rng.random() < 0.7:
+                    piece = rng.choice(FUZZ_PIECES)
+                    data = data[:at] + (piece if isinstance(piece, bytes) else piece.encode()) + data[at:]
+                else:
+                    data = data[:at] + data[at + rng.randint(1, 8):]
+            path.write_bytes(data)
+            assert main(["validate", str(path)]) in (0, 1)
 
 
 class TestFit:

@@ -7,17 +7,24 @@ import hypothesis.strategies as st
 from eclc import (
     Atom,
     Bang,
+    CostModel,
     Diamond,
     Lolli,
     ParseError,
+    Sequent,
     Tensor,
     With,
+    base_cost,
+    coherence,
+    decohere,
     format_formula,
     parse_formula,
     parse_scenario,
+    prove,
     serialize_scenario,
 )
 from eclc import scenarios
+from eclc.dsl import MAX_FORMULA_NODES
 from gen import formulas, random_config
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -173,6 +180,61 @@ class TestParseScenario:
         assert "warp" in err.value.message
 
 
+    def test_non_ascii_letters_and_digits_rejected(self):
+        world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"
+        for text, line, column in (
+            ("world é { energy=1.0, kappa=0.0, lambda=1 }", 1, 7),
+            (world + "alpha = ²", 2, 9),
+            (world + "trials = ٣", 2, 10),
+            (world + "sequent é w1 -> w1 : |- ", 2, 9),
+            (world + "prop w1 : Aé", 2, 12),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(text)
+            assert (err.value.line, err.value.column) == (line, column)
+            assert err.value.message.startswith("unexpected character")
+
+
+def _shapes(n: int) -> list[str]:
+    """Formulas with exactly n connectives and parentheses, each nested n deep."""
+    return [
+        "(" * n + "A" + ")" * n,
+        "!" * n + "A",
+        "<1.5>" * n + "A",
+        " * ".join(["A"] * (n + 1)),
+        " -o ".join(["A"] * (n + 1)),
+        "!" * (n % 2) + "(A & " * (n // 2) + "B" + ")" * (n // 2),
+    ]
+
+
+class TestFormulaBound:
+    def test_formula_at_the_bound_is_total(self):
+        model = CostModel({}, default_cost=0.0)
+        for text in _shapes(MAX_FORMULA_NODES):
+            phi = parse_formula(text)
+            assert parse_formula(format_formula(phi)) == phi
+            assert coherence(decohere(phi)) == 0 and coherence(phi) == 1
+            assert base_cost(phi, model) == 0.0
+            for goal in (phi, Atom("B")):
+                prove(Sequent([phi], [goal]), 3, model, 0.0)
+
+    def test_one_past_the_bound_is_a_positioned_error(self):
+        for text in _shapes(MAX_FORMULA_NODES + 1):
+            with pytest.raises(ParseError) as err:
+                parse_formula(text)
+            assert err.value.message == f"formula has more than {MAX_FORMULA_NODES} connectives"
+        with pytest.raises(ParseError) as err:
+            parse_scenario("world w { energy=1.0, kappa=0.0, lambda=1 }\nprop w : " + "!" * 201 + "A")
+        assert (err.value.line, err.value.column) == (2, 9 + MAX_FORMULA_NODES + 1)
+
+    def test_bound_applies_to_each_formula_of_a_sequent(self):
+        big = "!" * MAX_FORMULA_NODES + "A"
+        config = parse_scenario(
+            "world w { energy=1.0, kappa=0.0, lambda=1 }\n" f"sequent s w -> w : {big}, {big} |- {big}"
+        )
+        assert len(config.sequents["s"][2].gamma) == 2
+
+
 class TestRoundTrip:
     def test_shipped_corpus(self):
         for name in scenarios.NAMES:
@@ -198,7 +260,7 @@ class TestRoundTrip:
 
 class TestErrorPositions:
     @settings(max_examples=120)
-    @given(st.text(alphabet="world edg{}()=,:*&!~<>|-\n0123456789.ABCahkz_", max_size=80))
+    @given(st.text(alphabet="world edg{}()=,:*&!~<>|-\n0123456789.ABCahkz_é²", max_size=80))
     def test_positions_index_real_characters(self, text):
         try:
             parse_scenario(text)

@@ -131,6 +131,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             CostModel({}, default_cost=-0.5)
 
+    def test_connectives_reject_non_formula_children(self):
+        a = Atom("A")
+        cases = (
+            (lambda: Tensor(1, 2), "Tensor left"),
+            (lambda: Lolli(a, "B"), "Lolli right"),
+            (lambda: With(a, None), "With right"),
+            (lambda: Bang(3), "Bang inner"),
+            (lambda: Diamond(1.0, [a]), "Diamond inner"),
+        )
+        for build, named in cases:
+            with pytest.raises(TypeError, match=f"{named} must be a formula"):
+                build()
+
     def test_formulas_hashable_and_immutable(self):
         phi = Tensor(Atom("A"), Bang(Atom("B")))
         assert hash(phi) == hash(Tensor(Atom("A"), Bang(Atom("B"))))
