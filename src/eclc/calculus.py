@@ -112,19 +112,27 @@ def _canon(side: tuple[Formula, ...]) -> tuple:
     return tuple(sorted(map(id, side)))
 
 
-def _splits(side: tuple[Formula, ...]):
-    """All two-way multiset splits, bitmask order, duplicates skipped."""
-    n = len(side)
-    ids = list(map(id, side))
-    seen = set()
-    for mask in range(1 << n):
-        sig = tuple(sorted(ids[i] for i in range(n) if mask >> i & 1))
-        if sig in seen:
-            continue
-        seen.add(sig)
-        first = tuple(side[i] for i in range(n) if mask >> i & 1)
-        second = tuple(side[i] for i in range(n) if not mask >> i & 1)
-        yield first, second
+def _splits(side: tuple[Formula, ...]) -> list[tuple[tuple, tuple]]:
+    """Every distinct two-way multiset split of ``side``, each once.
+
+    Splits come in increasing order of the least bitmask over positions
+    that selects the first part; that mask takes a formula's k copies
+    from its k lowest positions.  Each part keeps position order.  A
+    position joins the first part only where its previous copy already
+    has, so each formula's count is enumerated, not each subset of its
+    copies.  With all formulas distinct the masks are ``range(1 << n)``.
+    """
+    splits = [(0, (), ())]
+    last_bit: dict[int, int] = {}
+    for i, phi in enumerate(side):
+        bit = 1 << i
+        need = last_bit.get(id(phi), 0)
+        last_bit[id(phi)] = bit
+        one = (phi,)
+        splits = [(mask, first, second + one) for mask, first, second in splits] + [
+            (mask | bit, first + one, second) for mask, first, second in splits if mask & need == need
+        ]
+    return [(first, second) for _, first, second in splits]
 
 
 def _applications(gamma, delta):
@@ -132,9 +140,9 @@ def _applications(gamma, delta):
     # tensor-right: split gamma and the remaining delta across premises
     for i, phi in enumerate(delta):
         if isinstance(phi, Tensor):
-            rest = delta[:i] + delta[i + 1 :]
+            rest_splits = _splits(delta[:i] + delta[i + 1 :])
             for g1, g2 in _splits(gamma):
-                for d1, d2 in _splits(rest):
+                for d1, d2 in rest_splits:
                     yield "tensor-right", ((g1, d1 + (phi.left,)), (g2, d2 + (phi.right,)))
     # tensor-left
     for i, phi in enumerate(gamma):
@@ -149,9 +157,9 @@ def _applications(gamma, delta):
     # lolli-left: one premise proves the antecedent, the other spends the result
     for i, phi in enumerate(gamma):
         if isinstance(phi, Lolli):
-            rest = gamma[:i] + gamma[i + 1 :]
-            for g1, g2 in _splits(rest):
-                for d1, d2 in _splits(delta):
+            delta_splits = _splits(delta)
+            for g1, g2 in _splits(gamma[:i] + gamma[i + 1 :]):
+                for d1, d2 in delta_splits:
                     yield "lolli-left", ((g1, d1 + (phi.left,)), (g2 + (phi.right,), d2))
     # with-right: additive, same context in both premises
     for i, phi in enumerate(delta):
@@ -259,7 +267,9 @@ def _search(gamma, delta, remaining, memo):
 
     Failures memoize monotonically: a goal refuted with ``remaining``
     levels is refuted with fewer.  Each contraction spends a depth
-    level, so the depth bound also bounds contraction.
+    level, so the depth bound also bounds contraction.  At the last
+    level only an axiom can close the goal; it then dies to depth iff
+    some rule applies, so no premises are built there.
     """
     if remaining <= 0:
         return None, True
@@ -273,6 +283,11 @@ def _search(gamma, delta, remaining, memo):
     if _refuted_outright(gamma, delta):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
+    if remaining == 1:
+        # every premise would be cut off at depth 0
+        died = next(_applications(gamma, delta), None) is not None
+        memo[key] = (1, died)
+        return None, died
     died = False
     for rule, premises in _applications(gamma, delta):
         subtrees = []

@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 
 from .calculus import curvature_cost, prove, render_proof
-from .dsl import ParseError, ScenarioConfig, parse_scenario
+from .dsl import MAX_TRIALS, ParseError, ScenarioConfig, parse_scenario
 from .metrics import fit_exponential
 from .sim import ScenarioError, ScenarioReport, run_scenario, write_report
 
@@ -128,8 +128,8 @@ def cmd_run(args) -> int:
         seed = _resolve_seed(args, config)
         overrides = {"seed": seed}
         if args.trials is not None:
-            if args.trials < 1:
-                raise ScenarioError("trials must be >= 1")
+            if not 1 <= args.trials <= MAX_TRIALS:
+                raise ScenarioError(f"trials must be between 1 and {MAX_TRIALS}")
             overrides["trials"] = args.trials
         config = replace(config, **overrides)
         report = run_scenario(config)

@@ -5,7 +5,7 @@ The format is line-oriented; ``#`` starts a comment.  Directives:
     scenario <kind>
     alpha = <real>
     kappa0 = <real>
-    trials = <int>
+    trials = <int>              (1 to MAX_TRIALS)
     seed = <int>
     noise = <real>
     cost <atom> = <real>        (``cost * = <real>`` sets the default)
@@ -64,6 +64,10 @@ _MAX_SEED = (1 << 64) - 1
 # and the formula walkers recurse once per nesting level, so the bound
 # keeps every input clear of the interpreter's recursion limit.
 MAX_FORMULA_NODES = 200
+
+# Most trials one run may make.  A reciprocity trial takes about a third
+# of a millisecond, so the bound keeps a run to tens of seconds.
+MAX_TRIALS = 100_000
 
 
 class ParseError(Exception):
@@ -296,7 +300,7 @@ class _ScenarioBuilder:
 _SCALARS = {
     "alpha": (_parse_real, lambda v: v > 0, "alpha must be > 0"),
     "kappa0": (_parse_real, lambda v: v >= 0, "kappa0 must be >= 0"),
-    "trials": (_parse_int, lambda v: v >= 1, "trials must be >= 1"),
+    "trials": (_parse_int, lambda v: 1 <= v <= MAX_TRIALS, f"trials must be between 1 and {MAX_TRIALS}"),
     "seed": (_parse_int, lambda v: 0 <= v <= _MAX_SEED, "seed must fit in 64 unsigned bits"),
     "noise": (_parse_real, lambda v: v >= 0, "noise must be >= 0"),
 }

@@ -22,7 +22,7 @@ from eclc import (
     render_proof,
     transition,
 )
-from eclc.calculus import COST_INVALID, DEPTH_EXCEEDED, NO_RULE_APPLIES
+from eclc.calculus import COST_INVALID, DEPTH_EXCEEDED, NO_RULE_APPLIES, _splits
 
 import oracles
 
@@ -116,6 +116,30 @@ class TestProveBattery:
 
 def random_side(rng, pool, max_size=2):
     return tuple(rng.choice(pool) for _ in range(rng.randint(0, max_size)))
+
+
+def reference_splits(side):
+    """All two-way multiset splits, bitmask order, duplicates skipped."""
+    n = len(side)
+    ids = list(map(id, side))
+    seen = set()
+    for mask in range(1 << n):
+        sig = tuple(sorted(ids[i] for i in range(n) if mask >> i & 1))
+        if sig in seen:
+            continue
+        seen.add(sig)
+        first = tuple(side[i] for i in range(n) if mask >> i & 1)
+        second = tuple(side[i] for i in range(n) if not mask >> i & 1)
+        yield first, second
+
+
+class TestSplits:
+    # reported depth is the first proof found, so split order is pinned
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([A, B, C, Bang(A), Tensor(A, B)]), max_size=6))
+    def test_same_splits_in_same_order_as_bitmask_reference(self, side):
+        side = tuple(side)
+        assert list(_splits(side)) == list(reference_splits(side))
 
 
 class TestOracleAgreement:

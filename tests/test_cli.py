@@ -120,6 +120,21 @@ class TestRun:
         assert main(["run", str(scenarios.path("reciprocity")), "--trials", "10", "--out", str(out)]) == 0
         assert len((out / "trials.csv").read_text().splitlines()) == 21
 
+    def test_trials_bounded_in_file_and_flag(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("eclc.sim.run_reciprocity_trial", no_trials)
+        out = tmp_path / "out"
+        path = str(scenarios.path("reciprocity"))
+        assert main(["run", path, "--trials", "100001", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: trials must be between 1 and 100000\n"
+        big = tmp_path / "big.eclc"
+        big.write_text(scenarios.read("reciprocity").replace("trials = ", "trials = 100001 #", 1))
+        assert main(["run", str(big), "--out", str(out)]) == 1
+        assert "trials must be between 1 and 100000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_env_seed_lowest_precedence(self, tmp_path, capsys, monkeypatch):
         bare = tmp_path / "bare.eclc"
         bare.write_text(

@@ -24,7 +24,7 @@ from eclc import (
     serialize_scenario,
 )
 from eclc import scenarios
-from eclc.dsl import MAX_FORMULA_NODES
+from eclc.dsl import MAX_FORMULA_NODES, MAX_TRIALS
 from gen import formulas, random_config
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -179,6 +179,14 @@ class TestParseScenario:
             parse_scenario("scenario warp\n" + THREE_WORLDS.splitlines()[2] + "\n")
         assert "warp" in err.value.message
 
+
+    def test_trials_bounded(self):
+        world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"
+        assert parse_scenario(world + f"trials = {MAX_TRIALS}").trials == MAX_TRIALS
+        with pytest.raises(ParseError) as err:
+            parse_scenario(world + f"trials = {MAX_TRIALS + 1}")
+        assert (err.value.line, err.value.column) == (2, 1)
+        assert err.value.message == "trials must be between 1 and 100000"
 
     def test_non_ascii_letters_and_digits_rejected(self):
         world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"

@@ -14,7 +14,7 @@ from pathlib import Path
 from eclc import prove
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_SEARCH_CALLS = 300
+MAX_SEARCH_CALLS = 3000
 
 
 def _load_workloads():
@@ -38,5 +38,5 @@ def test_first_found_results_match_golden_corpus():
         if got != record:
             mismatches.append((case, record, got))
         checked += 1
-    assert checked > 4000
+    assert checked > 4900
     assert not mismatches, f"{len(mismatches)} of {checked} cases differ, first: {mismatches[:5]}"
