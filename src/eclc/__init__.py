@@ -30,6 +30,7 @@ from .formula import (
     base_cost,
     coherence,
     curvature_cost,
+    decohere,
     format_formula,
 )
 from .frame import Frame, PathCost, UnknownWorldError, World, accessible, eval_diamond, eval_prop, hop_distance, path_cost
@@ -55,7 +56,6 @@ from .sim import (
     ScenarioReport,
     TrialRecord,
     WorldRow,
-    decohere,
     derive_trial_seed,
     run_accessibility,
     run_coherence,

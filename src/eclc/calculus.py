@@ -268,11 +268,9 @@ def _search(gamma, delta, remaining, memo):
     Failures memoize monotonically: a goal refuted with ``remaining``
     levels is refuted with fewer.  Each contraction spends a depth
     level, so the depth bound also bounds contraction.  At the last
-    level only an axiom can close the goal; it then dies to depth iff
-    some rule applies, so no premises are built there.
+    level only an axiom can close the goal: the rule loop stops at the
+    first application, which dies to depth, so no premises are searched.
     """
-    if remaining <= 0:
-        return None, True
     key = (_canon(gamma), _canon(delta))
     hit = memo.get(key)
     if hit is not None and hit[0] >= remaining:
@@ -283,13 +281,11 @@ def _search(gamma, delta, remaining, memo):
     if _refuted_outright(gamma, delta):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
-    if remaining == 1:
-        # every premise would be cut off at depth 0
-        died = next(_applications(gamma, delta), None) is not None
-        memo[key] = (1, died)
-        return None, died
     died = False
     for rule, premises in _applications(gamma, delta):
+        if remaining == 1:
+            died = True
+            break
         subtrees = []
         for g, d in premises:
             tree, sub_died = _search(g, d, remaining - 1, memo)
@@ -377,6 +373,11 @@ def transition(
     return TransitionOutcome(False, proof, Counter(source.props), Counter(), 0.0)
 
 
+def quantum_token(psi: str) -> Bang:
+    """The banged coherent token !Quantum(psi) that a measurement collapses."""
+    return Bang(Atom(QUANTUM, (psi,), True))
+
+
 def measure(
     frame: Frame,
     w: str,
@@ -391,7 +392,7 @@ def measure(
     The banged quantum token must still be present; measuring the same
     psi twice raises, enforcing logical irreversibility.
     """
-    token = Bang(Atom(QUANTUM, (psi,), True))
+    token = quantum_token(psi)
     if frame.world(w).props[token] < 1:
         raise PreconditionError(f"!Quantum({psi}) absent at {w}: already measured or never present")
     seq = Sequent((token,), (Atom(CLASSICAL, (outcome,), False),))

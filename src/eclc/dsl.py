@@ -7,9 +7,9 @@ The format is line-oriented; ``#`` starts a comment.  Directives:
     kappa0 = <real>
     trials = <int>              (1 to MAX_TRIALS)
     seed = <int>
-    noise = <real>
+    noise = <real>              (0 to MAX_NOISE)
     cost <atom> = <real>        (``cost * = <real>`` sets the default)
-    world <id> { energy=<real>, kappa=<real>, lambda=<int> }
+    world <id> { energy=<real>, kappa=<real>, lambda=<int> }   (lambda 1 to MAX_LAMBDA)
     edge <id> -> <id> { deltaE=<real> }
     prop <id> : <formula>
     observer <id> home=<id> horizon=<int>
@@ -68,6 +68,14 @@ MAX_FORMULA_NODES = 200
 # Most trials one run may make.  A reciprocity trial takes about a third
 # of a millisecond, so the bound keeps a run to tens of seconds.
 MAX_TRIALS = 100_000
+
+# Largest world capacity.  Proof search recurses once per depth level, so
+# this leaves a MAX_FORMULA_NODES-deep formula walk room under the limit.
+MAX_LAMBDA = 500
+
+# Largest jitter amplitude; it keeps noise * lambda a finite float, and at
+# 100 a measurement already fails with probability above 0.99.
+MAX_NOISE = 100
 
 
 class ParseError(Exception):
@@ -274,26 +282,21 @@ class _ScenarioBuilder:
         self.worlds: dict[str, World] = {}
         self.edges: dict[tuple[str, str], float] = {}
         self.atom_costs: dict[str, float] = {}
-        self.default_cost: float | None = None
-        self.alpha: float | None = None
         self.observers: list[Observer] = []
         self.observer_ids: set[str] = set()
         self.sequents: dict[str, tuple[str, str, Sequent]] = {}
-        self.scenario_kind: str | None = None
-        self.trials: int | None = None
-        self.seed: int | None = None
-        self.kappa0: float | None = None
-        self.noise: float | None = None
+        # the fields a directive set; the rest keep their dataclass defaults
+        self.settings: dict[str, object] = {}
 
     def require_world(self, token: _Token) -> str:
         if token.text not in self.worlds:
             raise ParseError(token.line, token.col, f"unknown world {token.text!r}")
         return token.text
 
-    def set_once(self, attr: str, value, token: _Token) -> None:
-        if getattr(self, attr) is not None:
-            raise ParseError(token.line, token.col, f"duplicate {token.text!r} directive")
-        setattr(self, attr, value)
+    def set_once(self, field: str, value, token: _Token, message: str) -> None:
+        if field in self.settings:
+            raise ParseError(token.line, token.col, message)
+        self.settings[field] = value
 
 
 # Directives ``<name> = <value>``: name -> (value parser, validity test, message if invalid).
@@ -302,7 +305,7 @@ _SCALARS = {
     "kappa0": (_parse_real, lambda v: v >= 0, "kappa0 must be >= 0"),
     "trials": (_parse_int, lambda v: 1 <= v <= MAX_TRIALS, f"trials must be between 1 and {MAX_TRIALS}"),
     "seed": (_parse_int, lambda v: 0 <= v <= _MAX_SEED, "seed must fit in 64 unsigned bits"),
-    "noise": (_parse_real, lambda v: v >= 0, "noise must be >= 0"),
+    "noise": (_parse_real, lambda v: 0 <= v <= MAX_NOISE, f"noise must be between 0 and {MAX_NOISE}"),
 }
 
 
@@ -328,8 +331,8 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
             cursor.expect("=")
             if key_tok.text == "lambda":
                 value: float | int = _parse_int(cursor, "lambda")
-                if value < 1:
-                    raise ParseError(key_tok.line, key_tok.col, "lambda must be >= 1")
+                if not 1 <= value <= MAX_LAMBDA:
+                    raise ParseError(key_tok.line, key_tok.col, f"lambda must be between 1 and {MAX_LAMBDA}")
             else:
                 value = _parse_real(cursor, key_tok.text)
                 if value < 0:
@@ -379,9 +382,7 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
             cursor.next()
             cursor.expect("=")
             value = _parse_real(cursor, "default cost")
-            if builder.default_cost is not None:
-                raise ParseError(token.line, token.col, "duplicate default cost directive")
-            builder.default_cost = value
+            builder.set_once("default_cost", value, token, "duplicate default cost directive")
             return
         atom_tok = cursor.expect("ident", "atom name")
         if atom_tok.text in builder.atom_costs:
@@ -399,7 +400,7 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
         value = parse(cursor, word)
         if not valid(value):
             raise ParseError(head.line, head.col, message)
-        builder.set_once(word, value, head)
+        builder.set_once(word, value, head, f"duplicate {word!r} directive")
         return
 
     if word == "observer":
@@ -442,9 +443,7 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
             raise ParseError(
                 kind_tok.line, kind_tok.col, f"unknown scenario kind {kind_tok.text!r}", SCENARIO_KINDS
             )
-        if builder.scenario_kind is not None:
-            raise ParseError(head.line, head.col, "duplicate scenario directive")
-        builder.scenario_kind = kind_tok.text
+        builder.set_once("scenario_kind", kind_tok.text, head, "duplicate scenario directive")
         return
 
     raise ParseError(
@@ -472,21 +471,15 @@ def parse_scenario(text: str, classical_atoms: frozenset[str] = DEFAULT_CLASSICA
         builder.worlds.values(),
         [(src, dst, delta_e) for (src, dst), delta_e in builder.edges.items()],
     )
-    model = CostModel(
-        atom_costs=builder.atom_costs,
-        default_cost=1.0 if builder.default_cost is None else builder.default_cost,
-        alpha=1.0 if builder.alpha is None else builder.alpha,
-    )
+    settings = builder.settings
+    costs = {name: settings.pop(name) for name in ("default_cost", "alpha") if name in settings}
     return ScenarioConfig(
         frame=frame,
-        cost_model=model,
+        cost_model=CostModel(builder.atom_costs, **costs),
         observers=builder.observers,
         sequents=builder.sequents,
-        scenario_kind=builder.scenario_kind or "coherence",
-        trials=1 if builder.trials is None else builder.trials,
-        seed=builder.seed,
-        kappa0=1.0 if builder.kappa0 is None else builder.kappa0,
-        noise=0.0 if builder.noise is None else builder.noise,
+        scenario_kind=settings.pop("scenario_kind", "coherence"),
+        **settings,
     )
 
 

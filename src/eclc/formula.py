@@ -51,7 +51,6 @@ def _intern(cls, parts: tuple):
         # structural, from the children's hashes: a tree freed and built
         # again hashes as before
         object.__setattr__(node, "_hash", hash(parts))
-        object.__setattr__(node, "_key", tuple(getattr(v, "_key", v) for v in parts))
         _interned[parts] = node
     return node
 
@@ -60,7 +59,7 @@ class _Node:
     """Immutable, hash-consed formula node: equal trees are one object,
     so ``==`` is identity."""
 
-    __slots__ = ("_hash", "_key", "__weakref__")
+    __slots__ = ("_hash", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash
@@ -146,13 +145,6 @@ class Diamond(_Node):
 
 
 Formula = Union[Atom, Tensor, Lolli, With, Bang, Diamond]
-
-
-def formula_key(phi: Formula) -> tuple:
-    """Canonical sort/memo key; total order over formula trees."""
-    if not isinstance(phi, _Node):
-        raise TypeError(f"not a formula: {phi!r}")
-    return phi._key
 
 
 def coherence(phi: Formula) -> int:

@@ -45,7 +45,7 @@ class World:
         self.props = Counter(self.props)
 
     def copy(self) -> "World":
-        return World(self.id, self.energy, self.kappa, self.lam, Counter(self.props))
+        return World(self.id, self.energy, self.kappa, self.lam, self.props)
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,8 @@ def accessible(frame: Frame, w: str, w_prime: str) -> bool:
 def eval_diamond(frame: Frame, w: str, phi: Formula, budget: float, model: CostModel) -> bool:
     """True iff some accessible successor holds ``phi`` (syntactic
     membership) over an edge whose deltaE is within ``budget``."""
-    source = frame.world(w)
     for dst, delta_e in frame.successors(w):
-        if delta_e <= source.energy and delta_e <= budget and phi in frame.world(dst).props:
+        if delta_e <= budget and accessible(frame, w, dst) and phi in frame.world(dst).props:
             return True
     return False
 

@@ -55,14 +55,10 @@ def observer_valuation(frame: Frame, o: Observer, w: str, phi: Formula, model: C
         return 0
     if phi in world.props:
         return 1
-    items = list(world.props.elements())
-    seen = set()
     for size in range(1, MAX_ANTECEDENT + 1):
-        for combo in itertools.combinations(items, size):
-            sig = tuple(sorted(map(id, combo)))
-            if sig in seen:
+        for combo in itertools.combinations_with_replacement(world.props, size):
+            if any(combo.count(psi) > world.props[psi] for psi in combo):
                 continue
-            seen.add(sig)
             if prove(Sequent(combo, (phi,)), world.lam, model, world.kappa).proved:
                 return 1
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
-from .calculus import Sequent, measure, prove
+from .calculus import QUANTUM, Sequent, measure, prove, quantum_token
 from .dsl import ScenarioConfig
 from .formula import Atom, Bang, Formula, base_cost, coherence, curvature_cost, decohere
 from .frame import Frame, accessible
@@ -86,8 +86,6 @@ def chain_order(frame: Frame) -> list[str]:
         succ[src] = dst
         indegree[dst] += 1
     starts = [wid for wid in frame.worlds if indegree[wid] == 0]
-    if len(frame.worlds) == 1 and not frame.edges:
-        return list(frame.worlds)
     if len(starts) != 1 or any(count > 1 for count in indegree.values()):
         raise ScenarioError("frame is not a single forward chain")
     order = [starts[0]]
@@ -201,7 +199,7 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
 def _quantum_names(props: Counter) -> list[str]:
     names = []
     for phi in props:
-        if isinstance(phi, Bang) and isinstance(phi.inner, Atom) and phi.inner.name == "Quantum":
+        if isinstance(phi, Bang) and isinstance(phi.inner, Atom) and phi.inner.name == QUANTUM:
             if phi.inner.args:
                 names.append(phi.inner.args[0])
     return names
@@ -233,22 +231,17 @@ def run_reciprocity_trial(config: ScenarioConfig, trial_index: int, master_seed:
     first, second = ids[0], ids[1]
     qubits = _quantum_names(config.frame.world(first).props)
     rng = random.Random(derive_trial_seed(master_seed, trial_index))
-    lam_first = config.frame.world(first).lam
-    lam_second = config.frame.world(second).lam
-    jitter_first = [rng.randint(0, int(config.noise * lam_first)) for _ in qubits]
-    jitter_second = [rng.randint(0, int(config.noise * lam_second)) for _ in qubits]
-    model = config.cost_model
-
-    forward_frame = config.frame.copy()
-    ok, depth, reason = _measure_sequence(forward_frame, first, second, qubits, jitter_first, model)
-    forward = TrialRecord(trial_index, FORWARD, ok, depth, reason)
-
-    reverse_frame = config.frame.copy()
-    ok, depth, reason = _measure_sequence(
-        reverse_frame, second, first, list(reversed(qubits)), jitter_second, model
-    )
-    reverse = TrialRecord(trial_index, REVERSE, ok, depth, reason)
-    return forward, reverse
+    legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
+    # every jitter of the first world is drawn before any of the second
+    jitters = [
+        [rng.randint(0, int(config.noise * config.frame.world(src).lam)) for _ in qubits]
+        for _, src, _, _ in legs
+    ]
+    records = []
+    for (direction, src, dst, order), jitter in zip(legs, jitters):
+        ok, depth, reason = _measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model)
+        records.append(TrialRecord(trial_index, direction, ok, depth, reason))
+    return tuple(records)
 
 
 def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
@@ -270,8 +263,7 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     if not qubits:
         raise ScenarioError(f"no !Quantum(...) tokens declared at {first!r}")
     for qubit in qubits:
-        token = Bang(Atom("Quantum", (qubit,), True))
-        if token not in config.frame.world(second).props:
+        if quantum_token(qubit) not in config.frame.world(second).props:
             raise ScenarioError(f"!Quantum({qubit}) missing at {second!r}")
 
     master_seed = _resolved_seed(config)
@@ -300,8 +292,8 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
                 world=wid,
                 kappa=world.kappa,
                 pi=persistence_score(world.props),
-                access_fraction=sum(bits) / len(bits) if bits else 0.0,
-                entropy=shannon_entropy(bits) if bits else 0.0,
+                access_fraction=sum(bits) / len(bits),
+                entropy=shannon_entropy(bits),
                 mean_proof_depth=sum(depths) / len(depths) if depths else 0.0,
             )
         )
@@ -329,6 +321,7 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
         raise ScenarioError(f"no proposition declared at {order[0]!r}")
     phi = next(iter(start_props))
 
+    cache: dict = {}
     rows = []
     cumulative = 0.0
     alive = True
@@ -340,11 +333,7 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
                 alive = False
             world.props[phi if alive else decohere(phi)] += 1
         bits = [observer_valuation(frame, obs, wid, phi, model) for obs in config.observers]
-        if alive or position == 0:
-            sustain = prove(Sequent((phi,), (phi,)), world.lam, model, world.kappa)
-            mean_depth = float(sustain.depth) if sustain.proved else 0.0
-        else:
-            mean_depth = 0.0
+        mean_depth = float(_self_carry(phi, world, model, cache).depth) if alive else 0.0
         rows.append(
             WorldRow(
                 world=wid,

@@ -13,16 +13,16 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from eclc.formula import Atom, Bang, Diamond, Lolli, Tensor, With, formula_key
+from eclc.formula import Atom, Bang, Diamond, Lolli, Tensor, With
 
 
-def _ms_key(ms: Counter) -> tuple:
-    return tuple(sorted((formula_key(f), c) for f, c in ms.items() if c > 0))
+def _ms_key(ms: Counter) -> frozenset:
+    return frozenset((f, c) for f, c in ms.items() if c > 0)
 
 
 def counter_splits(ms: Counter):
     """Every (first, second) multiset split, one per distinct pair."""
-    items = sorted(((f, c) for f, c in ms.items() if c > 0), key=lambda kv: formula_key(kv[0]))
+    items = [(f, c) for f, c in ms.items() if c > 0]
     keys = [f for f, _ in items]
     for take in itertools.product(*(range(c + 1) for _, c in items)):
         first = Counter({f: t for f, t in zip(keys, take) if t})
@@ -51,7 +51,7 @@ def occurrence_profile(gamma, delta):
     while stack:
         phi, sign, droppable = stack.pop()
         if isinstance(phi, Atom):
-            key = "QC" if phi.name in ("Quantum", "Classical") else formula_key(phi)
+            key = "QC" if phi.name in ("Quantum", "Classical") else phi
             if droppable:
                 (up if sign > 0 else down).add(key)
             else:

@@ -135,6 +135,30 @@ class TestRun:
         assert "trials must be between 1 and 100000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, edits, message",
+        [
+            ("reciprocity", {"noise = 0.8": "noise = 1e308"}, "11:1: noise must be between 0 and 100"),
+            ("reciprocity", {"lambda=12": "lambda=1" + "0" * 400}, "13:36: lambda must be between 1 and 500"),
+            (
+                "accessibility",
+                {"lambda=8 }": "lambda=3000 }", "prop w0 : Phi": "prop w0 : !(A * B)"},
+                "12:36: lambda must be between 1 and 500",
+            ),
+        ],
+        ids=["huge-noise", "huge-lambda", "deep-search"],
+    )
+    def test_out_of_range_settings_exit_one(self, tmp_path, capsys, kind, edits, message):
+        text = scenarios.read(kind)
+        for old, new in edits.items():
+            text = text.replace(old, new, 1)
+        path = tmp_path / "bad.eclc"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"{path}:{message}\n"
+        assert not out.exists()
+
     def test_env_seed_lowest_precedence(self, tmp_path, capsys, monkeypatch):
         bare = tmp_path / "bare.eclc"
         bare.write_text(

@@ -24,7 +24,7 @@ from eclc import (
     serialize_scenario,
 )
 from eclc import scenarios
-from eclc.dsl import MAX_FORMULA_NODES, MAX_TRIALS
+from eclc.dsl import MAX_FORMULA_NODES, MAX_LAMBDA, MAX_NOISE, MAX_TRIALS
 from gen import formulas, random_config
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -187,6 +187,28 @@ class TestParseScenario:
             parse_scenario(world + f"trials = {MAX_TRIALS + 1}")
         assert (err.value.line, err.value.column) == (2, 1)
         assert err.value.message == "trials must be between 1 and 100000"
+
+    def test_lambda_bounded(self):
+        world = "world w1 {{ energy=1.0, kappa=0.0, lambda={} }}"
+        for lam in (1, MAX_LAMBDA):
+            assert parse_scenario(world.format(lam)).frame.world("w1").lam == lam
+        for lam in (0, MAX_LAMBDA + 1, "1" + "0" * 400):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(world.format(lam))
+            assert (err.value.line, err.value.column) == (1, 35)
+            assert err.value.message == "lambda must be between 1 and 500"
+
+    def test_noise_bounded(self):
+        world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"
+        for noise in (0, MAX_NOISE):
+            assert parse_scenario(world + f"noise = {noise}").noise == noise
+        for noise in ("100.000001", "1e308"):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(world + f"noise = {noise}")
+            assert (err.value.line, err.value.column) == (2, 1)
+            assert err.value.message == "noise must be between 0 and 100"
+        with pytest.raises(ParseError):
+            parse_scenario(world + "noise = -1")
 
     def test_non_ascii_letters_and_digits_rejected(self):
         world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"

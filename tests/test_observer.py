@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -13,11 +14,13 @@ from eclc import (
     Observer,
     PRESERVED,
     PreconditionError,
+    Tensor,
     VIOLATED,
     World,
     observer_sees,
     observer_valuation,
     persistence_check,
+    prove,
 )
 from gen import small_frames
 
@@ -75,6 +78,28 @@ class TestObserverValuation:
             (Atom("A"), Lolli(Atom("A"), PHI)), (PHI,), 6
         ) <= frame.worlds["w0"].lam
         assert observer_valuation(frame, Observer("o", "w0", 0), "w0", PHI, unit_model) == 1
+
+    def test_each_antecedent_multiset_tried_once(self, unit_model, monkeypatch):
+        a, b = Atom("A"), Atom("B")
+        held = Counter({a: 2, b: 1, Tensor(a, b): 1})
+        frame = chain_frame()
+        frame.worlds["w0"].props.update(held)
+        tried = []
+
+        def record(seq, *args):
+            tried.append(Counter(seq.gamma))
+            return prove(seq, *args)
+
+        monkeypatch.setattr("eclc.observer.prove", record)
+        assert observer_valuation(frame, Observer("o", "w0", 0), "w0", Atom("Goal"), unit_model) == 0
+        expected = {
+            frozenset(Counter(combo).items())
+            for size in (1, 2, 3)
+            for combo in itertools.combinations(held.elements(), size)
+        }
+        assert len(expected) == 10
+        assert len(tried) == len(expected)
+        assert {frozenset(c.items()) for c in tried} == expected
 
     @settings(max_examples=30)
     @given(small_frames(max_worlds=5), st.integers(0, 3))

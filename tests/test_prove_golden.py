@@ -9,6 +9,9 @@ left to the benchmark, which checks every item it runs.
 """
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from eclc import prove
@@ -40,3 +43,18 @@ def test_first_found_results_match_golden_corpus():
         checked += 1
     assert checked > 4900
     assert not mismatches, f"{len(mismatches)} of {checked} cases differ, first: {mismatches[:5]}"
+
+
+def test_bench_bindings_exist():
+    """The benchmark's tracer and search counter wrap module-level names
+    of the package from outside; installing both must find every name."""
+    code = "import tracer, make_golden\ntracer.install(tracer.Tracer())\nwith make_golden.SearchCounter():\n    pass\n"
+    path = os.pathsep.join([str(BENCH.parent / "src"), str(BENCH)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
