@@ -33,7 +33,7 @@ from .formula import (
     decohere,
     format_formula,
 )
-from .frame import Frame, PathCost, UnknownWorldError, World, accessible, eval_diamond, eval_prop, hop_distance, path_cost
+from .frame import Frame, PathCost, UnknownWorldError, World, accessible, eval_diamond, eval_prop, hop_distance, hop_distances, path_cost
 from .metrics import (
     ContingencyTable,
     FitResult,
@@ -69,7 +69,7 @@ __all__ = [
     "Atom", "Bang", "CostModel", "Diamond", "Formula", "Lolli", "Tensor", "With",
     "base_cost", "coherence", "curvature_cost", "format_formula",
     "Frame", "PathCost", "UnknownWorldError", "World",
-    "accessible", "eval_diamond", "eval_prop", "hop_distance", "path_cost",
+    "accessible", "eval_diamond", "eval_prop", "hop_distance", "hop_distances", "path_cost",
     "COST_INVALID", "DEPTH_EXCEEDED", "NO_RULE_APPLIES",
     "PreconditionError", "ProofResult", "ProofTree", "Sequent", "TransitionOutcome",
     "cost_valid", "measure", "prove", "render_proof", "transition",

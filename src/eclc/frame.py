@@ -133,25 +133,29 @@ def eval_prop(frame: Frame, w: str, phi: Formula, model: CostModel) -> int:
     return 1 if phi in frame.world(w).props else 0
 
 
-def hop_distance(frame: Frame, w: str, w_prime: str) -> int | None:
-    """Length of the shortest directed path over accessible edges, each
-    step gated by its own source world's energy; None if unreachable."""
+def hop_distances(frame: Frame, w: str) -> dict[str, int]:
+    """Hop count of the shortest directed path from w to every world it
+    reaches over accessible edges, each step gated by its own source
+    world's energy: one BFS for all targets.  w maps to 0; unreachable
+    worlds are absent."""
     frame.world(w)
-    frame.world(w_prime)
-    if w == w_prime:
-        return 0
-    seen = {w}
-    queue = deque([(w, 0)])
+    dist = {w: 0}
+    queue = deque([w])
     while queue:
-        here, dist = queue.popleft()
+        here = queue.popleft()
         for dst, _ in frame.successors(here):
-            if dst in seen or not accessible(frame, here, dst):
-                continue
-            if dst == w_prime:
-                return dist + 1
-            seen.add(dst)
-            queue.append((dst, dist + 1))
-    return None
+            if dst not in dist and accessible(frame, here, dst):
+                dist[dst] = dist[here] + 1
+                queue.append(dst)
+    return dist
+
+
+def hop_distance(frame: Frame, w: str, w_prime: str) -> int | None:
+    """Length of the shortest accessible path w -> w', looked up in
+    ``hop_distances(frame, w)``; None if unreachable."""
+    dist = hop_distances(frame, w)
+    frame.world(w_prime)
+    return dist.get(w_prime)
 
 
 def path_cost(frame: Frame, w: str, w_prime: str) -> PathCost | None:

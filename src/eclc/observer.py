@@ -1,10 +1,13 @@
 """Observer-indexed valuations with epistemic horizons.
 
 An observer sees a world only if it lies within a bounded hop distance
-of the observer's home world over accessibility-feasible edges.  A
-proposition counts as true for an observer at a world when the world is
-visible and the proposition is directly present or provable there from
-a small antecedent drawn from the world's propositions.
+of the observer's home world over accessibility-feasible edges; one BFS
+from the home gives the distance to every world.  A proposition counts
+as true for an observer at a world when the world is visible and the
+proposition is directly present or provable there from a small
+antecedent drawn from the world's propositions.  Neither distances nor
+provability depend on who asks, so the accessibility driver runs one
+BFS per home and computes truth at a world once per row.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from pathlib import Path
 from .calculus import QUANTUM, Sequent, measure, prove, quantum_token
 from .dsl import ScenarioConfig
 from .formula import Atom, Bang, Formula, base_cost, coherence, curvature_cost, decohere
-from .frame import Frame, accessible
+from .frame import Frame, accessible, hop_distances
 from .metrics import ContingencyTable, FitResult, fisher_exact_two_tailed, fit_exponential, persistence_score, shannon_entropy
 from .observer import observer_valuation
 
@@ -307,7 +307,9 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
     chain.  The proposition survives at a world while the cumulative
     curvature-scaled carry cost stays within that world's inference
     capacity; past that point it is decohered.  Access is the fraction
-    of observers for which the proposition is visible and provable."""
+    of observers for which the proposition is visible and provable.
+    Visibility comes from one BFS per observer home; truth at a world is
+    computed once per row and shared by every observer that sees it."""
     _require_kind(config, "accessibility")
     frame = config.frame.copy()
     order = chain_order(frame)
@@ -320,6 +322,9 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
     if not start_props:
         raise ScenarioError(f"no proposition declared at {order[0]!r}")
     phi = next(iter(start_props))
+    # The run changes only props, never energies or edges, so the hop
+    # distances from each home hold for the whole run.
+    distances = {home: hop_distances(frame, home) for home in dict.fromkeys(o.home for o in config.observers)}
 
     cache: dict = {}
     rows = []
@@ -332,7 +337,9 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
             if alive and cumulative > world.lam:
                 alive = False
             world.props[phi if alive else decohere(phi)] += 1
-        bits = [observer_valuation(frame, obs, wid, phi, model) for obs in config.observers]
+        seen = [distances[o.home].get(wid, o.horizon + 1) <= o.horizon for o in config.observers]
+        truth = next((observer_valuation(frame, o, wid, phi, model) for o, sees in zip(config.observers, seen) if sees), 0)
+        bits = [truth if sees else 0 for sees in seen]
         mean_depth = float(_self_carry(phi, world, model, cache).depth) if alive else 0.0
         rows.append(
             WorldRow(

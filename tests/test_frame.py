@@ -14,6 +14,7 @@ from eclc import (
     eval_diamond,
     eval_prop,
     hop_distance,
+    hop_distances,
     path_cost,
 )
 from gen import small_frames
@@ -146,6 +147,23 @@ class TestHopDistance:
         for src in ids:
             for dst in ids:
                 assert hop_distance(frame, src, dst) == brute_force_hop_distance(frame, src, dst)
+
+    def test_unknown_world_raises(self):
+        frame = chain()
+        with pytest.raises(UnknownWorldError):
+            hop_distances(frame, "zz")
+        with pytest.raises(UnknownWorldError):
+            hop_distance(frame, "w0", "zz")
+
+    @given(small_frames())
+    def test_one_search_gives_every_distance(self, frame):
+        ids = list(frame.worlds)
+        for src in ids:
+            distances = hop_distances(frame, src)
+            assert set(distances) <= set(ids)
+            for dst in ids:
+                want = brute_force_hop_distance(frame, src, dst)
+                assert distances.get(dst) == want == hop_distance(frame, src, dst)
 
     @given(small_frames())
     def test_triangle_inequality(self, frame):

@@ -1,4 +1,5 @@
-"""The prover's first-found results on the benchmark's recorded corpus.
+"""The prover's first-found results on the benchmark's recorded corpus,
+and the accessibility driver's reports on its recorded chains.
 
 ``bench/golden/prove-corpus.txt`` records (proved, depth,
 failure_reason) for every pool case of the benchmark's prover corpus.
@@ -6,6 +7,9 @@ Reported depth is the height of the first proof found in the fixed rule
 order, so this pins the search order as well as the verdicts.  Cases
 whose recorded search is small are replayed here; the large ones are
 left to the benchmark, which checks every item it runs.
+``bench/golden/observer-chain.txt`` records a digest of the report
+files of ``eclc run`` on every generated accessibility chain; every
+tenth chain is replayed here.
 """
 
 import importlib.util
@@ -15,6 +19,7 @@ import sys
 from pathlib import Path
 
 from eclc import prove
+from eclc.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MAX_SEARCH_CALLS = 3000
@@ -43,6 +48,23 @@ def test_first_found_results_match_golden_corpus():
         checked += 1
     assert checked > 4900
     assert not mismatches, f"{len(mismatches)} of {checked} cases differ, first: {mismatches[:5]}"
+
+
+def test_observer_chain_reports_match_golden(tmp_path, capsys):
+    wl = _load_workloads()
+    builder = wl.Builder()
+    golden = wl.load_golden("observer-chain")
+    mismatches = []
+    for index in range(0, len(golden), 10):
+        path = tmp_path / f"chain-{index}.eclc"
+        path.write_text(wl.observer_text(builder, index), encoding="utf-8")
+        out = tmp_path / f"out-{index}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        if wl.output_digest(out) != golden[index].split()[1]:
+            mismatches.append(index)
+    capsys.readouterr()
+    assert len(golden) == 600
+    assert not mismatches, f"{len(mismatches)} of 60 chains differ, first: {mismatches[:5]}"
 
 
 def test_bench_bindings_exist():

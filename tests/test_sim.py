@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,16 +10,32 @@ from eclc import (
     CostModel,
     ScenarioError,
     Tensor,
+    accessible,
+    curvature_cost,
     decohere,
     derive_trial_seed,
+    observer_valuation,
     parse_scenario,
+    persistence_score,
     run_accessibility,
     run_coherence,
     run_reciprocity,
     run_scenario,
+    shannon_entropy,
 )
 from eclc import scenarios
-from eclc.sim import chain_order, report_to_json, per_world_csv, run_reciprocity_trial, trials_csv
+from eclc import sim
+from eclc.sim import (
+    ScenarioReport,
+    WorldRow,
+    _resolved_seed,
+    _self_carry,
+    chain_order,
+    per_world_csv,
+    report_to_json,
+    run_reciprocity_trial,
+    trials_csv,
+)
 
 
 def load(name):
@@ -180,7 +197,91 @@ class TestRunReciprocity:
         assert report.per_world[1].access_fraction == pytest.approx(0.48)
 
 
+def reference_accessibility(config):
+    """The accessibility driver with one ``observer_valuation`` per
+    (observer, world), each running its own BFS and antecedent search."""
+    frame = config.frame.copy()
+    order = chain_order(frame)
+    model = config.cost_model
+    phi = next(iter(frame.world(order[0]).props))
+    cache: dict = {}
+    rows = []
+    cumulative = 0.0
+    alive = True
+    for position, wid in enumerate(order):
+        world = frame.world(wid)
+        if position > 0:
+            cumulative += curvature_cost(phi, model, world.kappa)
+            if alive and cumulative > world.lam:
+                alive = False
+            world.props[phi if alive else decohere(phi)] += 1
+        bits = [observer_valuation(frame, obs, wid, phi, model) for obs in config.observers]
+        mean_depth = float(_self_carry(phi, world, model, cache).depth) if alive else 0.0
+        rows.append(
+            WorldRow(
+                world=wid,
+                kappa=world.kappa,
+                pi=persistence_score(world.props),
+                access_fraction=sum(bits) / len(bits),
+                entropy=shannon_entropy(bits),
+                mean_proof_depth=mean_depth,
+            )
+        )
+    return ScenarioReport(
+        "accessibility", tuple(rows), None, None, (), _resolved_seed(config)
+    )
+
+
+CHAIN_PROPS = ("Phi(a)", "A", "B", "!A", "A * B", "A -o Phi(a)", "B * C -o Phi(a)", "C & Phi(a)", "~Phi(b)")
+
+
+def random_chain_text(rng):
+    """An accessibility chain whose edges may cost more than their source
+    world holds, with observers at the head, mid-chain and the tail."""
+    n = rng.randint(3, 7)
+    lines = ["scenario accessibility", "alpha = 0.75", "cost * = 1.0", "cost C = 0.5"]
+    for w in range(n):
+        energy, kappa = rng.choice((0.0, 1.0, 2.0, 5.0)), rng.choice((0.0, 0.5, 1.0, 2.0))
+        lines.append(f"world w{w} {{ energy={energy}, kappa={kappa}, lambda={rng.randint(2, 6)} }}")
+    for w in range(n - 1):
+        lines.append(f"edge w{w} -> w{w + 1} {{ deltaE={rng.choice((0.0, 1.0, 3.0, 6.0))} }}")
+    lines.append("prop w0 : Phi(a)")
+    for w in range(n):
+        lines.extend(f"prop w{w} : {rng.choice(CHAIN_PROPS)}" for _ in range(rng.randint(0, 3)))
+    homes = [0, n // 2, n - 1] + [rng.randrange(n) for _ in range(rng.randint(0, 6))]
+    lines.extend(f"observer o{i} home=w{h} horizon={rng.randint(0, 4)}" for i, h in enumerate(homes))
+    return "\n".join(lines) + "\n"
+
+
 class TestRunAccessibility:
+    def test_matches_per_observer_reference(self):
+        rng = random.Random(8)
+        blocked, horizons = 0, set()
+        for _ in range(60):
+            config = parse_scenario(random_chain_text(rng))
+            frame = config.frame
+            blocked += sum(not accessible(frame, a, b) for a, b in frame.edges)
+            horizons.update(o.horizon for o in config.observers)
+            assert run_accessibility(config) == reference_accessibility(config)
+        assert blocked > 0 and horizons == {0, 1, 2, 3, 4}
+
+    def test_one_bfs_per_home_and_one_valuation_per_row(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(sim, "observer_valuation", counted("valuation", sim.observer_valuation))
+        monkeypatch.setattr(sim, "hop_distances", counted("bfs", sim.hop_distances))
+        config = load("accessibility")
+        report = run_accessibility(config)
+        assert 1 <= calls["valuation"] <= len(report.per_world)
+        assert 1 <= calls["bfs"] <= len({o.home for o in config.observers})
+
     def test_shipped_decline(self):
         report = run_accessibility(load("accessibility"))
         access = [row.access_fraction for row in report.per_world]
