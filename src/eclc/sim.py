@@ -225,8 +225,16 @@ def _measure_sequence(frame, src, dst, qubits, jitters, model):
     return success, max_depth, reason
 
 
-def run_reciprocity_trial(config: ScenarioConfig, trial_index: int, master_seed: int):
-    """One independent trial: both measurement orders on fresh copies."""
+def run_reciprocity_trial(config: ScenarioConfig, trial_index: int, master_seed: int, legs_seen: dict | None = None):
+    """One independent trial: both measurement orders on fresh copies.
+
+    A leg's (success, depth, reason) depends only on its direction and
+    jitter vector, since it reads only ``config.frame``, which no leg
+    mutates, and the run's cost model.  ``legs_seen`` maps (direction,
+    jitters) to such an outcome; a run passes one dict to all its
+    trials, so each distinct leg is measured once.  Without it every
+    leg is measured.  The records are the same either way.
+    """
     ids = list(config.frame.worlds)
     first, second = ids[0], ids[1]
     qubits = _quantum_names(config.frame.world(first).props)
@@ -234,13 +242,16 @@ def run_reciprocity_trial(config: ScenarioConfig, trial_index: int, master_seed:
     legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
     # every jitter of the first world is drawn before any of the second
     jitters = [
-        [rng.randint(0, int(config.noise * config.frame.world(src).lam)) for _ in qubits]
+        tuple(rng.randint(0, int(config.noise * config.frame.world(src).lam)) for _ in qubits)
         for _, src, _, _ in legs
     ]
+    legs_seen = {} if legs_seen is None else legs_seen
     records = []
     for (direction, src, dst, order), jitter in zip(legs, jitters):
-        ok, depth, reason = _measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model)
-        records.append(TrialRecord(trial_index, direction, ok, depth, reason))
+        key = (direction, jitter)
+        if key not in legs_seen:
+            legs_seen[key] = _measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model)
+        records.append(TrialRecord(trial_index, direction, *legs_seen[key]))
     return tuple(records)
 
 
@@ -250,7 +261,10 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     The forward direction measures from the first declared world, the
     reverse from the second, each on a fresh frame copy.  Required
     proof depth is perturbed per measurement by an integer jitter drawn
-    uniformly from [0, noise * lambda] of the measuring world.
+    uniformly from [0, noise * lambda] of the measuring world.  Every
+    trial draws its jitters, but a leg is measured once per distinct
+    (direction, jitter vector) in the run and later trials that draw
+    the same vector reuse its outcome; reports do not depend on the reuse.
     """
     _require_kind(config, "reciprocity")
     ids = list(config.frame.worlds)
@@ -267,9 +281,10 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
             raise ScenarioError(f"!Quantum({qubit}) missing at {second!r}")
 
     master_seed = _resolved_seed(config)
+    legs_seen: dict = {}
     trials: list[TrialRecord] = []
     for index in range(config.trials):
-        forward, reverse = run_reciprocity_trial(config, index, master_seed)
+        forward, reverse = run_reciprocity_trial(config, index, master_seed, legs_seen)
         trials.extend((forward, reverse))
 
     forward_records = [t for t in trials if t.direction == FORWARD]

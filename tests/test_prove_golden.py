@@ -8,8 +8,9 @@ order, so this pins the search order as well as the verdicts.  Cases
 whose recorded search is small are replayed here; the large ones are
 left to the benchmark, which checks every item it runs.
 ``bench/golden/observer-chain.txt`` records a digest of the report
-files of ``eclc run`` on every generated accessibility chain; every
-tenth chain is replayed here.
+files of ``eclc run`` on every generated accessibility chain, and
+``bench/golden/reciprocity-trials.txt`` one on the bundled reciprocity
+file under every pool seed; every tenth item of each is replayed here.
 """
 
 import importlib.util
@@ -65,6 +66,21 @@ def test_observer_chain_reports_match_golden(tmp_path, capsys):
     capsys.readouterr()
     assert len(golden) == 600
     assert not mismatches, f"{len(mismatches)} of 60 chains differ, first: {mismatches[:5]}"
+
+
+def test_reciprocity_reports_match_golden(tmp_path, capsys):
+    wl = _load_workloads()
+    golden = wl.load_golden("reciprocity-trials")
+    indices = range(0, len(golden), 10)
+    mismatches = []
+    for index, argv in zip(indices, wl.scenario_argvs("reciprocity-trials", indices, wl.Builder(), tmp_path)):
+        out = tmp_path / f"out-{index}"
+        assert main([*argv, "--out", str(out)]) == 0
+        if wl.output_digest(out) != golden[index].split()[1]:
+            mismatches.append(index)
+    capsys.readouterr()
+    assert len(golden) == 1000
+    assert not mismatches, f"{len(mismatches)} of 100 items differ, first: {mismatches[:5]}"
 
 
 def test_bench_bindings_exist():

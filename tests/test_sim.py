@@ -25,8 +25,10 @@ from eclc import (
 )
 from eclc import scenarios
 from eclc import sim
+from eclc.metrics import ContingencyTable, fisher_exact_two_tailed
 from eclc.sim import (
     ScenarioReport,
+    TrialRecord,
     WorldRow,
     _resolved_seed,
     _self_carry,
@@ -180,11 +182,35 @@ class TestRunReciprocity:
         report = run_reciprocity(config)
         indices = list(range(config.trials))
         random.Random(5).shuffle(indices)
-        permuted = [run_reciprocity_trial(config, index, config.seed) for index in indices]
-        fwd = sum(f.success for f, _ in permuted)
-        rev = sum(r.success for _, r in permuted)
-        assert fwd == sum(t.success for t in report.trials if t.direction == "forward")
-        assert rev == sum(t.success for t in report.trials if t.direction == "reverse")
+        permuted = {index: run_reciprocity_trial(config, index, config.seed) for index in indices}
+        assert [record for index in range(config.trials) for record in permuted[index]] == list(report.trials)
+
+    def test_matches_per_leg_reference(self):
+        rng = random.Random(9)
+        reasons, noises, qubits = Counter(), set(), set()
+        for _ in range(40):
+            config = parse_scenario(random_reciprocity_text(rng))
+            report = run_reciprocity(config)
+            assert report == reference_reciprocity(config)
+            reasons.update(t.failure_reason for t in report.trials)
+            noises.add(config.noise)
+            qubits.add(len(sim._quantum_names(config.frame.world("wA").props)))
+        assert noises == set(NOISES) and qubits == {1, 2, 3}
+        assert reasons[None] and reasons["depth_exceeded"] and reasons["inaccessible"]
+
+    def test_each_distinct_leg_measured_once(self, monkeypatch):
+        calls = Counter()
+        measure = sim.measure
+
+        def counted(*args, **kwargs):
+            calls["measure"] += 1
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "measure", counted)
+        report = run_reciprocity(replace(load("reciprocity"), trials=5000))
+        assert len(report.trials) == 10_000
+        # 100 forward and 9 reverse jitter vectors, two measurements each
+        assert 1 <= calls["measure"] <= 2 * 109
 
     def test_requires_two_worlds(self):
         with pytest.raises(ScenarioError):
@@ -195,6 +221,78 @@ class TestRunReciprocity:
         assert [row.world for row in report.per_world] == ["wA", "wB"]
         assert report.per_world[0].access_fraction == 1.0
         assert report.per_world[1].access_fraction == pytest.approx(0.48)
+
+
+def reference_reciprocity(config):
+    """The reciprocity driver measuring every leg of every trial on its
+    own fresh frame copy."""
+    first, second = list(config.frame.worlds)
+    master_seed = _resolved_seed(config)
+    trials = []
+    for trial_index in range(config.trials):
+        qubits = sim._quantum_names(config.frame.world(first).props)
+        rng = random.Random(derive_trial_seed(master_seed, trial_index))
+        legs = (("forward", first, second, qubits), ("reverse", second, first, qubits[::-1]))
+        jitters = [
+            [rng.randint(0, int(config.noise * config.frame.world(src).lam)) for _ in qubits]
+            for _, src, _, _ in legs
+        ]
+        for (direction, src, dst, order), jitter in zip(legs, jitters):
+            ok, depth, reason = sim._measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model)
+            trials.append(TrialRecord(trial_index, direction, ok, depth, reason))
+    forward_records = [t for t in trials if t.direction == "forward"]
+    reverse_records = [t for t in trials if t.direction == "reverse"]
+    table = ContingencyTable(
+        a=sum(t.success for t in forward_records),
+        b=sum(not t.success for t in forward_records),
+        c=sum(t.success for t in reverse_records),
+        d=sum(not t.success for t in reverse_records),
+    )
+    rows = []
+    for wid, records in ((first, forward_records), (second, reverse_records)):
+        world = config.frame.world(wid)
+        bits = [1 if t.success else 0 for t in records]
+        depths = [t.proof_depth for t in records if t.success]
+        rows.append(
+            WorldRow(
+                world=wid,
+                kappa=world.kappa,
+                pi=persistence_score(world.props),
+                access_fraction=sum(bits) / len(bits),
+                entropy=shannon_entropy(bits),
+                mean_proof_depth=sum(depths) / len(depths) if depths else 0.0,
+            )
+        )
+    return ScenarioReport(
+        "reciprocity", tuple(rows), None, fisher_exact_two_tailed(table), tuple(trials), master_seed
+    )
+
+
+NOISES = (0.0, 0.3, 0.8, 1.0, 2.5)
+
+
+def random_reciprocity_text(rng):
+    """A two-world reciprocity file whose edges may cost up to the whole
+    source energy, so a later measurement of a leg can find its edge
+    inaccessible after an earlier one spent the energy."""
+    qubits = [f"q{i}" for i in range(rng.randint(1, 3))]
+    lines = [
+        "scenario reciprocity",
+        "alpha = 0.75",
+        "cost * = 1.0",
+        f"trials = {rng.randint(1, 200)}",
+        f"seed = {rng.getrandbits(63)}",
+        f"noise = {rng.choice(NOISES)}",
+    ]
+    energies = {}
+    for w in ("wA", "wB"):
+        energies[w] = rng.choice((1.0, 2.0, 10.0))
+        kappa = rng.choice((0.0, 0.5, 1.0))
+        lines.append(f"world {w} {{ energy={energies[w]}, kappa={kappa}, lambda={rng.randint(1, 12)} }}")
+    for src, dst in (("wA", "wB"), ("wB", "wA")):
+        lines.append(f"edge {src} -> {dst} {{ deltaE={energies[src] * rng.choice((0.0, 0.5, 0.75, 1.0))} }}")
+    lines.extend(f"prop {w} : !Quantum({q})" for w in ("wA", "wB") for q in qubits)
+    return "\n".join(lines) + "\n"
 
 
 def reference_accessibility(config):
