@@ -11,6 +11,7 @@ consuming the antecedent irreversibly and spending edge energy.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .formula import (
     Lolli,
     Tensor,
     With,
+    base_cost,
     curvature_cost,
     format_formula,
 )
@@ -97,11 +99,14 @@ class TransitionOutcome:
 def cost_valid(seq: Sequent, model: CostModel, kappa: float) -> bool:
     """True iff the curvature-scaled cost of gamma covers delta's.
 
-    Both sides scale by the same (1 + alpha*kappa) factor, so the
-    verdict is independent of kappa.
+    Both sides scale by the same positive (1 + alpha*kappa) factor, so
+    the unscaled sums decide it and rounding cannot make the verdict
+    depend on kappa.  A negative or non-finite kappa still raises.
     """
-    spent = sum(curvature_cost(phi, model, kappa) for phi in seq.gamma)
-    produced = sum(curvature_cost(phi, model, kappa) for phi in seq.delta)
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
+    spent = sum(base_cost(phi, model) for phi in seq.gamma)
+    produced = sum(base_cost(phi, model) for phi in seq.delta)
     return spent >= produced
 
 
@@ -207,6 +212,43 @@ def _is_axiom(gamma, delta) -> str | None:
 _QC_BUCKET = ("QC",)
 
 
+def _walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set) -> bool:
+    """Tally ``phi``'s atom occurrences into ``fixed`` or, under slack,
+    into the buckets that can go ``up`` or ``down``; True iff ``phi``
+    holds a diamond that is not under slack."""
+    if isinstance(phi, Atom):
+        bucket = _QC_BUCKET if phi.name in (QUANTUM, CLASSICAL) else (phi.name, phi.args, phi.coherent)
+        if slack:
+            (up if sign > 0 else down).add(bucket)
+        else:
+            fixed[bucket] = fixed.get(bucket, 0) + sign
+        return False
+    if isinstance(phi, Tensor):
+        return _walk(phi.left, sign, slack, fixed, up, down) or _walk(phi.right, sign, slack, fixed, up, down)
+    if isinstance(phi, Lolli):
+        return _walk(phi.left, -sign, slack, fixed, up, down) or _walk(phi.right, sign, slack, fixed, up, down)
+    if isinstance(phi, With):
+        return _walk(phi.left, sign, True, fixed, up, down) or _walk(phi.right, sign, True, fixed, up, down)
+    if isinstance(phi, Bang):
+        return _walk(phi.inner, sign, True, fixed, up, down)
+    return not slack
+
+
+def _signature(phi) -> tuple:
+    """``phi``'s signed bucket signature on the right of the turnstile,
+    walked once and kept on the node: ``(fatal, fixed totals as
+    (bucket, total) pairs, buckets that can go up, buckets that can go
+    down)``.  An atom's bucket is its fields, not the atom itself, so a
+    signature holds no node."""
+    fixed: dict = {}
+    up: set = set()
+    down: set = set()
+    fatal = _walk(phi, +1, False, fixed, up, down)
+    signature = (fatal, tuple(fixed.items()), tuple(up), tuple(down))
+    object.__setattr__(phi, "_buckets", signature)
+    return signature
+
+
 def _refuted_outright(gamma, delta) -> bool:
     """Depth-independent refutation by signed occurrence accounting.
 
@@ -218,42 +260,34 @@ def _refuted_outright(gamma, delta) -> bool:
     right direction.  A diamond that is not discardable (not under a
     bang or a with-branch) eventually surfaces at top level where no
     rule and no axiom can consume it, which refutes the goal outright.
+
+    The sequent's tallies are the sum of its members' signatures
+    (``_signature``): delta's as stored, gamma's with each fixed total
+    negated and the two slack directions swapped.
     """
-    fixed: Counter = Counter()
+    fixed: dict = {}
     can_increase: set = set()
     can_decrease: set = set()
-    fatal = False
-
-    def walk(phi, sign: int, slack: bool) -> None:
-        nonlocal fatal
-        if fatal:
-            return
-        if isinstance(phi, Atom):
-            bucket = _QC_BUCKET if phi.name in (QUANTUM, CLASSICAL) else phi
-            if slack:
-                (can_increase if sign > 0 else can_decrease).add(bucket)
-            else:
-                fixed[bucket] += sign
-        elif isinstance(phi, Tensor):
-            walk(phi.left, sign, slack)
-            walk(phi.right, sign, slack)
-        elif isinstance(phi, Lolli):
-            walk(phi.left, -sign, slack)
-            walk(phi.right, sign, slack)
-        elif isinstance(phi, With):
-            walk(phi.left, sign, True)
-            walk(phi.right, sign, True)
-        elif isinstance(phi, Bang):
-            walk(phi.inner, sign, True)
-        elif not slack:
-            fatal = True
-
-    for phi in gamma:
-        walk(phi, -1, False)
     for phi in delta:
-        walk(phi, +1, False)
-    if fatal:
-        return True
+        fatal, totals, ups, downs = getattr(phi, "_buckets", None) or _signature(phi)
+        if fatal:
+            return True
+        for bucket, total in totals:
+            fixed[bucket] = fixed.get(bucket, 0) + total
+        if ups:
+            can_increase.update(ups)
+        if downs:
+            can_decrease.update(downs)
+    for phi in gamma:
+        fatal, totals, ups, downs = getattr(phi, "_buckets", None) or _signature(phi)
+        if fatal:
+            return True
+        for bucket, total in totals:
+            fixed[bucket] = fixed.get(bucket, 0) - total
+        if ups:
+            can_decrease.update(ups)
+        if downs:
+            can_increase.update(downs)
     for bucket, total in fixed.items():
         if total > 0 and bucket not in can_decrease:
             return True

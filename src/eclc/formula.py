@@ -59,7 +59,8 @@ class _Node:
     """Immutable, hash-consed formula node: equal trees are one object,
     so ``==`` is identity."""
 
-    __slots__ = ("_hash", "__weakref__")
+    # ``_buckets`` stays unset at build; ``calculus`` fills it on first use
+    __slots__ = ("_hash", "_buckets", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash

@@ -2,13 +2,14 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from eclc import (
     Atom,
     Bang,
     CostModel,
+    Diamond,
     Frame,
     Lolli,
     PreconditionError,
@@ -22,7 +23,7 @@ from eclc import (
     render_proof,
     transition,
 )
-from eclc.calculus import COST_INVALID, DEPTH_EXCEEDED, NO_RULE_APPLIES, _splits
+from eclc.calculus import COST_INVALID, DEPTH_EXCEEDED, NO_RULE_APPLIES, _refuted_outright, _splits
 
 import oracles
 
@@ -57,6 +58,23 @@ class TestCostValid:
         model = CostModel({"A": 0.7, "B": 1.3}, alpha=0.5)
         seq = Sequent((A,) * n_gamma + (B,), (B,) * n_delta)
         assert cost_valid(seq, model, kappa) == cost_valid(seq, model, 0.0)
+
+    def test_verdict_does_not_round_with_kappa(self):
+        # kappa-scaled sums of these costs round differently from one
+        # kappa to the next; the verdict must not follow them
+        model = CostModel({"A": 0.1, "B": 0.2, "C": 0.3}, alpha=0.75)
+        grid = [step / 100 for step in range(1001)]
+        for seq, want in ((Sequent((A, B), (C,)), True), (Sequent((C,), (A, B)), False)):
+            assert [kappa for kappa in grid if cost_valid(seq, model, kappa) != want] == []
+            reason = prove(seq, 5, model, 0.41).failure_reason
+            assert (reason != COST_INVALID) == want
+
+    @pytest.mark.parametrize("kappa", [-0.5, float("nan"), float("inf")])
+    def test_bad_kappa_raises_on_every_prove_path(self, unit_model, kappa):
+        # proved, cost-invalid, refuted, and an empty sequent with no cost to scale
+        for seq in (Sequent((A,), (A,)), Sequent((A,), (Tensor(A, A),)), Sequent((A, B), (B,)), Sequent((), ())):
+            with pytest.raises(ValueError, match="kappa"):
+                prove(seq, 5, unit_model, kappa)
 
 
 class TestProveBattery:
@@ -182,6 +200,45 @@ class TestOracleAgreement:
                 checked += 1
                 assert not oracles.provable(gamma, delta, 5, use_filter=False), (gamma, delta)
         assert checked > 50
+
+
+QUANTUM_Q = Atom("Quantum", ("q",))
+CLASSICAL_O = Atom("Classical", ("o",), False)
+shortcut_leaves = st.sampled_from(
+    [A, B, Atom("A", coherent=False), Atom("A", ("x",)), QUANTUM_Q, Atom("Quantum", ("r",)), CLASSICAL_O]
+)
+shortcut_formulas = st.recursive(
+    shortcut_leaves,
+    lambda kids: st.one_of(
+        st.builds(Tensor, kids, kids),
+        st.builds(Lolli, kids, kids),
+        st.builds(With, kids, kids),
+        st.builds(Bang, kids),
+        st.builds(Diamond, st.sampled_from([0.0, 1.5]), kids),
+    ),
+    max_leaves=6,
+)
+shortcut_sides = st.lists(shortcut_formulas, max_size=3) | st.lists(shortcut_formulas.map(Bang), max_size=3)
+NESTED = Lolli(Lolli(A, B), Lolli(B, QUANTUM_Q))
+
+
+class TestRefutationShortcut:
+    """Stored bucket signatures give the verdict of one walk per call."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(shortcut_sides, shortcut_sides)
+    @example([Bang(Diamond(1.5, A))], [With(A, Diamond(0.0, B))])
+    @example([Diamond(1.5, A)], [A])
+    @example([NESTED, Lolli(B, A)], [Lolli(NESTED, CLASSICAL_O)])
+    @example([Bang(A), Bang(Tensor(QUANTUM_Q, B))], [Tensor(CLASSICAL_O, Atom("A", coherent=False))])
+    def test_signature_sum_matches_reference_walk(self, gamma, delta):
+        gamma, delta = tuple(gamma), tuple(delta)
+        assert _refuted_outright(gamma, delta) == oracles.refuted_outright_walk(gamma, delta)
+        # every member now has a stored signature; read each again on the other side too
+        for phi in gamma + delta:
+            g, d = gamma + (phi,), delta + (phi,)
+            assert _refuted_outright(g, d) == oracles.refuted_outright_walk(g, d)
+        assert _refuted_outright(delta, gamma) == oracles.refuted_outright_walk(delta, gamma)
 
 
 def collapse_frame(lam=8, delta_e=2.0, energy=10.0):

@@ -1,12 +1,26 @@
 import copy
 import gc
 import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from eclc import Atom, Bang, CostModel, Diamond, Lolli, Tensor, With, base_cost, coherence, curvature_cost
+from eclc import (
+    Atom,
+    Bang,
+    CostModel,
+    Diamond,
+    Lolli,
+    Sequent,
+    Tensor,
+    With,
+    base_cost,
+    coherence,
+    curvature_cost,
+    prove,
+)
 from eclc import formula
 from gen import formulas
 
@@ -173,3 +187,31 @@ class TestValidation:
         assert len(formula._interned) == before
         rebuilt = Lolli(Atom("Probe_1", ("x",)), With(Atom("Probe_1", ("y",)), Atom("Probe_2")))
         assert hash(rebuilt) == digest
+
+    def test_stored_signature_keeps_formulas_collectable_and_frozen(self):
+        # the prover keeps a bucket signature on every formula it meets;
+        # it must hold no reference back to a node, or the node would
+        # outlive its last user until a gc pass
+        zero = CostModel({}, default_cost=0.0)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(formula._interned)
+            a, b = Atom("Probe_3", ("x",)), Atom("Probe_4")
+            goal = Tensor(a, With(b, Bang(b)))
+            assert prove(Sequent((a, Bang(b)), (goal,)), 6, zero, 0.0).proved
+            for node in (a, b, Bang(b), goal.right, goal):
+                assert node._buckets is not None
+            assert len(formula._interned) == before + 5
+            del a, b, goal, node
+            assert len(formula._interned) == before
+        finally:
+            gc.enable()
+        phi = Lolli(Diamond(1.5, Atom("Probe_5")), With(Atom("Probe_5"), Bang(Atom("Probe_6"))))
+        prove(Sequent((phi,), (phi,)), 3, zero, 0.0)
+        assert phi._buckets is not None
+        assert copy.deepcopy(phi) is phi
+        assert pickle.loads(pickle.dumps(phi)) is phi
+        assert "_buckets" not in repr(phi)
+        with pytest.raises(FrozenInstanceError):
+            phi._buckets = None
