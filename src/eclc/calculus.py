@@ -140,60 +140,77 @@ def _splits(side: tuple[Formula, ...]) -> list[tuple[tuple, tuple]]:
     return [(first, second) for _, first, second in splits]
 
 
-def _applications(gamma, delta):
-    """Yield (rule, premises) in the fixed rule order."""
+def _applications(gamma, delta, key):
+    """Yield (rule, premises) in the fixed rule order.  A premise is
+    (gamma, delta, memo key): built from canons computed once per split
+    part or kept from ``key``, or None for the caller to build on reaching it."""
+    canon_gamma, canon_delta = key
+
+    def on_gamma(g):
+        return ((g, delta, (_canon(g), canon_delta)),)
+
     # tensor-right: split gamma and the remaining delta across premises
     for i, phi in enumerate(delta):
         if isinstance(phi, Tensor):
-            rest_splits = _splits(delta[:i] + delta[i + 1 :])
+            rest = delta[:i] + delta[i + 1 :]
+            parts = [(d, _canon(d), d2 + (phi.right,)) for d1, d2 in _splits(rest) for d in (d1 + (phi.left,),)]
             for g1, g2 in _splits(gamma):
-                for d1, d2 in rest_splits:
-                    yield "tensor-right", ((g1, d1 + (phi.left,)), (g2, d2 + (phi.right,)))
+                c1 = _canon(g1)
+                for d1, c2, d2 in parts:
+                    yield "tensor-right", ((g1, d1, (c1, c2)), (g2, d2, None))
     # tensor-left
     for i, phi in enumerate(gamma):
         if isinstance(phi, Tensor):
-            expanded = gamma[:i] + (phi.left, phi.right) + gamma[i + 1 :]
-            yield "tensor-left", ((expanded, delta),)
+            yield "tensor-left", on_gamma(gamma[:i] + (phi.left, phi.right) + gamma[i + 1 :])
     # lolli-right
     for i, phi in enumerate(delta):
         if isinstance(phi, Lolli):
             rest = delta[:i] + delta[i + 1 :]
-            yield "lolli-right", ((gamma + (phi.left,), rest + (phi.right,)),)
+            yield "lolli-right", ((gamma + (phi.left,), rest + (phi.right,), None),)
     # lolli-left: one premise proves the antecedent, the other spends the result
     for i, phi in enumerate(gamma):
         if isinstance(phi, Lolli):
-            delta_splits = _splits(delta)
+            parts = [(d, _canon(d), d2) for d1, d2 in _splits(delta) for d in (d1 + (phi.left,),)]
             for g1, g2 in _splits(gamma[:i] + gamma[i + 1 :]):
-                for d1, d2 in delta_splits:
-                    yield "lolli-left", ((g1, d1 + (phi.left,)), (g2 + (phi.right,), d2))
+                c1 = _canon(g1)
+                for d1, c2, d2 in parts:
+                    yield "lolli-left", ((g1, d1, (c1, c2)), (g2 + (phi.right,), d2, None))
     # with-right: additive, same context in both premises
     for i, phi in enumerate(delta):
         if isinstance(phi, With):
             rest = delta[:i] + delta[i + 1 :]
-            yield "with-right", ((gamma, rest + (phi.left,)), (gamma, rest + (phi.right,)))
+            d1 = rest + (phi.left,)
+            yield "with-right", ((gamma, d1, (canon_gamma, _canon(d1))), (gamma, rest + (phi.right,), None))
     # with-left, either projection
     for i, phi in enumerate(gamma):
         if isinstance(phi, With):
-            yield "with-left-1", ((gamma[:i] + (phi.left,) + gamma[i + 1 :], delta),)
+            yield "with-left-1", on_gamma(gamma[:i] + (phi.left,) + gamma[i + 1 :])
     for i, phi in enumerate(gamma):
         if isinstance(phi, With):
-            yield "with-left-2", ((gamma[:i] + (phi.right,) + gamma[i + 1 :], delta),)
+            yield "with-left-2", on_gamma(gamma[:i] + (phi.right,) + gamma[i + 1 :])
     # exponentials
     for i, phi in enumerate(gamma):
         if isinstance(phi, Bang):
-            yield "dereliction", ((gamma[:i] + (phi.inner,) + gamma[i + 1 :], delta),)
+            yield "dereliction", on_gamma(gamma[:i] + (phi.inner,) + gamma[i + 1 :])
     for phi in gamma:
         if isinstance(phi, Bang):
-            yield "contraction", ((gamma + (phi,), delta),)
+            yield "contraction", on_gamma(gamma + (phi,))
     for i, phi in enumerate(gamma):
         if isinstance(phi, Bang):
-            yield "weakening", ((gamma[:i] + gamma[i + 1 :], delta),)
-    if (
-        len(delta) == 1
-        and isinstance(delta[0], Bang)
-        and all(isinstance(phi, Bang) for phi in gamma)
-    ):
-        yield "promotion", ((gamma, (delta[0].inner,)),)
+            yield "weakening", on_gamma(gamma[:i] + gamma[i + 1 :])
+    if _promotes(gamma, delta):
+        yield "promotion", ((gamma, (delta[0].inner,), (canon_gamma, (id(delta[0].inner),))),)
+
+
+def _promotes(gamma, delta) -> bool:
+    return len(delta) == 1 and isinstance(delta[0], Bang) and all(isinstance(phi, Bang) for phi in gamma)
+
+
+def _applicable(gamma, delta) -> bool:
+    """True iff ``_applications`` yields anything; builds none of it."""
+    if any(isinstance(phi, (Tensor, Lolli, With)) for phi in delta) or _promotes(gamma, delta):
+        return True
+    return any(isinstance(phi, (Tensor, Lolli, With, Bang)) for phi in gamma)
 
 
 def _is_axiom(gamma, delta) -> str | None:
@@ -296,33 +313,31 @@ def _refuted_outright(gamma, delta) -> bool:
     return False
 
 
-def _search(gamma, delta, remaining, memo):
+def _search(gamma, delta, remaining, memo, key):
     """Depth-first backward search; returns (tree or None, died_to_depth).
 
-    Failures memoize monotonically: a goal refuted with ``remaining``
-    levels is refuted with fewer.  Each contraction spends a depth
-    level, so the depth bound also bounds contraction.  At the last
-    level only an axiom can close the goal: the rule loop stops at the
-    first application, which dies to depth, so no premises are searched.
-    """
-    key = (_canon(gamma), _canon(delta))
-    hit = memo.get(key)
-    if hit is not None and hit[0] >= remaining:
-        return None, hit[1]
+    Entered on a memo miss only: the caller probes ``memo`` with each
+    premise's key, building a None key first.  Failures memoize
+    monotonically: a goal refuted with ``remaining`` levels is refuted
+    with fewer.  Each contraction spends a depth level, so the depth
+    bound also bounds contraction.  At the last level only an axiom can
+    close the goal: it dies to depth iff some rule applies."""
     axiom = _is_axiom(gamma, delta)
     if axiom is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
     if _refuted_outright(gamma, delta):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
-    died = False
-    for rule, premises in _applications(gamma, delta):
-        if remaining == 1:
-            died = True
-            break
+    died = remaining == 1 and _applicable(gamma, delta)
+    for rule, premises in _applications(gamma, delta, key) if remaining > 1 else ():
         subtrees = []
-        for g, d in premises:
-            tree, sub_died = _search(g, d, remaining - 1, memo)
+        for g, d, k in premises:
+            k = k or (_canon(g), _canon(d))
+            hit = memo.get(k)
+            if hit is not None and hit[0] >= remaining - 1:
+                died = died or hit[1]
+                break
+            tree, sub_died = _search(g, d, remaining - 1, memo, k)
             if tree is None:
                 died = died or sub_died
                 break
@@ -338,13 +353,13 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
 
     The cost-validity inequality is checked once at the root; failure is
     reported as a value, never an exception.  The first proof found in
-    the fixed rule order is returned.
+    the fixed rule order is returned.  The root's memo key is built here.
     """
     if not (isinstance(depth_bound, int) and depth_bound >= 1):
         raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
     if not cost_valid(seq, model, kappa):
         return ProofResult(False, 0, None, 0.0, COST_INVALID)
-    tree, died = _search(seq.gamma, seq.delta, depth_bound, {})
+    tree, died = _search(seq.gamma, seq.delta, depth_bound, {}, (_canon(seq.gamma), _canon(seq.delta)))
     if tree is not None:
         consumed = sum(curvature_cost(phi, model, kappa) for phi in seq.gamma)
         return ProofResult(True, tree.height, tree, consumed, None)

@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from .calculus import curvature_cost, prove, render_proof
 from .dsl import MAX_TRIALS, ParseError, ScenarioConfig, parse_scenario
+from .formula import base_cost
 from .metrics import fit_exponential
 from .sim import ScenarioError, ScenarioReport, run_scenario, write_report
 
@@ -73,14 +74,17 @@ def cmd_prove(args) -> int:
     world = config.frame.world(args.world)
     model = config.cost_model
     result = prove(seq, world.lam, model, world.kappa)
-    gamma_cost = sum(curvature_cost(phi, model, world.kappa) for phi in seq.gamma)
-    delta_cost = sum(curvature_cost(phi, model, world.kappa) for phi in seq.delta)
+    gamma_cost, delta_cost = (sum(base_cost(phi, model) for phi in side) for side in (seq.gamma, seq.delta))
+    gamma_scaled, delta_scaled = (
+        sum(curvature_cost(phi, model, world.kappa) for phi in side) for side in (seq.gamma, seq.delta)
+    )
     if result.proved:
         print(render_proof(result.tree))
         print(f"proved: depth {result.depth} (bound {world.lam})")
     else:
         print(f"not proved: {result.failure_reason}")
-    print(f"cost: gamma={gamma_cost!r} delta={delta_cost!r} (kappa={world.kappa!r}, alpha={model.alpha!r})")
+    print(f"cost: gamma={gamma_cost!r} delta={delta_cost!r} (unscaled; these decide cost_valid)")
+    print(f"scaled: gamma={gamma_scaled!r} delta={delta_scaled!r} (kappa={world.kappa!r}, alpha={model.alpha!r})")
     return 0 if result.proved else 1
 
 

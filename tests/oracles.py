@@ -3,7 +3,9 @@
 Deliberately built on different machinery than the package: multisets
 are Counters, splits come from per-count products, derivations are
 enumerated exhaustively rather than searched in rule order, and the
-Fisher oracle uses exact rational arithmetic.
+Fisher oracle uses exact rational arithmetic.  The exception is the
+reference prover search, an earlier version of the package's own search
+kept so that a faster one can be checked against it result for result.
 """
 
 from __future__ import annotations
@@ -13,7 +15,21 @@ from collections import Counter
 from fractions import Fraction
 from math import comb
 
-from eclc.formula import Atom, Bang, Diamond, Lolli, Tensor, With
+from eclc.calculus import (
+    _NO_DEPTH_LIMIT,
+    COST_INVALID,
+    DEPTH_EXCEEDED,
+    NO_RULE_APPLIES,
+    ProofResult,
+    ProofTree,
+    Sequent,
+    _canon,
+    _is_axiom,
+    _refuted_outright,
+    _splits,
+    cost_valid,
+)
+from eclc.formula import Atom, Bang, CostModel, Diamond, Lolli, Tensor, With, curvature_cost
 
 
 def _ms_key(ms: Counter) -> frozenset:
@@ -143,6 +159,124 @@ def refuted_outright_walk(gamma, delta) -> bool:
         if total < 0 and bucket not in can_increase:
             return True
     return False
+
+
+# The prover's search as it was before callers probed the memo and memo
+# keys were built once per split part: each node builds its own key and
+# checks the memo on entry.  ``_search`` and ``_applications`` are kept
+# verbatim, on the package's unchanged helpers, as the reference that
+# the faster search must match result for result, trees included.
+def _applications(gamma, delta):
+    """Yield (rule, premises) in the fixed rule order."""
+    # tensor-right: split gamma and the remaining delta across premises
+    for i, phi in enumerate(delta):
+        if isinstance(phi, Tensor):
+            rest_splits = _splits(delta[:i] + delta[i + 1 :])
+            for g1, g2 in _splits(gamma):
+                for d1, d2 in rest_splits:
+                    yield "tensor-right", ((g1, d1 + (phi.left,)), (g2, d2 + (phi.right,)))
+    # tensor-left
+    for i, phi in enumerate(gamma):
+        if isinstance(phi, Tensor):
+            expanded = gamma[:i] + (phi.left, phi.right) + gamma[i + 1 :]
+            yield "tensor-left", ((expanded, delta),)
+    # lolli-right
+    for i, phi in enumerate(delta):
+        if isinstance(phi, Lolli):
+            rest = delta[:i] + delta[i + 1 :]
+            yield "lolli-right", ((gamma + (phi.left,), rest + (phi.right,)),)
+    # lolli-left: one premise proves the antecedent, the other spends the result
+    for i, phi in enumerate(gamma):
+        if isinstance(phi, Lolli):
+            delta_splits = _splits(delta)
+            for g1, g2 in _splits(gamma[:i] + gamma[i + 1 :]):
+                for d1, d2 in delta_splits:
+                    yield "lolli-left", ((g1, d1 + (phi.left,)), (g2 + (phi.right,), d2))
+    # with-right: additive, same context in both premises
+    for i, phi in enumerate(delta):
+        if isinstance(phi, With):
+            rest = delta[:i] + delta[i + 1 :]
+            yield "with-right", ((gamma, rest + (phi.left,)), (gamma, rest + (phi.right,)))
+    # with-left, either projection
+    for i, phi in enumerate(gamma):
+        if isinstance(phi, With):
+            yield "with-left-1", ((gamma[:i] + (phi.left,) + gamma[i + 1 :], delta),)
+    for i, phi in enumerate(gamma):
+        if isinstance(phi, With):
+            yield "with-left-2", ((gamma[:i] + (phi.right,) + gamma[i + 1 :], delta),)
+    # exponentials
+    for i, phi in enumerate(gamma):
+        if isinstance(phi, Bang):
+            yield "dereliction", ((gamma[:i] + (phi.inner,) + gamma[i + 1 :], delta),)
+    for phi in gamma:
+        if isinstance(phi, Bang):
+            yield "contraction", ((gamma + (phi,), delta),)
+    for i, phi in enumerate(gamma):
+        if isinstance(phi, Bang):
+            yield "weakening", ((gamma[:i] + gamma[i + 1 :], delta),)
+    if (
+        len(delta) == 1
+        and isinstance(delta[0], Bang)
+        and all(isinstance(phi, Bang) for phi in gamma)
+    ):
+        yield "promotion", ((gamma, (delta[0].inner,)),)
+
+
+
+def _search(gamma, delta, remaining, memo):
+    """Depth-first backward search; returns (tree or None, died_to_depth).
+
+    Failures memoize monotonically: a goal refuted with ``remaining``
+    levels is refuted with fewer.  Each contraction spends a depth
+    level, so the depth bound also bounds contraction.  At the last
+    level only an axiom can close the goal: the rule loop stops at the
+    first application, which dies to depth, so no premises are searched.
+    """
+    key = (_canon(gamma), _canon(delta))
+    hit = memo.get(key)
+    if hit is not None and hit[0] >= remaining:
+        return None, hit[1]
+    axiom = _is_axiom(gamma, delta)
+    if axiom is not None:
+        return ProofTree(axiom, Sequent(gamma, delta)), False
+    if _refuted_outright(gamma, delta):
+        memo[key] = (_NO_DEPTH_LIMIT, False)
+        return None, False
+    died = False
+    for rule, premises in _applications(gamma, delta):
+        if remaining == 1:
+            died = True
+            break
+        subtrees = []
+        for g, d in premises:
+            tree, sub_died = _search(g, d, remaining - 1, memo)
+            if tree is None:
+                died = died or sub_died
+                break
+            subtrees.append(tree)
+        else:
+            return ProofTree(rule, Sequent(gamma, delta), tuple(subtrees)), False
+    memo[key] = (remaining, died)
+    return None, died
+
+
+def reference_prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> ProofResult:
+    """Backward proof search bounded by ``depth_bound`` (tree height).
+
+    The cost-validity inequality is checked once at the root; failure is
+    reported as a value, never an exception.  The first proof found in
+    the fixed rule order is returned.
+    """
+    if not (isinstance(depth_bound, int) and depth_bound >= 1):
+        raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
+    if not cost_valid(seq, model, kappa):
+        return ProofResult(False, 0, None, 0.0, COST_INVALID)
+    tree, died = _search(seq.gamma, seq.delta, depth_bound, {})
+    if tree is not None:
+        consumed = sum(curvature_cost(phi, model, kappa) for phi in seq.gamma)
+        return ProofResult(True, tree.height, tree, consumed, None)
+    return ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED if died else NO_RULE_APPLIES)
+
 
 
 def provable(gamma, delta, depth: int, memo=None, use_filter: bool = True) -> bool:

@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -23,7 +24,18 @@ from eclc import (
     render_proof,
     transition,
 )
-from eclc.calculus import COST_INVALID, DEPTH_EXCEEDED, NO_RULE_APPLIES, _refuted_outright, _splits
+from eclc import calculus
+from eclc.calculus import (
+    COST_INVALID,
+    DEPTH_EXCEEDED,
+    NO_RULE_APPLIES,
+    _applicable,
+    _applications,
+    _canon,
+    _refuted_outright,
+    _splits,
+)
+from eclc.dsl import parse_formula
 
 import oracles
 
@@ -207,17 +219,23 @@ CLASSICAL_O = Atom("Classical", ("o",), False)
 shortcut_leaves = st.sampled_from(
     [A, B, Atom("A", coherent=False), Atom("A", ("x",)), QUANTUM_Q, Atom("Quantum", ("r",)), CLASSICAL_O]
 )
-shortcut_formulas = st.recursive(
-    shortcut_leaves,
-    lambda kids: st.one_of(
-        st.builds(Tensor, kids, kids),
-        st.builds(Lolli, kids, kids),
-        st.builds(With, kids, kids),
-        st.builds(Bang, kids),
-        st.builds(Diamond, st.sampled_from([0.0, 1.5]), kids),
-    ),
-    max_leaves=6,
-)
+
+
+def leaf_formulas(max_leaves):
+    return st.recursive(
+        shortcut_leaves,
+        lambda kids: st.one_of(
+            st.builds(Tensor, kids, kids),
+            st.builds(Lolli, kids, kids),
+            st.builds(With, kids, kids),
+            st.builds(Bang, kids),
+            st.builds(Diamond, st.sampled_from([0.0, 1.5]), kids),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+shortcut_formulas = leaf_formulas(6)
 shortcut_sides = st.lists(shortcut_formulas, max_size=3) | st.lists(shortcut_formulas.map(Bang), max_size=3)
 NESTED = Lolli(Lolli(A, B), Lolli(B, QUANTUM_Q))
 
@@ -239,6 +257,88 @@ class TestRefutationShortcut:
             g, d = gamma + (phi,), delta + (phi,)
             assert _refuted_outright(g, d) == oracles.refuted_outright_walk(g, d)
         assert _refuted_outright(delta, gamma) == oracles.refuted_outright_walk(delta, gamma)
+
+
+search_formulas = leaf_formulas(3)
+search_sides = st.lists(search_formulas, max_size=3) | st.lists(search_formulas.map(Bang), max_size=2)
+
+
+@st.composite
+def search_sequents(draw):
+    """A random sequent, or one the corpus's provable templates build:
+    a context against the tensor of its members, a modus ponens chain,
+    or a banged formula against the tensor of its copies."""
+    gamma = draw(search_sides)
+    template = draw(st.integers(0, 3))
+    if template == 1 and gamma:
+        delta = [functools.reduce(Tensor, draw(st.permutations(gamma)))]
+    elif template == 2:
+        chain = draw(st.lists(shortcut_leaves, min_size=2, max_size=4))
+        gamma = draw(st.permutations([chain[0]] + [Lolli(x, y) for x, y in zip(chain, chain[1:])]))
+        delta = [chain[-1]]
+    elif template == 3:
+        phi = draw(search_formulas)
+        gamma, delta = [Bang(phi)], [functools.reduce(Tensor, [phi] * draw(st.integers(1, 3)))]
+    else:
+        delta = draw(search_sides)
+    return Sequent(gamma, delta)
+
+
+COSTED = (CostModel({"A": 0.1, "B": 0.2, "Quantum": 0.3}, default_cost=0.15, alpha=0.75), 0.41)
+ZERO = (CostModel({}, default_cost=0.0, alpha=0.75), 0.0)
+# the worst acceptance-c01 case for search size; it dies to depth at bounds 5-8
+WORST_C01 = Sequent(
+    [parse_formula(text) for text in ("C * C -o A", "!C * (A -o A)", "(A -o B) -o C")],
+    [parse_formula(text) for text in ("A * B", "!A -o C * A", "!(B -o C)")],
+)
+
+
+class TestSearchDifferential:
+    """The search probes the memo before it recurses and builds memo keys
+    once per split part; it must return what the search that built and
+    checked every key on entry returned, trees included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_sequents(), st.integers(1, 6), st.sampled_from([ZERO, COSTED]))
+    @example(Sequent((), (Bang(A),)), 1, ZERO)
+    @example(Sequent((Bang(A),), (Tensor(A, Tensor(A, A)),)), 4, ZERO)
+    @example(WORST_C01, 4, ZERO)
+    def test_same_results_as_reference_search(self, seq, bound, cost):
+        model, kappa = cost
+        assert prove(seq, bound, model, kappa) == oracles.reference_prove(seq, bound, model, kappa)
+        # below the cost gate too, and the memo ends the same, died bits included
+        memo, reference_memo = {}, {}
+        key = (_canon(seq.gamma), _canon(seq.delta))
+        got = calculus._search(seq.gamma, seq.delta, bound, memo, key)
+        assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
+        assert memo == reference_memo
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_sequents())
+    @example(Sequent((), (Bang(A),)))
+    @example(Sequent((Bang(A),), (Bang(B),)))
+    @example(Sequent((A,), (Bang(B),)))
+    @example(Sequent((Diamond(1.5, A), QUANTUM_Q), (Bang(A), B)))
+    def test_last_level_test_matches_first_application(self, seq):
+        key = (_canon(seq.gamma), _canon(seq.delta))
+        got = _applicable(seq.gamma, seq.delta)
+        assert got == (next(_applications(seq.gamma, seq.delta, key), None) is not None)
+        assert got == (next(oracles._applications(seq.gamma, seq.delta), None) is not None)
+
+    def test_memo_hits_do_not_enter_the_search(self, monkeypatch):
+        entries = 0
+        search = calculus._search
+
+        def counting_search(*args):
+            nonlocal entries
+            entries += 1
+            return search(*args)
+
+        monkeypatch.setattr(calculus, "_search", counting_search)
+        result = prove(WORST_C01, 5, *ZERO)
+        assert result.failure_reason == DEPTH_EXCEEDED
+        # the search that checked the memo on entry made 38,164 entries
+        assert entries <= 6000
 
 
 def collapse_frame(lam=8, delta_e=2.0, energy=10.0):

@@ -60,6 +60,24 @@ class TestProve:
         assert out.splitlines()[0].startswith("lolli-left")
         assert "cost: gamma=" in out
 
+    def test_cost_line_prints_the_sums_that_decide(self, tmp_path, capsys):
+        # kappa-scaled sums of these costs round the other way from the
+        # unscaled ones at kappa 0.41, so only the unscaled ones agree with the verdict
+        path = tmp_path / "costs.eclc"
+        path.write_text(
+            "scenario coherence\nalpha = 0.75\ncost A = 0.1\ncost B = 0.2\ncost C = 0.3\n"
+            "world w1 { energy=10.0, kappa=0.41, lambda=4 }\n"
+            "sequent split w1 -> w1 : C |- A, B\nsequent join w1 -> w1 : A, B |- C\n"
+        )
+        for name in ("split", "join"):
+            main(["prove", str(path), "--sequent", name, "--world", "w1"])
+            lines = capsys.readouterr().out.splitlines()
+            cost = next(line for line in lines if line.startswith("cost: "))
+            assert cost.endswith("(unscaled; these decide cost_valid)")
+            gamma, delta = (float(field.split("=")[1]) for field in cost.split()[1:3])
+            assert (gamma >= delta) == ("not proved: cost_invalid" not in lines)
+            assert any(line.startswith("scaled: gamma=") for line in lines)
+
     def test_depth_failure_exits_one(self, tmp_path, capsys):
         text = scenarios.read("coherence").replace(
             "world w1 { energy=92.0, kappa=0.0, lambda=8 }",

@@ -4,9 +4,8 @@ and the accessibility driver's reports on its recorded chains.
 ``bench/golden/prove-corpus.txt`` records (proved, depth,
 failure_reason) for every pool case of the benchmark's prover corpus.
 Reported depth is the height of the first proof found in the fixed rule
-order, so this pins the search order as well as the verdicts.  Cases
-whose recorded search is small are replayed here; the large ones are
-left to the benchmark, which checks every item it runs.
+order, so this pins the search order as well as the verdicts.  Every
+case is replayed here, the large ones included.
 ``bench/golden/observer-chain.txt`` records a digest of the report
 files of ``eclc run`` on every generated accessibility chain, and
 ``bench/golden/reciprocity-trials.txt`` one on the bundled reciprocity
@@ -23,7 +22,6 @@ from eclc import prove
 from eclc.cli import main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-MAX_SEARCH_CALLS = 3000
 
 
 def _load_workloads():
@@ -38,16 +36,14 @@ def test_first_found_results_match_golden_corpus():
     builder = wl.Builder()
     checked, mismatches = 0, []
     for line in wl.load_golden("prove-corpus"):
-        calls, bound, case, record = line.split()
-        if int(calls) > MAX_SEARCH_CALLS:
-            continue
+        _, bound, case, record = line.split()
         seq, case_bound, model, kappa = wl.corpus_case(builder, int(case))
         assert case_bound == int(bound), f"case {case}: generated bound differs from the recorded one"
         got = wl.proof_record(prove(seq, case_bound, model, kappa))
         if got != record:
             mismatches.append((case, record, got))
         checked += 1
-    assert checked > 4900
+    assert checked == 5100
     assert not mismatches, f"{len(mismatches)} of {checked} cases differ, first: {mismatches[:5]}"
 
 
