@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from dataclasses import replace
@@ -163,11 +164,14 @@ def cmd_fit(args) -> int:
             if len(row) < 2:
                 raise ValueError(f"row {row_no}: need two columns (kappa, pi)")
             try:
-                points.append((float(row[0]), float(row[1])))
+                point = (float(row[0]), float(row[1]))
             except ValueError:
                 if row_no == 1:
                     continue  # header row
                 raise ValueError(f"row {row_no}: not numeric: {row[:2]}") from None
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"row {row_no}: not finite: {row[:2]}")
+            points.append(point)
         fit = fit_exponential(points)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ Formula syntax: atoms ``Name`` or ``Name(arg,...)``; ``!F`` and ``<r>F``
 bind tightest; ``*`` (tensor) is left-associative; ``&`` binds below
 ``*``; ``-o`` is right-associative and loosest; parentheses group.
 Atoms prefixed ``~`` are non-coherent, as are atoms whose name is in
-the classical set (default: Classical, Decohered).  The Unicode
+CLASSICAL_ATOMS (Classical, Decohered).  The Unicode
 spellings of tensor and lolli are accepted as aliases.  A formula may
 have at most MAX_FORMULA_NODES connectives and parentheses.
 
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .calculus import Sequent
 from .formula import (
-    DEFAULT_CLASSICAL_ATOMS,
+    CLASSICAL_ATOMS,
     Atom,
     Bang,
     CostModel,
@@ -201,45 +201,42 @@ def _parse_int(cursor: _Cursor, what: str) -> int:
 _BINARY = {"-o": (1, Lolli, True), "&": (2, With, False), "*": (3, Tensor, False)}
 
 
-def _parse_formula(cursor: _Cursor, classical_atoms: frozenset[str], min_prec: int = 1) -> Formula:
+def _parse_formula(cursor: _Cursor, min_prec: int = 1) -> Formula:
     """Precedence climbing: operands are unary formulas, and each loop
     takes one binary connective that binds at least ``min_prec``."""
-    left = _parse_unary(cursor, classical_atoms)
+    left = _parse_unary(cursor)
     while (op := _BINARY.get(cursor.peek().kind)) and op[0] >= min_prec:
         prec, make, right_assoc = op
         cursor.next_connective()
-        left = make(left, _parse_formula(cursor, classical_atoms, prec if right_assoc else prec + 1))
+        left = make(left, _parse_formula(cursor, prec if right_assoc else prec + 1))
     return left
 
 
-def _parse_unary(cursor: _Cursor, classical_atoms) -> Formula:
+def _parse_unary(cursor: _Cursor) -> Formula:
     token = cursor.peek()
     if token.kind == "!":
         cursor.next_connective()
-        return Bang(_parse_unary(cursor, classical_atoms))
+        return Bang(_parse_unary(cursor))
     if token.kind == "<":
         cursor.next_connective()
-        budget_tok = cursor.peek()
         budget = _parse_real(cursor, "diamond budget")
-        if budget < 0:
-            raise ParseError(budget_tok.line, budget_tok.col, "diamond budget must be >= 0")
         cursor.expect(">")
-        return Diamond(budget, _parse_unary(cursor, classical_atoms))
+        return Diamond(budget, _parse_unary(cursor))
     if token.kind == "~":
         cursor.next()
-        return _parse_atom(cursor, classical_atoms, coherent=False)
+        return _parse_atom(cursor, coherent=False)
     if token.kind == "(":
         cursor.next_connective()
-        inner = _parse_formula(cursor, classical_atoms)
+        inner = _parse_formula(cursor)
         cursor.expect(")")
         return inner
     if token.kind == "ident":
-        return _parse_atom(cursor, classical_atoms, coherent=None)
+        return _parse_atom(cursor, coherent=None)
     shown = token.text or "end of line"
     raise ParseError(token.line, token.col, f"unexpected {shown!r}", ("formula",))
 
 
-def _parse_atom(cursor: _Cursor, classical_atoms, coherent: bool | None) -> Atom:
+def _parse_atom(cursor: _Cursor, coherent: bool | None) -> Atom:
     name_tok = cursor.expect("ident", "atom name")
     args: list[str] = []
     if cursor.peek().kind == "(":
@@ -250,35 +247,34 @@ def _parse_atom(cursor: _Cursor, classical_atoms, coherent: bool | None) -> Atom
             args.append(cursor.expect("ident", "atom argument").text)
         cursor.expect(")")
     if coherent is None:
-        coherent = name_tok.text not in classical_atoms
+        coherent = name_tok.text not in CLASSICAL_ATOMS
     return Atom(name_tok.text, tuple(args), coherent)
 
 
-def parse_formula(text: str, classical_atoms: frozenset[str] = DEFAULT_CLASSICAL_ATOMS) -> Formula:
+def parse_formula(text: str) -> Formula:
     """Parse a single formula; trailing input is an error."""
     cursor = _Cursor(_tokenize_line(text, 1))
-    phi = _parse_formula(cursor, classical_atoms)
+    phi = _parse_formula(cursor)
     tail = cursor.peek()
     if tail.kind != "end":
         raise ParseError(tail.line, tail.col, f"unexpected {tail.text!r} after formula")
     return phi
 
 
-def _parse_formula_list(cursor: _Cursor, classical_atoms, stops: tuple[str, ...]) -> list[Formula]:
+def _parse_formula_list(cursor: _Cursor, stops: tuple[str, ...]) -> list[Formula]:
     formulas: list[Formula] = []
     if cursor.peek().kind in stops:
         return formulas
     while True:
         cursor.connectives = 0
-        formulas.append(_parse_formula(cursor, classical_atoms))
+        formulas.append(_parse_formula(cursor))
         if cursor.peek().kind != ",":
             return formulas
         cursor.next()
 
 
 class _ScenarioBuilder:
-    def __init__(self, classical_atoms: frozenset[str]):
-        self.classical_atoms = classical_atoms
+    def __init__(self):
         self.worlds: dict[str, World] = {}
         self.edges: dict[tuple[str, str], float] = {}
         self.atom_costs: dict[str, float] = {}
@@ -335,8 +331,6 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
                     raise ParseError(key_tok.line, key_tok.col, f"lambda must be between 1 and {MAX_LAMBDA}")
             else:
                 value = _parse_real(cursor, key_tok.text)
-                if value < 0:
-                    raise ParseError(key_tok.line, key_tok.col, f"{key_tok.text} must be >= 0")
             fields[key_tok.text] = value
             if cursor.peek().kind == ",":
                 cursor.next()
@@ -363,8 +357,6 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
             raise ParseError(key_tok.line, key_tok.col, f"unknown edge attribute {key_tok.text!r}", ("deltaE",))
         cursor.expect("=")
         delta_e = _parse_real(cursor, "deltaE")
-        if delta_e < 0:
-            raise ParseError(key_tok.line, key_tok.col, "deltaE must be >= 0")
         cursor.expect("}")
         builder.edges[(src, dst)] = delta_e
         return
@@ -372,7 +364,7 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
     if word == "prop":
         wid = builder.require_world(cursor.expect("ident", "world id"))
         cursor.expect(":")
-        phi = _parse_formula(cursor, builder.classical_atoms)
+        phi = _parse_formula(cursor)
         builder.worlds[wid].props[phi] += 1
         return
 
@@ -389,8 +381,6 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
             raise ParseError(atom_tok.line, atom_tok.col, f"duplicate cost for {atom_tok.text!r}")
         cursor.expect("=")
         value = _parse_real(cursor, "cost")
-        if value < 0:
-            raise ParseError(atom_tok.line, atom_tok.col, "cost must be >= 0")
         builder.atom_costs[atom_tok.text] = value
         return
 
@@ -417,8 +407,6 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
             raise ParseError(horizon_tok.line, horizon_tok.col, "expected horizon=<int>", ("horizon",))
         cursor.expect("=")
         horizon = _parse_int(cursor, "horizon")
-        if horizon < 0:
-            raise ParseError(horizon_tok.line, horizon_tok.col, "horizon must be >= 0")
         builder.observer_ids.add(id_tok.text)
         builder.observers.append(Observer(id_tok.text, home, horizon))
         return
@@ -431,9 +419,9 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
         cursor.expect("->")
         dst = builder.require_world(cursor.expect("ident", "target world"))
         cursor.expect(":")
-        gamma = _parse_formula_list(cursor, builder.classical_atoms, stops=("|-",))
+        gamma = _parse_formula_list(cursor, stops=("|-",))
         cursor.expect("|-")
-        delta = _parse_formula_list(cursor, builder.classical_atoms, stops=("end",))
+        delta = _parse_formula_list(cursor, stops=("end",))
         builder.sequents[name_tok.text] = (src, dst, Sequent(gamma, delta))
         return
 
@@ -453,9 +441,9 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
     )
 
 
-def parse_scenario(text: str, classical_atoms: frozenset[str] = DEFAULT_CLASSICAL_ATOMS) -> ScenarioConfig:
+def parse_scenario(text: str) -> ScenarioConfig:
     """Parse a scenario file into a config; positions in errors are 1-based."""
-    builder = _ScenarioBuilder(classical_atoms)
+    builder = _ScenarioBuilder()
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(line, line_no)
         cursor = _Cursor(tokens)
@@ -483,7 +471,7 @@ def parse_scenario(text: str, classical_atoms: frozenset[str] = DEFAULT_CLASSICA
     )
 
 
-def serialize_scenario(config: ScenarioConfig, classical_atoms: frozenset[str] = DEFAULT_CLASSICAL_ATOMS) -> str:
+def serialize_scenario(config: ScenarioConfig) -> str:
     """Emit the canonical text form; reparsing yields an equal config."""
     lines = [f"scenario {config.scenario_kind}"]
     lines.append(f"alpha = {format_real(config.cost_model.alpha)}")
@@ -504,12 +492,12 @@ def serialize_scenario(config: ScenarioConfig, classical_atoms: frozenset[str] =
         lines.append(f"edge {src} -> {dst} {{ deltaE={format_real(delta_e)} }}")
     for world in config.frame.worlds.values():
         for phi, count in world.props.items():
-            rendered = format_formula(phi, classical_atoms)
+            rendered = format_formula(phi)
             lines.extend([f"prop {world.id} : {rendered}"] * count)
     for obs in config.observers:
         lines.append(f"observer {obs.id} home={obs.home} horizon={obs.horizon}")
     for name, (src, dst, seq) in config.sequents.items():
-        gamma = ", ".join(format_formula(phi, classical_atoms) for phi in seq.gamma)
-        delta = ", ".join(format_formula(phi, classical_atoms) for phi in seq.delta)
+        gamma = ", ".join(format_formula(phi) for phi in seq.gamma)
+        delta = ", ".join(format_formula(phi) for phi in seq.delta)
         lines.append(f"sequent {name} {src} -> {dst} : {gamma} |- {delta}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import Union
 
 # Atom names that always parse/serialize as non-coherent.
-DEFAULT_CLASSICAL_ATOMS = frozenset({"Classical", "Decohered"})
+CLASSICAL_ATOMS = frozenset({"Classical", "Decohered"})
 
 DECOHERED_PREFIX = "Decohered_"
 
@@ -246,11 +246,11 @@ def format_real(x: float) -> str:
     return repr(float(x) + 0.0)
 
 
-def format_formula(phi: Formula, classical_atoms: frozenset[str] = DEFAULT_CLASSICAL_ATOMS) -> str:
+def format_formula(phi: Formula) -> str:
     """Pretty-print ``phi`` with minimal parentheses.
 
     The output reparses to a structurally identical tree.  Coherent
-    atoms whose name is in ``classical_atoms`` have no textual form and
+    atoms whose name is in ``CLASSICAL_ATOMS`` have no textual form and
     raise ValueError.
     """
 
@@ -263,7 +263,7 @@ def format_formula(phi: Formula, classical_atoms: frozenset[str] = DEFAULT_CLASS
             head = node.name
             if node.args:
                 head += "(" + ",".join(node.args) + ")"
-            if node.name in classical_atoms:
+            if node.name in CLASSICAL_ATOMS:
                 if node.coherent:
                     raise ValueError(
                         f"atom {node.name!r} is in the classical set but flagged coherent; "

@@ -13,7 +13,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .formula import _IDENT, CostModel, Diamond, Formula
+from .formula import _IDENT, Diamond, Formula
 
 
 class UnknownWorldError(Exception):
@@ -116,7 +116,7 @@ def accessible(frame: Frame, w: str, w_prime: str) -> bool:
     return delta_e is not None and delta_e <= source.energy
 
 
-def eval_diamond(frame: Frame, w: str, phi: Formula, budget: float, model: CostModel) -> bool:
+def eval_diamond(frame: Frame, w: str, phi: Formula, budget: float) -> bool:
     """True iff some accessible successor holds ``phi`` (syntactic
     membership) over an edge whose deltaE is within ``budget``."""
     for dst, delta_e in frame.successors(w):
@@ -125,29 +125,42 @@ def eval_diamond(frame: Frame, w: str, phi: Formula, budget: float, model: CostM
     return False
 
 
-def eval_prop(frame: Frame, w: str, phi: Formula, model: CostModel) -> int:
+def eval_prop(frame: Frame, w: str, phi: Formula) -> int:
     """Valuation V(w, phi): diamonds dispatch to their budgeted search,
     everything else is direct membership in the world's propositions."""
     if isinstance(phi, Diamond):
-        return 1 if eval_diamond(frame, w, phi.inner, phi.budget, model) else 0
+        return 1 if eval_diamond(frame, w, phi.inner, phi.budget) else 0
     return 1 if phi in frame.world(w).props else 0
 
 
-def hop_distances(frame: Frame, w: str) -> dict[str, int]:
-    """Hop count of the shortest directed path from w to every world it
-    reaches over accessible edges, each step gated by its own source
-    world's energy: one BFS for all targets.  w maps to 0; unreachable
-    worlds are absent."""
+def _cheapest_paths(frame: Frame, w: str) -> dict[str, tuple[int, float]]:
+    """(fewest hops, then least summed deltaE) of a path from w to every
+    world it reaches over accessible edges, each step gated by its own
+    source world's energy; w maps to (0, 0.0).  The BFS dequeues a world
+    only after every world one hop closer, so its label is final by then."""
     frame.world(w)
-    dist = {w: 0}
+    best = {w: (0, 0.0)}
     queue = deque([w])
     while queue:
         here = queue.popleft()
-        for dst, _ in frame.successors(here):
-            if dst not in dist and accessible(frame, here, dst):
-                dist[dst] = dist[here] + 1
+        hops, spent = best[here]
+        for dst, delta_e in frame.successors(here):
+            if not accessible(frame, here, dst):
+                continue
+            candidate = (hops + 1, spent + delta_e)
+            if dst not in best:
+                best[dst] = candidate
                 queue.append(dst)
-    return dist
+            elif candidate < best[dst]:
+                best[dst] = candidate
+    return best
+
+
+def hop_distances(frame: Frame, w: str) -> dict[str, int]:
+    """Hop count of the shortest accessible path from w to every world
+    it reaches: one BFS for all targets.  w maps to 0; unreachable
+    worlds are absent."""
+    return {dst: hops for dst, (hops, _) in _cheapest_paths(frame, w).items()}
 
 
 def hop_distance(frame: Frame, w: str, w_prime: str) -> int | None:
@@ -161,20 +174,6 @@ def hop_distance(frame: Frame, w: str, w_prime: str) -> int | None:
 def path_cost(frame: Frame, w: str, w_prime: str) -> PathCost | None:
     """Cheapest feasible path as (hops, total deltaE), minimizing hops
     first and summed deltaE among equal-hop paths; None if unreachable."""
-    frame.world(w)
+    best = _cheapest_paths(frame, w)
     frame.world(w_prime)
-    best: dict[str, tuple[int, float]] = {w: (0, 0.0)}
-    queue = deque([w])
-    while queue:
-        here = queue.popleft()
-        hops, spent = best[here]
-        for dst, delta_e in frame.successors(here):
-            if not accessible(frame, here, dst):
-                continue
-            candidate = (hops + 1, spent + delta_e)
-            if dst not in best or candidate < best[dst]:
-                best[dst] = candidate
-                queue.append(dst)
-    if w_prime not in best:
-        return None
-    return PathCost(*best[w_prime])
+    return PathCost(*best[w_prime]) if w_prime in best else None

@@ -72,16 +72,22 @@ def fit_exponential(points) -> FitResult:
     """Least-squares fit of ln(pi) = -rate * kappa with no intercept.
 
     R-squared is computed in log space about the mean of ln(pi).
-    Raises for fewer than two points, nonpositive pi, or all-zero kappa.
+    Raises for fewer than two points, a non-finite kappa or pi,
+    nonpositive pi, all-zero kappa, or a sum of kappa squared that
+    overflows.
     """
     data = [(float(k), float(p)) for k, p in points]
     if len(data) < 2:
         raise ValueError(f"need at least 2 points, got {len(data)}")
+    if not all(math.isfinite(k) and math.isfinite(p) for k, p in data):
+        raise ValueError("all kappa and pi values must be finite")
     if any(p <= 0 for _, p in data):
         raise ValueError("all pi values must be positive")
     denom = sum(k * k for k, _ in data)
     if denom == 0:
         raise ValueError("degenerate fit: all kappa values are zero")
+    if not math.isfinite(denom):
+        raise ValueError("kappa values too large: their sum of squares overflows")
     logs = [(k, math.log(p)) for k, p in data]
     rate = -sum(k * lp for k, lp in logs) / denom
     mean_lp = sum(lp for _, lp in logs) / len(logs)

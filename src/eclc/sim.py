@@ -189,10 +189,10 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
             carried.append(decohere(phi) if coherence(phi) == 1 else phi)
         current = carried
         rows.append(_coherence_row(target, current, model, cache))
-    points = [(row.kappa, row.pi) for row in rows if row.pi > 0]
-    fit = None
-    if len(points) >= 2 and any(k != 0 for k, _ in points):
-        fit = fit_exponential(points)
+    try:
+        fit = fit_exponential([(row.kappa, row.pi) for row in rows if row.pi > 0])
+    except ValueError:  # under two points, every kappa 0, or their squares overflow
+        fit = None
     return ScenarioReport("coherence", tuple(rows), fit, None, (), _resolved_seed(config))
 
 
@@ -225,15 +225,14 @@ def _measure_sequence(frame, src, dst, qubits, jitters, model):
     return success, max_depth, reason
 
 
-def run_reciprocity_trial(config: ScenarioConfig, trial_index: int, master_seed: int, legs_seen: dict | None = None):
+def run_reciprocity_trial(config: ScenarioConfig, trial_index: int, master_seed: int, legs_seen: dict):
     """One independent trial: both measurement orders on fresh copies.
 
     A leg's (success, depth, reason) depends only on its direction and
     jitter vector, since it reads only ``config.frame``, which no leg
     mutates, and the run's cost model.  ``legs_seen`` maps (direction,
     jitters) to such an outcome; a run passes one dict to all its
-    trials, so each distinct leg is measured once.  Without it every
-    leg is measured.  The records are the same either way.
+    trials, so each distinct leg is measured once.
     """
     ids = list(config.frame.worlds)
     first, second = ids[0], ids[1]
@@ -245,7 +244,6 @@ def run_reciprocity_trial(config: ScenarioConfig, trial_index: int, master_seed:
         tuple(rng.randint(0, int(config.noise * config.frame.world(src).lam)) for _ in qubits)
         for _, src, _, _ in legs
     ]
-    legs_seen = {} if legs_seen is None else legs_seen
     records = []
     for (direction, src, dst, order), jitter in zip(legs, jitters):
         key = (direction, jitter)

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from eclc.calculus import Sequent
 from eclc.dsl import ScenarioConfig
-from eclc.formula import DEFAULT_CLASSICAL_ATOMS, Atom, Bang, Diamond, Lolli, Tensor, With
+from eclc.formula import CLASSICAL_ATOMS, Atom, Bang, Diamond, Lolli, Tensor, With
 from eclc.formula import CostModel
 from eclc.frame import Frame, World
 from eclc.observer import Observer
@@ -22,7 +22,7 @@ identifiers = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
 def atoms(draw):
     name = draw(identifiers)
     args = tuple(draw(st.lists(identifiers, max_size=2)))
-    if name in DEFAULT_CLASSICAL_ATOMS:
+    if name in CLASSICAL_ATOMS:
         coherent = False  # coherent classical-named atoms have no textual form
     else:
         coherent = draw(st.booleans())

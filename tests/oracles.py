@@ -432,3 +432,23 @@ def brute_force_hop_distance(frame, src: str, dst: str) -> int | None:
 
     walk(src, {src}, 0)
     return best
+
+
+def brute_force_path_costs(frame, src: str, dst: str) -> list[tuple[int, float]]:
+    """(hops, summed deltaE) of every feasible simple path src -> dst,
+    summed from src in path order; [(0, 0.0)] when src == dst."""
+    if src == dst:
+        return [(0, 0.0)]
+    costs = []
+
+    def walk(here: str, visited: set, hops: int, spent: float) -> None:
+        for (a, b), delta in frame.edges.items():
+            if a != here or b in visited or delta > frame.worlds[a].energy:
+                continue
+            if b == dst:
+                costs.append((hops + 1, spent + delta))
+            else:
+                walk(b, visited | {b}, hops + 1, spent + delta)
+
+    walk(src, {src}, 0, 0.0)
+    return costs

@@ -277,6 +277,17 @@ class TestFit:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "none.csv")]) == 1
 
+    def test_non_finite_cells(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        for row in ("inf,0.5", "1,nan"):
+            path.write_text(f"kappa,pi\n0,1.0\n{row}\n")
+            assert main(["fit", str(path)]) == 1
+            cells = row.split(",")
+            assert capsys.readouterr() == ("", f"error: row 3: not finite: {cells}\n")
+        path.write_text("0,1.0\n1e200,0.5\n")
+        assert main(["fit", str(path)]) == 1
+        assert "overflows" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -64,10 +64,6 @@ class TestParseFormula:
         assert parse_formula("Classical(o)") == Atom("Classical", ("o",), False)
         assert parse_formula("Decohered(A)") == Atom("Decohered", ("A",), False)
 
-    def test_custom_classical_set(self):
-        phi = parse_formula("Dead", classical_atoms=frozenset({"Dead"}))
-        assert phi == Atom("Dead", (), False)
-
     def test_unicode_aliases(self):
         assert parse_formula("A ⊗ B") == Tensor(A, B)
         assert parse_formula("A ⊸ B") == Lolli(A, B)
@@ -209,6 +205,30 @@ class TestParseScenario:
             assert err.value.message == "noise must be between 0 and 100"
         with pytest.raises(ParseError):
             parse_scenario(world + "noise = -1")
+
+    def test_sign_rejected_at_every_numeric_position(self):
+        # numbers carry no sign, so the lexer rejects each '-' at its own column
+        base = "world a { energy=5, kappa=0, lambda=3 }\nworld b { energy=5, kappa=0, lambda=3 }\n"
+        for line in (
+            "world c { energy=$1, kappa=0, lambda=3 }",
+            "world c { energy=1, kappa=$0.5, lambda=3 }",
+            "world c { energy=1, kappa=0, lambda=$3 }",
+            "edge a -> b { deltaE=$1 }",
+            "cost A = $1",
+            "cost * = $1",
+            "observer o home=a horizon=$2",
+            "prop a : <$1>A",
+            "alpha = $1",
+            "kappa0 = $1",
+            "trials = $3",
+            "seed = $7",
+            "noise = $0.5",
+        ):
+            parse_scenario(base + line.replace("$", ""))
+            with pytest.raises(ParseError) as err:
+                parse_scenario(base + line.replace("$", "-"))
+            assert (err.value.line, err.value.column) == (3, line.index("$") + 1), line
+            assert err.value.message == "unexpected character '-'"
 
     def test_non_ascii_letters_and_digits_rejected(self):
         world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"

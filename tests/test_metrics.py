@@ -110,6 +110,15 @@ class TestFitExponential:
         with pytest.raises(ValueError):
             fit_exponential([(1.0, 0.5)])
 
+    def test_non_finite_rejected(self):
+        for bad in ((math.inf, 0.5), (1.0, math.nan), (math.nan, 0.5), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                fit_exponential([(0.0, 1.0), bad])
+
+    def test_overflowing_sum_of_squares_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            fit_exponential([(1e200, 0.5), (1.0, 0.9)])
+
     @given(
         st.floats(min_value=0.01, max_value=5, allow_nan=False),
         st.integers(min_value=2, max_value=12),

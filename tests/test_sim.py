@@ -123,6 +123,15 @@ class TestRunCoherence:
         with pytest.raises(ScenarioError):
             run_coherence(load("reciprocity"))
 
+    def test_no_fit_when_kappa_squares_leave_float_range(self):
+        # 1e-200 squares to 0 (every kappa zero to the fit), 1e200 to inf
+        for kappa in ("1e-200", "1e200"):
+            config = parse_scenario(
+                "scenario coherence\nworld a { energy=1, kappa=0, lambda=3 }\n"
+                f"world b {{ energy=1, kappa={kappa}, lambda=3 }}\nedge a -> b {{ deltaE=0 }}\n"
+            )
+            assert run_coherence(config).fit is None
+
     def test_monotone_over_random_chains(self):
         rng = random.Random(31337)
         for _ in range(25):
@@ -182,7 +191,8 @@ class TestRunReciprocity:
         report = run_reciprocity(config)
         indices = list(range(config.trials))
         random.Random(5).shuffle(indices)
-        permuted = {index: run_reciprocity_trial(config, index, config.seed) for index in indices}
+        legs_seen: dict = {}
+        permuted = {index: run_reciprocity_trial(config, index, config.seed, legs_seen) for index in indices}
         assert [record for index in range(config.trials) for record in permuted[index]] == list(report.trials)
 
     def test_matches_per_leg_reference(self):
