@@ -91,8 +91,6 @@ class ProofResult:
 class TransitionOutcome:
     valid: bool
     proof: ProofResult
-    source_remainder: Counter
-    target_additions: Counter
     energy_spent: float
 
 
@@ -399,14 +397,15 @@ def transition(
     source world's curvature, and it is provable within the source
     world's inference capacity (or ``depth_bound`` when given).  On
     success gamma leaves w, delta lands in w', and the edge deltaE is
-    deducted from w's energy.  Failure changes nothing.
+    deducted from w's energy; both worlds' props are updated in place.
+    Failure changes nothing.
     """
     source = frame.world(w)
-    frame.world(w_prime)
+    target = frame.world(w_prime)
     need = Counter(seq.gamma)
-    if need - source.props:
-        missing = ", ".join(format_formula(phi) for phi in (need - source.props))
-        raise PreconditionError(f"gamma not contained in props({w}): missing {missing}")
+    if missing := need - source.props:
+        shown = ", ".join(format_formula(phi) for phi in missing)
+        raise PreconditionError(f"gamma not contained in props({w}): missing {shown}")
     bound = source.lam if depth_bound is None else depth_bound
     if bound >= 1:
         proof = prove(seq, bound, model, source.kappa)
@@ -414,12 +413,11 @@ def transition(
         proof = ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
     if accessible(frame, w, w_prime) and proof.proved:
         spent = frame.edges[(w, w_prime)]
-        source.props = source.props - need
+        source.props -= need
         source.energy -= spent
-        target = frame.world(w_prime)
-        target.props = target.props + Counter(seq.delta)
-        return TransitionOutcome(True, proof, Counter(source.props), Counter(seq.delta), spent)
-    return TransitionOutcome(False, proof, Counter(source.props), Counter(), 0.0)
+        target.props.update(seq.delta)
+        return TransitionOutcome(True, proof, spent)
+    return TransitionOutcome(False, proof, 0.0)
 
 
 def quantum_token(psi: str) -> Bang:
@@ -438,11 +436,9 @@ def measure(
 ) -> TransitionOutcome:
     """Collapse !Quantum(psi) at w into Classical(outcome) at w'.
 
-    The banged quantum token must still be present; measuring the same
+    The banged quantum token must still be present: ``transition``
+    raises PreconditionError naming it otherwise, so measuring the same
     psi twice raises, enforcing logical irreversibility.
     """
-    token = quantum_token(psi)
-    if frame.world(w).props[token] < 1:
-        raise PreconditionError(f"!Quantum({psi}) absent at {w}: already measured or never present")
-    seq = Sequent((token,), (Atom(CLASSICAL, (outcome,), False),))
+    seq = Sequent((quantum_token(psi),), (Atom(CLASSICAL, (outcome,), False),))
     return transition(frame, w, w_prime, seq, model, depth_bound=depth_bound)

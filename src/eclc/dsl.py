@@ -194,7 +194,10 @@ def _parse_int(cursor: _Cursor, what: str) -> int:
     token = cursor.expect("number", what)
     if any(c in token.text for c in ".eE"):
         raise ParseError(token.line, token.col, f"{what} must be an integer", (what,))
-    return int(token.text)
+    try:
+        return int(token.text)
+    except ValueError:  # more digits than Python converts
+        raise ParseError(token.line, token.col, f"{what} out of range") from None
 
 
 # Binary connectives: token -> (precedence, constructor, right-associative).
@@ -296,12 +299,13 @@ class _ScenarioBuilder:
 
 
 # Directives ``<name> = <value>``: name -> (value parser, validity test, message if invalid).
+# A number token has no sign, so no test needs a lower bound of 0.
 _SCALARS = {
     "alpha": (_parse_real, lambda v: v > 0, "alpha must be > 0"),
-    "kappa0": (_parse_real, lambda v: v >= 0, "kappa0 must be >= 0"),
+    "kappa0": (_parse_real, lambda v: True, None),
     "trials": (_parse_int, lambda v: 1 <= v <= MAX_TRIALS, f"trials must be between 1 and {MAX_TRIALS}"),
-    "seed": (_parse_int, lambda v: 0 <= v <= _MAX_SEED, "seed must fit in 64 unsigned bits"),
-    "noise": (_parse_real, lambda v: 0 <= v <= MAX_NOISE, f"noise must be between 0 and {MAX_NOISE}"),
+    "seed": (_parse_int, lambda v: v <= _MAX_SEED, "seed must fit in 64 unsigned bits"),
+    "noise": (_parse_real, lambda v: v <= MAX_NOISE, f"noise must be between 0 and {MAX_NOISE}"),
 }
 
 

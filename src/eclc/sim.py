@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
-from .calculus import QUANTUM, Sequent, measure, prove, quantum_token
+from .calculus import Sequent, measure, prove, quantum_token
 from .dsl import ScenarioConfig
 from .formula import Atom, Bang, Formula, base_cost, coherence, curvature_cost, decohere
 from .frame import Frame, accessible, hop_distances
@@ -197,10 +197,11 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
 
 
 def _quantum_names(props: Counter) -> list[str]:
+    """The psi of each token in props that is exactly !Quantum(psi)."""
     names = []
     for phi in props:
-        if isinstance(phi, Bang) and isinstance(phi.inner, Atom) and phi.inner.name == QUANTUM:
-            if phi.inner.args:
+        if isinstance(phi, Bang) and isinstance(phi.inner, Atom) and phi.inner.args:
+            if phi == quantum_token(phi.inner.args[0]):
                 names.append(phi.inner.args[0])
     return names
 
@@ -225,44 +226,19 @@ def _measure_sequence(frame, src, dst, qubits, jitters, model):
     return success, max_depth, reason
 
 
-def run_reciprocity_trial(config: ScenarioConfig, trial_index: int, master_seed: int, legs_seen: dict):
-    """One independent trial: both measurement orders on fresh copies.
-
-    A leg's (success, depth, reason) depends only on its direction and
-    jitter vector, since it reads only ``config.frame``, which no leg
-    mutates, and the run's cost model.  ``legs_seen`` maps (direction,
-    jitters) to such an outcome; a run passes one dict to all its
-    trials, so each distinct leg is measured once.
-    """
-    ids = list(config.frame.worlds)
-    first, second = ids[0], ids[1]
-    qubits = _quantum_names(config.frame.world(first).props)
-    rng = random.Random(derive_trial_seed(master_seed, trial_index))
-    legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
-    # every jitter of the first world is drawn before any of the second
-    jitters = [
-        tuple(rng.randint(0, int(config.noise * config.frame.world(src).lam)) for _ in qubits)
-        for _, src, _, _ in legs
-    ]
-    records = []
-    for (direction, src, dst, order), jitter in zip(legs, jitters):
-        key = (direction, jitter)
-        if key not in legs_seen:
-            legs_seen[key] = _measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model)
-        records.append(TrialRecord(trial_index, direction, *legs_seen[key]))
-    return tuple(records)
-
-
 def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     """Measure the shared quantum tokens in both orders, many trials.
 
     The forward direction measures from the first declared world, the
     reverse from the second, each on a fresh frame copy.  Required
     proof depth is perturbed per measurement by an integer jitter drawn
-    uniformly from [0, noise * lambda] of the measuring world.  Every
-    trial draws its jitters, but a leg is measured once per distinct
-    (direction, jitter vector) in the run and later trials that draw
-    the same vector reuse its outcome; reports do not depend on the reuse.
+    uniformly from [0, noise * lambda] of the measuring world; each
+    trial draws every jitter of the first world before any of the
+    second.  A leg's (success, depth, reason) depends only on its
+    direction and jitter vector, since it reads only ``config.frame``,
+    which no leg mutates, and the cost model; so each distinct
+    (direction, jitter vector) is measured once per run and later
+    trials that draw it reuse the outcome.
     """
     _require_kind(config, "reciprocity")
     ids = list(config.frame.worlds)
@@ -279,27 +255,29 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
             raise ScenarioError(f"!Quantum({qubit}) missing at {second!r}")
 
     master_seed = _resolved_seed(config)
-    legs_seen: dict = {}
+    legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
+    spans = [int(config.noise * config.frame.world(src).lam) for _, src, _, _ in legs]
+    outcomes: dict = {}
     trials: list[TrialRecord] = []
     for index in range(config.trials):
-        forward, reverse = run_reciprocity_trial(config, index, master_seed, legs_seen)
-        trials.extend((forward, reverse))
+        rng = random.Random(derive_trial_seed(master_seed, index))
+        jitters = [tuple(rng.randint(0, span) for _ in qubits) for span in spans]
+        for (direction, src, dst, order), jitter in zip(legs, jitters):
+            key = (direction, jitter)
+            if key not in outcomes:
+                outcomes[key] = _measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model)
+            trials.append(TrialRecord(index, direction, *outcomes[key]))
 
-    forward_records = [t for t in trials if t.direction == FORWARD]
-    reverse_records = [t for t in trials if t.direction == REVERSE]
-    table = ContingencyTable(
-        a=sum(t.success for t in forward_records),
-        b=sum(not t.success for t in forward_records),
-        c=sum(t.success for t in reverse_records),
-        d=sum(not t.success for t in reverse_records),
-    )
-    fisher_p = fisher_exact_two_tailed(table)
-
+    # trials alternate forward, reverse; each direction gives two table
+    # cells (successes, failures) and the row of its measuring world
+    cells: list[int] = []
     rows = []
-    for wid, records in ((first, forward_records), (second, reverse_records)):
+    for offset, (_, wid, _, _) in enumerate(legs):
         world = config.frame.world(wid)
+        records = trials[offset::2]
         bits = [1 if t.success else 0 for t in records]
         depths = [t.proof_depth for t in records if t.success]
+        cells += (sum(bits), len(bits) - sum(bits))
         rows.append(
             WorldRow(
                 world=wid,
@@ -310,6 +288,7 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
                 mean_proof_depth=sum(depths) / len(depths) if depths else 0.0,
             )
         )
+    fisher_p = fisher_exact_two_tailed(ContingencyTable(*cells))
     return ScenarioReport(
         "reciprocity", tuple(rows), None, fisher_p, tuple(trials), master_seed
     )

@@ -396,7 +396,37 @@ class TestTransition:
         outcome = transition(frame, "w1", "w2", seq, unit_model)
         assert outcome.valid
         for phi in seq.gamma:
-            assert outcome.source_remainder[phi] == 0
+            assert phi not in frame.world("w1").props
+        assert frame.world("w2").props == Counter(seq.delta)
+
+    def test_props_update_in_place_like_rebinding(self, unit_model):
+        # c03-style cases with extra props on both sides: the in-place
+        # updates leave the same counts in the same key order as
+        # rebinding to props - Counter(gamma) and props + Counter(delta)
+        rng = random.Random(313)
+        pool = [Atom(n) for n in "PQRST"]
+        checked = 0
+        for _ in range(300):
+            atoms = rng.sample(pool, rng.randint(1, 4))
+            gamma = tuple(atoms[: rng.randint(1, len(atoms))])
+            goal = gamma[0]
+            for phi in gamma[1:]:
+                goal = Tensor(goal, phi)
+            source = Counter(rng.choices(pool, k=rng.randint(0, 4)) + atoms)
+            target = Counter(rng.choices(pool + [goal], k=rng.randint(0, 4)))
+            frame = Frame(
+                [
+                    World("src", rng.uniform(5.0, 20.0), rng.uniform(0.0, 2.0), 8, source),
+                    World("dst", 10.0, rng.uniform(0.0, 2.0), 8, target),
+                ],
+                [("src", "dst", rng.uniform(0.0, 4.0))],
+            )
+            seq = Sequent(gamma, (goal,))
+            assert transition(frame, "src", "dst", seq, unit_model).valid
+            assert list(frame.world("src").props.items()) == list((source - Counter(gamma)).items())
+            assert list(frame.world("dst").props.items()) == list((target + Counter(seq.delta)).items())
+            checked += 1
+        assert checked == 300
 
 
 class TestMeasure:

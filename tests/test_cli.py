@@ -142,7 +142,7 @@ class TestRun:
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("eclc.sim.run_reciprocity_trial", no_trials)
+        monkeypatch.setattr("eclc.sim._measure_sequence", no_trials)
         out = tmp_path / "out"
         path = str(scenarios.path("reciprocity"))
         assert main(["run", path, "--trials", "100001", "--out", str(out)]) == 1
@@ -158,13 +158,14 @@ class TestRun:
         [
             ("reciprocity", {"noise = 0.8": "noise = 1e308"}, "11:1: noise must be between 0 and 100"),
             ("reciprocity", {"lambda=12": "lambda=1" + "0" * 400}, "13:36: lambda must be between 1 and 500"),
+            ("reciprocity", {"seed = 9": "seed = " + "1" * 5000}, "10:8: seed out of range"),
             (
                 "accessibility",
                 {"lambda=8 }": "lambda=3000 }", "prop w0 : Phi": "prop w0 : !(A * B)"},
                 "12:36: lambda must be between 1 and 500",
             ),
         ],
-        ids=["huge-noise", "huge-lambda", "deep-search"],
+        ids=["huge-noise", "huge-lambda", "oversized-seed-literal", "deep-search"],
     )
     def test_out_of_range_settings_exit_one(self, tmp_path, capsys, kind, edits, message):
         text = scenarios.read(kind)
@@ -176,6 +177,34 @@ class TestRun:
         assert main(["run", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"{path}:{message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "props, error",
+        [
+            (["!Quantum(qA, x)"], "error: no !Quantum(...) tokens declared at 'wA'\n"),
+            (["!~Quantum(qA)"], "error: no !Quantum(...) tokens declared at 'wA'\n"),
+            (["!Quantum(qA)", "!Quantum(qA, y)"], None),
+        ],
+        ids=["two-args", "non-coherent", "exact-and-two-args"],
+    )
+    def test_only_exact_quantum_tokens_are_measured(self, tmp_path, capsys, props, error):
+        def write(name, props):
+            shipped = "prop wA : !Quantum(qA)\nprop wA : !Quantum(qB)\n"
+            text = scenarios.read("reciprocity").replace(shipped, "".join(f"prop wA : {p}\n" for p in props))
+            path = tmp_path / name
+            path.write_text(text)
+            return str(path)
+
+        out = tmp_path / "out"
+        if error is not None:
+            assert main(["run", write("bad.eclc", props), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == error
+            assert not out.exists()
+            return
+        alone = tmp_path / "alone"
+        assert main(["run", write("mixed.eclc", props), "--out", str(out)]) == 0
+        assert main(["run", write("alone.eclc", ["!Quantum(qA)"]), "--out", str(alone)]) == 0
+        assert (out / "trials.csv").read_bytes() == (alone / "trials.csv").read_bytes()
 
     def test_env_seed_lowest_precedence(self, tmp_path, capsys, monkeypatch):
         bare = tmp_path / "bare.eclc"

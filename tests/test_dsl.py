@@ -206,6 +206,20 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario(world + "noise = -1")
 
+    def test_oversized_integer_literal_out_of_range(self):
+        # more digits than Python converts to an int: a positioned error
+        world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"
+        for line, what in (
+            ("world w2 { energy=1.0, kappa=0.0, lambda=$ }", "lambda"),
+            ("observer o home=w1 horizon=$", "horizon"),
+            ("trials = $", "trials"),
+            ("seed = $", "seed"),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(world + line.replace("$", "1" * 5000))
+            assert (err.value.line, err.value.column) == (2, line.index("$") + 1), line
+            assert err.value.message == f"{what} out of range"
+
     def test_sign_rejected_at_every_numeric_position(self):
         # numbers carry no sign, so the lexer rejects each '-' at its own column
         base = "world a { energy=5, kappa=0, lambda=3 }\nworld b { energy=5, kappa=0, lambda=3 }\n"
