@@ -364,6 +364,14 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
     return ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED if died else NO_RULE_APPLIES)
 
 
+def proved_once(seq: Sequent, bound: int, model: CostModel, kappa: float, proofs: dict) -> ProofResult:
+    """``prove`` through a run's memo keyed (seq, bound, kappa); one memo serves one cost model."""
+    key = (seq, bound, kappa)
+    if key not in proofs:
+        proofs[key] = prove(seq, bound, model, kappa)
+    return proofs[key]
+
+
 def format_sequent(seq: Sequent) -> str:
     left = ", ".join(format_formula(phi) for phi in seq.gamma)
     right = ", ".join(format_formula(phi) for phi in seq.delta)
@@ -390,6 +398,7 @@ def transition(
     seq: Sequent,
     model: CostModel,
     depth_bound: int | None = None,
+    proofs: dict | None = None,
 ) -> TransitionOutcome:
     """Apply gamma |- delta across the edge w -> w'.
 
@@ -398,7 +407,8 @@ def transition(
     world's inference capacity (or ``depth_bound`` when given).  On
     success gamma leaves w, delta lands in w', and the edge deltaE is
     deducted from w's energy; both worlds' props are updated in place.
-    Failure changes nothing.
+    Failure changes nothing.  A run's memo ``proofs`` may supply the
+    proof (``proved_once``), never the checks on the frame.
     """
     source = frame.world(w)
     target = frame.world(w_prime)
@@ -408,7 +418,7 @@ def transition(
         raise PreconditionError(f"gamma not contained in props({w}): missing {shown}")
     bound = source.lam if depth_bound is None else depth_bound
     if bound >= 1:
-        proof = prove(seq, bound, model, source.kappa)
+        proof = proved_once(seq, bound, model, source.kappa, {} if proofs is None else proofs)
     else:
         proof = ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
     if accessible(frame, w, w_prime) and proof.proved:
@@ -433,12 +443,13 @@ def measure(
     outcome: str,
     model: CostModel,
     depth_bound: int | None = None,
+    proofs: dict | None = None,
 ) -> TransitionOutcome:
     """Collapse !Quantum(psi) at w into Classical(outcome) at w'.
 
     The banged quantum token must still be present: ``transition``
     raises PreconditionError naming it otherwise, so measuring the same
-    psi twice raises, enforcing logical irreversibility.
+    psi twice raises, memo or not, enforcing logical irreversibility.
     """
     seq = Sequent((quantum_token(psi),), (Atom(CLASSICAL, (outcome,), False),))
-    return transition(frame, w, w_prime, seq, model, depth_bound=depth_bound)
+    return transition(frame, w, w_prime, seq, model, depth_bound, proofs)

@@ -100,8 +100,9 @@ def _resolve_seed(args, config: ScenarioConfig) -> int | None:
         if env is not None:
             try:
                 seed = int(env)
-            except ValueError:
-                raise ScenarioError(f"{ENV_SEED} must be an integer, got {env!r}") from None
+            except ValueError:  # not an integer, or more digits than Python converts
+                problem = "out of range" if env.strip().lstrip("+-").isdecimal() else f"must be an integer, got {env!r}"
+                raise ScenarioError(f"{ENV_SEED} {problem}") from None
     if seed is not None and not (0 <= seed < 1 << 64):
         raise ScenarioError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
-from .calculus import Sequent, measure, prove, quantum_token
+from .calculus import Sequent, measure, prove, proved_once, quantum_token  # bench/tracer.py wraps sim.prove
 from .dsl import ScenarioConfig
 from .formula import Atom, Bang, Formula, base_cost, coherence, curvature_cost, decohere
 from .frame import Frame, accessible, hop_distances
@@ -116,28 +116,24 @@ def _edge_sequent(config: ScenarioConfig, src: str, dst: str) -> Sequent | None:
     return None
 
 
-def _self_carry(phi, world, model, cache):
-    """The proof of phi |- phi under the world's capacity and curvature,
-    proved once per (phi, lambda, kappa) of a run."""
-    key = (phi, world.lam, world.kappa)
-    if key not in cache:
-        cache[key] = prove(Sequent((phi,), (phi,)), world.lam, model, world.kappa)
-    return cache[key]
+def _self_carry(phi, world, model, proofs):
+    """The proof of phi |- phi under the world's capacity and curvature."""
+    return proved_once(Sequent((phi,), (phi,)), world.lam, model, world.kappa, proofs)
 
 
-def _sustain_stats(formulas, world, model, cache) -> float:
+def _sustain_stats(formulas, world, model, proofs) -> float:
     """Mean height of the self-carry proofs of the coherent formulas."""
     depths = []
     for phi in formulas:
         if coherence(phi) != 1:
             continue
-        result = _self_carry(phi, world, model, cache)
+        result = _self_carry(phi, world, model, proofs)
         if result.proved:
             depths.append(result.depth)
     return sum(depths) / len(depths) if depths else 0.0
 
 
-def _coherence_row(world, formulas, model, cache) -> WorldRow:
+def _coherence_row(world, formulas, model, proofs) -> WorldRow:
     bits = [coherence(phi) for phi in formulas]
     return WorldRow(
         world=world.id,
@@ -145,7 +141,7 @@ def _coherence_row(world, formulas, model, cache) -> WorldRow:
         pi=persistence_score(formulas),
         access_fraction=None,
         entropy=shannon_entropy(bits) if bits else 0.0,
-        mean_proof_depth=_sustain_stats(formulas, world, model, cache),
+        mean_proof_depth=_sustain_stats(formulas, world, model, proofs),
     )
 
 
@@ -166,29 +162,29 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
     if len(order) < 2:
         raise ScenarioError("coherence scenario needs a chain of at least two worlds")
     model = config.cost_model
-    cache: dict = {}
+    proofs: dict = {}
     current = list(frame.world(order[0]).props.elements())
-    rows = [_coherence_row(frame.world(order[0]), current, model, cache)]
+    rows = [_coherence_row(frame.world(order[0]), current, model, proofs)]
     for src, dst in zip(order, order[1:]):
         source = frame.world(src)
         target = frame.world(dst)
         hop_ok = accessible(frame, src, dst)
         gate = _edge_sequent(config, src, dst)
         if hop_ok and gate is not None:
-            hop_ok = prove(gate, source.lam, model, source.kappa).proved
+            hop_ok = proved_once(gate, source.lam, model, source.kappa, proofs).proved
         budget = source.energy
         spent = 0.0
         carried: list[Formula] = []
         for phi in current:
             if hop_ok and coherence(phi) == 1:
                 surcharge = curvature_cost(phi, model, target.kappa) - base_cost(phi, model)
-                if _self_carry(phi, source, model, cache).proved and spent + surcharge <= budget:
+                if _self_carry(phi, source, model, proofs).proved and spent + surcharge <= budget:
                     spent += surcharge
                     carried.append(phi)
                     continue
             carried.append(decohere(phi) if coherence(phi) == 1 else phi)
         current = carried
-        rows.append(_coherence_row(target, current, model, cache))
+        rows.append(_coherence_row(target, current, model, proofs))
     try:
         fit = fit_exponential([(row.kappa, row.pi) for row in rows if row.pi > 0])
     except ValueError:  # under two points, every kappa 0, or their squares overflow
@@ -206,14 +202,14 @@ def _quantum_names(props: Counter) -> list[str]:
     return names
 
 
-def _measure_sequence(frame, src, dst, qubits, jitters, model):
-    """Apply the measurements in order; returns (success, depth, reason)."""
+def _measure_sequence(frame, src, dst, qubits, jitters, model, proofs):
+    """Apply the measurements in order through the memo ``proofs``; returns (success, depth, reason)."""
     success = True
     max_depth = 0
     reason = None
     for qubit, jitter in zip(qubits, jitters):
         bound = frame.world(src).lam - jitter
-        outcome = measure(frame, src, dst, qubit, f"o_{qubit}", model, depth_bound=bound)
+        outcome = measure(frame, src, dst, qubit, f"o_{qubit}", model, bound, proofs)
         if outcome.valid:
             max_depth = max(max_depth, outcome.proof.depth)
         else:
@@ -238,7 +234,8 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     direction and jitter vector, since it reads only ``config.frame``,
     which no leg mutates, and the cost model; so each distinct
     (direction, jitter vector) is measured once per run and later
-    trials that draw it reuse the outcome.
+    trials that draw it reuse the outcome.  The legs prove through one
+    memo per run, since a proof depends only on (sequent, bound, kappa).
     """
     _require_kind(config, "reciprocity")
     ids = list(config.frame.worlds)
@@ -258,6 +255,7 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
     spans = [int(config.noise * config.frame.world(src).lam) for _, src, _, _ in legs]
     outcomes: dict = {}
+    proofs: dict = {}
     trials: list[TrialRecord] = []
     for index in range(config.trials):
         rng = random.Random(derive_trial_seed(master_seed, index))
@@ -265,7 +263,7 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
         for (direction, src, dst, order), jitter in zip(legs, jitters):
             key = (direction, jitter)
             if key not in outcomes:
-                outcomes[key] = _measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model)
+                outcomes[key] = _measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model, proofs)
             trials.append(TrialRecord(index, direction, *outcomes[key]))
 
     # trials alternate forward, reverse; each direction gives two table
@@ -318,7 +316,7 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
     # distances from each home hold for the whole run.
     distances = {home: hop_distances(frame, home) for home in dict.fromkeys(o.home for o in config.observers)}
 
-    cache: dict = {}
+    proofs: dict = {}
     rows = []
     cumulative = 0.0
     alive = True
@@ -332,7 +330,7 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
         seen = [distances[o.home].get(wid, o.horizon + 1) <= o.horizon for o in config.observers]
         truth = next((observer_valuation(frame, o, wid, phi, model) for o, sees in zip(config.observers, seen) if sees), 0)
         bits = [truth if sees else 0 for sees in seen]
-        mean_depth = float(_self_carry(phi, world, model, cache).depth) if alive else 0.0
+        mean_depth = float(_self_carry(phi, world, model, proofs).depth) if alive else 0.0
         rows.append(
             WorldRow(
                 world=wid,

@@ -429,15 +429,16 @@ class TestTransition:
         assert checked == 300
 
 
-class TestMeasure:
-    def measurement_frame(self, lam_source=8, delta_e=1.0, energy=10.0):
-        token = Bang(Atom("Quantum", ("psi",), True))
-        wa = World("wa", energy, 0.0, lam_source, Counter([token]))
-        wb = World("wb", 10.0, 0.0, 8)
-        return Frame([wa, wb], [("wa", "wb", delta_e), ("wb", "wa", delta_e)])
+def measurement_frame(lam_source=8, delta_e=1.0, energy=10.0):
+    token = Bang(Atom("Quantum", ("psi",), True))
+    wa = World("wa", energy, 0.0, lam_source, Counter([token]))
+    wb = World("wb", 10.0, 0.0, 8)
+    return Frame([wa, wb], [("wa", "wb", delta_e), ("wb", "wa", delta_e)])
 
+
+class TestMeasure:
     def test_measure_then_replay(self, unit_model):
-        frame = self.measurement_frame()
+        frame = measurement_frame()
         outcome = measure(frame, "wa", "wb", "psi", "up", unit_model)
         assert outcome.valid
         assert Atom("Classical", ("up",), False) in frame.worlds["wb"].props
@@ -448,23 +449,116 @@ class TestMeasure:
         token = Bang(Atom("Quantum", ("psi",), True))
         classical = Atom("Classical", ("o",), False)
         assert oracles.minimal_proof_depth((token,), (classical,), 6) == 2
-        frame = self.measurement_frame(lam_source=1)
+        frame = measurement_frame(lam_source=1)
         outcome = measure(frame, "wa", "wb", "psi", "o", unit_model)
         assert not outcome.valid and outcome.proof.failure_reason == DEPTH_EXCEEDED
 
     def test_energy_gate(self, unit_model):
-        frame = self.measurement_frame(delta_e=99.0)
+        frame = measurement_frame(delta_e=99.0)
         before = snapshot(frame)
         outcome = measure(frame, "wa", "wb", "psi", "o", unit_model)
         assert not outcome.valid
         assert snapshot(frame) == before
 
     def test_depth_bound_override(self, unit_model):
-        frame = self.measurement_frame(lam_source=8)
+        frame = measurement_frame(lam_source=8)
         outcome = measure(frame, "wa", "wb", "psi", "o", unit_model, depth_bound=1)
         assert not outcome.valid
         outcome = measure(frame, "wa", "wb", "psi", "o", unit_model, depth_bound=2)
         assert outcome.valid and outcome.proof.depth == 2
+
+
+def counted_prove(monkeypatch):
+    """Route ``calculus.prove`` through a counter; returns the call list."""
+    prove_ = calculus.prove
+    calls = []
+
+    def counted(seq, bound, model, kappa):
+        calls.append((seq, bound, kappa))
+        return prove_(seq, bound, model, kappa)
+
+    monkeypatch.setattr(calculus, "prove", counted)
+    return calls
+
+
+def frame_order(frame):
+    """Each world's energy and props in key order, and the edges."""
+    return (
+        [(wid, w.energy, list(w.props.items())) for wid, w in frame.worlds.items()],
+        list(frame.edges.items()),
+    )
+
+
+class TestProofMemo:
+    def test_measure_twice_still_raises(self, unit_model, monkeypatch):
+        calls = counted_prove(monkeypatch)
+        proofs = {}
+        frame = measurement_frame()
+        assert measure(frame, "wa", "wb", "psi", "o", unit_model, proofs=proofs).valid
+        with pytest.raises(PreconditionError):
+            measure(frame, "wa", "wb", "psi", "o", unit_model, proofs=proofs)
+        # the replay raised before any memo lookup, so a fresh frame's
+        # measurement is the memo's first hit
+        assert measure(measurement_frame(), "wa", "wb", "psi", "o", unit_model, proofs=proofs).valid
+        assert len(calls) == len(proofs) == 1
+
+    def test_failed_transition_on_memo_hit_changes_nothing(self, unit_model, monkeypatch):
+        calls = counted_prove(monkeypatch)
+        proofs = {}
+        frame, seq, _ = collapse_frame()
+        assert transition(frame, "w1", "w2", seq, unit_model, proofs=proofs).valid
+        for frame, _, _ in (collapse_frame(delta_e=99.0), collapse_frame(energy=1.0)):
+            before = snapshot(frame)
+            outcome = transition(frame, "w1", "w2", seq, unit_model, proofs=proofs)
+            assert not outcome.valid and outcome.proof.proved
+            assert outcome.energy_spent == 0.0
+            assert snapshot(frame) == before
+        assert len(calls) == 1
+
+    def test_bound_below_one_skips_prove_and_memo(self, unit_model, monkeypatch):
+        calls = counted_prove(monkeypatch)
+        proofs = {}
+        for bound in (0, -3):
+            frame = measurement_frame()
+            before = snapshot(frame)
+            outcome = measure(frame, "wa", "wb", "psi", "o", unit_model, depth_bound=bound, proofs=proofs)
+            assert not outcome.valid and outcome.proof.failure_reason == DEPTH_EXCEEDED
+            assert snapshot(frame) == before
+        assert calls == [] and proofs == {}
+
+    def test_memo_matches_memo_free_over_c03_cases(self, unit_model, monkeypatch):
+        # c03-style cases, some sabotaged: with one memo shared by every
+        # case, each transition gives the memo-free outcome and frame
+        calls = counted_prove(monkeypatch)
+        rng = random.Random(314)
+        pool = [Atom(n) for n in "PQRST"]
+        proofs = {}
+        outcomes = Counter()
+        for _ in range(300):
+            atoms = rng.sample(pool, rng.randint(1, 4))
+            gamma = tuple(atoms[: rng.randint(1, len(atoms))])
+            goal = gamma[0]
+            for phi in gamma[1:]:
+                goal = Tensor(goal, phi)
+            delta = rng.choice([(goal,), (goal,), (Tensor(goal, Atom("Unobtainable")),)])
+            frame = Frame(
+                [
+                    World("src", rng.choice((2.0, 10.0)), rng.choice((0.0, 1.0)), rng.randint(1, 5),
+                          Counter(rng.choices(pool, k=rng.randint(0, 3)) + atoms)),
+                    World("dst", 10.0, 0.0, 8, Counter(rng.choices(pool, k=rng.randint(0, 3)))),
+                ],
+                [("src", "dst", rng.uniform(0.0, 4.0))],
+            )
+            plain = frame.copy()
+            seq = Sequent(gamma, delta)
+            memoized = transition(frame, "src", "dst", seq, unit_model, proofs=proofs)
+            expected = transition(plain, "src", "dst", seq, unit_model)
+            assert memoized == expected
+            assert frame_order(frame) == frame_order(plain)
+            outcomes[memoized.valid, memoized.proof.failure_reason] += 1
+        assert len(outcomes) >= 3 and outcomes[True, None] >= 50
+        # the memo-free side proves all 300; the memo side only its misses
+        assert len(calls) - 300 == len(proofs) < 250
 
 
 class TestRenderProof:

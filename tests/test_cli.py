@@ -232,6 +232,21 @@ class TestRun:
         monkeypatch.setenv("ECLC_SEED", "not-a-number")
         assert main(["run", str(bare), "--out", str(tmp_path / "out")]) == 1
 
+    def test_over_long_env_seed_out_of_range(self, tmp_path, capsys, monkeypatch):
+        # an integer with more digits than Python converts is out of
+        # range, and the message does not echo its digits
+        bare = tmp_path / "bare.eclc"
+        bare.write_text(
+            "\n".join(
+                line for line in scenarios.read("reciprocity").splitlines() if not line.startswith("seed")
+            )
+        )
+        for value in ("1" * 5000, "-" + "7" * 5000):
+            monkeypatch.setenv("ECLC_SEED", value)
+            assert main(["run", str(bare), "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == "error: ECLC_SEED out of range\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_out_exits_one(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("a file, not a directory\n")

@@ -23,6 +23,7 @@ from eclc import (
     run_scenario,
     shannon_entropy,
 )
+from eclc import calculus
 from eclc import scenarios
 from eclc import sim
 from eclc.metrics import ContingencyTable, fisher_exact_two_tailed
@@ -223,6 +224,46 @@ class TestRunReciprocity:
         # 100 forward and 9 reverse jitter vectors, two measurements each
         assert 1 <= calls["measure"] <= 2 * 109
 
+    def test_matches_reference_when_energy_runs_out_mid_leg(self):
+        # a memo hit supplies only the proof: a later measurement of a
+        # leg whose edge has drained the source still fails as inaccessible
+        rng = random.Random(31)
+        reasons = Counter()
+        for _ in range(30):
+            config = parse_scenario(draining_reciprocity_text(rng))
+            report = run_reciprocity(config)
+            assert report == reference_reciprocity(config)
+            reasons.update(t.failure_reason for t in report.trials)
+        assert reasons[None] and reasons["inaccessible"] and reasons["depth_exceeded"]
+
+    def test_one_prove_per_distinct_proof(self, monkeypatch):
+        # the run proves each (sequent, bound, kappa) it needs once, the
+        # same set the memo-free reference proves, and writes the same bytes
+        prove = calculus.prove
+        calls = []
+
+        def counted(seq, bound, model, kappa):
+            calls.append((seq, bound, kappa))
+            return prove(seq, bound, model, kappa)
+
+        monkeypatch.setattr(calculus, "prove", counted)
+        rng = random.Random(29)
+        configs = [load("reciprocity")]
+        configs += [parse_scenario(random_reciprocity_text(rng)) for _ in range(6)]
+        configs += [parse_scenario(draining_reciprocity_text(rng)) for _ in range(6)]
+        for index, config in enumerate(configs):
+            calls.clear()
+            report = run_reciprocity(config)
+            memoized = list(calls)
+            calls.clear()
+            expected = reference_reciprocity(config)
+            assert len(memoized) == len(set(memoized))
+            assert set(memoized) == set(calls)
+            if index == 0:
+                assert len(memoized) == 24 and len(calls) > 98
+            assert report_to_json(report) == report_to_json(expected)
+            assert trials_csv(report) == trials_csv(expected)
+
     def test_requires_two_worlds(self):
         with pytest.raises(ScenarioError):
             run_reciprocity(replace(load("coherence"), scenario_kind="reciprocity"))
@@ -249,7 +290,8 @@ def reference_reciprocity(config):
             for _, src, _, _ in legs
         ]
         for (direction, src, dst, order), jitter in zip(legs, jitters):
-            ok, depth, reason = sim._measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model)
+            # no proof memo: every measurement proves afresh
+            ok, depth, reason = sim._measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model, None)
             trials.append(TrialRecord(trial_index, direction, ok, depth, reason))
     forward_records = [t for t in trials if t.direction == "forward"]
     reverse_records = [t for t in trials if t.direction == "reverse"]
@@ -302,6 +344,27 @@ def random_reciprocity_text(rng):
         lines.append(f"world {w} {{ energy={energies[w]}, kappa={kappa}, lambda={rng.randint(1, 12)} }}")
     for src, dst in (("wA", "wB"), ("wB", "wA")):
         lines.append(f"edge {src} -> {dst} {{ deltaE={energies[src] * rng.choice((0.0, 0.5, 0.75, 1.0))} }}")
+    lines.extend(f"prop {w} : !Quantum({q})" for w in ("wA", "wB") for q in qubits)
+    return "\n".join(lines) + "\n"
+
+
+def draining_reciprocity_text(rng):
+    """A two-world reciprocity file with three or four qubits whose edges
+    mostly cost over a third of the source energy, so a leg whose first
+    two measurements succeed finds its edge inaccessible at the third."""
+    qubits = [f"q{i}" for i in range(rng.randint(3, 4))]
+    lines = [
+        "scenario reciprocity",
+        "alpha = 0.75",
+        "cost * = 1.0",
+        f"trials = {rng.randint(1, 60)}",
+        f"seed = {rng.getrandbits(63)}",
+        f"noise = {rng.choice((0.0, 0.3))}",
+    ]
+    for w in ("wA", "wB"):
+        lines.append(f"world {w} {{ energy=6.0, kappa={rng.choice((0.0, 1.0))}, lambda={rng.randint(1, 8)} }}")
+    for src, dst in (("wA", "wB"), ("wB", "wA")):
+        lines.append(f"edge {src} -> {dst} {{ deltaE={rng.choice((1.5, 2.5, 3.0))} }}")
     lines.extend(f"prop {w} : !Quantum({q})" for w in ("wA", "wB") for q in qubits)
     return "\n".join(lines) + "\n"
 
