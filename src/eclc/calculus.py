@@ -110,7 +110,7 @@ def cost_valid(seq: Sequent, model: CostModel, kappa: float) -> bool:
 
 # Formulas are hash-consed, so an object id stands for a whole tree.
 # A search meets only subformulas of the root sequent, which the caller
-# holds, so no id is freed and reused while its memo entries live.
+# holds, so no id is freed and reused while its memo or tables live.
 def _canon(side: tuple[Formula, ...]) -> tuple:
     return tuple(sorted(map(id, side)))
 
@@ -138,66 +138,81 @@ def _splits(side: tuple[Formula, ...]) -> list[tuple[tuple, tuple]]:
     return [(first, second) for _, first, second in splits]
 
 
-def _applications(gamma, delta, key):
-    """Yield (rule, premises) in the fixed rule order.  A premise is
-    (gamma, delta, memo key): built from canons computed once per split
-    part or kept from ``key``, or None for the caller to build on reaching it."""
-    canon_gamma, canon_delta = key
+def _key(gamma, delta, ints) -> tuple[int, int]:
+    """The memo key of gamma |- delta: each side's canon as its small int in ``ints``."""
+    return ints.setdefault(_canon(gamma), len(ints)), ints.setdefault(_canon(delta), len(ints))
 
-    def on_gamma(g):
-        return ((g, delta, (_canon(g), canon_delta)),)
+
+def _parts(tables, side, i, left, right):
+    """The splits of ``side`` less position ``i`` (None: none) as (first + left,
+    its canon int, second + right), built once per search.  They are keyed by
+    the side's ids in position order, since split order decides first-found
+    trees, and by ``i``, whose connective decides what is added, or else ``left``."""
+    splits, ints = tables
+    key = (tuple(map(id, side)), left if i is None else i)
+    if (parts := splits.get(key)) is None:
+        rest = _splits(side if i is None else side[:i] + side[i + 1 :])
+        parts = splits[key] = [(f, ints.setdefault(_canon(f), len(ints)), s + right) for f1, s in rest for f in (f1 + left,)]
+    return parts
+
+
+def _applications(gamma, delta, key, tables):
+    """Yield (rule, g1, d1, key1, g2, d2) in the fixed rule order; g2 and d2
+    are None for a one-premise rule.  A rule on gamma keeps delta's half of
+    ``key``, and split lists come from ``tables`` (``_parts``)."""
+    int_delta, ints = key[1], tables[1]
+
+    def on_gamma(rule, g):
+        return rule, g, delta, (ints.setdefault(_canon(g), len(ints)), int_delta), None, None
 
     # tensor-right: split gamma and the remaining delta across premises
     for i, phi in enumerate(delta):
         if isinstance(phi, Tensor):
-            rest = delta[:i] + delta[i + 1 :]
-            parts = [(d, _canon(d), d2 + (phi.right,)) for d1, d2 in _splits(rest) for d in (d1 + (phi.left,),)]
-            for g1, g2 in _splits(gamma):
-                c1 = _canon(g1)
-                for d1, c2, d2 in parts:
-                    yield "tensor-right", ((g1, d1, (c1, c2)), (g2, d2, None))
+            parts = _parts(tables, delta, i, (phi.left,), (phi.right,))
+            for g1, k1, g2 in _parts(tables, gamma, None, (), ()):
+                for d1, k2, d2 in parts:
+                    yield "tensor-right", g1, d1, (k1, k2), g2, d2
     # tensor-left
     for i, phi in enumerate(gamma):
         if isinstance(phi, Tensor):
-            yield "tensor-left", on_gamma(gamma[:i] + (phi.left, phi.right) + gamma[i + 1 :])
+            yield on_gamma("tensor-left", gamma[:i] + (phi.left, phi.right) + gamma[i + 1 :])
     # lolli-right
     for i, phi in enumerate(delta):
         if isinstance(phi, Lolli):
-            rest = delta[:i] + delta[i + 1 :]
-            yield "lolli-right", ((gamma + (phi.left,), rest + (phi.right,), None),)
+            g, d = gamma + (phi.left,), delta[:i] + delta[i + 1 :] + (phi.right,)
+            yield "lolli-right", g, d, _key(g, d, ints), None, None
     # lolli-left: one premise proves the antecedent, the other spends the result
     for i, phi in enumerate(gamma):
         if isinstance(phi, Lolli):
-            parts = [(d, _canon(d), d2) for d1, d2 in _splits(delta) for d in (d1 + (phi.left,),)]
-            for g1, g2 in _splits(gamma[:i] + gamma[i + 1 :]):
-                c1 = _canon(g1)
-                for d1, c2, d2 in parts:
-                    yield "lolli-left", ((g1, d1, (c1, c2)), (g2 + (phi.right,), d2, None))
+            parts = _parts(tables, delta, None, (phi.left,), ())
+            for g1, k1, g2 in _parts(tables, gamma, i, (), (phi.right,)):
+                for d1, k2, d2 in parts:
+                    yield "lolli-left", g1, d1, (k1, k2), g2, d2
     # with-right: additive, same context in both premises
     for i, phi in enumerate(delta):
         if isinstance(phi, With):
             rest = delta[:i] + delta[i + 1 :]
             d1 = rest + (phi.left,)
-            yield "with-right", ((gamma, d1, (canon_gamma, _canon(d1))), (gamma, rest + (phi.right,), None))
+            yield "with-right", gamma, d1, _key(gamma, d1, ints), gamma, rest + (phi.right,)
     # with-left, either projection
     for i, phi in enumerate(gamma):
         if isinstance(phi, With):
-            yield "with-left-1", on_gamma(gamma[:i] + (phi.left,) + gamma[i + 1 :])
+            yield on_gamma("with-left-1", gamma[:i] + (phi.left,) + gamma[i + 1 :])
     for i, phi in enumerate(gamma):
         if isinstance(phi, With):
-            yield "with-left-2", on_gamma(gamma[:i] + (phi.right,) + gamma[i + 1 :])
+            yield on_gamma("with-left-2", gamma[:i] + (phi.right,) + gamma[i + 1 :])
     # exponentials
     for i, phi in enumerate(gamma):
         if isinstance(phi, Bang):
-            yield "dereliction", on_gamma(gamma[:i] + (phi.inner,) + gamma[i + 1 :])
+            yield on_gamma("dereliction", gamma[:i] + (phi.inner,) + gamma[i + 1 :])
     for phi in gamma:
         if isinstance(phi, Bang):
-            yield "contraction", on_gamma(gamma + (phi,))
+            yield on_gamma("contraction", gamma + (phi,))
     for i, phi in enumerate(gamma):
         if isinstance(phi, Bang):
-            yield "weakening", on_gamma(gamma[:i] + gamma[i + 1 :])
+            yield on_gamma("weakening", gamma[:i] + gamma[i + 1 :])
     if _promotes(gamma, delta):
-        yield "promotion", ((gamma, (delta[0].inner,), (canon_gamma, (id(delta[0].inner),))),)
+        yield "promotion", gamma, (delta[0].inner,), _key(gamma, (delta[0].inner,), ints), None, None
 
 
 def _promotes(gamma, delta) -> bool:
@@ -311,15 +326,17 @@ def _refuted_outright(gamma, delta) -> bool:
     return False
 
 
-def _search(gamma, delta, remaining, memo, key):
+def _search(gamma, delta, remaining, memo, key, tables):
     """Depth-first backward search; returns (tree or None, died_to_depth).
 
     Entered on a memo miss only: the caller probes ``memo`` with each
-    premise's key, building a None key first.  Failures memoize
-    monotonically: a goal refuted with ``remaining`` levels is refuted
-    with fewer.  Each contraction spends a depth level, so the depth
-    bound also bounds contraction.  At the last level only an axiom can
-    close the goal: it dies to depth iff some rule applies."""
+    premise's key, and keys a second premise once the first is proved.
+    Keys are int pairs from ``tables`` = (split lists, canon ints), which
+    live for one search; the root comes without them and makes them once
+    its own checks leave it open.  Failures memoize monotonically: a goal
+    refuted with ``remaining`` levels is refuted with fewer.  Contraction
+    spends a level, so the depth bound bounds it.  At the last level only
+    an axiom can close the goal: it dies to depth iff some rule applies."""
     axiom = _is_axiom(gamma, delta)
     if axiom is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
@@ -327,21 +344,24 @@ def _search(gamma, delta, remaining, memo, key):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
     died = remaining == 1 and _applicable(gamma, delta)
-    for rule, premises in _applications(gamma, delta, key) if remaining > 1 else ():
+    if remaining > 1 and tables is None:
+        tables = ({}, {})
+        key = _key(gamma, delta, tables[1])
+    for rule, g, d, k, g2, d2 in _applications(gamma, delta, key, tables) if remaining > 1 else ():
         subtrees = []
-        for g, d, k in premises:
-            k = k or (_canon(g), _canon(d))
+        while True:
             hit = memo.get(k)
             if hit is not None and hit[0] >= remaining - 1:
                 died = died or hit[1]
                 break
-            tree, sub_died = _search(g, d, remaining - 1, memo, k)
+            tree, sub_died = _search(g, d, remaining - 1, memo, k, tables)
             if tree is None:
                 died = died or sub_died
                 break
             subtrees.append(tree)
-        else:
-            return ProofTree(rule, Sequent(gamma, delta), tuple(subtrees)), False
+            if g2 is None:
+                return ProofTree(rule, Sequent(gamma, delta), tuple(subtrees)), False
+            g, d, k, g2 = g2, d2, _key(g2, d2, tables[1]), None
     memo[key] = (remaining, died)
     return None, died
 
@@ -351,13 +371,13 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
 
     The cost-validity inequality is checked once at the root; failure is
     reported as a value, never an exception.  The first proof found in
-    the fixed rule order is returned.  The root's memo key is built here.
+    the fixed rule order is returned.
     """
     if not (isinstance(depth_bound, int) and depth_bound >= 1):
         raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
     if not cost_valid(seq, model, kappa):
         return ProofResult(False, 0, None, 0.0, COST_INVALID)
-    tree, died = _search(seq.gamma, seq.delta, depth_bound, {}, (_canon(seq.gamma), _canon(seq.delta)))
+    tree, died = _search(seq.gamma, seq.delta, depth_bound, {}, None, None)
     if tree is not None:
         consumed = sum(curvature_cost(phi, model, kappa) for phi in seq.gamma)
         return ProofResult(True, tree.height, tree, consumed, None)

@@ -101,7 +101,10 @@ def _resolve_seed(args, config: ScenarioConfig) -> int | None:
             try:
                 seed = int(env)
             except ValueError:  # not an integer, or more digits than Python converts
-                problem = "out of range" if env.strip().lstrip("+-").isdecimal() else f"must be an integer, got {env!r}"
+                shown = ascii(env)  # escaped, so one character is one byte
+                if len(shown) > 40:
+                    shown = f"{shown[:32]}... ({len(env)} characters)"
+                problem = "out of range" if env.strip().lstrip("+-").isdecimal() else f"must be an integer, got {shown}"
                 raise ScenarioError(f"{ENV_SEED} {problem}") from None
     if seed is not None and not (0 <= seed < 1 << 64):
         raise ScenarioError(f"seed must fit in 64 unsigned bits, got {seed}")

@@ -7,7 +7,7 @@ as true for an observer at a world when the world is visible and the
 proposition is directly present or provable there from a small
 antecedent drawn from the world's propositions.  Neither distances nor
 provability depend on who asks, so the accessibility driver runs one
-BFS per home and computes truth at a world once per row.
+BFS per home and calls ``truth_at`` once per row that some observer sees.
 """
 
 from __future__ import annotations
@@ -46,16 +46,14 @@ def observer_sees(frame: Frame, o: Observer, w: str) -> bool:
     return distance is not None and distance <= o.horizon
 
 
-def observer_valuation(frame: Frame, o: Observer, w: str, phi: Formula, model: CostModel) -> int:
-    """Observer-relative truth: visible, and present or provable at w.
+def truth_at(frame: Frame, w: str, phi: Formula, model: CostModel) -> int:
+    """Truth at w for whoever sees it: phi is present or provable at w.
 
     Provability searches antecedent sub-multisets of props(w) of size
     at most MAX_ANTECEDENT under the world's own inference capacity and
     curvature.
     """
     world = frame.world(w)
-    if not observer_sees(frame, o, w):
-        return 0
     if phi in world.props:
         return 1
     for size in range(1, MAX_ANTECEDENT + 1):
@@ -65,6 +63,12 @@ def observer_valuation(frame: Frame, o: Observer, w: str, phi: Formula, model: C
             if prove(Sequent(combo, (phi,)), world.lam, model, world.kappa).proved:
                 return 1
     return 0
+
+
+def observer_valuation(frame: Frame, o: Observer, w: str, phi: Formula, model: CostModel) -> int:
+    """Observer-relative truth: the observer sees w, and phi is true at w."""
+    frame.world(w)  # an unknown w is reported before an unknown home
+    return truth_at(frame, w, phi, model) if observer_sees(frame, o, w) else 0
 
 
 def persistence_check(

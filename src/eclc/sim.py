@@ -21,7 +21,7 @@ from .dsl import ScenarioConfig
 from .formula import Atom, Bang, Formula, base_cost, coherence, curvature_cost, decohere
 from .frame import Frame, accessible, hop_distances
 from .metrics import ContingencyTable, FitResult, fisher_exact_two_tailed, fit_exponential, persistence_score, shannon_entropy
-from .observer import observer_valuation
+from .observer import observer_valuation, truth_at  # bench/tracer.py wraps sim.observer_valuation
 
 FORWARD = "forward"
 REVERSE = "reverse"
@@ -328,7 +328,7 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
                 alive = False
             world.props[phi if alive else decohere(phi)] += 1
         seen = [distances[o.home].get(wid, o.horizon + 1) <= o.horizon for o in config.observers]
-        truth = next((observer_valuation(frame, o, wid, phi, model) for o, sees in zip(config.observers, seen) if sees), 0)
+        truth = truth_at(frame, wid, phi, model) if any(seen) else 0
         bits = [truth if sees else 0 for sees in seen]
         mean_depth = float(_self_carry(phi, world, model, proofs).depth) if alive else 0.0
         rows.append(

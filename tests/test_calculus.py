@@ -31,13 +31,13 @@ from eclc.calculus import (
     NO_RULE_APPLIES,
     _applicable,
     _applications,
-    _canon,
     _refuted_outright,
     _splits,
 )
 from eclc.dsl import parse_formula
 
 import oracles
+from test_prove_golden import _load_workloads
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -303,15 +303,21 @@ class TestSearchDifferential:
     @example(Sequent((), (Bang(A),)), 1, ZERO)
     @example(Sequent((Bang(A),), (Tensor(A, Tensor(A, A)),)), 4, ZERO)
     @example(WORST_C01, 4, ZERO)
+    # one search splits A, B and then B, A: a split list shared by the two
+    # orders would give the second tree the first one's order
+    @example(Sequent((), (parse_formula("(A -o B -o A * B) & (B -o A -o (A -o A) * (B * A))"),)), 6, ZERO)
     def test_same_results_as_reference_search(self, seq, bound, cost):
         model, kappa = cost
         assert prove(seq, bound, model, kappa) == oracles.reference_prove(seq, bound, model, kappa)
-        # below the cost gate too, and the memo ends the same, died bits included
-        memo, reference_memo = {}, {}
-        key = (_canon(seq.gamma), _canon(seq.delta))
-        got = calculus._search(seq.gamma, seq.delta, bound, memo, key)
+        # below the cost gate too, and the memo ends the same, died bits
+        # included, once its int keys are read back as canon pairs
+        memo, reference_memo, tables = {}, {}, ({}, {})
+        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        got = calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
-        assert memo == reference_memo
+        canons = {number: canon for canon, number in tables[1].items()}
+        assert len(canons) == len(tables[1])
+        assert {(canons[g], canons[d]): entry for (g, d), entry in memo.items()} == reference_memo
 
     @settings(max_examples=300, deadline=None)
     @given(search_sequents())
@@ -320,10 +326,38 @@ class TestSearchDifferential:
     @example(Sequent((A,), (Bang(B),)))
     @example(Sequent((Diamond(1.5, A), QUANTUM_Q), (Bang(A), B)))
     def test_last_level_test_matches_first_application(self, seq):
-        key = (_canon(seq.gamma), _canon(seq.delta))
+        tables = ({}, {})
+        key = calculus._key(seq.gamma, seq.delta, tables[1])
         got = _applicable(seq.gamma, seq.delta)
-        assert got == (next(_applications(seq.gamma, seq.delta, key), None) is not None)
+        assert got == (next(_applications(seq.gamma, seq.delta, key, tables), None) is not None)
         assert got == (next(oracles._applications(seq.gamma, seq.delta), None) is not None)
+
+    def test_same_results_where_split_lists_are_reused(self, monkeypatch):
+        # hypothesis sequents are too small to ask a search for one split
+        # list twice; every 25th golden pool case and WORST_C01 at 5-7 do
+        requests = builds = 0
+        parts, splits = calculus._parts, calculus._splits
+
+        def counting_parts(*args):
+            nonlocal requests
+            requests += 1
+            return parts(*args)
+
+        def counting_splits(side):
+            nonlocal builds
+            builds += 1
+            return splits(side)
+
+        monkeypatch.setattr(calculus, "_parts", counting_parts)
+        monkeypatch.setattr(calculus, "_splits", counting_splits)
+        wl = _load_workloads()
+        builder = wl.Builder()
+        cases = [wl.corpus_case(builder, int(line.split()[2])) for line in wl.load_golden("prove-corpus")[::25]]
+        cases += [(WORST_C01, bound, *ZERO) for bound in (5, 6, 7)]
+        for case in cases:
+            assert prove(*case) == oracles.reference_prove(*case)
+        assert len(cases) == 207
+        assert requests > builds > 0
 
     def test_memo_hits_do_not_enter_the_search(self, monkeypatch):
         entries = 0

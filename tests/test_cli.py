@@ -232,6 +232,26 @@ class TestRun:
         monkeypatch.setenv("ECLC_SEED", "not-a-number")
         assert main(["run", str(bare), "--out", str(tmp_path / "out")]) == 1
 
+    def test_over_long_env_seed_is_cut_short(self, tmp_path, capsys, monkeypatch):
+        # a long non-integer is echoed cut short, with its length
+        bare = tmp_path / "bare.eclc"
+        bare.write_text(
+            "\n".join(
+                line for line in scenarios.read("reciprocity").splitlines() if not line.startswith("seed")
+            )
+        )
+        for value in ("x" * 5000, "\u00e9" * 5000, "1" * 4000 + "x"):
+            monkeypatch.setenv("ECLC_SEED", value)
+            assert main(["run", str(bare), "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ECLC_SEED must be an integer, got ")
+            assert err.endswith(f"... ({len(value)} characters)\n")
+            assert len(err.encode()) < 120
+        monkeypatch.setenv("ECLC_SEED", "not-a-number")
+        assert main(["run", str(bare), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: ECLC_SEED must be an integer, got 'not-a-number'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_over_long_env_seed_out_of_range(self, tmp_path, capsys, monkeypatch):
         # an integer with more digits than Python converts is out of
         # range, and the message does not echo its digits

@@ -23,7 +23,7 @@ from eclc import (
     run_scenario,
     shannon_entropy,
 )
-from eclc import calculus
+from eclc import calculus, observer
 from eclc import scenarios
 from eclc import sim
 from eclc.metrics import ContingencyTable, fisher_exact_two_tailed
@@ -447,12 +447,15 @@ class TestRunAccessibility:
 
             return wrapper
 
-        monkeypatch.setattr(sim, "observer_valuation", counted("valuation", sim.observer_valuation))
+        monkeypatch.setattr(sim, "truth_at", counted("valuation", sim.truth_at))
         monkeypatch.setattr(sim, "hop_distances", counted("bfs", sim.hop_distances))
+        monkeypatch.setattr(observer, "hop_distance", counted("row bfs", observer.hop_distance))
         config = load("accessibility")
         report = run_accessibility(config)
         assert 1 <= calls["valuation"] <= len(report.per_world)
         assert 1 <= calls["bfs"] <= len({o.home for o in config.observers})
+        # visibility comes from the per-home tables only, never a BFS per row
+        assert calls["row bfs"] == 0
 
     def test_shipped_decline(self):
         report = run_accessibility(load("accessibility"))
