@@ -25,8 +25,8 @@ have at most MAX_FORMULA_NODES connectives and parentheses.
 
 Lexical rules: identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``;
 numbers are ASCII decimals with an optional fraction and exponent;
-spaces, tabs and carriage returns separate tokens; any other character
-is an error at its column.
+spaces and tabs separate tokens; each line break of ``str.splitlines``
+ends a line, and any other character is an error at its column.
 
 Serialization is canonical: parse(serialize(c)) is structurally equal
 to c, and serialize(parse(text)) is a fixed point after one pass.
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .calculus import Sequent
 from .formula import (
@@ -105,99 +104,95 @@ class ScenarioConfig:
     noise: float = 0.0
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "number", punctuation text, or "end"
-    text: str
-    line: int
-    col: int
-
-
-# Blanks, then one token: a comment or the end of the line (no group),
-# a number, an identifier, punctuation, or any other character (an error).
+_Token = tuple[str, str, int]  # (kind, text, offset in the input)
+_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines
+# Blanks and a comment, then one token; "end" is a line break.
 _LEX = re.compile(
-    r"([ \t\r]*)(?:#.*|\Z"
-    r"|([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
-    r"|([A-Za-z_][A-Za-z0-9_]*)"
-    r"|(->|-o|\|-|[{}()=,:*&!~<>⊗⊸])"
-    r"|(.))",
-    re.DOTALL,
+    f"[ \t]*(?:#[^{_BREAKS}]*)?(?:(?P<end>\r\n|[{_BREAKS}])"
+    r"|(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>->|-o|\|-|[{}()=,:*&!~<>⊗⊸])"
+    r"|(?P<other>.))"
 )
 _ALIASES = {"⊗": "*", "⊸": "-o"}  # tensor, lolli
 
 
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
+def _tokenize(text: str) -> tuple[list[_Token], _Token | None]:
+    """Tokens up to the line of the first stray character, and that character
+    as ("error", message, offset) or None.  A kind is "ident", "number", the
+    punctuation, or "end", which closes each line (a final break opens one
+    more) and sits on the line's last token, else on its last character."""
     tokens: list[_Token] = []
-    col = 1
-    for blanks, number, ident, punct, other in _LEX.findall(text):
-        col += len(blanks)
-        if ident:
-            tokens.append(_Token("ident", ident, line_no, col))
-        elif punct:
-            word = _ALIASES.get(punct, punct)
-            tokens.append(_Token(word, word, line_no, col))
-        elif number:
-            tokens.append(_Token("number", number, line_no, col))
-        elif other:
-            raise ParseError(line_no, col, f"unexpected character {other!r}")
+    first = last = 0  # the index of the line's first token; the end of its last token
+    for m in _LEX.finditer(text + "\f"):  # a last break, which cannot join a final "\r"
+        kind = m.lastgroup
+        if kind == "end":
+            if len(tokens) == first:  # no token: the match starts where the line does
+                last = max(m.start() + 1, m.start(kind))
+            tokens.append(("end", "end of line", last - 1))
+            first = len(tokens)
+        elif kind == "other":
+            del tokens[first:]
+            return tokens, ("error", f"unexpected character {m[kind]!r}", m.start(kind))
         else:
-            break
-        col += len(ident or punct or number)
-    end_col = min(tokens[-1].col + len(tokens[-1].text) - 1, len(text)) if tokens else max(1, len(text))
-    tokens.append(_Token("end", "", line_no, end_col))
-    return tokens
+            word = m[kind]
+            start, last = m.span(kind)
+            if kind == "punct":
+                kind = word = _ALIASES.get(word, word)
+            tokens.append((kind, word, start))
+    return tokens, None
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens, self.stray = _tokenize(text)
         self.pos = 0
         self.connectives = 0  # in the formula being parsed
+
+    def error(self, token: _Token, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        """A ParseError at the token's line and column: the rows of the text up to its offset, plus a stand-in for it."""
+        rows = (self.text[: token[2]] + "|").splitlines()
+        return ParseError(len(rows), len(rows[-1]), message, expected)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
     def next(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "end":
-            self.pos += 1
-        return token
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def next_connective(self) -> _Token:
+    def next_connective(self) -> None:
         """Consume a connective or ``(``; past MAX_FORMULA_NODES of them
         the formula is rejected, which bounds every recursive walk of it."""
         token = self.next()
         self.connectives += 1
         if self.connectives > MAX_FORMULA_NODES:
-            raise ParseError(token.line, token.col, f"formula has more than {MAX_FORMULA_NODES} connectives")
-        return token
+            raise self.error(token, f"formula has more than {MAX_FORMULA_NODES} connectives")
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         token = self.peek()
-        if token.kind != kind:
-            shown = token.text or "end of line"
-            raise ParseError(token.line, token.col, f"unexpected {shown!r}", (what or kind,))
+        if token[0] != kind:
+            raise self.error(token, f"unexpected {token[1]!r}", (what or kind,))
         return self.next()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "end"
 
 
 def _parse_real(cursor: _Cursor, what: str) -> float:
     token = cursor.expect("number", what)
-    value = float(token.text)
+    value = float(token[1])
     if not math.isfinite(value):
-        raise ParseError(token.line, token.col, f"{what} out of range")
+        raise cursor.error(token, f"{what} out of range")
     return value
 
 
 def _parse_int(cursor: _Cursor, what: str) -> int:
     token = cursor.expect("number", what)
-    if any(c in token.text for c in ".eE"):
-        raise ParseError(token.line, token.col, f"{what} must be an integer", (what,))
+    if any(c in token[1] for c in ".eE"):
+        raise cursor.error(token, f"{what} must be an integer", (what,))
     try:
-        return int(token.text)
+        return int(token[1])
     except ValueError:  # more digits than Python converts
-        raise ParseError(token.line, token.col, f"{what} out of range") from None
+        raise cursor.error(token, f"{what} out of range") from None
 
 
 # Binary connectives: token -> (precedence, constructor, right-associative).
@@ -208,7 +203,7 @@ def _parse_formula(cursor: _Cursor, min_prec: int = 1) -> Formula:
     """Precedence climbing: operands are unary formulas, and each loop
     takes one binary connective that binds at least ``min_prec``."""
     left = _parse_unary(cursor)
-    while (op := _BINARY.get(cursor.peek().kind)) and op[0] >= min_prec:
+    while (op := _BINARY.get(cursor.peek()[0])) and op[0] >= min_prec:
         prec, make, right_assoc = op
         cursor.next_connective()
         left = make(left, _parse_formula(cursor, prec if right_assoc else prec + 1))
@@ -217,61 +212,64 @@ def _parse_formula(cursor: _Cursor, min_prec: int = 1) -> Formula:
 
 def _parse_unary(cursor: _Cursor) -> Formula:
     token = cursor.peek()
-    if token.kind == "!":
+    if token[0] == "!":
         cursor.next_connective()
         return Bang(_parse_unary(cursor))
-    if token.kind == "<":
+    if token[0] == "<":
         cursor.next_connective()
         budget = _parse_real(cursor, "diamond budget")
         cursor.expect(">")
         return Diamond(budget, _parse_unary(cursor))
-    if token.kind == "~":
+    if token[0] == "~":
         cursor.next()
         return _parse_atom(cursor, coherent=False)
-    if token.kind == "(":
+    if token[0] == "(":
         cursor.next_connective()
         inner = _parse_formula(cursor)
         cursor.expect(")")
         return inner
-    if token.kind == "ident":
+    if token[0] == "ident":
         return _parse_atom(cursor, coherent=None)
-    shown = token.text or "end of line"
-    raise ParseError(token.line, token.col, f"unexpected {shown!r}", ("formula",))
+    raise cursor.error(token, f"unexpected {token[1]!r}", ("formula",))
 
 
 def _parse_atom(cursor: _Cursor, coherent: bool | None) -> Atom:
-    name_tok = cursor.expect("ident", "atom name")
+    name = cursor.expect("ident", "atom name")[1]
     args: list[str] = []
-    if cursor.peek().kind == "(":
+    if cursor.peek()[0] == "(":
         cursor.next()
-        args.append(cursor.expect("ident", "atom argument").text)
-        while cursor.peek().kind == ",":
+        args.append(cursor.expect("ident", "atom argument")[1])
+        while cursor.peek()[0] == ",":
             cursor.next()
-            args.append(cursor.expect("ident", "atom argument").text)
+            args.append(cursor.expect("ident", "atom argument")[1])
         cursor.expect(")")
     if coherent is None:
-        coherent = name_tok.text not in CLASSICAL_ATOMS
-    return Atom(name_tok.text, tuple(args), coherent)
+        coherent = name not in CLASSICAL_ATOMS
+    return Atom(name, tuple(args), coherent)
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse a single formula; trailing input is an error."""
-    cursor = _Cursor(_tokenize_line(text, 1))
+    """Parse a single formula; trailing input, a line break included, is an error."""
+    line = (text.splitlines() or [""])[0]
+    cursor = _Cursor(line)
+    if cursor.stray or len(line) < len(text):  # a stray character, else a line break
+        stray = cursor.stray or ("error", f"unexpected character {text[len(line)]!r}", len(line))
+        raise cursor.error(stray, stray[1])
     phi = _parse_formula(cursor)
     tail = cursor.peek()
-    if tail.kind != "end":
-        raise ParseError(tail.line, tail.col, f"unexpected {tail.text!r} after formula")
+    if tail[0] != "end":
+        raise cursor.error(tail, f"unexpected {tail[1]!r} after formula")
     return phi
 
 
 def _parse_formula_list(cursor: _Cursor, stops: tuple[str, ...]) -> list[Formula]:
     formulas: list[Formula] = []
-    if cursor.peek().kind in stops:
+    if cursor.peek()[0] in stops:
         return formulas
     while True:
         cursor.connectives = 0
         formulas.append(_parse_formula(cursor))
-        if cursor.peek().kind != ",":
+        if cursor.peek()[0] != ",":
             return formulas
         cursor.next()
 
@@ -287,14 +285,15 @@ class _ScenarioBuilder:
         # the fields a directive set; the rest keep their dataclass defaults
         self.settings: dict[str, object] = {}
 
-    def require_world(self, token: _Token) -> str:
-        if token.text not in self.worlds:
-            raise ParseError(token.line, token.col, f"unknown world {token.text!r}")
-        return token.text
+    def require_world(self, cursor: _Cursor, what: str) -> str:
+        token = cursor.expect("ident", what)
+        if token[1] not in self.worlds:
+            raise cursor.error(token, f"unknown world {token[1]!r}")
+        return token[1]
 
-    def set_once(self, field: str, value, token: _Token, message: str) -> None:
+    def set_once(self, cursor: _Cursor, field: str, value, token: _Token, message: str) -> None:
         if field in self.settings:
-            raise ParseError(token.line, token.col, message)
+            raise cursor.error(token, message)
         self.settings[field] = value
 
 
@@ -311,54 +310,53 @@ _SCALARS = {
 
 def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
     head = cursor.expect("ident", "directive")
-    word = head.text
+    word = head[1]
 
     if word == "world":
         id_tok = cursor.expect("ident", "world id")
-        if id_tok.text in builder.worlds:
-            raise ParseError(id_tok.line, id_tok.col, f"duplicate world id {id_tok.text!r}")
+        if id_tok[1] in builder.worlds:
+            raise cursor.error(id_tok, f"duplicate world id {id_tok[1]!r}")
         cursor.expect("{")
         fields: dict[str, float | int] = {}
         while True:
             key_tok = cursor.expect("ident", "world attribute")
-            if key_tok.text not in ("energy", "kappa", "lambda"):
-                raise ParseError(
-                    key_tok.line, key_tok.col, f"unknown world attribute {key_tok.text!r}",
+            if key_tok[1] not in ("energy", "kappa", "lambda"):
+                raise cursor.error(
+                    key_tok, f"unknown world attribute {key_tok[1]!r}",
                     ("energy", "kappa", "lambda"),
                 )
-            if key_tok.text in fields:
-                raise ParseError(key_tok.line, key_tok.col, f"duplicate attribute {key_tok.text!r}")
+            if key_tok[1] in fields:
+                raise cursor.error(key_tok, f"duplicate attribute {key_tok[1]!r}")
             cursor.expect("=")
-            if key_tok.text == "lambda":
+            if key_tok[1] == "lambda":
                 value: float | int = _parse_int(cursor, "lambda")
                 if not 1 <= value <= MAX_LAMBDA:
-                    raise ParseError(key_tok.line, key_tok.col, f"lambda must be between 1 and {MAX_LAMBDA}")
+                    raise cursor.error(key_tok, f"lambda must be between 1 and {MAX_LAMBDA}")
             else:
-                value = _parse_real(cursor, key_tok.text)
-            fields[key_tok.text] = value
-            if cursor.peek().kind == ",":
-                cursor.next()
-                continue
-            cursor.expect("}")
-            break
+                value = _parse_real(cursor, key_tok[1])
+            fields[key_tok[1]] = value
+            if cursor.peek()[0] != ",":
+                break
+            cursor.next()
+        cursor.expect("}")
         for needed in ("energy", "kappa", "lambda"):
             if needed not in fields:
-                raise ParseError(head.line, head.col, f"world {id_tok.text!r} missing {needed!r}")
-        builder.worlds[id_tok.text] = World(
-            id_tok.text, float(fields["energy"]), float(fields["kappa"]), int(fields["lambda"])
+                raise cursor.error(head, f"world {id_tok[1]!r} missing {needed!r}")
+        builder.worlds[id_tok[1]] = World(
+            id_tok[1], float(fields["energy"]), float(fields["kappa"]), int(fields["lambda"])
         )
         return
 
     if word == "edge":
-        src = builder.require_world(cursor.expect("ident", "source world"))
+        src = builder.require_world(cursor, "source world")
         cursor.expect("->")
-        dst = builder.require_world(cursor.expect("ident", "target world"))
+        dst = builder.require_world(cursor, "target world")
         if (src, dst) in builder.edges:
-            raise ParseError(head.line, head.col, f"duplicate edge {src!r} -> {dst!r}")
+            raise cursor.error(head, f"duplicate edge {src!r} -> {dst!r}")
         cursor.expect("{")
         key_tok = cursor.expect("ident", "deltaE")
-        if key_tok.text != "deltaE":
-            raise ParseError(key_tok.line, key_tok.col, f"unknown edge attribute {key_tok.text!r}", ("deltaE",))
+        if key_tok[1] != "deltaE":
+            raise cursor.error(key_tok, f"unknown edge attribute {key_tok[1]!r}", ("deltaE",))
         cursor.expect("=")
         delta_e = _parse_real(cursor, "deltaE")
         cursor.expect("}")
@@ -366,7 +364,7 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
         return
 
     if word == "prop":
-        wid = builder.require_world(cursor.expect("ident", "world id"))
+        wid = builder.require_world(cursor, "world id")
         cursor.expect(":")
         phi = _parse_formula(cursor)
         builder.worlds[wid].props[phi] += 1
@@ -374,18 +372,18 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
 
     if word == "cost":
         token = cursor.peek()
-        if token.kind == "*":
+        if token[0] == "*":
             cursor.next()
             cursor.expect("=")
             value = _parse_real(cursor, "default cost")
-            builder.set_once("default_cost", value, token, "duplicate default cost directive")
+            builder.set_once(cursor, "default_cost", value, token, "duplicate default cost directive")
             return
         atom_tok = cursor.expect("ident", "atom name")
-        if atom_tok.text in builder.atom_costs:
-            raise ParseError(atom_tok.line, atom_tok.col, f"duplicate cost for {atom_tok.text!r}")
+        if atom_tok[1] in builder.atom_costs:
+            raise cursor.error(atom_tok, f"duplicate cost for {atom_tok[1]!r}")
         cursor.expect("=")
         value = _parse_real(cursor, "cost")
-        builder.atom_costs[atom_tok.text] = value
+        builder.atom_costs[atom_tok[1]] = value
         return
 
     if word in _SCALARS:
@@ -393,53 +391,53 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
         cursor.expect("=")
         value = parse(cursor, word)
         if not valid(value):
-            raise ParseError(head.line, head.col, message)
-        builder.set_once(word, value, head, f"duplicate {word!r} directive")
+            raise cursor.error(head, message)
+        builder.set_once(cursor, word, value, head, f"duplicate {word!r} directive")
         return
 
     if word == "observer":
         id_tok = cursor.expect("ident", "observer id")
-        if id_tok.text in builder.observer_ids:
-            raise ParseError(id_tok.line, id_tok.col, f"duplicate observer id {id_tok.text!r}")
+        if id_tok[1] in builder.observer_ids:
+            raise cursor.error(id_tok, f"duplicate observer id {id_tok[1]!r}")
         home_tok = cursor.expect("ident", "home")
-        if home_tok.text != "home":
-            raise ParseError(home_tok.line, home_tok.col, "expected home=<world>", ("home",))
+        if home_tok[1] != "home":
+            raise cursor.error(home_tok, "expected home=<world>", ("home",))
         cursor.expect("=")
-        home = builder.require_world(cursor.expect("ident", "home world"))
+        home = builder.require_world(cursor, "home world")
         horizon_tok = cursor.expect("ident", "horizon")
-        if horizon_tok.text != "horizon":
-            raise ParseError(horizon_tok.line, horizon_tok.col, "expected horizon=<int>", ("horizon",))
+        if horizon_tok[1] != "horizon":
+            raise cursor.error(horizon_tok, "expected horizon=<int>", ("horizon",))
         cursor.expect("=")
         horizon = _parse_int(cursor, "horizon")
-        builder.observer_ids.add(id_tok.text)
-        builder.observers.append(Observer(id_tok.text, home, horizon))
+        builder.observer_ids.add(id_tok[1])
+        builder.observers.append(Observer(id_tok[1], home, horizon))
         return
 
     if word == "sequent":
         name_tok = cursor.expect("ident", "sequent name")
-        if name_tok.text in builder.sequents:
-            raise ParseError(name_tok.line, name_tok.col, f"duplicate sequent name {name_tok.text!r}")
-        src = builder.require_world(cursor.expect("ident", "source world"))
+        if name_tok[1] in builder.sequents:
+            raise cursor.error(name_tok, f"duplicate sequent name {name_tok[1]!r}")
+        src = builder.require_world(cursor, "source world")
         cursor.expect("->")
-        dst = builder.require_world(cursor.expect("ident", "target world"))
+        dst = builder.require_world(cursor, "target world")
         cursor.expect(":")
         gamma = _parse_formula_list(cursor, stops=("|-",))
         cursor.expect("|-")
         delta = _parse_formula_list(cursor, stops=("end",))
-        builder.sequents[name_tok.text] = (src, dst, Sequent(gamma, delta))
+        builder.sequents[name_tok[1]] = (src, dst, Sequent(gamma, delta))
         return
 
     if word == "scenario":
         kind_tok = cursor.expect("ident", "scenario kind")
-        if kind_tok.text not in SCENARIO_KINDS:
-            raise ParseError(
-                kind_tok.line, kind_tok.col, f"unknown scenario kind {kind_tok.text!r}", SCENARIO_KINDS
+        if kind_tok[1] not in SCENARIO_KINDS:
+            raise cursor.error(
+                kind_tok, f"unknown scenario kind {kind_tok[1]!r}", SCENARIO_KINDS
             )
-        builder.set_once("scenario_kind", kind_tok.text, head, "duplicate scenario directive")
+        builder.set_once(cursor, "scenario_kind", kind_tok[1], head, "duplicate scenario directive")
         return
 
-    raise ParseError(
-        head.line, head.col, f"unknown directive {word!r}",
+    raise cursor.error(
+        head, f"unknown directive {word!r}",
         ("world", "edge", "prop", "cost", "alpha", "kappa0", "observer", "sequent",
          "scenario", "trials", "seed", "noise"),
     )
@@ -448,15 +446,17 @@ def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse a scenario file into a config; positions in errors are 1-based."""
     builder = _ScenarioBuilder()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(line, line_no)
-        cursor = _Cursor(tokens)
-        if cursor.at_end():
-            continue
-        _parse_directive(builder, cursor)
-        tail = cursor.peek()
-        if tail.kind != "end":
-            raise ParseError(tail.line, tail.col, f"unexpected {tail.text!r} after directive")
+    cursor = _Cursor(text)
+    while cursor.pos < len(cursor.tokens):
+        if cursor.peek()[0] != "end":
+            cursor.connectives = 0
+            _parse_directive(builder, cursor)
+            tail = cursor.peek()
+            if tail[0] != "end":
+                raise cursor.error(tail, f"unexpected {tail[1]!r} after directive")
+        cursor.next()
+    if cursor.stray:  # after every fault of the lines before it
+        raise cursor.error(cursor.stray, cursor.stray[1])
     if not builder.worlds:
         raise ParseError(1, 1, "no worlds declared")
     frame = Frame(

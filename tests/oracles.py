@@ -3,14 +3,17 @@
 Deliberately built on different machinery than the package: multisets
 are Counters, splits come from per-count products, derivations are
 enumerated exhaustively rather than searched in rule order, and the
-Fisher oracle uses exact rational arithmetic.  The exception is the
+Fisher oracle uses exact rational arithmetic.  The exceptions are the
 reference prover search, an earlier version of the package's own search
-kept so that a faster one can be checked against it result for result.
+kept so that a faster one can be checked against it result for result,
+and the reference lexer, the scenario lexer as it was when it lexed one
+line at a time, kept for the same reason.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -29,6 +32,7 @@ from eclc.calculus import (
     _splits,
     cost_valid,
 )
+from eclc.dsl import ParseError
 from eclc.formula import Atom, Bang, CostModel, Diamond, Lolli, Tensor, With, curvature_cost
 
 
@@ -452,3 +456,44 @@ def brute_force_path_costs(frame, src: str, dst: str) -> list[tuple[int, float]]
 
     walk(src, {src}, 0, 0.0)
     return costs
+
+
+# Blanks, then one token: a comment or the end of the line (no group),
+# a number, an identifier, punctuation, or any other character (an error).
+_LINE_LEX = re.compile(
+    r"([ \t\r]*)(?:#.*|\Z"
+    r"|([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|(->|-o|\|-|[{}()=,:*&!~<>⊗⊸])"
+    r"|(.))",
+    re.DOTALL,
+)
+_LINE_ALIASES = {"⊗": "*", "⊸": "-o"}
+
+
+def reference_tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int, int]]:
+    """The tokens of one line, without its break, as (kind, text, line,
+    column), closed by ("end", "", line, column).  The end token sits on
+    the last token's last source character (a ⊸ is one character, though
+    its token text is ``-o``), else on the line's last character, else at
+    column 1.  A stray character raises ParseError at its column."""
+    tokens: list[tuple[str, str, int, int]] = []
+    col = 1
+    last_col = 0
+    for blanks, number, ident, punct, other in _LINE_LEX.findall(text):
+        col += len(blanks)
+        if ident:
+            tokens.append(("ident", ident, line_no, col))
+        elif punct:
+            word = _LINE_ALIASES.get(punct, punct)
+            tokens.append((word, word, line_no, col))
+        elif number:
+            tokens.append(("number", number, line_no, col))
+        elif other:
+            raise ParseError(line_no, col, f"unexpected character {other!r}")
+        else:
+            break
+        col += len(ident or punct or number)
+        last_col = col - 1
+    tokens.append(("end", "", line_no, last_col if tokens else max(1, len(text))))
+    return tokens

@@ -24,10 +24,14 @@ from eclc import (
     serialize_scenario,
 )
 from eclc import scenarios
-from eclc.dsl import MAX_FORMULA_NODES, MAX_LAMBDA, MAX_NOISE, MAX_TRIALS
+from eclc.dsl import MAX_FORMULA_NODES, MAX_LAMBDA, MAX_NOISE, MAX_TRIALS, _Cursor
 from gen import formulas, random_config
+from oracles import reference_tokenize_line
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
+
+# Every line break of str.splitlines, "\r\n" included.
+BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 class TestParseFormula:
@@ -79,6 +83,18 @@ class TestParseFormula:
     def test_trailing_input_rejected(self):
         with pytest.raises(ParseError):
             parse_formula("A B")
+
+    @pytest.mark.parametrize("brk", BREAKS)
+    def test_line_break_is_a_positioned_error(self, brk):
+        # a comment ends at the break, which ends the formula's only line
+        for text, column in (("A # note" + brk + "B * C", 9), ("A" + brk + "* B", 2), ("A *" + brk + "B", 4)):
+            with pytest.raises(ParseError) as err:
+                parse_formula(text)
+            assert (err.value.line, err.value.column) == (1, column), text
+            assert err.value.message == f"unexpected character {brk[0]!r}"
+        with pytest.raises(ParseError) as err:
+            parse_formula("A @" + brk + "B")
+        assert (err.value.column, err.value.message) == (3, "unexpected character '@'")
 
 
 class TestFormatFormula:
@@ -160,6 +176,11 @@ class TestParseScenario:
     def test_crlf_accepted(self):
         config = parse_scenario(THREE_WORLDS.replace("\n", "\r\n"))
         assert len(config.frame.worlds) == 3
+
+    @pytest.mark.parametrize("brk", BREAKS)
+    def test_every_line_break_accepted(self, brk):
+        config = parse_scenario(THREE_WORLDS.replace("\n", brk))
+        assert config == parse_scenario(THREE_WORLDS)
 
     def test_bad_directive_position(self):
         with pytest.raises(ParseError) as err:
@@ -244,6 +265,45 @@ class TestParseScenario:
             assert (err.value.line, err.value.column) == (3, line.index("$") + 1), line
             assert err.value.message == "unexpected character '-'"
 
+    def test_end_of_line_after_lolli_glyph(self):
+        # the end of a line sits on the last character of its last token,
+        # and the lolli glyph is one character where its ASCII form is two
+        world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"
+        for line, column in (("prop w1 : A ⊸ # c", 13), ("prop w1 : A ⊸", 13), ("prop w1 : A -o # c", 14)):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(world + line)
+            assert (err.value.line, err.value.column) == (2, column), line
+            assert err.value.message == "unexpected 'end of line'"
+
+    def test_earlier_line_fault_before_later_stray_character(self):
+        world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"
+        with pytest.raises(ParseError) as err:
+            parse_scenario(world + "prop w1 : A *\nprop w1 : @\n")
+        assert (err.value.line, err.value.column) == (2, 13)
+        assert err.value.message == "unexpected 'end of line'"
+
+    def test_stray_character_before_earlier_syntax_error_on_its_line(self):
+        world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"
+        with pytest.raises(ParseError) as err:
+            parse_scenario(world + "prop w1 : ) A @\nprop w1 : ( \n")
+        assert (err.value.line, err.value.column) == (2, 15)
+        assert err.value.message == "unexpected character '@'"
+
+    def test_positions_under_other_line_breaks(self):
+        # the positions the parser reported when it split lines with str.splitlines
+        world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }"
+        for text, position in (
+            ("\r\n".join([world, "prop w1 : A -o", "prop w1 : B"]) + "\r\n", (2, 14, "unexpected 'end of line'")),
+            ("\r\n".join([world, "prop w1 : A", "  prop w1 : @"]), (3, 13, "unexpected character '@'")),
+            ("\f".join([world, "# c", "prop w1 : A ⊗ ", "x"]), (3, 13, "unexpected 'end of line'")),
+            ("\u2028".join([world, "", "edge w1 -> w2 { deltaE=1.0 }"]), (3, 12, "unknown world 'w2'")),
+            (world + "\f\r\n\u2029 prop w1 : (A ", (4, 13, "unexpected 'end of line'")),
+            (world + "\r\r\n\x85\t\x1c" + "prop w1 : ⊸", (5, 11, "unexpected '-o'")),
+        ):
+            with pytest.raises(ParseError) as err:
+                parse_scenario(text)
+            assert (err.value.line, err.value.column, err.value.message) == position, repr(text)
+
     def test_non_ascii_letters_and_digits_rejected(self):
         world = "world w1 { energy=1.0, kappa=0.0, lambda=1 }\n"
         for text, line, column in (
@@ -291,6 +351,11 @@ class TestFormulaBound:
             parse_scenario("world w { energy=1.0, kappa=0.0, lambda=1 }\nprop w : " + "!" * 201 + "A")
         assert (err.value.line, err.value.column) == (2, 9 + MAX_FORMULA_NODES + 1)
 
+    def test_bound_applies_to_each_prop_line(self):
+        big = "!" * MAX_FORMULA_NODES + "A"
+        config = parse_scenario("world w { energy=1.0, kappa=0.0, lambda=1 }\n" f"prop w : {big}\nprop w : {big}\n")
+        assert config.frame.worlds["w"].props[parse_formula(big)] == 2
+
     def test_bound_applies_to_each_formula_of_a_sequent(self):
         big = "!" * MAX_FORMULA_NODES + "A"
         config = parse_scenario(
@@ -322,9 +387,59 @@ class TestRoundTrip:
         assert config.frame.worlds["w"].props[phi] == 1
 
 
+# Pieces of scenario text: every line break, blanks, comments, glyphs,
+# punctuation, and non-ASCII letters and digits.
+LEX_PIECES = st.sampled_from(
+    BREAKS + (" ", "\t", "#", "⊗", "⊸", "é", "²", "٣", "A", "w1", "_b", "0", "9", ".", "e", "E", "+")
+    + ("-", "o", "->", "-o", "|-", "|", "{", "}", "(", ")", "=", ",", ":", "*", "&", "!", "~", "<", ">", "@")
+)
+
+
+def _reference_lex(text):
+    """Per-line tokens of the reference lexer, and its first error as (line, column, message)."""
+    lines = text.splitlines()
+    if not text or text[-1] in "".join(BREAKS):
+        lines.append("")  # the lexer opens one more line after a final break
+    out = []
+    for n, line in enumerate(lines, start=1):
+        try:
+            out.append(reference_tokenize_line(line, n))
+        except ParseError as err:
+            return out, (err.line, err.column, err.message)
+    return out, None
+
+
+def _lex(text):
+    """The same, read back from the one token list of the whole text."""
+    cursor = _Cursor(text)
+    out, line = [], []
+    for token in cursor.tokens:
+        where = cursor.error(token, "")
+        # the reference's "end" tokens have empty text
+        line.append((token[0], "" if token[0] == "end" else token[1], where.line, where.column))
+        if token[0] == "end":
+            out.append(line)
+            line = []
+    assert line == []
+    stray = cursor.stray and cursor.error(cursor.stray, cursor.stray[1])
+    return out, stray and (stray.line, stray.column, stray.message)
+
+
+class TestLexer:
+    @settings(max_examples=400)
+    @given(st.lists(LEX_PIECES, max_size=40).map("".join))
+    def test_same_tokens_and_first_error_as_line_lexer(self, text):
+        assert _lex(text) == _reference_lex(text)
+
+    def test_shipped_corpus(self):
+        for name in scenarios.NAMES:
+            text = scenarios.read(name)
+            assert _lex(text) == _reference_lex(text)
+
+
 class TestErrorPositions:
     @settings(max_examples=120)
-    @given(st.text(alphabet="world edg{}()=,:*&!~<>|-\n0123456789.ABCahkz_é²", max_size=80))
+    @given(st.text(alphabet="world edg{}()=,:*&!~<>|-\n0123456789.ABCahkz_é²٣\t\r\v\f\x1c\x1d\x1e\x85\u2028\u2029#⊗⊸", max_size=80))
     def test_positions_index_real_characters(self, text):
         try:
             parse_scenario(text)
