@@ -159,7 +159,8 @@ def _parts(tables, side, i, left, right):
 def _applications(gamma, delta, key, tables):
     """Yield (rule, g1, d1, key1, g2, d2) in the fixed rule order; g2 and d2
     are None for a one-premise rule.  A rule on gamma keeps delta's half of
-    ``key``, and split lists come from ``tables`` (``_parts``)."""
+    ``key``, and split lists come from ``tables`` (``_parts``).  One-premise
+    left rules fire on first copies only: a later copy's premise is already memoized."""
     int_delta, ints = key[1], tables[1]
 
     def on_gamma(rule, g):
@@ -174,7 +175,7 @@ def _applications(gamma, delta, key, tables):
                     yield "tensor-right", g1, d1, (k1, k2), g2, d2
     # tensor-left
     for i, phi in enumerate(gamma):
-        if isinstance(phi, Tensor):
+        if isinstance(phi, Tensor) and phi not in gamma[:i]:
             yield on_gamma("tensor-left", gamma[:i] + (phi.left, phi.right) + gamma[i + 1 :])
     # lolli-right
     for i, phi in enumerate(delta):
@@ -195,22 +196,19 @@ def _applications(gamma, delta, key, tables):
             d1 = rest + (phi.left,)
             yield "with-right", gamma, d1, _key(gamma, d1, ints), gamma, rest + (phi.right,)
     # with-left, either projection
-    for i, phi in enumerate(gamma):
-        if isinstance(phi, With):
-            yield on_gamma("with-left-1", gamma[:i] + (phi.left,) + gamma[i + 1 :])
-    for i, phi in enumerate(gamma):
-        if isinstance(phi, With):
-            yield on_gamma("with-left-2", gamma[:i] + (phi.right,) + gamma[i + 1 :])
+    withs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, With) and phi not in gamma[:i]]
+    for i, phi in withs:
+        yield on_gamma("with-left-1", gamma[:i] + (phi.left,) + gamma[i + 1 :])
+    for i, phi in withs:
+        yield on_gamma("with-left-2", gamma[:i] + (phi.right,) + gamma[i + 1 :])
     # exponentials
-    for i, phi in enumerate(gamma):
-        if isinstance(phi, Bang):
-            yield on_gamma("dereliction", gamma[:i] + (phi.inner,) + gamma[i + 1 :])
-    for phi in gamma:
-        if isinstance(phi, Bang):
-            yield on_gamma("contraction", gamma + (phi,))
-    for i, phi in enumerate(gamma):
-        if isinstance(phi, Bang):
-            yield on_gamma("weakening", gamma[:i] + gamma[i + 1 :])
+    bangs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, Bang) and phi not in gamma[:i]]
+    for i, phi in bangs:
+        yield on_gamma("dereliction", gamma[:i] + (phi.inner,) + gamma[i + 1 :])
+    for _, phi in bangs:
+        yield on_gamma("contraction", gamma + (phi,))
+    for i, phi in bangs:
+        yield on_gamma("weakening", gamma[:i] + gamma[i + 1 :])
     if _promotes(gamma, delta):
         yield "promotion", gamma, (delta[0].inner,), _key(gamma, (delta[0].inner,), ints), None, None
 

@@ -167,12 +167,8 @@ def decohere(phi: Formula) -> Formula:
         if not phi.coherent:
             return phi
         return Atom(DECOHERED_PREFIX + phi.name, phi.args, False)
-    if isinstance(phi, Tensor):
-        return Tensor(decohere(phi.left), decohere(phi.right))
-    if isinstance(phi, Lolli):
-        return Lolli(decohere(phi.left), decohere(phi.right))
-    if isinstance(phi, With):
-        return With(decohere(phi.left), decohere(phi.right))
+    if isinstance(phi, (Tensor, Lolli, With)):
+        return type(phi)(decohere(phi.left), decohere(phi.right))
     if isinstance(phi, Bang):
         return Bang(decohere(phi.inner))
     return Diamond(phi.budget, decohere(phi.inner))
@@ -219,10 +215,12 @@ def base_cost(phi: Formula, model: CostModel) -> float:
 
 
 def curvature_cost(phi: Formula, model: CostModel, kappa: float) -> float:
-    """Curvature-scaled cost: base cost inflated by (1 + alpha * kappa)."""
+    """Curvature-scaled cost: base cost inflated by (1 + alpha * kappa).
+    A zero base cost stays 0.0 even where alpha * kappa overflows."""
     if not (math.isfinite(kappa) and kappa >= 0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
-    return base_cost(phi, model) * (1.0 + model.alpha * kappa)
+    cost = base_cost(phi, model)
+    return cost * (1.0 + model.alpha * kappa) if cost else 0.0
 
 
 # Precedence levels for the textual syntax; higher binds tighter.

@@ -89,7 +89,7 @@ def fit_exponential(points) -> FitResult:
     if not math.isfinite(denom):
         raise ValueError("kappa values too large: their sum of squares overflows")
     logs = [(k, math.log(p)) for k, p in data]
-    rate = -sum(k * lp for k, lp in logs) / denom
+    rate = -sum(k * lp for k, lp in logs) / denom + 0.0  # a flat pi's -0.0 becomes 0.0
     mean_lp = sum(lp for _, lp in logs) / len(logs)
     ss_res = sum((lp - (-rate * k)) ** 2 for k, lp in logs)
     ss_tot = sum((lp - mean_lp) ** 2 for _, lp in logs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -121,28 +121,26 @@ def _self_carry(phi, world, model, proofs):
     return proved_once(Sequent((phi,), (phi,)), world.lam, model, world.kappa, proofs)
 
 
-def _sustain_stats(formulas, world, model, proofs) -> float:
-    """Mean height of the self-carry proofs of the coherent formulas."""
-    depths = []
-    for phi in formulas:
-        if coherence(phi) != 1:
-            continue
-        result = _self_carry(phi, world, model, proofs)
-        if result.proved:
-            depths.append(result.depth)
-    return sum(depths) / len(depths) if depths else 0.0
-
-
-def _coherence_row(world, formulas, model, proofs) -> WorldRow:
-    bits = [coherence(phi) for phi in formulas]
+def _row(world, props, bits, depths) -> WorldRow:
+    """``world``'s row: pi over ``props``, the access fraction and entropy
+    of the 0/1 ``bits``, and the mean of ``depths`` (0.0 for none)."""
     return WorldRow(
         world=world.id,
         kappa=world.kappa,
-        pi=persistence_score(formulas),
-        access_fraction=None,
+        pi=persistence_score(props),
+        access_fraction=sum(bits) / len(bits) if bits else None,
         entropy=shannon_entropy(bits) if bits else 0.0,
-        mean_proof_depth=_sustain_stats(formulas, world, model, proofs),
+        mean_proof_depth=sum(depths) / len(depths) if depths else 0.0,
     )
+
+
+def _coherence_row(world, formulas, model, proofs) -> WorldRow:
+    """A row whose bits are the formulas' coherence flags, so it has no
+    access fraction; its depths are the coherent formulas' self-carry
+    proofs that succeed."""
+    bits = [coherence(phi) for phi in formulas]
+    carries = [_self_carry(phi, world, model, proofs) for phi, bit in zip(formulas, bits) if bit]
+    return replace(_row(world, formulas, bits, [r.depth for r in carries if r.proved]), access_fraction=None)
 
 
 def run_coherence(config: ScenarioConfig) -> ScenarioReport:
@@ -157,7 +155,7 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
     curvature; if it fails, the hop decoheres everything.
     """
     _require_kind(config, "coherence")
-    frame = config.frame.copy()
+    frame = config.frame
     order = chain_order(frame)
     if len(order) < 2:
         raise ScenarioError("coherence scenario needs a chain of at least two worlds")
@@ -274,18 +272,8 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
         world = config.frame.world(wid)
         records = trials[offset::2]
         bits = [1 if t.success else 0 for t in records]
-        depths = [t.proof_depth for t in records if t.success]
         cells += (sum(bits), len(bits) - sum(bits))
-        rows.append(
-            WorldRow(
-                world=wid,
-                kappa=world.kappa,
-                pi=persistence_score(world.props),
-                access_fraction=sum(bits) / len(bits),
-                entropy=shannon_entropy(bits),
-                mean_proof_depth=sum(depths) / len(depths) if depths else 0.0,
-            )
-        )
+        rows.append(_row(world, world.props, bits, [t.proof_depth for t in records if t.success]))
     fisher_p = fisher_exact_two_tailed(ContingencyTable(*cells))
     return ScenarioReport(
         "reciprocity", tuple(rows), None, fisher_p, tuple(trials), master_seed
@@ -330,17 +318,8 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
         seen = [distances[o.home].get(wid, o.horizon + 1) <= o.horizon for o in config.observers]
         truth = truth_at(frame, wid, phi, model) if any(seen) else 0
         bits = [truth if sees else 0 for sees in seen]
-        mean_depth = float(_self_carry(phi, world, model, proofs).depth) if alive else 0.0
-        rows.append(
-            WorldRow(
-                world=wid,
-                kappa=world.kappa,
-                pi=persistence_score(world.props),
-                access_fraction=sum(bits) / len(bits),
-                entropy=shannon_entropy(bits),
-                mean_proof_depth=mean_depth,
-            )
-        )
+        depths = [_self_carry(phi, world, model, proofs).depth] if alive else []
+        rows.append(_row(world, world.props, bits, depths))
     return ScenarioReport(
         "accessibility", tuple(rows), None, None, (), _resolved_seed(config)
     )

@@ -375,6 +375,87 @@ class TestSearchDifferential:
         assert entries <= 6000
 
 
+ONE_PREMISE_LEFT = ("tensor-left", "with-left-1", "with-left-2", "dereliction", "contraction", "weakening")
+BANGED_PAIR = Bang(Tensor(A, B))
+
+
+@st.composite
+def repeated_sequents(draw):
+    """A sequent whose gamma holds 2-3 copies of one banged, with or
+    tensor formula among up to two others, against a random delta, the
+    tensor of gamma's members, or one of them."""
+    parts = shortcut_leaves | search_formulas
+    phi = draw(st.one_of(parts.map(Bang), st.builds(With, parts, parts), st.builds(Tensor, parts, parts)))
+    others = draw(st.lists(parts | parts.map(Bang), max_size=2))
+    gamma = draw(st.permutations([phi] * draw(st.integers(2, 3)) + others))
+    template = draw(st.integers(0, 2))
+    if template == 1:
+        delta = [functools.reduce(Tensor, draw(st.permutations(gamma)))]
+    elif template == 2:
+        delta = [draw(st.sampled_from(gamma))]
+    else:
+        delta = draw(st.lists(search_formulas, min_size=1, max_size=2))
+    return Sequent(gamma, delta)
+
+
+class TestFirstCopyOnly:
+    """Tensor-left, with-left and the three bang rules fire on the first
+    copy of each formula in gamma; a later copy's premise is the same
+    multiset, so the search must find what firing every copy found."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(repeated_sequents())
+    @example(Sequent((BANGED_PAIR, BANGED_PAIR), (BANGED_PAIR,)))
+    def test_no_one_premise_left_rule_repeats_a_premise(self, seq):
+        tables = ({}, {})
+        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        seen = Counter(
+            (rule, k) for rule, _, _, k, g2, _ in _applications(seq.gamma, seq.delta, key, tables)
+            if rule in ONE_PREMISE_LEFT and g2 is None
+        )
+        assert [item for item, count in seen.items() if count > 1] == []
+
+    def test_banged_self_carry_work(self, monkeypatch):
+        # firing every copy made 166,121 applications here, 142,850 of
+        # them dereliction, contraction and weakening
+        entries = applications = 0
+        search, applications_of = calculus._search, calculus._applications
+
+        def counting_search(*args):
+            nonlocal entries
+            entries += 1
+            return search(*args)
+
+        def counting_applications(*args):
+            nonlocal applications
+            for application in applications_of(*args):
+                applications += 1
+                yield application
+
+        monkeypatch.setattr(calculus, "_search", counting_search)
+        monkeypatch.setattr(calculus, "_applications", counting_applications)
+        result = prove(Sequent((BANGED_PAIR,), (BANGED_PAIR,)), 32, *ZERO)
+        assert result.proved and result.depth == 32
+        assert entries == 7466
+        assert applications <= 31_000
+
+    @settings(max_examples=150, deadline=None)
+    @given(repeated_sequents(), st.integers(1, 6), st.sampled_from([ZERO, COSTED]))
+    @example(Sequent((BANGED_PAIR, BANGED_PAIR), (Tensor(B, BANGED_PAIR),)), 6, ZERO)
+    @example(Sequent((Bang(A), Bang(A), B), (Tensor(A, Tensor(A, B)),)), 6, ZERO)
+    @example(Sequent((With(A, B), With(A, B)), (Tensor(B, A),)), 5, ZERO)
+    @example(Sequent((Tensor(A, B), Tensor(A, B)), (Tensor(Tensor(A, B), Tensor(A, B)),)), 6, COSTED)
+    def test_same_results_as_per_copy_reference(self, seq, bound, cost):
+        model, kappa = cost
+        assert prove(seq, bound, model, kappa) == oracles.reference_prove(seq, bound, model, kappa)
+        memo, reference_memo, tables = {}, {}, ({}, {})
+        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        got = calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
+        assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
+        canons = {number: canon for canon, number in tables[1].items()}
+        assert {(canons[g], canons[d]): entry for (g, d), entry in memo.items()} == reference_memo
+
+
 def collapse_frame(lam=8, delta_e=2.0, energy=10.0):
     """Two worlds with the entanglement-consumption resources at w1."""
     e, ent = Atom("E"), Atom("Entangled", ("A", "B"))

@@ -17,6 +17,20 @@ prop w1 : E
 """
 
 
+ZERO_COST_CHAIN = """scenario coherence
+alpha = {alpha}
+cost * = 0.0
+world w1 {{ energy=1.0, kappa=0.0, lambda=4 }}
+world w2 {{ energy=1.0, kappa=4.0, lambda=4 }}
+world w3 {{ energy=1.0, kappa=4.0, lambda=4 }}
+edge w1 -> w2 {{ deltaE=0.0 }}
+edge w2 -> w3 {{ deltaE=0.0 }}
+prop w1 : A
+prop w1 : A
+sequent s w1 -> w2 : A |- A
+"""
+
+
 @pytest.fixture
 def three_worlds(tmp_path):
     path = tmp_path / "three.eclc"
@@ -107,6 +121,22 @@ class TestRun:
         assert len(per_world) == 4  # header + three worlds
         summary = capsys.readouterr().out.splitlines()[0]
         assert "rate=" in summary
+
+    def test_zero_costs_survive_an_overflowing_surcharge(self, tmp_path, capsys):
+        # alpha * kappa overflows to inf at 1e308, and 0 * inf would be a
+        # NaN surcharge that no budget covers, so everything would decohere
+        outputs = []
+        for alpha in ("1e308", "1e300"):
+            path = tmp_path / f"zero-{alpha}.eclc"
+            path.write_text(ZERO_COST_CHAIN.format(alpha=alpha))
+            out = tmp_path / f"out-{alpha}"
+            assert main(["run", str(path), "--out", str(out)]) == 0
+            outputs.append((out / "per_world.csv").read_text())
+            assert json.loads((out / "report.json").read_text())["fit"]["rate"] == 0.0
+            assert main(["prove", str(path), "--sequent", "s", "--world", "w2"]) == 0
+            assert "nan" not in capsys.readouterr().out
+        assert outputs[0] == outputs[1]
+        assert [line.split(",")[2] for line in outputs[0].splitlines()[1:]] == ["1.0", "1.0", "1.0"]
 
     def test_reciprocity_row_count(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -327,6 +357,12 @@ class TestFit:
         path.write_text("kappa,pi\n0,1.0\n1,0.61\n2,0.19\n")
         assert main(["fit", str(path)]) == 0
         assert "rate=0.76315" in capsys.readouterr().out
+
+    def test_flat_points_print_a_positive_zero_rate(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("kappa,pi\n0,1\n1,1\n2,1\n")
+        assert main(["fit", str(path)]) == 0
+        assert capsys.readouterr().out == "rate=0.0 r_squared=1.0\n"
 
     def test_without_header(self, tmp_path, capsys):
         path = tmp_path / "points.csv"

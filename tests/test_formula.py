@@ -1,5 +1,6 @@
 import copy
 import gc
+import math
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -105,6 +106,13 @@ class TestCurvatureCost:
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             curvature_cost(Atom("A"), CostModel({}), -1.0)
+
+    def test_zero_cost_stays_zero_where_the_factor_overflows(self):
+        # alpha * kappa is inf here; 0 * inf would be NaN
+        model = CostModel({"A": 0.0}, default_cost=1.0, alpha=1e308)
+        assert curvature_cost(Atom("A"), model, 4.0) == 0.0
+        assert curvature_cost(Tensor(Atom("A"), Bang(Atom("A"))), model, 4.0) == 0.0
+        assert curvature_cost(Atom("B"), model, 4.0) == math.inf
 
     @given(formulas(), st.floats(min_value=0, max_value=50, allow_nan=False))
     def test_equals_base_at_zero(self, phi, _):

@@ -119,6 +119,13 @@ class TestFitExponential:
         with pytest.raises(ValueError, match="overflows"):
             fit_exponential([(1e200, 0.5), (1.0, 0.9)])
 
+    def test_zero_rate_is_positive_zero(self):
+        # a flat pi makes the rate's numerator -0.0, which prints as rate=-0.0
+        for points in ([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)], [(1.0, 1.0), (3.0, 1.0)]):
+            fit = fit_exponential(points)
+            assert math.copysign(1.0, fit.rate) == 1.0
+            assert fit.rate == 0.0
+
     @given(
         st.floats(min_value=0.01, max_value=5, allow_nan=False),
         st.integers(min_value=2, max_value=12),
