@@ -4,15 +4,17 @@ Commands: ``validate`` checks a scenario file, ``prove`` runs proof
 search on a named sequent, ``run`` executes a scenario and writes
 report files, ``fit`` fits an exponential decay to a kappa,pi CSV.
 
-Exit codes: 0 success, 1 runtime/validation failure, 2 usage error.
-``ECLC_SEED`` supplies a seed when neither the command line nor the
-scenario file does.
+Exit codes: 0 success, 1 runtime/validation failure (a CSV that
+``fit`` cannot read, or a stdout closed by its reader, which prints
+nothing), 2 usage error.  ``ECLC_SEED`` supplies a seed when neither
+the command line nor the scenario file does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -28,33 +30,30 @@ from .sim import ScenarioError, ScenarioReport, run_scenario, write_report
 ENV_SEED = "ECLC_SEED"
 
 
-def _read_text(path: str) -> str | None:
-    """The file's UTF-8 text, or None after reporting why it cannot be read."""
+class CliError(Exception):
+    """``CliError(text, code)``: a failure that ``main`` reports by writing
+    the text to stderr and returning the code (1, or 2 for a usage error)."""
+
+
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text, or a CliError saying why it cannot be read."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
-        return None
+        raise CliError(f"error: cannot read {path}: {getattr(exc, 'strerror', None) or exc}", 1) from None
 
 
-def _load_config(path: str) -> ScenarioConfig | int:
-    text = _read_text(path)
-    if text is None:
-        return 1
+def _load_config(path: str) -> ScenarioConfig:
     try:
-        return parse_scenario(text)
+        return parse_scenario(_read_text(path))
     except ParseError as exc:
-        print(f"{path}:{exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
-        if exc.expected:
-            print(f"  expected: {', '.join(exc.expected)}", file=sys.stderr)
-        return 1
+        expected = f"\n  expected: {', '.join(exc.expected)}" if exc.expected else ""
+        raise CliError(f"{path}:{exc.line}:{exc.column}: {exc.message}{expected}", 1) from None
 
 
 def cmd_validate(args) -> int:
     config = _load_config(args.path)
-    if isinstance(config, int):
-        return config
     frame = config.frame
     print(f"OK: {len(frame.worlds)} worlds, {len(frame.edges)} edges, {len(config.observers)} observers")
     return 0
@@ -62,15 +61,11 @@ def cmd_validate(args) -> int:
 
 def cmd_prove(args) -> int:
     config = _load_config(args.path)
-    if isinstance(config, int):
-        return config
     if args.sequent not in config.sequents:
         known = ", ".join(config.sequents) or "none"
-        print(f"usage error: unknown sequent {args.sequent!r} (declared: {known})", file=sys.stderr)
-        return 2
+        raise CliError(f"usage error: unknown sequent {args.sequent!r} (declared: {known})", 2)
     if args.world not in config.frame.worlds:
-        print(f"usage error: unknown world {args.world!r}", file=sys.stderr)
-        return 2
+        raise CliError(f"usage error: unknown world {args.world!r}", 2)
     _, _, seq = config.sequents[args.sequent]
     world = config.frame.world(args.world)
     model = config.cost_model
@@ -90,22 +85,17 @@ def cmd_prove(args) -> int:
 
 
 def _resolve_seed(args, config: ScenarioConfig) -> int | None:
-    seed = None
-    if args.seed is not None:
-        seed = args.seed
-    elif config.seed is not None:
-        seed = config.seed
-    else:
-        env = os.environ.get(ENV_SEED)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:  # not an integer, or more digits than Python converts
-                shown = ascii(env)  # escaped, so one character is one byte
-                if len(shown) > 40:
-                    shown = f"{shown[:32]}... ({len(env)} characters)"
-                problem = "out of range" if env.strip().lstrip("+-").isdecimal() else f"must be an integer, got {shown}"
-                raise ScenarioError(f"{ENV_SEED} {problem}") from None
+    seed = config.seed if args.seed is None else args.seed
+    env = os.environ.get(ENV_SEED)
+    if seed is None and env is not None:
+        try:
+            seed = int(env)
+        except ValueError:  # not an integer, or more digits than Python converts
+            shown = ascii(env)  # escaped, so one character is one byte
+            if len(shown) > 40:
+                shown = f"{shown[:32]}... ({len(env)} characters)"
+            problem = "out of range" if env.strip().lstrip("+-").isdecimal() else f"must be an integer, got {shown}"
+            raise ScenarioError(f"{ENV_SEED} {problem}") from None
     if seed is not None and not (0 <= seed < 1 << 64):
         raise ScenarioError(f"seed must fit in 64 unsigned bits, got {seed}")
     return seed
@@ -131,25 +121,16 @@ def _summary(report: ScenarioReport) -> str:
 
 def cmd_run(args) -> int:
     config = _load_config(args.path)
-    if isinstance(config, int):
-        return config
-    try:
-        seed = _resolve_seed(args, config)
-        overrides = {"seed": seed}
-        if args.trials is not None:
-            if not 1 <= args.trials <= MAX_TRIALS:
-                raise ScenarioError(f"trials must be between 1 and {MAX_TRIALS}")
-            overrides["trials"] = args.trials
-        config = replace(config, **overrides)
-        report = run_scenario(config)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    overrides = {"seed": _resolve_seed(args, config)}
+    if args.trials is not None:
+        if not 1 <= args.trials <= MAX_TRIALS:
+            raise ScenarioError(f"trials must be between 1 and {MAX_TRIALS}")
+        overrides["trials"] = args.trials
+    report = run_scenario(replace(config, **overrides))
     try:
         written = write_report(report, args.out, args.format)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"error: cannot write {args.out}: {exc.strerror or exc}", 1) from None
     print(_summary(report))
     for path in written:
         print(f"wrote {path}")
@@ -157,12 +138,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    text = _read_text(args.path)
-    if text is None:
-        return 1
-    points = []
+    reader = csv.reader(io.StringIO(_read_text(args.path)))
+    points, row_no = [], 0
     try:
-        for row_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
+        for row_no, row in enumerate(reader, start=1):
             if not row or not any(cell.strip() for cell in row):
                 continue
             if len(row) < 2:
@@ -177,14 +156,18 @@ def cmd_fit(args) -> int:
                 raise ValueError(f"row {row_no}: not finite: {row[:2]}")
             points.append(point)
         fit = fit_exponential(points)
+    except csv.Error as exc:  # raised reading the row after the last one numbered
+        raise CliError(f"error: row {row_no + 1}: {exc}", 1) from None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise CliError(f"error: {exc}", 1) from None
     print(f"rate={fit.rate!r} r_squared={fit.r_squared!r}")
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call, not at import, then reused.  The parser holds
+    the ``cmd_*`` functions themselves, so patch the names they call, not them."""
     parser = argparse.ArgumentParser(
         prog="eclc",
         description="Resource-bounded linear-logic inference over weighted Kripke frames",
@@ -217,12 +200,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except CliError as exc:
+        text, code = exc.args
+        print(text, file=sys.stderr)
+        return code
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull at exit
+        with open(os.devnull, "w") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

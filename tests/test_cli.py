@@ -1,11 +1,19 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from eclc import scenarios, serialize_scenario
+import eclc
+from eclc import cli, scenarios, serialize_scenario
 from eclc.cli import main
+from eclc.sim import ScenarioError
 from gen import random_config
+
+SRC = str(Path(eclc.__file__).resolve().parents[1])
 
 THREE_WORLDS = """scenario coherence
 world w1 { energy=10.0, kappa=0.0, lambda=4 }
@@ -398,3 +406,151 @@ class TestUsage:
 
     def test_bad_format_value(self, capsys):
         assert main(["run", "x.eclc", "--format", "yaml"]) == 2
+
+
+# Inputs for the failure table; "{tmp}" stands for the test's directory.
+FAILURE_FILES = {
+    "expect.eclc": "world w1 { energy=1.0 kappa=0.0, lambda=1 }\n",
+    "one-world.eclc": "scenario reciprocity\nworld wA { energy=10.0, kappa=0.0, lambda=12 }\nprop wA : !Quantum(qA)\n",
+    "seedless.eclc": scenarios.read("reciprocity").replace("seed = 9\n", ""),
+    "taken": "a file, not a directory\n",
+    "columns.csv": "kappa,pi\n0\n",
+    "words.csv": "kappa,pi\n0,1\nx,2\n",
+    "infinite.csv": "0,1\n1,inf\n",
+    "one-point.csv": "kappa,pi\n0,1\n",
+    "big-field.csv": "kappa,pi\n0,1\n1," + "1" * 200_000 + "\n",
+}
+
+COHERENCE = str(scenarios.path("coherence"))
+
+# Every way a command fails: (argv, env) -> (exit code, stdout, stderr),
+# byte for byte.
+FAILURES = [
+    pytest.param(
+        ["validate", "{tmp}/nope.eclc"], {}, 1, "", "error: cannot read {tmp}/nope.eclc: No such file or directory\n",
+        id="missing-file",
+    ),
+    pytest.param(["validate", "{tmp}"], {}, 1, "", "error: cannot read {tmp}: Is a directory\n", id="directory"),
+    pytest.param(
+        ["validate", "{tmp}/expect.eclc"], {}, 1, "", "{tmp}/expect.eclc:1:23: unexpected 'kappa'\n  expected: }\n",
+        id="parse-error-expected",
+    ),
+    pytest.param(
+        ["prove", COHERENCE, "--sequent", "zzz", "--world", "w1"], {}, 2, "",
+        "usage error: unknown sequent 'zzz' (declared: hop1, hop2, collapse)\n",
+        id="unknown-sequent",
+    ),
+    pytest.param(
+        ["prove", COHERENCE, "--sequent", "collapse", "--world", "zz"], {}, 2, "", "usage error: unknown world 'zz'\n",
+        id="unknown-world",
+    ),
+    pytest.param(
+        ["run", "{tmp}/one-world.eclc", "--out", "{tmp}/out"], {}, 1, "",
+        "error: reciprocity scenario needs exactly two worlds, got 1\n",
+        id="driver-error",
+    ),
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "x"}, 1, "",
+        "error: ECLC_SEED must be an integer, got 'x'\n",
+        id="bad-env-seed",
+    ),
+    pytest.param(
+        ["run", COHERENCE, "--seed", "-1", "--out", "{tmp}/out"], {}, 1, "",
+        "error: seed must fit in 64 unsigned bits, got -1\n",
+        id="negative-seed",
+    ),
+    pytest.param(
+        ["run", COHERENCE, "--out", "{tmp}/taken"], {}, 1, "", "error: cannot write {tmp}/taken: File exists\n",
+        id="unwritable-out",
+    ),
+    pytest.param(
+        ["fit", "{tmp}/columns.csv"], {}, 1, "", "error: row 2: need two columns (kappa, pi)\n", id="fit-columns"
+    ),
+    pytest.param(
+        ["fit", "{tmp}/words.csv"], {}, 1, "", "error: row 3: not numeric: ['x', '2']\n", id="fit-not-numeric"
+    ),
+    pytest.param(
+        ["fit", "{tmp}/infinite.csv"], {}, 1, "", "error: row 2: not finite: ['1', 'inf']\n", id="fit-not-finite"
+    ),
+    pytest.param(
+        ["fit", "{tmp}/one-point.csv"], {}, 1, "", "error: need at least 2 points, got 1\n", id="fit-one-point"
+    ),
+    pytest.param(
+        ["fit", "{tmp}/big-field.csv"], {}, 1, "", "error: row 3: field larger than field limit (131072)\n",
+        id="fit-field-limit",
+    ),
+    pytest.param(
+        ["prove", COHERENCE], {"COLUMNS": "80"}, 2, "",
+        "usage: eclc prove [-h] --sequent SEQUENT --world WORLD path\n"
+        "eclc prove: error: the following arguments are required: --sequent, --world\n",
+        id="usage",
+    ),
+]
+
+
+class TestFailures:
+    @pytest.mark.parametrize("argv, env, code, out, err", FAILURES)
+    def test_message_and_exit_code(self, tmp_path, capsys, monkeypatch, argv, env, code, out, err):
+        for name, text in FAILURE_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.delenv("ECLC_SEED", raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        tmp = str(tmp_path)
+        assert main([arg.replace("{tmp}", tmp) for arg in argv]) == code
+        assert capsys.readouterr() == (out.replace("{tmp}", tmp), err.replace("{tmp}", tmp))
+        assert not (tmp_path / "out").exists()
+
+
+def run_child(argv, **kwargs):
+    """Run ``eclc`` in a fresh interpreter, as the installed script does."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("ECLC_SEED", None)
+    return subprocess.run([sys.executable, "-m", "eclc.cli", *argv], env=env, timeout=120, **kwargs)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", COHERENCE, "--out", "{tmp}/out"], ["prove", COHERENCE, "--sequent", "collapse", "--world", "w1"]],
+        ids=["run", "prove"],
+    )
+    def test_exits_one_with_nothing_on_stderr(self, tmp_path, argv):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails every time
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_child([arg.replace("{tmp}", str(tmp_path)) for arg in argv], stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+class TestParserReuse:
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ECLC_SEED", raising=False)
+        path = str(scenarios.path("reciprocity"))
+        argv = ["run", path, "--seed", "5", "--trials", "3", "--format", "json", "--out", str(tmp_path / "first")]
+        assert main(argv) == 0
+        assert main(["run", path, "--out", str(tmp_path / "second")]) == 0
+        run_child(["run", path, "--out", str(tmp_path / "fresh")], check=True, capture_output=True)
+        for name in ("report.json", "per_world.csv", "trials.csv"):
+            assert (tmp_path / "second" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_patched_run_scenario_takes_effect(self, tmp_path, capsys, monkeypatch):
+        assert main(["run", COHERENCE, "--out", str(tmp_path / "a")]) == 0
+
+        def refuse(config):
+            raise ScenarioError("patched")
+
+        monkeypatch.setattr(cli, "run_scenario", refuse)
+        assert main(["run", COHERENCE, "--out", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err == "error: patched\n"
+        assert not (tmp_path / "b").exists()
+
+    def test_parser_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for argv in (["validate", COHERENCE], ["prove", COHERENCE, "--sequent", "collapse", "--world", "w1"], []):
+            main(argv)
+        assert cli.build_parser.cache_info().misses == 1
