@@ -9,10 +9,13 @@ CSV tables (per-world metrics and per-trial records).
 
 from __future__ import annotations
 
-import json
+import math
+import os
 import random
+import stat
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
 
@@ -345,21 +348,39 @@ def _table(cls, records) -> tuple[list[str], list[tuple]]:
     return [_COLUMN.get(name, name) for name in names], [values(r) for r in records]
 
 
-def _dicts(cls, records) -> list[dict]:
+def _json_cell(value) -> str:
+    """``value`` as ``json.dumps`` writes it, except that a non-finite
+    float is ``null``, so every report is strict JSON."""
+    if value is None or (isinstance(value, float) and not math.isfinite(value)):
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return _json_str(value) if isinstance(value, str) else repr(value)
+
+
+def _json_objects(cls, records, indent: str) -> list[str]:
+    """Each record as the object ``json.dumps(..., indent=2)`` writes at ``indent``."""
     columns, rows = _table(cls, records)
-    return [dict(zip(columns, row)) for row in rows]
+    template = "{" + ",".join(f"\n{indent}  {_json_str(c)}: %s" for c in columns) + f"\n{indent}}}"
+    return [template % tuple(map(_json_cell, row)) for row in rows]
+
+
+def _json_list(cls, records) -> str:
+    """The records as the list value of a top-level key."""
+    items = _json_objects(cls, records, "    ")
+    return "[" + ",".join(f"\n    {item}" for item in items) + "\n  ]" if items else "[]"
 
 
 def report_to_json(report: ScenarioReport) -> str:
-    doc = {
-        "kind": report.kind,
-        "seed": report.seed,
-        "per_world": _dicts(WorldRow, report.per_world),
-        "fit": None if report.fit is None else _dicts(FitResult, [report.fit])[0],
-        "fisher_p": report.fisher_p,
-        "trials": _dicts(TrialRecord, report.trials),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\\n"`` for the report's document, in
+    the same bytes, built a row at a time without the pure-Python encoder."""
+    fit = "null" if report.fit is None else _json_objects(FitResult, [report.fit], "  ")[0]
+    return (
+        f'{{\n  "kind": {_json_cell(report.kind)},\n  "seed": {_json_cell(report.seed)},\n'
+        f'  "per_world": {_json_list(WorldRow, report.per_world)},\n'
+        f'  "fit": {fit},\n  "fisher_p": {_json_cell(report.fisher_p)},\n'
+        f'  "trials": {_json_list(TrialRecord, report.trials)}\n}}\n'
+    )
 
 
 def _csv_cell(value) -> str:
@@ -383,6 +404,16 @@ def trials_csv(report: ScenarioReport) -> str:
     return _csv(TrialRecord, report.trials)
 
 
+def _write_in_place(path: Path, text: str) -> None:
+    """``path.write_text(text, encoding="utf-8")``, but over the old bytes
+    and then cut to length: truncating a file to zero first makes ext4
+    start writeback on close, which costs more than the write."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "w", encoding="utf-8") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a device or a pipe cannot be cut
+            f.truncate()
+
+
 def write_report(report: ScenarioReport, out_dir, fmt: str = "both") -> list[Path]:
     """Write report files under out_dir; returns the paths written."""
     if fmt not in ("json", "csv", "both"):
@@ -392,11 +423,11 @@ def write_report(report: ScenarioReport, out_dir, fmt: str = "both") -> list[Pat
     written = []
     if fmt in ("json", "both"):
         path = out / "report.json"
-        path.write_text(report_to_json(report), encoding="utf-8")
+        _write_in_place(path, report_to_json(report))
         written.append(path)
     if fmt in ("csv", "both"):
         for name, payload in (("per_world.csv", per_world_csv(report)), ("trials.csv", trials_csv(report))):
             path = out / name
-            path.write_text(payload, encoding="utf-8")
+            _write_in_place(path, payload)
             written.append(path)
     return written

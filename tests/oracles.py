@@ -3,20 +3,24 @@
 Deliberately built on different machinery than the package: multisets
 are Counters, splits come from per-count products, derivations are
 enumerated exhaustively rather than searched in rule order, and the
-Fisher oracle uses exact rational arithmetic.  The exceptions are the
-reference prover search, an earlier version of the package's own search
-kept so that a faster one can be checked against it result for result,
-and the reference lexer, the scenario lexer as it was when it lexed one
-line at a time, kept for the same reason.
+Fisher oracle uses exact rational arithmetic.  The exceptions are
+earlier versions of the package's own code, kept so that a faster one
+can be checked against them result for result: the reference prover
+search; the reference lexer, the scenario lexer as it was when it lexed
+one line at a time; the reference observer truth, which proves every
+antecedent sub-multiset; and the reference report writer, which renders
+``report.json`` with ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import re
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 from eclc.calculus import (
     _NO_DEPTH_LIMIT,
@@ -31,9 +35,11 @@ from eclc.calculus import (
     _refuted_outright,
     _splits,
     cost_valid,
+    prove,
 )
 from eclc.dsl import ParseError
 from eclc.formula import Atom, Bang, CostModel, Diamond, Lolli, Tensor, With, curvature_cost
+from eclc.observer import MAX_ANTECEDENT
 
 
 def _ms_key(ms: Counter) -> frozenset:
@@ -497,3 +503,42 @@ def reference_tokenize_line(text: str, line_no: int) -> list[tuple[str, str, int
         last_col = col - 1
     tokens.append(("end", "", line_no, last_col if tokens else max(1, len(text))))
     return tokens
+
+
+def reference_truth_at(frame, w: str, phi, model) -> int:
+    """``observer.truth_at`` with one ``prove`` call per antecedent
+    sub-multiset of at most ``MAX_ANTECEDENT`` props, none skipped."""
+    world = frame.world(w)
+    if phi in world.props:
+        return 1
+    for size in range(1, MAX_ANTECEDENT + 1):
+        for combo in itertools.combinations_with_replacement(world.props, size):
+            if any(combo.count(psi) > world.props[psi] for psi in combo):
+                continue
+            if prove(Sequent(combo, (phi,)), world.lam, model, world.kappa).proved:
+                return 1
+    return 0
+
+
+def reference_report_json(report) -> str:
+    """``report.json`` through ``json.dumps(doc, indent=2)``, with every
+    non-finite float written as ``None``."""
+
+    def cell(value):
+        return None if isinstance(value, float) and not isfinite(value) else value
+
+    def rows(records):
+        return [
+            {("trial" if f.name == "trial_index" else f.name): cell(getattr(r, f.name)) for f in fields(r)}
+            for r in records
+        ]
+
+    doc = {
+        "kind": cell(report.kind),
+        "seed": cell(report.seed),
+        "per_world": rows(report.per_world),
+        "fit": None if report.fit is None else rows([report.fit])[0],
+        "fisher_p": cell(report.fisher_p),
+        "trials": rows(report.trials),
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,18 @@ edge w2 -> w3 {{ deltaE=0.0 }}
 prop w1 : A
 prop w1 : A
 sequent s w1 -> w2 : A |- A
+"""
+
+
+FLAT_PI_CHAIN = """scenario coherence
+cost * = 0.0
+world w0 { energy=10.0, kappa=0.5, lambda=4 }
+world w1 { energy=10.0, kappa=1.0, lambda=4 }
+world w2 { energy=10.0, kappa=2.0, lambda=4 }
+edge w0 -> w1 { deltaE=0.0 }
+edge w1 -> w2 { deltaE=0.0 }
+prop w0 : A
+prop w0 : ~Junk
 """
 
 
@@ -145,6 +159,16 @@ class TestRun:
             assert "nan" not in capsys.readouterr().out
         assert outputs[0] == outputs[1]
         assert [line.split(",")[2] for line in outputs[0].splitlines()[1:]] == ["1.0", "1.0", "1.0"]
+
+    def test_non_finite_fit_is_written_null(self, tmp_path, capsys):
+        # pi stays 0.5 at every world, so the fit's r_squared is -inf
+        path = tmp_path / "flat.eclc"
+        path.write_text(FLAT_PI_CHAIN)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert "r_squared=-inf" in capsys.readouterr().out
+        fit = json.loads((out / "report.json").read_text(), parse_constant=lambda name: pytest.fail(name))["fit"]
+        assert fit["r_squared"] is None
 
     def test_reciprocity_row_count(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -332,6 +356,59 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 1
         assert not out.exists()
+
+
+class TestRewrite:
+    """A run into an existing ``--out`` writes each file over the old one
+    and cuts it to length."""
+
+    def run(self, out, *flags):
+        assert main(["run", str(scenarios.path("reciprocity")), "--out", str(out), *flags]) == 0
+
+    def test_shorter_rerun_leaves_no_stale_tail(self, tmp_path, capsys):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        self.run(reused, "--trials", "120")
+        self.run(reused, "--trials", "1")
+        self.run(fresh, "--trials", "1")
+        for name in ("report.json", "per_world.csv", "trials.csv"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_existing_report_keeps_its_inode_and_mode(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = out / "report.json"
+        path.write_text("an older report\n")
+        path.chmod(0o640)
+        before = path.stat()
+        self.run(out)
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+        assert json.loads(path.read_text())["kind"] == "reciprocity"
+
+    def test_symlinked_report_is_written_through(self, tmp_path, capsys):
+        out, target = tmp_path / "out", tmp_path / "kept.json"
+        out.mkdir()
+        target.write_text("x" * 100_000)
+        (out / "report.json").symlink_to(target)
+        self.run(out)
+        self.run(tmp_path / "fresh")
+        assert (out / "report.json").is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh" / "report.json").read_bytes()
+
+    def test_report_linked_to_the_null_device_is_written(self, tmp_path, capsys):
+        # a device cannot be cut to length, and need not be
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").symlink_to(os.devnull)
+        self.run(out)
+        assert (out / "report.json").is_symlink() and (out / "trials.csv").exists()
+
+    def test_directory_in_place_of_report_exits_one(self, tmp_path, capsys):
+        # a check based on file modes would not fail for root
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert main(["run", str(scenarios.path("reciprocity")), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.EISDIR)}\n"
 
 
 # Edits that reach the lexer's non-ASCII cases, undecodable bytes and

@@ -22,11 +22,39 @@ from eclc import (
     persistence_check,
     prove,
 )
+from eclc.calculus import _refuted_outright, quantum_token
+from eclc.formula import Bang, Diamond, With
+from eclc.observer import truth_at
 from gen import small_frames
 
 import oracles
 
 PHI = Atom("Phi")
+
+# Props and goals over few atoms, so that many antecedents balance the goal.
+OBSERVED = st.recursive(
+    st.sampled_from((Atom("A"), Atom("B"), PHI, Atom("Quantum", ("q",)), quantum_token("q"))),
+    lambda kids: st.one_of(
+        st.builds(Tensor, kids, kids),
+        st.builds(Lolli, kids, kids),
+        st.builds(With, kids, kids),
+        st.builds(Bang, kids),
+        st.builds(Diamond, st.sampled_from((0.0, 2.5)), kids),
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def observed_worlds(draw):
+    """A one-world frame holding 1-4 OBSERVED props, and a goal that is
+    often built from those props, so that some goals need a search."""
+    world = World("w0", 10.0, 0.5, draw(st.integers(1, 6)))
+    for psi, count in draw(st.lists(st.tuples(OBSERVED, st.integers(1, 2)), min_size=1, max_size=4)):
+        world.props[psi] += count
+    held = st.sampled_from(sorted(world.props, key=repr))
+    goal = st.one_of(OBSERVED, st.builds(Tensor, held, held), st.builds(With, held, held), st.builds(Tensor, held, OBSERVED))
+    return Frame([world], []), draw(goal)
 
 
 def chain_frame(length=4, lam=8):
@@ -79,27 +107,45 @@ class TestObserverValuation:
         ) <= frame.worlds["w0"].lam
         assert observer_valuation(frame, Observer("o", "w0", 0), "w0", PHI, unit_model) == 1
 
-    def test_each_antecedent_multiset_tried_once(self, unit_model, monkeypatch):
+    def test_each_antecedent_multiset_proved_once_or_refuted(self, unit_model, monkeypatch):
         a, b = Atom("A"), Atom("B")
         held = Counter({a: 2, b: 1, Tensor(a, b): 1})
-        frame = chain_frame()
+        frame = chain_frame(lam=1)  # too shallow for any proof, so every multiset is visited
         frame.worlds["w0"].props.update(held)
-        tried = []
+        tried, refuted = [], []
 
         def record(seq, *args):
-            tried.append(Counter(seq.gamma))
+            tried.append(frozenset(Counter(seq.gamma).items()))
             return prove(seq, *args)
 
+        def check(gamma, delta):
+            verdict = _refuted_outright(gamma, delta)
+            if verdict:
+                refuted.append(frozenset(Counter(gamma).items()))
+            return verdict
+
         monkeypatch.setattr("eclc.observer.prove", record)
-        assert observer_valuation(frame, Observer("o", "w0", 0), "w0", Atom("Goal"), unit_model) == 0
+        monkeypatch.setattr("eclc.observer._refuted_outright", check)
+        goal = Tensor(a, Tensor(a, b))
+        assert observer_valuation(frame, Observer("o", "w0", 0), "w0", goal, unit_model) == 0
         expected = {
             frozenset(Counter(combo).items())
             for size in (1, 2, 3)
             for combo in itertools.combinations(held.elements(), size)
         }
         assert len(expected) == 10
-        assert len(tried) == len(expected)
-        assert {frozenset(c.items()) for c in tried} == expected
+        assert len(tried) == len(set(tried)) and len(refuted) == len(set(refuted))
+        assert set(tried).isdisjoint(refuted)
+        assert set(tried) | set(refuted) == expected
+        # only the multisets that balance A * (A * B) reach the prover
+        assert set(tried) == {frozenset({(a, 2), (b, 1)}), frozenset({(a, 1), (Tensor(a, b), 1)})}
+
+    @settings(max_examples=100)
+    @given(observed_worlds(), st.sampled_from((0.0, 1.0)))
+    def test_truth_matches_proving_every_multiset(self, world_and_goal, default_cost):
+        frame, phi = world_and_goal
+        model = CostModel({}, default_cost=default_cost, alpha=0.75)
+        assert truth_at(frame, "w0", phi, model) == oracles.reference_truth_at(frame, "w0", phi, model)
 
     @settings(max_examples=30)
     @given(small_frames(max_worlds=5), st.integers(0, 3))

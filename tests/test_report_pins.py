@@ -15,11 +15,14 @@ and replace only the entries that the change explains.
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from dataclasses import replace
 
 from eclc import parse_scenario, run_scenario, scenarios
 from eclc.sim import per_world_csv, report_to_json, trials_csv
+
+import oracles
 
 COHERENCE_PROPS = (
     "E",
@@ -92,8 +95,12 @@ def cases():
         yield f"accessibility-gen{i:02d}", accessibility_text(rng), i
 
 
+def run(text: str, seed: int):
+    return run_scenario(replace(parse_scenario(text), seed=seed))
+
+
 def digest(text: str, seed: int) -> str:
-    report = run_scenario(replace(parse_scenario(text), seed=seed))
+    report = run(text, seed)
     payload = "\0".join((report_to_json(report), per_world_csv(report), trials_csv(report)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -114,9 +121,9 @@ RECORDED = {
     "accessibility-seed2": "d68940466be654328489a918017493ebfc1a32818d3bdc445755ef8deff866bb",
     "accessibility-seed3": "f7c987ee0d361744ff5a7641b0b459ebee9731b21ed2af2e0faa17974a5bc77d",
     "accessibility-seed4": "13e2ff77fcd8ac4ec14725a7de6108112639337ea3c5706653041bbce0673de4",
-    "coherence-gen00": "f9d086b35963beb795ac51231f7288428a4981dd6548359f8a9c8b86be236f5b",
+    "coherence-gen00": "84889cceb1158e9ca36c066076871e9e30194d0af7985d2fcb3f01f57a3c0538",
     "coherence-gen01": "83e7d6844d0a2d7ca5173c782690e5500082f2a8c07620029b5353eca69fc6f6",
-    "coherence-gen02": "e635de5a4c073b4e641feac511b6179e04ba206338f5525f3f22cefc4a5925e4",
+    "coherence-gen02": "4caacd727475b8ae8d2620cc1f37cd7c13a2f3471f58dea6f4af693c55f0b43e",
     "coherence-gen03": "1c950eb3b2d0e8e5700741ee8e02b285ba3a0605d3c22835e93a2444d6936cc0",
     "coherence-gen04": "352ac4e1c947e04c35f2c11380b2150e06556505f8aa2238a92ba31bc71f24b1",
     "coherence-gen05": "d1e539d49bb9f8df6a8f57361969e25a6ebc7a8a4df765ee4b0e2cb5f949d085",
@@ -156,6 +163,22 @@ RECORDED = {
 def test_reports_match_recorded_digests():
     got = {name: digest(text, seed) for name, text, seed in cases()}
     assert got == RECORDED
+
+
+def _reject(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_pinned_reports_are_strict_json():
+    # RFC 8259 has no NaN or Infinity; a non-finite float is written null
+    for name, text, seed in cases():
+        json.loads(report_to_json(run(text, seed)), parse_constant=_reject)
+
+
+def test_pinned_reports_match_the_reference_writer():
+    for name, text, seed in cases():
+        report = run(text, seed)
+        assert report_to_json(report) == oracles.reference_report_json(report), name
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
+import math
 import random
 from collections import Counter
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from eclc import (
     Atom,
@@ -26,7 +29,7 @@ from eclc import (
 from eclc import calculus, observer
 from eclc import scenarios
 from eclc import sim
-from eclc.metrics import ContingencyTable, fisher_exact_two_tailed
+from eclc.metrics import ContingencyTable, FitResult, fisher_exact_two_tailed
 from eclc.sim import (
     ScenarioReport,
     TrialRecord,
@@ -38,6 +41,8 @@ from eclc.sim import (
     report_to_json,
     trials_csv,
 )
+
+import oracles
 
 
 def load(name):
@@ -519,3 +524,51 @@ class TestReports:
     def test_seed_echoed(self):
         report = run_scenario(load("reciprocity"))
         assert report.seed == 9
+
+
+# Cells a report may hold in any column: every JSON literal, ints in
+# float columns, signed zeros, subnormals and the float extremes, and
+# strings with quotes, backslashes, control and non-ASCII characters.
+REPORT_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from((0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308)),
+    st.text(),
+    st.sampled_from(('"', "\\", "\x00\n\t\x1f\x7f", "é€😀", "\ud800", "%s %% {}")),
+)
+
+
+def scenario_reports():
+    rows = st.builds(WorldRow, *[REPORT_CELLS] * 6)
+    trials = st.builds(TrialRecord, *[REPORT_CELLS] * 5)
+    numbers = st.one_of(st.integers(max_value=1), st.floats(max_value=1.0), st.sampled_from((-math.inf, math.nan)))
+    fits = st.none() | st.builds(FitResult, REPORT_CELLS.filter(lambda v: not isinstance(v, str)), numbers)
+    return st.builds(
+        ScenarioReport,
+        REPORT_CELLS,
+        st.lists(rows, max_size=3).map(tuple),
+        fits,
+        REPORT_CELLS,
+        st.lists(trials, max_size=3).map(tuple),
+        REPORT_CELLS,
+    )
+
+
+class TestReportWriter:
+    """``report_to_json`` writes the bytes of ``json.dumps(doc, indent=2)``
+    with non-finite floats as null (``oracles.reference_report_json``)."""
+
+    def test_bundled_scenarios_match_the_reference(self):
+        for name in scenarios.NAMES:
+            for seed in range(20):
+                report = run_scenario(replace(load(name), seed=seed))
+                assert report_to_json(report) == oracles.reference_report_json(report), (name, seed)
+
+    @settings(max_examples=300)
+    @given(scenario_reports())
+    @example(ScenarioReport("coherence", (), None, None, (), 0))
+    @example(ScenarioReport("coherence", (), FitResult(1.0, 1.0), math.inf, (), 0))
+    def test_generated_reports_match_the_reference(self, report):
+        assert report_to_json(report) == oracles.reference_report_json(report)
