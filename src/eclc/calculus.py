@@ -383,7 +383,10 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
 
 
 def proved_once(seq: Sequent, bound: int, model: CostModel, kappa: float, proofs: dict) -> ProofResult:
-    """``prove`` through a run's memo keyed (seq, bound, kappa); one memo serves one cost model."""
+    """``prove`` through a run's memo keyed (seq, bound, kappa); one memo serves one cost model.
+    A bound below 1 admits no proof: it is ``depth_exceeded`` without a search."""
+    if bound < 1:
+        return ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
     key = (seq, bound, kappa)
     if key not in proofs:
         proofs[key] = prove(seq, bound, model, kappa)
@@ -435,10 +438,7 @@ def transition(
         shown = ", ".join(format_formula(phi) for phi in missing)
         raise PreconditionError(f"gamma not contained in props({w}): missing {shown}")
     bound = source.lam if depth_bound is None else depth_bound
-    if bound >= 1:
-        proof = proved_once(seq, bound, model, source.kappa, {} if proofs is None else proofs)
-    else:
-        proof = ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
+    proof = proved_once(seq, bound, model, source.kappa, {} if proofs is None else proofs)
     if accessible(frame, w, w_prime) and proof.proved:
         spent = frame.edges[(w, w_prime)]
         source.props -= need
@@ -451,6 +451,11 @@ def transition(
 def quantum_token(psi: str) -> Bang:
     """The banged coherent token !Quantum(psi) that a measurement collapses."""
     return Bang(Atom(QUANTUM, (psi,), True))
+
+
+def measurement(psi: str, outcome: str) -> Sequent:
+    """The sequent !Quantum(psi) |- Classical(outcome) that measuring psi proves."""
+    return Sequent((quantum_token(psi),), (Atom(CLASSICAL, (outcome,), False),))
 
 
 def measure(
@@ -469,5 +474,4 @@ def measure(
     raises PreconditionError naming it otherwise, so measuring the same
     psi twice raises, memo or not, enforcing logical irreversibility.
     """
-    seq = Sequent((quantum_token(psi),), (Atom(CLASSICAL, (outcome,), False),))
-    return transition(frame, w, w_prime, seq, model, depth_bound, proofs)
+    return transition(frame, w, w_prime, measurement(psi, outcome), model, depth_bound, proofs)

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
 
-from .calculus import Sequent, measure, prove, proved_once, quantum_token  # bench/tracer.py wraps sim.prove
+from .calculus import Sequent, measure, measurement, prove, proved_once, quantum_token  # bench/tracer.py wraps sim.prove
 from .dsl import ScenarioConfig
 from .formula import Atom, Bang, Formula, base_cost, coherence, curvature_cost, decohere
 from .frame import Frame, accessible, hop_distances
@@ -203,6 +203,11 @@ def _quantum_names(props: Counter) -> list[str]:
     return names
 
 
+def _outcome(qubit: str) -> str:
+    """The Classical outcome a measurement of ``qubit`` lands."""
+    return f"o_{qubit}"
+
+
 def _measure_sequence(frame, src, dst, qubits, jitters, model, proofs):
     """Apply the measurements in order through the memo ``proofs``; returns (success, depth, reason)."""
     success = True
@@ -210,7 +215,7 @@ def _measure_sequence(frame, src, dst, qubits, jitters, model, proofs):
     reason = None
     for qubit, jitter in zip(qubits, jitters):
         bound = frame.world(src).lam - jitter
-        outcome = measure(frame, src, dst, qubit, f"o_{qubit}", model, bound, proofs)
+        outcome = measure(frame, src, dst, qubit, _outcome(qubit), model, bound, proofs)
         if outcome.valid:
             max_depth = max(max_depth, outcome.proof.depth)
         else:
@@ -231,12 +236,12 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     proof depth is perturbed per measurement by an integer jitter drawn
     uniformly from [0, noise * lambda] of the measuring world; each
     trial draws every jitter of the first world before any of the
-    second.  A leg's (success, depth, reason) depends only on its
-    direction and jitter vector, since it reads only ``config.frame``,
-    which no leg mutates, and the cost model; so each distinct
-    (direction, jitter vector) is measured once per run and later
-    trials that draw it reuse the outcome.  The legs prove through one
-    memo per run, since a proof depends only on (sequent, bound, kappa).
+    second.  The legs prove through one memo per run, since a proof
+    depends only on (sequent, bound, kappa).  A leg starts from a fresh
+    copy of ``config.frame`` and each of its steps reads only the earlier
+    ones and the (proved, depth, reason) of its measurement's proof, so
+    each distinct (direction, outcome vector) is measured once per run
+    and later trials that meet it reuse the result.
     """
     _require_kind(config, "reciprocity")
     ids = list(config.frame.worlds)
@@ -253,8 +258,10 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
             raise ScenarioError(f"!Quantum({qubit}) missing at {second!r}")
 
     master_seed = _resolved_seed(config)
+    frame, model = config.frame, config.cost_model
     legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
-    spans = [int(config.noise * config.frame.world(src).lam) for _, src, _, _ in legs]
+    spans = [int(config.noise * frame.world(src).lam) for _, src, _, _ in legs]
+    sequents = {qubit: measurement(qubit, _outcome(qubit)) for qubit in qubits}
     outcomes: dict = {}
     proofs: dict = {}
     trials: list[TrialRecord] = []
@@ -262,9 +269,11 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
         rng = random.Random(derive_trial_seed(master_seed, index))
         jitters = [tuple(rng.randint(0, span) for _ in qubits) for span in spans]
         for (direction, src, dst, order), jitter in zip(legs, jitters):
-            key = (direction, jitter)
+            world = frame.world(src)
+            met = [proved_once(sequents[q], world.lam - j, model, world.kappa, proofs) for q, j in zip(order, jitter)]
+            key = (direction, *((p.proved, p.depth, p.failure_reason) for p in met))
             if key not in outcomes:
-                outcomes[key] = _measure_sequence(config.frame.copy(), src, dst, order, jitter, config.cost_model, proofs)
+                outcomes[key] = _measure_sequence(frame.copy(), src, dst, order, jitter, model, proofs)
             trials.append(TrialRecord(index, direction, *outcomes[key]))
 
     # trials alternate forward, reverse; each direction gives two table

@@ -33,6 +33,8 @@ from eclc.calculus import (
     _applications,
     _refuted_outright,
     _splits,
+    measurement,
+    proved_once,
 )
 from eclc.dsl import parse_formula
 
@@ -639,6 +641,9 @@ class TestProofMemo:
             outcome = measure(frame, "wa", "wb", "psi", "o", unit_model, depth_bound=bound, proofs=proofs)
             assert not outcome.valid and outcome.proof.failure_reason == DEPTH_EXCEEDED
             assert snapshot(frame) == before
+            # the drivers look a proof up the same way, with no frame
+            proof = proved_once(measurement("psi", "o"), bound, unit_model, 0.0, proofs)
+            assert not proof.proved and proof.failure_reason == DEPTH_EXCEEDED
         assert calls == [] and proofs == {}
 
     def test_memo_matches_memo_free_over_c03_cases(self, unit_model, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -215,7 +216,7 @@ class TestRunReciprocity:
         assert noises == set(NOISES) and qubits == {1, 2, 3}
         assert reasons[None] and reasons["depth_exceeded"] and reasons["inaccessible"]
 
-    def test_each_distinct_leg_measured_once(self, monkeypatch):
+    def test_each_distinct_outcome_vector_measured_once(self, monkeypatch):
         calls = Counter()
         measure = sim.measure
 
@@ -226,8 +227,46 @@ class TestRunReciprocity:
         monkeypatch.setattr(sim, "measure", counted)
         report = run_reciprocity(replace(load("reciprocity"), trials=5000))
         assert len(report.trials) == 10_000
-        # 100 forward and 9 reverse jitter vectors, two measurements each
-        assert 1 <= calls["measure"] <= 2 * 109
+        # forward proves at depth 2 at every bound it draws; reverse meets
+        # depth_exceeded or depth 2 at each of its two measurements: 1
+        # forward and 4 reverse outcome vectors, two measurements each
+        assert calls["measure"] == 2 * (1 + 4)
+
+    def test_few_outcome_vectors_where_jitter_vectors_explode(self, monkeypatch):
+        # four qubits draw thousands of distinct jitter vectors at 5000
+        # trials, but their measurements meet few distinct proof outcomes
+        extra = "".join(f"prop {w} : !Quantum({q})\n" for w in ("wA", "wB") for q in ("qC", "qD"))
+        config = parse_scenario(scenarios.read("reciprocity") + extra)
+        assert len(sim._quantum_names(config.frame.world("wA").props)) == 4
+        # the reference proves every measurement afresh, so keep it short
+        shorter = replace(config, trials=300)
+        assert run_reciprocity(shorter) == reference_reciprocity(shorter)
+        calls = Counter()
+        measure_sequence = sim._measure_sequence
+
+        def counted(*args):
+            calls["legs"] += 1
+            return measure_sequence(*args)
+
+        monkeypatch.setattr(sim, "_measure_sequence", counted)
+        report = run_reciprocity(replace(config, trials=5000))
+        assert len(report.trials) == 10_000
+        assert 1 <= calls["legs"] <= 17
+
+    def test_matches_reference_with_costs_and_props_not_measured(self):
+        # per-atom costs make some files' measurements cost-invalid, and
+        # props that are not exactly !Quantum(q) sit beside the tokens
+        rng = random.Random(47)
+        reasons = Counter()
+        for _ in range(30):
+            text = costed_reciprocity_text(rng)
+            config = parse_scenario(text)
+            tokens = re.findall(r"^prop wA : !Quantum\((q\d)\)$", text, re.M)
+            assert sim._quantum_names(config.frame.world("wA").props) == tokens
+            report = run_reciprocity(config)
+            assert report == reference_reciprocity(config)
+            reasons.update(t.failure_reason for t in report.trials)
+        assert reasons[None] and reasons["cost_invalid"] and reasons["depth_exceeded"]
 
     def test_matches_reference_when_energy_runs_out_mid_leg(self):
         # a memo hit supplies only the proof: a later measurement of a
@@ -371,6 +410,32 @@ def draining_reciprocity_text(rng):
     for src, dst in (("wA", "wB"), ("wB", "wA")):
         lines.append(f"edge {src} -> {dst} {{ deltaE={rng.choice((1.5, 2.5, 3.0))} }}")
     lines.extend(f"prop {w} : !Quantum({q})" for w in ("wA", "wB") for q in qubits)
+    return "\n".join(lines) + "\n"
+
+
+def costed_reciprocity_text(rng):
+    """A two-world reciprocity file whose per-atom costs may make every
+    measurement cost-invalid (Classical dearer than Quantum), beside
+    props at either world that are not exactly !Quantum(q) and so are
+    never measured."""
+    qubits = [f"q{i}" for i in range(rng.randint(1, 3))]
+    lines = [
+        "scenario reciprocity",
+        "alpha = 0.75",
+        "cost * = 1.0",
+        f"cost Quantum = {rng.choice((0.0, 0.5, 1.0, 2.0))}",
+        f"cost Classical = {rng.choice((0.0, 1.0, 3.0))}",
+        f"trials = {rng.randint(1, 80)}",
+        f"seed = {rng.getrandbits(63)}",
+        f"noise = {rng.choice(NOISES)}",
+    ]
+    for w in ("wA", "wB"):
+        lines.append(f"world {w} {{ energy=10.0, kappa={rng.choice((0.0, 1.0))}, lambda={rng.randint(1, 12)} }}")
+    for src, dst in (("wA", "wB"), ("wB", "wA")):
+        lines.append(f"edge {src} -> {dst} {{ deltaE={rng.choice((0.0, 1.0, 4.0))} }}")
+    lines.extend(f"prop {w} : !Quantum({q})" for w in ("wA", "wB") for q in qubits)
+    extras = ("A", "!Quantum(q0) * B", "Quantum(q0)", "!Quantum(q0, x)", "!~Quantum(q1)", "Classical(o_q0)", "!A -o B")
+    lines.extend(f"prop {rng.choice(('wA', 'wB'))} : {phi}" for phi in rng.sample(extras, rng.randint(1, 4)))
     return "\n".join(lines) + "\n"
 
 
