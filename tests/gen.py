@@ -1,15 +1,18 @@
 """Shared generators: hypothesis strategies for formulas and frames,
-plus a plain-random scenario-config generator for round-trip sweeps."""
+a plain-random scenario-config generator for round-trip sweeps, and
+seeded faulty scenario texts for parser differentials."""
 
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import hypothesis.strategies as st
 
 from eclc.calculus import Sequent
-from eclc.dsl import ScenarioConfig
+from eclc import scenarios
+from eclc.dsl import MAX_FORMULA_NODES, ScenarioConfig, serialize_scenario
 from eclc.formula import CLASSICAL_ATOMS, Atom, Bang, Diamond, Lolli, Tensor, With
 from eclc.formula import CostModel
 from eclc.frame import Frame, World
@@ -127,3 +130,89 @@ def random_config(rng: random.Random) -> ScenarioConfig:
         kappa0=round(rng.uniform(0, 3), 2),
         noise=round(rng.uniform(0, 2), 2),
     )
+
+
+# Every line break of str.splitlines, "\r\n" included.
+BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+# The pieces a fault drops, duplicates, swaps or replaces: roughly the
+# parser's tokens, found without it.
+_PIECE = re.compile(r"[A-Za-z_]\w*|[0-9.]+(?:[eE][+-]?[0-9]+)?|->|-o|\|-|\S")
+_SPARES = ("A", "w0", "wA", "o1", "1", "2.5", "1e3", "->", "-o", "|-", ":", ",", "=", "{", "}", "(", ")",
+           "*", "&", "!", "~", "<", ">", "⊗", "⊸", "world", "prop", "edge", "lambda", "home", "horizon")
+_STRAYS = ("@", "$", "-", "|", "é", "²", "٣", "\x00", "?", "'")
+# Numbers out of some field's range, or of every field's: zero, just past
+# MAX_LAMBDA, MAX_TRIALS, MAX_NOISE and 64 bits, a fraction, an infinity,
+# and more digits than int() converts.
+_OUT_OF_RANGE = ("0", "501", "100001", "101", "18446744073709551616", "1.5", "1e999", "1" + "0" * 4300)
+
+
+def _respelled(rng: random.Random, text: str) -> str:
+    """``text`` with some ⊗/⊸ aliases, tabs, comments and other line breaks."""
+    out = []
+    for line in text.splitlines():
+        if rng.random() < 0.2:
+            line = line.replace(" * ", " ⊗ ").replace(" -o ", " ⊸ ")
+        if rng.random() < 0.2:
+            line = line.replace(" ", "\t", rng.randint(1, 3))
+        if rng.random() < 0.1:
+            line += rng.choice(("  # note", "#", "\t# -o @ é"))
+        if rng.random() < 0.05:
+            out.append("# " + rng.choice(("comment", "* -o", "")) + rng.choice(BREAKS))
+        out.append(line + (rng.choice(BREAKS) if rng.random() < 0.15 else "\n"))
+    if out and rng.random() < 0.2:
+        out[-1] = out[-1].rstrip("".join(BREAKS))  # no final break
+    return "".join(out)
+
+
+def _with_fault(rng: random.Random, text: str) -> str:
+    """``text`` with one fault: a token dropped, duplicated, swapped or
+    replaced, a stray character or comment inserted, a formula pushed to
+    about MAX_FORMULA_NODES, an unknown or duplicate id, or a number out
+    of range."""
+    spans = [m.span() for m in _PIECE.finditer(text)]
+    k = rng.randrange(len(spans) - 1)
+    i, j = spans[k]
+    fault = rng.randrange(9)
+    if fault == 0:
+        return text[:i] + text[j:]
+    if fault == 1:
+        return text[:j] + rng.choice(("", " ")) + text[i:j] + text[j:]
+    if fault == 2:
+        i2, j2 = spans[k + 1]
+        return text[:i] + text[i2:j2] + text[j:i2] + text[i:j] + text[j2:]
+    if fault == 3:
+        return text[:i] + rng.choice(_SPARES) + text[j:]
+    if fault == 4:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(_STRAYS) + text[at:]
+    if fault == 5:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(("#", " # x ", "#\t")) + text[at:]
+    lines = text.splitlines(keepends=True)
+    if fault == 6:
+        at = rng.choice([n for n, line in enumerate(lines) if " : " in line] or [0])
+        head, colon, tail = lines[at].partition(" : ")
+        lines[at] = head + colon + "!" * rng.randint(MAX_FORMULA_NODES - 3, MAX_FORMULA_NODES + 1) + tail
+        return "".join(lines)
+    if fault == 7:
+        at = rng.randrange(len(lines))
+        if rng.random() < 0.5:
+            lines.insert(at, lines[at] if lines[at].endswith(BREAKS) else lines[at] + "\n")
+            return "".join(lines)
+        return text[:i] + "nowhere" + text[j:]
+    numbers = [span for span in spans if text[span[0]].isdigit()]
+    i, j = rng.choice(numbers) if numbers else (i, j)
+    return text[:i] + rng.choice(_OUT_OF_RANGE) + text[j:]
+
+
+def faulty_scenario_texts(seed: int, count: int) -> list[str]:
+    """``count`` scenario texts, each one fault away from a bundled file or
+    a serialized ``random_config``, both respelled by ``_respelled``."""
+    rng = random.Random(seed)
+    bundled = [scenarios.read(name) for name in scenarios.NAMES]
+    texts = []
+    for _ in range(count):
+        source = rng.choice(bundled) if rng.random() < 0.2 else serialize_scenario(random_config(rng))
+        texts.append(_with_fault(rng, _respelled(rng, source)))
+    return texts

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -25,13 +26,10 @@ from eclc import (
 )
 from eclc import scenarios
 from eclc.dsl import MAX_FORMULA_NODES, MAX_LAMBDA, MAX_NOISE, MAX_TRIALS, _Cursor
-from gen import formulas, random_config
+from gen import BREAKS, faulty_scenario_texts, formulas, random_config
 from oracles import reference_tokenize_line
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
-
-# Every line break of str.splitlines, "\r\n" included.
-BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 class TestParseFormula:
@@ -448,3 +446,56 @@ class TestErrorPositions:
             assert 1 <= err.line <= len(lines)
             line = lines[err.line - 1]
             assert 1 <= err.column <= max(1, len(line))
+
+
+def _outcome(parse, render, text: str) -> str:
+    """``render(parse(text))``, or the ParseError's position, message and expected."""
+    try:
+        return render(parse(text))
+    except ParseError as err:
+        return repr((err.line, err.column, err.message, err.expected))
+
+
+def _digest(outcomes) -> str:
+    return hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+
+
+W = "world w { energy=1.0, kappa=0.0, lambda=1 }"
+
+
+class TestParsePin:
+    """What the parser makes of 3,000 texts one fault away from a valid
+    scenario (``gen.faulty_scenario_texts``): the canonical serialization
+    of each text that parses, else its error's line, column, message and
+    expected.  The digests were recorded before the per-line lexer."""
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        return faulty_scenario_texts(2021, 3000)
+
+    def test_scenario_results(self, texts):
+        outcomes = [_outcome(parse_scenario, serialize_scenario, text) for text in texts]
+        assert _digest(outcomes) == "b79f2072316bccbaaf8eedbaa4deeaa64da81902d527fc9d204e249b2a2eee3e"
+
+    def test_formula_results(self, texts):
+        # each whole text, then what follows the first ':' of each of its lines
+        formulas = [*texts, *(line.partition(":")[2] for text in texts for line in text.splitlines() if ":" in line)]
+        outcomes = [_outcome(parse_formula, format_formula, text) for text in formulas]
+        assert _digest(outcomes) == "8d0eeb1da9edad09e52a0960d51744d813909e6167384af5f6df9d58721abb10"
+
+    @pytest.mark.parametrize("text, outcome", [
+        (W + "\r\nprop w : A ⊗ ⊗ B", (2, 14, "unexpected '*'", ("formula",))),
+        (W + "\nobserver o home=w horizon=1.5", (2, 27, "horizon must be an integer", ("horizon",))),
+        ("world w { energy=1.0, kappa=0.0 lambda=1 }", (1, 33, "unexpected 'lambda'", ("}",))),
+        (W + "\nedge w -> w { deltaE=1e999 }", (2, 22, "deltaE out of range", ())),
+        (W + "\n\tsequent s w -> w : A, |- A", (2, 24, "unexpected '|-'", ("formula",))),
+        (W + "\nprop w : !A\nprop w : !A\nprop v : !A", (4, 6, "unknown world 'v'", ())),
+        (W + "\nprop w : (A $\nprop w : A -o", (2, 13, "unexpected character '$'", ())),
+        ("scenario coherence\ntrials = 0\n@", (2, 1, "trials must be between 1 and 100000", ())),
+    ])
+    def test_errors_read_by_eye(self, text, outcome):
+        assert _outcome(parse_scenario, serialize_scenario, text) == repr(outcome)
+
+    def test_comments_and_glyphs_read_by_eye(self):
+        config = parse_scenario(W + " # @é\nprop w : A ⊸ B # note")
+        assert serialize_scenario(config).endswith(W + "\nprop w : A -o B\n")
