@@ -13,7 +13,6 @@ the command line nor the scenario file does.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
@@ -138,6 +137,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    import csv  # imported here, its only use, to keep it out of every other command's start
+
     reader = csv.reader(io.StringIO(_read_text(args.path)))
     points, row_no = [], 0
     try:

@@ -19,14 +19,18 @@ Formula syntax: atoms ``Name`` or ``Name(arg,...)``; ``!F`` and ``<r>F``
 bind tightest; ``*`` (tensor) is left-associative; ``&`` binds below
 ``*``; ``-o`` is right-associative and loosest; parentheses group.
 Atoms prefixed ``~`` are non-coherent, as are atoms whose name is in
-CLASSICAL_ATOMS (Classical, Decohered).  The Unicode
-spellings of tensor and lolli are accepted as aliases.  A formula may
-have at most MAX_FORMULA_NODES connectives and parentheses.
+CLASSICAL_ATOMS (Classical, Decohered).  The Unicode spellings of tensor
+and lolli are accepted as aliases.  A formula may have at most
+MAX_FORMULA_NODES connectives and parentheses.
 
 Lexical rules: identifiers are ASCII ``[A-Za-z_][A-Za-z0-9_]*``;
 numbers are ASCII decimals with an optional fraction and exponent;
 spaces and tabs separate tokens; each line break of ``str.splitlines``
-ends a line, and any other character is an error at its column.
+ends a line, and any other character is an error at its column.  A
+line is lexed on its own, by one ``findall`` over the text before its
+first ``#``, and is valid when only blanks lie outside its tokens.  The
+first line that has a fault is the one reported, and on it a stray
+character comes before a syntax error.
 
 Serialization is canonical: parse(serialize(c)) is structurally equal
 to c, and serialize(parse(text)) is a fixed point after one pass.
@@ -104,177 +108,26 @@ class ScenarioConfig:
     noise: float = 0.0
 
 
-_Token = tuple[str, str, int]  # (kind, text, offset in the input)
-_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines
-# Blanks and a comment, then one token; "end" is a line break.
-_LEX = re.compile(
-    f"[ \t]*(?:#[^{_BREAKS}]*)?(?:(?P<end>\r\n|[{_BREAKS}])"
-    r"|(?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>->|-o|\|-|[{}()=,:*&!~<>⊗⊸])"
-    r"|(?P<other>.))"
+# One token: a number, an identifier or a punctuation mark.  A token's
+# kind is read from its first character.
+_TOKEN = re.compile(
+    r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
+    r"|[A-Za-z_][A-Za-z0-9_]*"
+    r"|->|-o|\|-|[{}()=,:*&!~<>⊗⊸]"
 )
 _ALIASES = {"⊗": "*", "⊸": "-o"}  # tensor, lolli
 
-
-def _tokenize(text: str) -> tuple[list[_Token], _Token | None]:
-    """Tokens up to the line of the first stray character, and that character
-    as ("error", message, offset) or None.  A kind is "ident", "number", the
-    punctuation, or "end", which closes each line (a final break opens one
-    more) and sits on the line's last token, else on its last character."""
-    tokens: list[_Token] = []
-    first = last = 0  # the index of the line's first token; the end of its last token
-    for m in _LEX.finditer(text + "\f"):  # a last break, which cannot join a final "\r"
-        kind = m.lastgroup
-        if kind == "end":
-            if len(tokens) == first:  # no token: the match starts where the line does
-                last = max(m.start() + 1, m.start(kind))
-            tokens.append(("end", "end of line", last - 1))
-            first = len(tokens)
-        elif kind == "other":
-            del tokens[first:]
-            return tokens, ("error", f"unexpected character {m[kind]!r}", m.start(kind))
-        else:
-            word = m[kind]
-            start, last = m.span(kind)
-            if kind == "punct":
-                kind = word = _ALIASES.get(word, word)
-            tokens.append((kind, word, start))
-    return tokens, None
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens, self.stray = _tokenize(text)
-        self.pos = 0
-        self.connectives = 0  # in the formula being parsed
-
-    def error(self, token: _Token, message: str, expected: tuple[str, ...] = ()) -> ParseError:
-        """A ParseError at the token's line and column: the rows of the text up to its offset, plus a stand-in for it."""
-        rows = (self.text[: token[2]] + "|").splitlines()
-        return ParseError(len(rows), len(rows[-1]), message, expected)
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def next_connective(self) -> None:
-        """Consume a connective or ``(``; past MAX_FORMULA_NODES of them
-        the formula is rejected, which bounds every recursive walk of it."""
-        token = self.next()
-        self.connectives += 1
-        if self.connectives > MAX_FORMULA_NODES:
-            raise self.error(token, f"formula has more than {MAX_FORMULA_NODES} connectives")
-
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        token = self.peek()
-        if token[0] != kind:
-            raise self.error(token, f"unexpected {token[1]!r}", (what or kind,))
-        return self.next()
-
-
-def _parse_real(cursor: _Cursor, what: str) -> float:
-    token = cursor.expect("number", what)
-    value = float(token[1])
-    if not math.isfinite(value):
-        raise cursor.error(token, f"{what} out of range")
-    return value
-
-
-def _parse_int(cursor: _Cursor, what: str) -> int:
-    token = cursor.expect("number", what)
-    if any(c in token[1] for c in ".eE"):
-        raise cursor.error(token, f"{what} must be an integer", (what,))
-    try:
-        return int(token[1])
-    except ValueError:  # more digits than Python converts
-        raise cursor.error(token, f"{what} out of range") from None
-
-
 # Binary connectives: token -> (precedence, constructor, right-associative).
 _BINARY = {"-o": (1, Lolli, True), "&": (2, With, False), "*": (3, Tensor, False)}
+_BINARY.update({glyph: _BINARY[word] for glyph, word in _ALIASES.items()})
+
+_WORLD_FIELDS = ("energy", "kappa", "lambda")
 
 
-def _parse_formula(cursor: _Cursor, min_prec: int = 1) -> Formula:
-    """Precedence climbing: operands are unary formulas, and each loop
-    takes one binary connective that binds at least ``min_prec``."""
-    left = _parse_unary(cursor)
-    while (op := _BINARY.get(cursor.peek()[0])) and op[0] >= min_prec:
-        prec, make, right_assoc = op
-        cursor.next_connective()
-        left = make(left, _parse_formula(cursor, prec if right_assoc else prec + 1))
-    return left
+class _Parser:
+    """Reads a text line by line into a scenario.  ``t`` holds the tokens of
+    the line being read, closed by "" for its end; rules read it by index."""
 
-
-def _parse_unary(cursor: _Cursor) -> Formula:
-    token = cursor.peek()
-    if token[0] == "!":
-        cursor.next_connective()
-        return Bang(_parse_unary(cursor))
-    if token[0] == "<":
-        cursor.next_connective()
-        budget = _parse_real(cursor, "diamond budget")
-        cursor.expect(">")
-        return Diamond(budget, _parse_unary(cursor))
-    if token[0] == "~":
-        cursor.next()
-        return _parse_atom(cursor, coherent=False)
-    if token[0] == "(":
-        cursor.next_connective()
-        inner = _parse_formula(cursor)
-        cursor.expect(")")
-        return inner
-    if token[0] == "ident":
-        return _parse_atom(cursor, coherent=None)
-    raise cursor.error(token, f"unexpected {token[1]!r}", ("formula",))
-
-
-def _parse_atom(cursor: _Cursor, coherent: bool | None) -> Atom:
-    name = cursor.expect("ident", "atom name")[1]
-    args: list[str] = []
-    if cursor.peek()[0] == "(":
-        cursor.next()
-        args.append(cursor.expect("ident", "atom argument")[1])
-        while cursor.peek()[0] == ",":
-            cursor.next()
-            args.append(cursor.expect("ident", "atom argument")[1])
-        cursor.expect(")")
-    if coherent is None:
-        coherent = name not in CLASSICAL_ATOMS
-    return Atom(name, tuple(args), coherent)
-
-
-def parse_formula(text: str) -> Formula:
-    """Parse a single formula; trailing input, a line break included, is an error."""
-    line = (text.splitlines() or [""])[0]
-    cursor = _Cursor(line)
-    if cursor.stray or len(line) < len(text):  # a stray character, else a line break
-        stray = cursor.stray or ("error", f"unexpected character {text[len(line)]!r}", len(line))
-        raise cursor.error(stray, stray[1])
-    phi = _parse_formula(cursor)
-    tail = cursor.peek()
-    if tail[0] != "end":
-        raise cursor.error(tail, f"unexpected {tail[1]!r} after formula")
-    return phi
-
-
-def _parse_formula_list(cursor: _Cursor, stops: tuple[str, ...]) -> list[Formula]:
-    formulas: list[Formula] = []
-    if cursor.peek()[0] in stops:
-        return formulas
-    while True:
-        cursor.connectives = 0
-        formulas.append(_parse_formula(cursor))
-        if cursor.peek()[0] != ",":
-            return formulas
-        cursor.next()
-
-
-class _ScenarioBuilder:
     def __init__(self):
         self.worlds: dict[str, World] = {}
         self.edges: dict[tuple[str, str], float] = {}
@@ -284,192 +137,339 @@ class _ScenarioBuilder:
         self.sequents: dict[str, tuple[str, str, Sequent]] = {}
         # the fields a directive set; the rest keep their dataclass defaults
         self.settings: dict[str, object] = {}
+        self.memo: dict[tuple[str, ...], Formula] = {}  # prop formula tokens -> formula
+        self.pos = self.connectives = 0  # in the formula being parsed
 
-    def require_world(self, cursor: _Cursor, what: str) -> str:
-        token = cursor.expect("ident", what)
-        if token[1] not in self.worlds:
-            raise cursor.error(token, f"unknown world {token[1]!r}")
-        return token[1]
+    def read(self, lines: list[str]):
+        """Yield each line's tokens, closed by "", or raise at its first stray character."""
+        for self.number, self.text in enumerate(lines, 1):
+            code = self.text.partition("#")[0]  # no token holds a "#", so it starts a comment
+            t = self.t = _TOKEN.findall(code)
+            # findall steps over what no token matches; that must be blanks only
+            if len("".join(t)) != len(code) - code.count(" ") - code.count("\t"):
+                masked = _TOKEN.sub(lambda m: " " * len(m[0]), code)  # blanks where tokens were
+                column = len(code) - len(masked.lstrip(" \t")) + 1
+                raise ParseError(self.number, column, f"unexpected character {code[column - 1]!r}")
+            t.append("")
+            yield t
 
-    def set_once(self, cursor: _Cursor, field: str, value, token: _Token, message: str) -> None:
+    def error(self, at: int, message: str, expected: tuple[str, ...] = ()) -> ParseError:
+        """A ParseError at token ``at`` of the line, found again by rescanning it.
+        The line's end sits on the last character of its last token, else on
+        the line's last character, else at column 1."""
+        spans = [m.span() for m in _TOKEN.finditer(self.text.partition("#")[0])]
+        if at < len(spans):
+            column = spans[at][0] + 1
+        else:
+            column = spans[-1][1] if spans else max(1, len(self.text))
+        return ParseError(self.number, column, message, expected)
+
+    def unexpected(self, at: int, what: str | None = None, after: str = "") -> ParseError:
+        word = self.t[at]
+        shown = _ALIASES.get(word, word) or "end of line"
+        return self.error(at, f"unexpected {shown!r}{after}", (what,) if what else ())
+
+    def wrong(self, at: int, message: str, expected: tuple[str, ...], what: str) -> ParseError:
+        """``message`` at an identifier; at any other token, an unexpected ``what``."""
+        if self.t[at].isidentifier():
+            return self.error(at, message, expected)
+        return self.unexpected(at, what)
+
+    def new_id(self, at: int, taken, what: str, duplicate: str) -> str:
+        word = self.t[at]
+        if word in taken:
+            raise self.error(at, f"{duplicate} {word!r}")
+        if not word.isidentifier():
+            raise self.unexpected(at, what)
+        return word
+
+    def world_id(self, at: int, what: str) -> str:
+        word = self.t[at]
+        if word not in self.worlds:
+            raise self.wrong(at, f"unknown world {word!r}", (), what)
+        return word
+
+    def real(self, at: int, what: str) -> float:
+        word = self.t[at]
+        if not word[:1].isdigit():
+            raise self.unexpected(at, what)
+        value = float(word)
+        if not math.isfinite(value):
+            raise self.error(at, f"{what} out of range")
+        return value
+
+    def integer(self, at: int, what: str) -> int:
+        word = self.t[at]
+        if not word[:1].isdigit():
+            raise self.unexpected(at, what)
+        if not word.isdigit():  # a fraction or an exponent
+            raise self.error(at, f"{what} must be an integer", (what,))
+        try:
+            return int(word)
+        except ValueError:  # more digits than Python converts
+            raise self.error(at, f"{what} out of range") from None
+
+    def set_once(self, field: str, value, at: int, message: str) -> None:
         if field in self.settings:
-            raise cursor.error(token, message)
+            raise self.error(at, message)
         self.settings[field] = value
 
+    # Formulas: precedence climbing over ``t`` from ``pos``.
 
-# Directives ``<name> = <value>``: name -> (value parser, validity test, message if invalid).
+    def formula_at(self, at: int) -> Formula:
+        self.pos, self.connectives = at, 0
+        return self.formula()
+
+    def formula(self, min_prec: int = 1) -> Formula:
+        """Operands are unary formulas, and each loop takes one binary
+        connective that binds at least ``min_prec``."""
+        left = self.unary()
+        while (op := _BINARY.get(self.t[self.pos])) and op[0] >= min_prec:
+            prec, make, right_assoc = op
+            self.connective()
+            left = make(left, self.formula(prec if right_assoc else prec + 1))
+        return left
+
+    def connective(self) -> None:
+        """Consume a connective or ``(``; past MAX_FORMULA_NODES of them
+        the formula is rejected, which bounds every recursive walk of it."""
+        self.connectives += 1
+        if self.connectives > MAX_FORMULA_NODES:
+            raise self.error(self.pos, f"formula has more than {MAX_FORMULA_NODES} connectives")
+        self.pos += 1
+
+    def expect(self, word: str) -> None:
+        if self.t[self.pos] != word:
+            raise self.unexpected(self.pos, word)
+        self.pos += 1
+
+    def unary(self) -> Formula:
+        t, at = self.t, self.pos
+        word = t[at]
+        if word == "!":
+            self.connective()
+            return Bang(self.unary())
+        if word == "<":
+            self.connective()
+            budget = self.real(self.pos, "diamond budget")
+            self.pos += 1
+            self.expect(">")
+            return Diamond(budget, self.unary())
+        if word == "(":
+            self.connective()
+            inner = self.formula()
+            self.expect(")")
+            return inner
+        # an atom: ``~`` marks it non-coherent
+        coherent = word != "~"
+        if not coherent:
+            at += 1
+        elif not word.isidentifier():
+            raise self.unexpected(at, "formula")
+        name = t[at]
+        if not name.isidentifier():
+            raise self.unexpected(at, "atom name")
+        args: list[str] = []
+        if t[at + 1] == "(":
+            at += 1
+            while True:  # at is on "(" or ","
+                at += 1
+                if not t[at].isidentifier():
+                    raise self.unexpected(at, "atom argument")
+                args.append(t[at])
+                at += 1
+                if t[at] != ",":
+                    break
+            if t[at] != ")":
+                raise self.unexpected(at, ")")
+        self.pos = at + 1
+        return Atom(name, tuple(args), coherent and name not in CLASSICAL_ATOMS)
+
+    def formula_list(self, stop: str) -> list[Formula]:
+        formulas = [] if self.t[self.pos] == stop else [self.formula_at(self.pos)]
+        while formulas and self.t[self.pos] == ",":
+            formulas.append(self.formula_at(self.pos + 1))
+        return formulas
+
+    # Directives: each reads its line ``t`` by index and returns the index
+    # just past what it read, which must be the line's end.
+
+    def world(self, t: list[str]) -> int:
+        wid = self.new_id(1, self.worlds, "world id", "duplicate world id")
+        if t[2] != "{":
+            raise self.unexpected(2, "{")
+        fields: dict[str, float | int] = {}
+        at = 3
+        while True:
+            key = t[at]
+            if key not in _WORLD_FIELDS:
+                raise self.wrong(at, f"unknown world attribute {key!r}", _WORLD_FIELDS, "world attribute")
+            if key in fields:
+                raise self.error(at, f"duplicate attribute {key!r}")
+            if t[at + 1] != "=":
+                raise self.unexpected(at + 1, "=")
+            fields[key] = value = (self.integer if key == "lambda" else self.real)(at + 2, key)
+            if key == "lambda" and not 1 <= value <= MAX_LAMBDA:
+                raise self.error(at, f"lambda must be between 1 and {MAX_LAMBDA}")
+            at += 3
+            if t[at] != ",":
+                break
+            at += 1
+        if t[at] != "}":
+            raise self.unexpected(at, "}")
+        for needed in _WORLD_FIELDS:
+            if needed not in fields:
+                raise self.error(0, f"world {wid!r} missing {needed!r}")
+        self.worlds[wid] = World(wid, fields["energy"], fields["kappa"], fields["lambda"])
+        return at + 1
+
+    def edge(self, t: list[str]) -> int:
+        src = self.world_id(1, "source world")
+        if t[2] != "->":
+            raise self.unexpected(2, "->")
+        dst = self.world_id(3, "target world")
+        if (src, dst) in self.edges:
+            raise self.error(0, f"duplicate edge {src!r} -> {dst!r}")
+        if t[4] != "{":
+            raise self.unexpected(4, "{")
+        if t[5] != "deltaE":
+            raise self.wrong(5, f"unknown edge attribute {t[5]!r}", ("deltaE",), "deltaE")
+        if t[6] != "=":
+            raise self.unexpected(6, "=")
+        self.edges[(src, dst)] = self.real(7, "deltaE")
+        if t[8] != "}":
+            raise self.unexpected(8, "}")
+        return 9
+
+    def prop(self, t: list[str]) -> int:
+        """Each distinct formula is parsed once per text: the same tokens
+        give the same hash-consed formula, and a bad one raises the first time."""
+        wid = self.world_id(1, "world id")
+        if t[2] != ":":
+            raise self.unexpected(2, ":")
+        key = tuple(t[3:])
+        phi = self.memo.get(key)
+        if phi is None:
+            phi = self.formula_at(3)
+            if t[self.pos]:
+                return self.pos  # trailing tokens, which the caller rejects
+            self.memo[key] = phi
+        self.worlds[wid].props[phi] += 1
+        return len(t) - 1
+
+    def cost(self, t: list[str]) -> int:
+        default = t[1] in ("*", "⊗")
+        if not default:
+            name = self.new_id(1, self.atom_costs, "atom name", "duplicate cost for")
+        if t[2] != "=":
+            raise self.unexpected(2, "=")
+        if default:
+            self.set_once("default_cost", self.real(3, "default cost"), 1, "duplicate default cost directive")
+        else:
+            self.atom_costs[name] = self.real(3, "cost")
+        return 4
+
+    def scalar(self, t: list[str]) -> int:
+        read, valid, message = _SCALARS[t[0]]
+        if t[1] != "=":
+            raise self.unexpected(1, "=")
+        value = read(self, 2, t[0])
+        if not valid(value):
+            raise self.error(0, message)
+        self.set_once(t[0], value, 0, f"duplicate {t[0]!r} directive")
+        return 3
+
+    def observer(self, t: list[str]) -> int:
+        oid = self.new_id(1, self.observer_ids, "observer id", "duplicate observer id")
+        if t[2] != "home":
+            raise self.wrong(2, "expected home=<world>", ("home",), "home")
+        if t[3] != "=":
+            raise self.unexpected(3, "=")
+        home = self.world_id(4, "home world")
+        if t[5] != "horizon":
+            raise self.wrong(5, "expected horizon=<int>", ("horizon",), "horizon")
+        if t[6] != "=":
+            raise self.unexpected(6, "=")
+        horizon = self.integer(7, "horizon")
+        self.observer_ids.add(oid)
+        self.observers.append(Observer(oid, home, horizon))
+        return 8
+
+    def sequent(self, t: list[str]) -> int:
+        name = self.new_id(1, self.sequents, "sequent name", "duplicate sequent name")
+        src = self.world_id(2, "source world")
+        if t[3] != "->":
+            raise self.unexpected(3, "->")
+        dst = self.world_id(4, "target world")
+        if t[5] != ":":
+            raise self.unexpected(5, ":")
+        self.pos = 6
+        gamma = self.formula_list("|-")
+        self.expect("|-")
+        delta = self.formula_list("")
+        self.sequents[name] = (src, dst, Sequent(gamma, delta))
+        return self.pos
+
+    def scenario(self, t: list[str]) -> int:
+        if t[1] not in SCENARIO_KINDS:
+            raise self.wrong(1, f"unknown scenario kind {t[1]!r}", SCENARIO_KINDS, "scenario kind")
+        self.set_once("scenario_kind", t[1], 0, "duplicate scenario directive")
+        return 2
+
+    def unknown(self, t: list[str]) -> int:
+        raise self.wrong(0, f"unknown directive {t[0]!r}", tuple(_DIRECTIVES), "directive")
+
+
+# Directives ``<name> = <value>``: name -> (value reader, validity test, message if invalid).
 # A number token has no sign, so no test needs a lower bound of 0.
 _SCALARS = {
-    "alpha": (_parse_real, lambda v: v > 0, "alpha must be > 0"),
-    "kappa0": (_parse_real, lambda v: True, None),
-    "trials": (_parse_int, lambda v: 1 <= v <= MAX_TRIALS, f"trials must be between 1 and {MAX_TRIALS}"),
-    "seed": (_parse_int, lambda v: v <= _MAX_SEED, "seed must fit in 64 unsigned bits"),
-    "noise": (_parse_real, lambda v: v <= MAX_NOISE, f"noise must be between 0 and {MAX_NOISE}"),
+    "alpha": (_Parser.real, lambda v: v > 0, "alpha must be > 0"),
+    "kappa0": (_Parser.real, lambda v: True, None),
+    "trials": (_Parser.integer, lambda v: 1 <= v <= MAX_TRIALS, f"trials must be between 1 and {MAX_TRIALS}"),
+    "seed": (_Parser.integer, lambda v: v <= _MAX_SEED, "seed must fit in 64 unsigned bits"),
+    "noise": (_Parser.real, lambda v: v <= MAX_NOISE, f"noise must be between 0 and {MAX_NOISE}"),
+}
+# In the order in which an unknown directive's error lists them.
+_DIRECTIVES = {
+    "world": _Parser.world, "edge": _Parser.edge, "prop": _Parser.prop, "cost": _Parser.cost,
+    "alpha": _Parser.scalar, "kappa0": _Parser.scalar, "observer": _Parser.observer,
+    "sequent": _Parser.sequent, "scenario": _Parser.scenario,
+    "trials": _Parser.scalar, "seed": _Parser.scalar, "noise": _Parser.scalar,
 }
 
 
-def _parse_directive(builder: _ScenarioBuilder, cursor: _Cursor) -> None:
-    head = cursor.expect("ident", "directive")
-    word = head[1]
-
-    if word == "world":
-        id_tok = cursor.expect("ident", "world id")
-        if id_tok[1] in builder.worlds:
-            raise cursor.error(id_tok, f"duplicate world id {id_tok[1]!r}")
-        cursor.expect("{")
-        fields: dict[str, float | int] = {}
-        while True:
-            key_tok = cursor.expect("ident", "world attribute")
-            if key_tok[1] not in ("energy", "kappa", "lambda"):
-                raise cursor.error(
-                    key_tok, f"unknown world attribute {key_tok[1]!r}",
-                    ("energy", "kappa", "lambda"),
-                )
-            if key_tok[1] in fields:
-                raise cursor.error(key_tok, f"duplicate attribute {key_tok[1]!r}")
-            cursor.expect("=")
-            if key_tok[1] == "lambda":
-                value: float | int = _parse_int(cursor, "lambda")
-                if not 1 <= value <= MAX_LAMBDA:
-                    raise cursor.error(key_tok, f"lambda must be between 1 and {MAX_LAMBDA}")
-            else:
-                value = _parse_real(cursor, key_tok[1])
-            fields[key_tok[1]] = value
-            if cursor.peek()[0] != ",":
-                break
-            cursor.next()
-        cursor.expect("}")
-        for needed in ("energy", "kappa", "lambda"):
-            if needed not in fields:
-                raise cursor.error(head, f"world {id_tok[1]!r} missing {needed!r}")
-        builder.worlds[id_tok[1]] = World(
-            id_tok[1], float(fields["energy"]), float(fields["kappa"]), int(fields["lambda"])
-        )
-        return
-
-    if word == "edge":
-        src = builder.require_world(cursor, "source world")
-        cursor.expect("->")
-        dst = builder.require_world(cursor, "target world")
-        if (src, dst) in builder.edges:
-            raise cursor.error(head, f"duplicate edge {src!r} -> {dst!r}")
-        cursor.expect("{")
-        key_tok = cursor.expect("ident", "deltaE")
-        if key_tok[1] != "deltaE":
-            raise cursor.error(key_tok, f"unknown edge attribute {key_tok[1]!r}", ("deltaE",))
-        cursor.expect("=")
-        delta_e = _parse_real(cursor, "deltaE")
-        cursor.expect("}")
-        builder.edges[(src, dst)] = delta_e
-        return
-
-    if word == "prop":
-        wid = builder.require_world(cursor, "world id")
-        cursor.expect(":")
-        phi = _parse_formula(cursor)
-        builder.worlds[wid].props[phi] += 1
-        return
-
-    if word == "cost":
-        token = cursor.peek()
-        if token[0] == "*":
-            cursor.next()
-            cursor.expect("=")
-            value = _parse_real(cursor, "default cost")
-            builder.set_once(cursor, "default_cost", value, token, "duplicate default cost directive")
-            return
-        atom_tok = cursor.expect("ident", "atom name")
-        if atom_tok[1] in builder.atom_costs:
-            raise cursor.error(atom_tok, f"duplicate cost for {atom_tok[1]!r}")
-        cursor.expect("=")
-        value = _parse_real(cursor, "cost")
-        builder.atom_costs[atom_tok[1]] = value
-        return
-
-    if word in _SCALARS:
-        parse, valid, message = _SCALARS[word]
-        cursor.expect("=")
-        value = parse(cursor, word)
-        if not valid(value):
-            raise cursor.error(head, message)
-        builder.set_once(cursor, word, value, head, f"duplicate {word!r} directive")
-        return
-
-    if word == "observer":
-        id_tok = cursor.expect("ident", "observer id")
-        if id_tok[1] in builder.observer_ids:
-            raise cursor.error(id_tok, f"duplicate observer id {id_tok[1]!r}")
-        home_tok = cursor.expect("ident", "home")
-        if home_tok[1] != "home":
-            raise cursor.error(home_tok, "expected home=<world>", ("home",))
-        cursor.expect("=")
-        home = builder.require_world(cursor, "home world")
-        horizon_tok = cursor.expect("ident", "horizon")
-        if horizon_tok[1] != "horizon":
-            raise cursor.error(horizon_tok, "expected horizon=<int>", ("horizon",))
-        cursor.expect("=")
-        horizon = _parse_int(cursor, "horizon")
-        builder.observer_ids.add(id_tok[1])
-        builder.observers.append(Observer(id_tok[1], home, horizon))
-        return
-
-    if word == "sequent":
-        name_tok = cursor.expect("ident", "sequent name")
-        if name_tok[1] in builder.sequents:
-            raise cursor.error(name_tok, f"duplicate sequent name {name_tok[1]!r}")
-        src = builder.require_world(cursor, "source world")
-        cursor.expect("->")
-        dst = builder.require_world(cursor, "target world")
-        cursor.expect(":")
-        gamma = _parse_formula_list(cursor, stops=("|-",))
-        cursor.expect("|-")
-        delta = _parse_formula_list(cursor, stops=("end",))
-        builder.sequents[name_tok[1]] = (src, dst, Sequent(gamma, delta))
-        return
-
-    if word == "scenario":
-        kind_tok = cursor.expect("ident", "scenario kind")
-        if kind_tok[1] not in SCENARIO_KINDS:
-            raise cursor.error(
-                kind_tok, f"unknown scenario kind {kind_tok[1]!r}", SCENARIO_KINDS
-            )
-        builder.set_once(cursor, "scenario_kind", kind_tok[1], head, "duplicate scenario directive")
-        return
-
-    raise cursor.error(
-        head, f"unknown directive {word!r}",
-        ("world", "edge", "prop", "cost", "alpha", "kappa0", "observer", "sequent",
-         "scenario", "trials", "seed", "noise"),
-    )
+def parse_formula(text: str) -> Formula:
+    """Parse a single formula; trailing input, a line break included, is an error."""
+    line = (text.splitlines() or [""])[0]
+    parser = _Parser()
+    t = next(parser.read([line]))
+    if len(line) < len(text):
+        raise ParseError(1, len(line) + 1, f"unexpected character {text[len(line)]!r}")
+    phi = parser.formula_at(0)
+    if t[parser.pos]:
+        raise parser.unexpected(parser.pos, after=" after formula")
+    return phi
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse a scenario file into a config; positions in errors are 1-based."""
-    builder = _ScenarioBuilder()
-    cursor = _Cursor(text)
-    while cursor.pos < len(cursor.tokens):
-        if cursor.peek()[0] != "end":
-            cursor.connectives = 0
-            _parse_directive(builder, cursor)
-            tail = cursor.peek()
-            if tail[0] != "end":
-                raise cursor.error(tail, f"unexpected {tail[1]!r} after directive")
-        cursor.next()
-    if cursor.stray:  # after every fault of the lines before it
-        raise cursor.error(cursor.stray, cursor.stray[1])
-    if not builder.worlds:
+    parser = _Parser()
+    directive, unknown = _DIRECTIVES.get, _Parser.unknown
+    for t in parser.read(text.splitlines()):
+        if t[0]:
+            end = directive(t[0], unknown)(parser, t)
+            if t[end]:
+                raise parser.unexpected(end, after=" after directive")
+    if not parser.worlds:
         raise ParseError(1, 1, "no worlds declared")
-    frame = Frame(
-        builder.worlds.values(),
-        [(src, dst, delta_e) for (src, dst), delta_e in builder.edges.items()],
-    )
-    settings = builder.settings
+    frame = Frame(parser.worlds.values(), [(src, dst, delta_e) for (src, dst), delta_e in parser.edges.items()])
+    settings = parser.settings
     costs = {name: settings.pop(name) for name in ("default_cost", "alpha") if name in settings}
     return ScenarioConfig(
         frame=frame,
-        cost_model=CostModel(builder.atom_costs, **costs),
-        observers=builder.observers,
-        sequents=builder.sequents,
+        cost_model=CostModel(parser.atom_costs, **costs),
+        observers=parser.observers,
+        sequents=parser.sequents,
         scenario_kind=settings.pop("scenario_kind", "coherence"),
         **settings,
     )

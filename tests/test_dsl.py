@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,8 +25,8 @@ from eclc import (
     prove,
     serialize_scenario,
 )
-from eclc import scenarios
-from eclc.dsl import MAX_FORMULA_NODES, MAX_LAMBDA, MAX_NOISE, MAX_TRIALS, _Cursor
+from eclc import dsl, scenarios
+from eclc.dsl import MAX_FORMULA_NODES, MAX_LAMBDA, MAX_NOISE, MAX_TRIALS, _ALIASES, _Parser
 from gen import BREAKS, faulty_scenario_texts, formulas, random_config
 from oracles import reference_tokenize_line
 
@@ -353,6 +354,13 @@ class TestFormulaBound:
         big = "!" * MAX_FORMULA_NODES + "A"
         config = parse_scenario("world w { energy=1.0, kappa=0.0, lambda=1 }\n" f"prop w : {big}\nprop w : {big}\n")
         assert config.frame.worlds["w"].props[parse_formula(big)] == 2
+        # one past the bound raises at its own connective on whichever line it first appears
+        over = "!" + big
+        for line in range(2, 6):
+            props = [f"prop w : {big}"] * (line - 2) + [f"prop w : {over}"] * 2
+            with pytest.raises(ParseError) as err:
+                parse_scenario("\n".join([W, *props]))
+            assert (err.value.line, err.value.column) == (line, 9 + MAX_FORMULA_NODES + 1)
 
     def test_bound_applies_to_each_formula_of_a_sequent(self):
         big = "!" * MAX_FORMULA_NODES + "A"
@@ -393,13 +401,18 @@ LEX_PIECES = st.sampled_from(
 )
 
 
-def _reference_lex(text):
-    """Per-line tokens of the reference lexer, and its first error as (line, column, message)."""
+def _lines(text):
+    """The lines of ``text``, plus the empty one the reference lexer opens after a final break."""
     lines = text.splitlines()
     if not text or text[-1] in "".join(BREAKS):
-        lines.append("")  # the lexer opens one more line after a final break
+        lines.append("")
+    return lines
+
+
+def _reference_lex(text):
+    """Per-line tokens of the reference lexer, and its first error as (line, column, message)."""
     out = []
-    for n, line in enumerate(lines, start=1):
+    for n, line in enumerate(_lines(text), start=1):
         try:
             out.append(reference_tokenize_line(line, n))
         except ParseError as err:
@@ -407,20 +420,29 @@ def _reference_lex(text):
     return out, None
 
 
+def _kind(word):
+    """A token's kind, from its first character; "" is the end of the line."""
+    if not word:
+        return "end"
+    if word[0].isdigit():
+        return "number"
+    return "ident" if word.isidentifier() else _ALIASES.get(word, word)
+
+
 def _lex(text):
-    """The same, read back from the one token list of the whole text."""
-    cursor = _Cursor(text)
-    out, line = [], []
-    for token in cursor.tokens:
-        where = cursor.error(token, "")
-        # the reference's "end" tokens have empty text
-        line.append((token[0], "" if token[0] == "end" else token[1], where.line, where.column))
-        if token[0] == "end":
-            out.append(line)
-            line = []
-    assert line == []
-    stray = cursor.stray and cursor.error(cursor.stray, cursor.stray[1])
-    return out, stray and (stray.line, stray.column, stray.message)
+    """The same, from the parser's own lexer: each line's token strings from
+    ``_Parser.read`` and their positions from ``_Parser.error``, which finds
+    them again by rescanning the line, as it does for a real ParseError."""
+    parser, out = _Parser(), []
+    try:
+        for tokens in parser.read(_lines(text)):
+            out.append([])
+            for at, word in enumerate(tokens):
+                where = parser.error(at, "")
+                out[-1].append((_kind(word), _ALIASES.get(word, word), where.line, where.column))
+    except ParseError as err:
+        return out, (err.line, err.column, err.message)
+    return out, None
 
 
 class TestLexer:
@@ -499,3 +521,50 @@ class TestParsePin:
     def test_comments_and_glyphs_read_by_eye(self):
         config = parse_scenario(W + " # @é\nprop w : A ⊸ B # note")
         assert serialize_scenario(config).endswith(W + "\nprop w : A -o B\n")
+
+
+class TestPropMemo:
+    """``parse_scenario`` parses each distinct prop formula once per text."""
+
+    FORMULAS = ("A", "A * B", "A ⊗ B", "!(A -o Phi(x))", "~Phi(x) & <1.5>C", "A  *  B")
+
+    def _text(self, seed: int) -> tuple[str, list[tuple[str, str]]]:
+        rng = random.Random(seed)
+        props = [(f"w{rng.randrange(3)}", rng.choice(self.FORMULAS)) for _ in range(80)]
+        worlds = [f"world w{i} {{ energy=1.0, kappa=0.0, lambda=2 }}" for i in range(3)]
+        return "\n".join(worlds + [f"prop {w} : {phi}" for w, phi in props]), props
+
+    def test_each_distinct_formula_parsed_once(self, monkeypatch):
+        parsed = []
+        formula_at = _Parser.formula_at
+
+        def spy(parser, at):
+            parsed.append(tuple(parser.t[at:]))
+            return formula_at(parser, at)
+
+        monkeypatch.setattr(_Parser, "formula_at", spy)
+        text, props = self._text(1)
+        # distinct token sequences, so the two spellings of A * B count once
+        distinct = {tuple(dsl._TOKEN.findall(phi)) for _, phi in props}
+        assert len(distinct) == 5 < len(props)
+        config = parse_scenario(text)
+        assert len(parsed) == len(set(parsed)) == len(distinct)
+        expected = {w: Counter() for w in ("w0", "w1", "w2")}
+        for w, phi in props:
+            expected[w][parse_formula(phi)] += 1
+        assert {w: world.props for w, world in config.frame.worlds.items()} == expected
+        # a second text shares nothing with the first: the same work again
+        parsed.clear()
+        assert parse_scenario(text) == config
+        assert len(parsed) == len(distinct)
+
+    def test_no_module_table_grows_across_texts(self):
+        def sizes():
+            tables = {**vars(dsl), **{f"_Parser.{k}": v for k, v in vars(_Parser).items()}}
+            return {name: len(v) for name, v in tables.items() if isinstance(v, (dict, list, set))}
+
+        before = sizes()
+        for i in range(40):
+            text, _ = self._text(i)
+            parse_scenario(text.replace("Phi", f"Phi{i}"))
+        assert sizes() == before
