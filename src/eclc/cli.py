@@ -137,8 +137,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    import csv  # imported here, its only use, to keep it out of every other command's start
-
+    import csv  # only this command reads CSV, so the others start without it
     reader = csv.reader(io.StringIO(_read_text(args.path)))
     points, row_no = [], 0
     try:

@@ -416,9 +416,6 @@ class _Parser:
         self.set_once("scenario_kind", t[1], 0, "duplicate scenario directive")
         return 2
 
-    def unknown(self, t: list[str]) -> int:
-        raise self.wrong(0, f"unknown directive {t[0]!r}", tuple(_DIRECTIVES), "directive")
-
 
 # Directives ``<name> = <value>``: name -> (value reader, validity test, message if invalid).
 # A number token has no sign, so no test needs a lower bound of 0.
@@ -454,10 +451,12 @@ def parse_formula(text: str) -> Formula:
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse a scenario file into a config; positions in errors are 1-based."""
     parser = _Parser()
-    directive, unknown = _DIRECTIVES.get, _Parser.unknown
     for t in parser.read(text.splitlines()):
         if t[0]:
-            end = directive(t[0], unknown)(parser, t)
+            rule = _DIRECTIVES.get(t[0])
+            if rule is None:
+                raise parser.wrong(0, f"unknown directive {t[0]!r}", tuple(_DIRECTIVES), "directive")
+            end = rule(parser, t)
             if t[end]:
                 raise parser.unexpected(end, after=" after directive")
     if not parser.worlds:
