@@ -489,7 +489,7 @@ class TestParsePin:
     """What the parser makes of 3,000 texts one fault away from a valid
     scenario (``gen.faulty_scenario_texts``): the canonical serialization
     of each text that parses, else its error's line, column, message and
-    expected.  The digests were recorded before the per-line lexer."""
+    expected.  Any change to an error, a position or a config moves a digest."""
 
     @pytest.fixture(scope="class")
     def texts(self):
