@@ -14,6 +14,7 @@ from eclc import (
     Frame,
     Lolli,
     PreconditionError,
+    ProofResult,
     Sequent,
     Tensor,
     With,
@@ -144,6 +145,8 @@ class TestProveBattery:
     def test_invalid_bound_rejected(self, zero_model):
         with pytest.raises(ValueError):
             prove(Sequent((A,), (A,)), 0, zero_model, 0.0)
+        with pytest.raises(ValueError, match="tree must be present iff proved"):
+            ProofResult(True, 1, None, 0.0, None)
 
 
 def random_side(rng, pool, max_size=2):

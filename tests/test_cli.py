@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -10,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import eclc
-from eclc import cli, scenarios, serialize_scenario
+from eclc import cli, parse_scenario, scenarios, serialize_scenario
 from eclc.cli import main
-from eclc.sim import ScenarioError
+from eclc.sim import ScenarioError, run_scenario, write_report
 from gen import random_config
 
 SRC = str(Path(eclc.__file__).resolve().parents[1])
@@ -86,6 +87,8 @@ class TestValidate:
     def test_shipped_corpus_validates(self, capsys):
         for name in scenarios.NAMES:
             assert main(["validate", str(scenarios.path(name))]) == 0
+        with pytest.raises(KeyError, match="unknown scenario 'nope'; bundled: coherence, reciprocity, accessibility"):
+            scenarios.path("nope")
 
 
 class TestProve:
@@ -159,6 +162,15 @@ class TestRun:
             assert "nan" not in capsys.readouterr().out
         assert outputs[0] == outputs[1]
         assert [line.split(",")[2] for line in outputs[0].splitlines()[1:]] == ["1.0", "1.0", "1.0"]
+
+    def test_flat_chain_has_no_fit(self, tmp_path, capsys):
+        # every kappa is 0, so no rate can be fitted
+        path = tmp_path / "flat-kappa.eclc"
+        path.write_text(re.sub("kappa=[0-9.]+", "kappa=0.0", FLAT_PI_CHAIN))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "coherence: pi=[0.5, 0.5, 0.5] (no fit)"
+        assert json.loads((out / "report.json").read_text())["fit"] is None
 
     def test_non_finite_fit_is_written_null(self, tmp_path, capsys):
         # pi stays 0.5 at every world, so the fit's r_squared is -inf
@@ -449,6 +461,12 @@ class TestFit:
         assert main(["fit", str(path)]) == 0
         assert capsys.readouterr().out == "rate=0.0 r_squared=1.0\n"
 
+    def test_blank_rows_skipped(self, tmp_path, capsys):
+        path = tmp_path / "points.csv"
+        path.write_text("kappa,pi\n0,1.0\n\n1,0.61\n , \n2,0.19\n")
+        assert main(["fit", str(path)]) == 0
+        assert capsys.readouterr() == ("rate=0.7631517470916164 r_squared=0.9378714959015365\n", "")
+
     def test_without_header(self, tmp_path, capsys):
         path = tmp_path / "points.csv"
         path.write_text("0,1.0\n1,0.5\n")
@@ -481,8 +499,12 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_bad_format_value(self, capsys):
+    def test_bad_format_value(self, tmp_path, capsys):
         assert main(["run", "x.eclc", "--format", "yaml"]) == 2
+        report = run_scenario(parse_scenario(THREE_WORLDS))
+        with pytest.raises(ValueError, match="format must be json, csv, or both, got 'xml'"):
+            write_report(report, tmp_path, fmt="xml")
+        assert list(tmp_path.iterdir()) == []
 
 
 # Inputs for the failure table; "{tmp}" stands for the test's directory.
@@ -490,6 +512,14 @@ FAILURE_FILES = {
     "expect.eclc": "world w1 { energy=1.0 kappa=0.0, lambda=1 }\n",
     "one-world.eclc": "scenario reciprocity\nworld wA { energy=10.0, kappa=0.0, lambda=12 }\nprop wA : !Quantum(qA)\n",
     "seedless.eclc": scenarios.read("reciprocity").replace("seed = 9\n", ""),
+    "one-edge.eclc": scenarios.read("reciprocity").replace("edge wB -> wA { deltaE=1.0 }\n", ""),
+    "unshared.eclc": scenarios.read("reciprocity").replace("prop wB : !Quantum(qA)\n", ""),
+    "lone-coherence.eclc": "scenario coherence\nworld w { energy=1.0, kappa=0.0, lambda=1 }\nprop w : A\n",
+    "lone-access.eclc": "scenario accessibility\nworld w { energy=1.0, kappa=0.0, lambda=1 }\nprop w : A\n"
+    "observer o home=w horizon=1\n",
+    "no-prop.eclc": scenarios.read("accessibility").replace("prop w0 : Phi\n", ""),
+    "chain-and-cycle.eclc": THREE_WORLDS + "world c1 { energy=1.0, kappa=0.0, lambda=1 }\n"
+    "world c2 { energy=1.0, kappa=0.0, lambda=1 }\nedge c1 -> c2 { deltaE=0.0 }\nedge c2 -> c1 { deltaE=0.0 }\n",
     "taken": "a file, not a directory\n",
     "columns.csv": "kappa,pi\n0\n",
     "words.csv": "kappa,pi\n0,1\nx,2\n",
@@ -525,6 +555,34 @@ FAILURES = [
         ["run", "{tmp}/one-world.eclc", "--out", "{tmp}/out"], {}, 1, "",
         "error: reciprocity scenario needs exactly two worlds, got 1\n",
         id="driver-error",
+    ),
+    pytest.param(
+        ["run", "{tmp}/one-edge.eclc", "--out", "{tmp}/out"], {}, 1, "",
+        "error: reciprocity scenario needs one edge in each direction\n",
+        id="reciprocity-one-edge",
+    ),
+    pytest.param(
+        ["run", "{tmp}/unshared.eclc", "--out", "{tmp}/out"], {}, 1, "", "error: !Quantum(qA) missing at 'wB'\n",
+        id="reciprocity-unshared-token",
+    ),
+    pytest.param(
+        ["run", "{tmp}/lone-coherence.eclc", "--out", "{tmp}/out"], {}, 1, "",
+        "error: coherence scenario needs a chain of at least two worlds\n",
+        id="coherence-one-world",
+    ),
+    pytest.param(
+        ["run", "{tmp}/lone-access.eclc", "--out", "{tmp}/out"], {}, 1, "",
+        "error: accessibility scenario needs a chain of at least two worlds\n",
+        id="accessibility-one-world",
+    ),
+    pytest.param(
+        ["run", "{tmp}/no-prop.eclc", "--out", "{tmp}/out"], {}, 1, "", "error: no proposition declared at 'w0'\n",
+        id="accessibility-no-prop",
+    ),
+    pytest.param(
+        ["run", "{tmp}/chain-and-cycle.eclc", "--out", "{tmp}/out"], {}, 1, "",
+        "error: frame is not connected as a single chain\n",
+        id="chain-and-cycle",
     ),
     pytest.param(
         ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "x"}, 1, "",

@@ -107,6 +107,8 @@ class TestFormatFormula:
     def test_coherent_classical_name_unserializable(self):
         with pytest.raises(ValueError):
             format_formula(Atom("Classical", ("o",), True))
+        with pytest.raises(TypeError, match="not a formula: 42"):
+            format_formula(42)
 
     @given(formulas())
     def test_reparse_identity(self, phi):
@@ -509,6 +511,7 @@ class TestParsePin:
         (W + "\r\nprop w : A ⊗ ⊗ B", (2, 14, "unexpected '*'", ("formula",))),
         (W + "\nobserver o home=w horizon=1.5", (2, 27, "horizon must be an integer", ("horizon",))),
         ("world w { energy=1.0, kappa=0.0 lambda=1 }", (1, 33, "unexpected 'lambda'", ("}",))),
+        ("world w { energy=1.0, energy=2.0, kappa=0.0, lambda=1 }", (1, 23, "duplicate attribute 'energy'", ())),
         (W + "\nedge w -> w { deltaE=1e999 }", (2, 22, "deltaE out of range", ())),
         (W + "\n\tsequent s w -> w : A, |- A", (2, 24, "unexpected '|-'", ("formula",))),
         (W + "\nprop w : !A\nprop w : !A\nprop v : !A", (4, 6, "unknown world 'v'", ())),

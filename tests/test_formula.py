@@ -171,6 +171,8 @@ class TestValidation:
         assert hash(phi) == hash(Tensor(Atom("A"), Bang(Atom("B"))))
         with pytest.raises(AttributeError):
             phi.left = Atom("C")
+        with pytest.raises(AttributeError):
+            del phi.left
 
     def test_formulas_are_hash_consed(self):
         a, b = Atom("A"), Atom("B")

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -220,6 +222,8 @@ class TestFrameValidation:
     def test_duplicate_world(self):
         with pytest.raises(ValueError):
             Frame([World("w", 1.0, 0.0, 1), World("w", 2.0, 0.0, 1)], [])
+        with pytest.raises(ValueError, match="duplicate edge 'w' -> 'w'"):
+            Frame([World("w", 1.0, 0.0, 1)], [("w", "w", 1.0), ("w", "w", 2.0)])
 
     def test_edge_to_undeclared_world(self):
         with pytest.raises(ValueError):
@@ -228,6 +232,8 @@ class TestFrameValidation:
     def test_negative_delta_e(self):
         with pytest.raises(ValueError):
             Frame([World("a", 1.0, 0.0, 1), World("b", 1.0, 0.0, 1)], [("a", "b", -1.0)])
+        with pytest.raises(ValueError, match="path cost components must be >= 0"):
+            PathCost(-1, 0.0)
 
     def test_world_invariants(self):
         with pytest.raises(ValueError):
@@ -236,6 +242,42 @@ class TestFrameValidation:
             World("w", 1.0, -0.5, 1)
         with pytest.raises(ValueError):
             World("w", 1.0, 0.0, 0)
+
+    def test_records_compare_and_print(self):
+        world = World("w0", 2.0, 0.5, 3, Counter({PHI: 2}))
+        assert world == World("w0", 2.0, 0.5, 3, {PHI: 2})
+        assert world != World("w0", 2.0, 0.5, 3)
+        assert repr(world) == (
+            "World(id='w0', energy=2.0, kappa=0.5, lam=3, "
+            "props=Counter({Atom(name='Phi', args=(), coherent=True): 2}))"
+        )
+        frame = Frame([world, World("w1", 1.0, 0.0, 1)], [("w0", "w1", 1.0)])
+        assert frame == Frame([World("w0", 2.0, 0.5, 3, {PHI: 2}), World("w1", 1.0, 0.0, 1)], [("w0", "w1", 1.0)])
+        assert frame != Frame([world, World("w1", 1.0, 0.0, 1)], [])
+        assert (frame == object()) is False
+        assert repr(frame) == "Frame(worlds=['w0', 'w1'], edges=1)"
+
+    def test_world_copies_are_independent(self):
+        props = Counter({PHI: 1})
+        world = World("w0", 2.0, 0.5, 3, props)
+        props[PHI] += 1  # the caller's Counter is copied, not kept
+        dup = world.copy()
+        assert dup == world and dup.props is not world.props
+        dup.props[PHI] += 5
+        dup.energy = 0.0
+        assert world == World("w0", 2.0, 0.5, 3, {PHI: 1})
+
+    def test_world_numbers_become_floats(self):
+        for value in (-0.0, 0, 3):
+            world = World("w0", value, value, 1)
+            for got in (world.energy, world.kappa):
+                assert type(got) is float and got == value and math.copysign(1.0, got) == 1.0
+
+    def test_world_props_default_to_an_empty_counter(self):
+        first, second = World("a", 1.0, 0.0, 1), World("b", 1.0, 0.0, 1)
+        assert type(first.props) is Counter and first.props == Counter()
+        assert first.props is not second.props
+        assert repr(first) == "World(id='a', energy=1.0, kappa=0.0, lam=1, props=Counter())"
 
     def test_copy_is_deep(self):
         frame = chain()

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from eclc import (
     Atom,
     ContingencyTable,
+    FitResult,
     Tensor,
     fisher_exact_two_tailed,
     fit_exponential,
@@ -169,3 +170,5 @@ class TestFisherExact:
             ContingencyTable(0, 0, 0, 0)
         with pytest.raises(ValueError):
             ContingencyTable(-1, 1, 1, 1)
+        with pytest.raises(ValueError, match="r_squared cannot exceed 1"):
+            FitResult(0.0, 1.5)

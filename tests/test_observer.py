@@ -63,6 +63,21 @@ def chain_frame(length=4, lam=8):
     return Frame(worlds, edges)
 
 
+class TestObserver:
+    def test_compares_prints_and_hashes_by_value(self):
+        observer = Observer("o1", "w0", 3)
+        assert observer == Observer("o1", "w0", 3) != Observer("o1", "w0", 2)
+        assert hash(observer) == hash(Observer("o1", "w0", 3))
+        assert repr(observer) == "Observer(id='o1', home='w0', horizon=3)"
+        with pytest.raises(AttributeError):
+            observer.horizon = 4
+
+    def test_fields_validated(self):
+        for horizon in (-1, 1.5):
+            with pytest.raises(ValueError, match="horizon must be an integer >= 0"):
+                Observer("o1", "w0", horizon)
+
+
 class TestObserverSees:
     def test_home_world_always_visible(self):
         frame = chain_frame()

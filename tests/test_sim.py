@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -12,6 +13,7 @@ from eclc import (
     Atom,
     Bang,
     CostModel,
+    Frame,
     ScenarioError,
     Tensor,
     accessible,
@@ -26,6 +28,7 @@ from eclc import (
     run_reciprocity,
     run_scenario,
     shannon_entropy,
+    World,
 )
 from eclc import calculus, observer
 from eclc import scenarios
@@ -100,6 +103,31 @@ class TestChainOrder:
         )
         with pytest.raises(ScenarioError):
             chain_order(config.frame)
+
+    def test_every_graph_on_up_to_four_worlds(self):
+        # every edge set over 1-4 worlds, self-loops included (65,536 at
+        # four): an order comes back exactly when the edges are one path
+        # through every world, and no graph is reported as a cycle
+        messages = Counter()
+        for n in range(1, 5):
+            ids = [f"w{i}" for i in range(n)]
+            worlds = [World(wid, 1.0, 0.0, 1) for wid in ids]
+            pairs = list(itertools.product(ids, repeat=2))
+            paths = {frozenset(zip(p, p[1:])): list(p) for p in itertools.permutations(ids)}
+            for mask in range(1 << len(pairs)):
+                edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+                frame = Frame(worlds, [(src, dst, 0.0) for src, dst in edges])
+                try:
+                    order = chain_order(frame)
+                except ScenarioError as err:
+                    order = None
+                    messages[re.sub("'w[0-9]'", "w", str(err))] += 1
+                assert order == paths.get(frozenset(edges)), edges
+        assert sorted(messages) == [
+            "frame is not a single forward chain",
+            "frame is not connected as a single chain",
+            "world w has more than one outgoing edge; not a chain",
+        ]
 
 
 class TestRunCoherence:
