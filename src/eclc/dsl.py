@@ -42,7 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .calculus import Sequent
+from .calculus import Sequent, format_sequent
 from .formula import (
     CLASSICAL_ATOMS,
     Atom,
@@ -500,7 +500,5 @@ def serialize_scenario(config: ScenarioConfig) -> str:
     for obs in config.observers:
         lines.append(f"observer {obs.id} home={obs.home} horizon={obs.horizon}")
     for name, (src, dst, seq) in config.sequents.items():
-        gamma = ", ".join(format_formula(phi) for phi in seq.gamma)
-        delta = ", ".join(format_formula(phi) for phi in seq.delta)
-        lines.append(f"sequent {name} {src} -> {dst} : {gamma} |- {delta}")
+        lines.append(f"sequent {name} {src} -> {dst} : {format_sequent(seq)}")
     return "\n".join(lines) + "\n"

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .formula import _IDENT, Diamond, Formula
+from .formula import Diamond, Formula, _check_ident
 
 
 class UnknownWorldError(Exception):
@@ -29,11 +29,10 @@ class World:
     energy: float
     kappa: float
     lam: int
-    props: Counter = field(default_factory=Counter)
+    props: Counter | None = None
 
     def __post_init__(self) -> None:
-        if not _IDENT.match(self.id):
-            raise ValueError(f"world id must be an identifier, got {self.id!r}")
+        _check_ident(self.id, "world id")
         self.energy = float(self.energy) + 0.0
         self.kappa = float(self.kappa) + 0.0
         if not (math.isfinite(self.energy) and self.energy >= 0):

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .calculus import PreconditionError, Sequent, _refuted_outright, prove
-from .formula import _IDENT, CostModel, Formula
+from .formula import CostModel, Formula, _check_ident
 from .frame import Frame, accessible, hop_distance
 
 PRESERVED = "preserved"
@@ -34,8 +34,7 @@ class Observer:
     horizon: int
 
     def __post_init__(self) -> None:
-        if not _IDENT.match(self.id):
-            raise ValueError(f"observer id must be an identifier, got {self.id!r}")
+        _check_ident(self.id, "observer id")
         if not (isinstance(self.horizon, int) and self.horizon >= 0):
             raise ValueError(f"horizon must be an integer >= 0, got {self.horizon!r}")
 

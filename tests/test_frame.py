@@ -242,6 +242,9 @@ class TestFrameValidation:
             World("w", 1.0, -0.5, 1)
         with pytest.raises(ValueError):
             World("w", 1.0, 0.0, 0)
+        for bad in ("", "w 1", "1w", None, 7):
+            with pytest.raises(ValueError, match="world id must be a nonempty identifier"):
+                World(bad, 1.0, 0.0, 1)
 
     def test_records_compare_and_print(self):
         world = World("w0", 2.0, 0.5, 3, Counter({PHI: 2}))

@@ -76,6 +76,9 @@ class TestObserver:
         for horizon in (-1, 1.5):
             with pytest.raises(ValueError, match="horizon must be an integer >= 0"):
                 Observer("o1", "w0", horizon)
+        for bad in ("", "o 1", "1o", None, 7):
+            with pytest.raises(ValueError, match="observer id must be a nonempty identifier"):
+                Observer(bad, "w0", 1)
 
 
 class TestObserverSees:
