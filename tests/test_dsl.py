@@ -511,12 +511,12 @@ class TestParsePin:
         (W + "\r\nprop w : A ⊗ ⊗ B", (2, 14, "unexpected '*'", ("formula",))),
         (W + "\nobserver o home=w horizon=1.5", (2, 27, "horizon must be an integer", ("horizon",))),
         ("world w { energy=1.0, kappa=0.0 lambda=1 }", (1, 33, "unexpected 'lambda'", ("}",))),
-        ("world w { energy=1.0, energy=2.0, kappa=0.0, lambda=1 }", (1, 23, "duplicate attribute 'energy'", ())),
         (W + "\nedge w -> w { deltaE=1e999 }", (2, 22, "deltaE out of range", ())),
         (W + "\n\tsequent s w -> w : A, |- A", (2, 24, "unexpected '|-'", ("formula",))),
         (W + "\nprop w : !A\nprop w : !A\nprop v : !A", (4, 6, "unknown world 'v'", ())),
         (W + "\nprop w : (A $\nprop w : A -o", (2, 13, "unexpected character '$'", ())),
         ("scenario coherence\ntrials = 0\n@", (2, 1, "trials must be between 1 and 100000", ())),
+        ("world w { energy=1.0, energy=2.0, kappa=0.0, lambda=1 }", (1, 23, "duplicate attribute 'energy'", ())),
     ])
     def test_errors_read_by_eye(self, text, outcome):
         assert _outcome(parse_scenario, serialize_scenario, text) == repr(outcome)

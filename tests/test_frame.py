@@ -260,27 +260,21 @@ class TestFrameValidation:
         assert (frame == object()) is False
         assert repr(frame) == "Frame(worlds=['w0', 'w1'], edges=1)"
 
-    def test_world_copies_are_independent(self):
-        props = Counter({PHI: 1})
-        world = World("w0", 2.0, 0.5, 3, props)
-        props[PHI] += 1  # the caller's Counter is copied, not kept
-        dup = world.copy()
-        assert dup == world and dup.props is not world.props
-        dup.props[PHI] += 5
-        dup.energy = 0.0
-        assert world == World("w0", 2.0, 0.5, 3, {PHI: 1})
-
     def test_world_numbers_become_floats(self):
         for value in (-0.0, 0, 3):
             world = World("w0", value, value, 1)
             for got in (world.energy, world.kappa):
                 assert type(got) is float and got == value and math.copysign(1.0, got) == 1.0
 
-    def test_world_props_default_to_an_empty_counter(self):
+    def test_world_props_are_its_own_counter(self):
         first, second = World("a", 1.0, 0.0, 1), World("b", 1.0, 0.0, 1)
         assert type(first.props) is Counter and first.props == Counter()
         assert first.props is not second.props
         assert repr(first) == "World(id='a', energy=1.0, kappa=0.0, lam=1, props=Counter())"
+        props = Counter({PHI: 1})
+        world = World("w0", 2.0, 0.5, 3, props)
+        props[PHI] += 1  # the caller's Counter is copied, not kept
+        assert world.props == Counter({PHI: 1})
 
     def test_copy_is_deep(self):
         frame = chain()

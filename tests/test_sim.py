@@ -16,6 +16,7 @@ from eclc import (
     Frame,
     ScenarioError,
     Tensor,
+    World,
     accessible,
     curvature_cost,
     decohere,
@@ -28,7 +29,6 @@ from eclc import (
     run_reciprocity,
     run_scenario,
     shannon_entropy,
-    World,
 )
 from eclc import calculus, observer
 from eclc import scenarios
@@ -108,7 +108,7 @@ class TestChainOrder:
         # every edge set over 1-4 worlds, self-loops included (65,536 at
         # four): an order comes back exactly when the edges are one path
         # through every world, and no graph is reported as a cycle
-        messages = Counter()
+        messages = set()
         for n in range(1, 5):
             ids = [f"w{i}" for i in range(n)]
             worlds = [World(wid, 1.0, 0.0, 1) for wid in ids]
@@ -121,7 +121,7 @@ class TestChainOrder:
                     order = chain_order(frame)
                 except ScenarioError as err:
                     order = None
-                    messages[re.sub("'w[0-9]'", "w", str(err))] += 1
+                    messages.add(re.sub("'w[0-9]'", "w", str(err)))
                 assert order == paths.get(frozenset(edges)), edges
         assert sorted(messages) == [
             "frame is not a single forward chain",
