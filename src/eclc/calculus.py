@@ -138,6 +138,11 @@ def _splits(side: tuple[Formula, ...]) -> list[tuple[tuple, tuple]]:
     return [(first, second) for _, first, second in splits]
 
 
+def _new_tables():
+    """One search's tables, keyed by side: split lists, canon ints, tallies and gamma-only premises."""
+    return {}, {}, {}, {}
+
+
 def _key(gamma, delta, ints) -> tuple[int, int]:
     """The memo key of gamma |- delta: each side's canon as its small int in ``ints``."""
     return ints.setdefault(_canon(gamma), len(ints)), ints.setdefault(_canon(delta), len(ints))
@@ -148,7 +153,7 @@ def _parts(tables, side, i, left, right):
     its canon int, second + right), built once per search.  They are keyed by
     the side's ids in position order, since split order decides first-found
     trees, and by ``i``, whose connective decides what is added, or else ``left``."""
-    splits, ints = tables
+    splits, ints = tables[0], tables[1]
     key = (tuple(map(id, side)), left if i is None else i)
     if (parts := splits.get(key)) is None:
         rest = _splits(side if i is None else side[:i] + side[i + 1 :])
@@ -159,12 +164,22 @@ def _parts(tables, side, i, left, right):
 def _applications(gamma, delta, key, tables):
     """Yield (rule, g1, d1, key1, g2, d2) in the fixed rule order; g2 and d2
     are None for a one-premise rule.  A rule on gamma keeps delta's half of
-    ``key``, and split lists come from ``tables`` (``_parts``).  One-premise
-    left rules fire on first copies only: a later copy's premise is already memoized."""
+    ``key``.  Split lists come from ``tables`` (``_parts``), and so does each
+    one-premise left rule's (premise, canon int): built once per gamma, in
+    rule order, when the order first reaches it.  One-premise left rules
+    fire on first copies only: a later copy's premise is already memoized."""
     int_delta, ints = key[1], tables[1]
+    premises = tables[3].setdefault(tuple(map(id, gamma)), [])
+    reached = 0
 
-    def on_gamma(rule, g):
-        return rule, g, delta, (ints.setdefault(_canon(g), len(ints)), int_delta), None, None
+    def on_gamma(rule, i, middle):
+        nonlocal reached
+        if reached == len(premises):
+            g = gamma[:i] + middle + gamma[i + 1 :]
+            premises.append((g, ints.setdefault(_canon(g), len(ints))))
+        g, k = premises[reached]
+        reached += 1
+        return rule, g, delta, (k, int_delta), None, None
 
     # tensor-right: split gamma and the remaining delta across premises
     for i, phi in enumerate(delta):
@@ -176,7 +191,7 @@ def _applications(gamma, delta, key, tables):
     # tensor-left
     for i, phi in enumerate(gamma):
         if isinstance(phi, Tensor) and phi not in gamma[:i]:
-            yield on_gamma("tensor-left", gamma[:i] + (phi.left, phi.right) + gamma[i + 1 :])
+            yield on_gamma("tensor-left", i, (phi.left, phi.right))
     # lolli-right
     for i, phi in enumerate(delta):
         if isinstance(phi, Lolli):
@@ -198,17 +213,17 @@ def _applications(gamma, delta, key, tables):
     # with-left, either projection
     withs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, With) and phi not in gamma[:i]]
     for i, phi in withs:
-        yield on_gamma("with-left-1", gamma[:i] + (phi.left,) + gamma[i + 1 :])
+        yield on_gamma("with-left-1", i, (phi.left,))
     for i, phi in withs:
-        yield on_gamma("with-left-2", gamma[:i] + (phi.right,) + gamma[i + 1 :])
+        yield on_gamma("with-left-2", i, (phi.right,))
     # exponentials
     bangs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, Bang) and phi not in gamma[:i]]
     for i, phi in bangs:
-        yield on_gamma("dereliction", gamma[:i] + (phi.inner,) + gamma[i + 1 :])
+        yield on_gamma("dereliction", i, (phi.inner,))
     for _, phi in bangs:
-        yield on_gamma("contraction", gamma + (phi,))
+        yield on_gamma("contraction", len(gamma), (phi,))
     for i, phi in bangs:
-        yield on_gamma("weakening", gamma[:i] + gamma[i + 1 :])
+        yield on_gamma("weakening", i, ())
     if _promotes(gamma, delta):
         yield "promotion", gamma, (delta[0].inner,), _key(gamma, (delta[0].inner,), ints), None, None
 
@@ -219,9 +234,13 @@ def _promotes(gamma, delta) -> bool:
 
 def _applicable(gamma, delta) -> bool:
     """True iff ``_applications`` yields anything; builds none of it."""
-    if any(isinstance(phi, (Tensor, Lolli, With)) for phi in delta) or _promotes(gamma, delta):
-        return True
-    return any(isinstance(phi, (Tensor, Lolli, With, Bang)) for phi in gamma)
+    for phi in delta:
+        if isinstance(phi, (Tensor, Lolli, With)):
+            return True
+    for phi in gamma:
+        if isinstance(phi, (Tensor, Lolli, With, Bang)):
+            return True
+    return _promotes(gamma, delta)
 
 
 def _is_axiom(gamma, delta) -> str | None:
@@ -263,18 +282,61 @@ def _walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set) -> bool:
 
 
 def _signature(phi) -> tuple:
-    """``phi``'s signed bucket signature on the right of the turnstile,
-    walked once and kept on the node: ``(fatal, fixed totals as
-    (bucket, total) pairs, buckets that can go up, buckets that can go
-    down)``.  An atom's bucket is its fields, not the atom itself, so a
-    signature holds no node."""
+    """``phi``'s tally as a one-member side (``_tally``), walked once and
+    kept on the node.  An atom's bucket is its fields, not the atom
+    itself, so a signature holds no node."""
     fixed: dict = {}
     up: set = set()
     down: set = set()
     fatal = _walk(phi, +1, False, fixed, up, down)
-    signature = (fatal, tuple(fixed.items()), tuple(up), tuple(down))
+    signature = (fatal, fixed, frozenset(up), frozenset(down))
     object.__setattr__(phi, "_buckets", signature)
     return signature
+
+
+def _tally(side) -> tuple:
+    """``side``'s signed bucket tally on the right of the turnstile, the
+    sum of its members' signatures: ``(fatal, fixed totals, buckets that
+    can go up, buckets that can go down)``.  A fatal member's signature
+    stands for a fatal side, and a one-member side's tally is its member's."""
+    if len(side) == 1:
+        return getattr(side[0], "_buckets", None) or _signature(side[0])
+    fixed: dict = {}
+    ups = downs = frozenset()
+    for phi in side:
+        fatal, totals, up, down = getattr(phi, "_buckets", None) or _signature(phi)
+        if fatal:
+            return fatal, totals, up, down
+        for bucket, total in totals.items():
+            fixed[bucket] = fixed.get(bucket, 0) + total
+        if up:
+            ups = ups | up
+        if down:
+            downs = downs | down
+    return False, fixed, ups, downs
+
+
+def _refuted(gamma_tally, delta_tally) -> bool:
+    """The refutation of gamma |- delta from its sides' tallies: delta's
+    as stored, gamma's with each fixed total negated and the two slack
+    directions swapped, so a bucket that only gamma holds totals minus its count."""
+    gamma_fatal, spent, spent_up, spent_down = gamma_tally
+    fatal, fixed, up, down = delta_tally
+    if fatal or gamma_fatal:
+        return True
+    for bucket, total in fixed.items():
+        total -= spent.get(bucket, 0)
+        if total > 0 and bucket not in down and bucket not in spent_up:
+            return True
+        if total < 0 and bucket not in up and bucket not in spent_down:
+            return True
+    for bucket, total in spent.items():
+        if bucket not in fixed:
+            if total < 0 and bucket not in down and bucket not in spent_up:
+                return True
+            if total > 0 and bucket not in up and bucket not in spent_down:
+                return True
+    return False
 
 
 def _refuted_outright(gamma, delta) -> bool:
@@ -289,39 +351,10 @@ def _refuted_outright(gamma, delta) -> bool:
     bang or a with-branch) eventually surfaces at top level where no
     rule and no axiom can consume it, which refutes the goal outright.
 
-    The sequent's tallies are the sum of its members' signatures
-    (``_signature``): delta's as stored, gamma's with each fixed total
-    negated and the two slack directions swapped.
+    The verdict merges the two sides' tallies (``_refuted``); a search
+    takes each side's tally once, keyed by its canon int in its tables.
     """
-    fixed: dict = {}
-    can_increase: set = set()
-    can_decrease: set = set()
-    for phi in delta:
-        fatal, totals, ups, downs = getattr(phi, "_buckets", None) or _signature(phi)
-        if fatal:
-            return True
-        for bucket, total in totals:
-            fixed[bucket] = fixed.get(bucket, 0) + total
-        if ups:
-            can_increase.update(ups)
-        if downs:
-            can_decrease.update(downs)
-    for phi in gamma:
-        fatal, totals, ups, downs = getattr(phi, "_buckets", None) or _signature(phi)
-        if fatal:
-            return True
-        for bucket, total in totals:
-            fixed[bucket] = fixed.get(bucket, 0) - total
-        if ups:
-            can_decrease.update(ups)
-        if downs:
-            can_increase.update(downs)
-    for bucket, total in fixed.items():
-        if total > 0 and bucket not in can_decrease:
-            return True
-        if total < 0 and bucket not in can_increase:
-            return True
-    return False
+    return _refuted(_tally(gamma), _tally(delta))
 
 
 def _search(gamma, delta, remaining, memo, key, tables):
@@ -329,24 +362,31 @@ def _search(gamma, delta, remaining, memo, key, tables):
 
     Entered on a memo miss only: the caller probes ``memo`` with each
     premise's key, and keys a second premise once the first is proved.
-    Keys are int pairs from ``tables`` = (split lists, canon ints), which
+    Keys are pairs of canon ints from ``tables`` (``_new_tables``), which
     live for one search; the root comes without them and makes them once
     its own checks leave it open.  Failures memoize monotonically: a goal
     refuted with ``remaining`` levels is refuted with fewer.  Contraction
     spends a level, so the depth bound bounds it.  At the last level only
     an axiom can close the goal: it dies to depth iff some rule applies."""
-    axiom = _is_axiom(gamma, delta)
-    if axiom is not None:
+    if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
-    if _refuted_outright(gamma, delta):
+    if tables is None:
+        refuted = _refuted_outright(gamma, delta)
+    else:
+        tallies = tables[2]
+        refuted = _refuted(
+            tallies.get(key[0]) or tallies.setdefault(key[0], _tally(gamma)),
+            tallies.get(key[1]) or tallies.setdefault(key[1], _tally(delta)),
+        )
+    if refuted:
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
     died = remaining == 1 and _applicable(gamma, delta)
     if remaining > 1 and tables is None:
-        tables = ({}, {})
+        tables = _new_tables()
         key = _key(gamma, delta, tables[1])
     for rule, g, d, k, g2, d2 in _applications(gamma, delta, key, tables) if remaining > 1 else ():
-        subtrees = []
+        subtrees = ()
         while True:
             hit = memo.get(k)
             if hit is not None and hit[0] >= remaining - 1:
@@ -356,9 +396,9 @@ def _search(gamma, delta, remaining, memo, key, tables):
             if tree is None:
                 died = died or sub_died
                 break
-            subtrees.append(tree)
+            subtrees += (tree,)
             if g2 is None:
-                return ProofTree(rule, Sequent(gamma, delta), tuple(subtrees)), False
+                return ProofTree(rule, Sequent(gamma, delta), subtrees), False
             g, d, k, g2 = g2, d2, _key(g2, d2, tables[1]), None
     memo[key] = (remaining, died)
     return None, died

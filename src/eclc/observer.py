@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .calculus import PreconditionError, Sequent, _refuted_outright, prove
+from .calculus import PreconditionError, Sequent, _refuted, _tally, prove
 from .formula import CostModel, Formula, _check_ident
 from .frame import Frame, accessible, hop_distance
 
@@ -50,15 +50,17 @@ def truth_at(frame: Frame, w: str, phi: Formula, model: CostModel) -> int:
 
     Provability searches antecedent sub-multisets of props(w) of size
     at most MAX_ANTECEDENT under the world's own inference capacity and
-    curvature.  A sub-multiset that the prover's own signature check
-    refutes at the root is skipped without building its sequent.
+    curvature.  A sub-multiset that the prover's own refutation check
+    refutes at the root is skipped without building its sequent; phi's
+    side of that check is tallied once per call.
     """
     world = frame.world(w)
     if phi in world.props:
         return 1
+    goal = _tally((phi,))
     for size in range(1, MAX_ANTECEDENT + 1):
         for combo in itertools.combinations_with_replacement(world.props, size):
-            if any(combo.count(psi) > world.props[psi] for psi in combo) or _refuted_outright(combo, (phi,)):
+            if any(combo.count(psi) > world.props[psi] for psi in combo) or _refuted(_tally(combo), goal):
                 continue
             if prove(Sequent(combo, (phi,)), world.lam, model, world.kappa).proved:
                 return 1

@@ -1,6 +1,7 @@
 import functools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -316,7 +317,7 @@ class TestSearchDifferential:
         assert prove(seq, bound, model, kappa) == oracles.reference_prove(seq, bound, model, kappa)
         # below the cost gate too, and the memo ends the same, died bits
         # included, once its int keys are read back as canon pairs
-        memo, reference_memo, tables = {}, {}, ({}, {})
+        memo, reference_memo, tables = {}, {}, calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
         got = calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
@@ -331,7 +332,7 @@ class TestSearchDifferential:
     @example(Sequent((A,), (Bang(B),)))
     @example(Sequent((Diamond(1.5, A), QUANTUM_Q), (Bang(A), B)))
     def test_last_level_test_matches_first_application(self, seq):
-        tables = ({}, {})
+        tables = calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
         got = _applicable(seq.gamma, seq.delta)
         assert got == (next(_applications(seq.gamma, seq.delta, key, tables), None) is not None)
@@ -363,6 +364,32 @@ class TestSearchDifferential:
             assert prove(*case) == oracles.reference_prove(*case)
         assert len(cases) == 207
         assert requests > builds > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_sequents(), st.integers(1, 6))
+    @example(Sequent((Diamond(1.5, A), QUANTUM_Q), (Bang(A), B)), 3)
+    @example(Sequent((Bang(QUANTUM_Q), With(A, B)), (Tensor(CLASSICAL_O, A),)), 6)
+    @example(WORST_C01, 4)
+    def test_refutation_from_side_tallies_matches_reference_walk(self, seq, bound):
+        # each side's tally is taken once per search and merged per key;
+        # every entry's verdict must be the one walk over the whole sequent
+        entries = []
+        search = calculus._search
+
+        def recording_search(gamma, delta, remaining, memo, key, tables):
+            entries.append((gamma, delta, key))
+            return search(gamma, delta, remaining, memo, key, tables)
+
+        memo, tables = {}, calculus._new_tables()
+        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        with mock.patch.object(calculus, "_search", recording_search):
+            calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
+        refuted = {k for k, (depth, _) in memo.items() if depth == calculus._NO_DEPTH_LIMIT}
+        for gamma, delta, k in entries:
+            if calculus._is_axiom(gamma, delta) is None:
+                # memoized at any depth iff the reference walk refutes it
+                assert (k in refuted) == oracles.refuted_outright_walk(gamma, delta), (gamma, delta)
+        assert refuted <= {k for _, _, k in entries}
 
     def test_memo_hits_do_not_enter_the_search(self, monkeypatch):
         entries = 0
@@ -412,7 +439,7 @@ class TestFirstCopyOnly:
     @given(repeated_sequents())
     @example(Sequent((BANGED_PAIR, BANGED_PAIR), (BANGED_PAIR,)))
     def test_no_one_premise_left_rule_repeats_a_premise(self, seq):
-        tables = ({}, {})
+        tables = calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
         seen = Counter(
             (rule, k) for rule, _, _, k, g2, _ in _applications(seq.gamma, seq.delta, key, tables)
@@ -453,7 +480,7 @@ class TestFirstCopyOnly:
     def test_same_results_as_per_copy_reference(self, seq, bound, cost):
         model, kappa = cost
         assert prove(seq, bound, model, kappa) == oracles.reference_prove(seq, bound, model, kappa)
-        memo, reference_memo, tables = {}, {}, ({}, {})
+        memo, reference_memo, tables = {}, {}, calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
         got = calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)

@@ -22,7 +22,7 @@ from eclc import (
     persistence_check,
     prove,
 )
-from eclc.calculus import _refuted_outright, quantum_token
+from eclc.calculus import _refuted, _tally, quantum_token
 from eclc.formula import Bang, Diamond, With
 from eclc.observer import truth_at
 from gen import small_frames
@@ -130,20 +130,26 @@ class TestObserverValuation:
         held = Counter({a: 2, b: 1, Tensor(a, b): 1})
         frame = chain_frame(lam=1)  # too shallow for any proof, so every multiset is visited
         frame.worlds["w0"].props.update(held)
-        tried, refuted = [], []
+        tried, refuted, tallied = [], [], []
 
         def record(seq, *args):
             tried.append(frozenset(Counter(seq.gamma).items()))
             return prove(seq, *args)
 
-        def check(gamma, delta):
-            verdict = _refuted_outright(gamma, delta)
+        def tally(side):
+            tallied.append(side)
+            return _tally(side)
+
+        def check(gamma_tally, delta_tally):
+            # the antecedent's tally is taken just before each check
+            verdict = _refuted(gamma_tally, delta_tally)
             if verdict:
-                refuted.append(frozenset(Counter(gamma).items()))
+                refuted.append(frozenset(Counter(tallied[-1]).items()))
             return verdict
 
         monkeypatch.setattr("eclc.observer.prove", record)
-        monkeypatch.setattr("eclc.observer._refuted_outright", check)
+        monkeypatch.setattr("eclc.observer._tally", tally)
+        monkeypatch.setattr("eclc.observer._refuted", check)
         goal = Tensor(a, Tensor(a, b))
         assert observer_valuation(frame, Observer("o", "w0", 0), "w0", goal, unit_model) == 0
         expected = {
@@ -157,6 +163,8 @@ class TestObserverValuation:
         assert set(tried) | set(refuted) == expected
         # only the multisets that balance A * (A * B) reach the prover
         assert set(tried) == {frozenset({(a, 2), (b, 1)}), frozenset({(a, 1), (Tensor(a, b), 1)})}
+        # the goal's side is tallied once per call, not once per multiset
+        assert tallied[0] == (goal,) and tallied.count((goal,)) == 1
 
     @settings(max_examples=100)
     @given(observed_worlds(), st.sampled_from((0.0, 1.0)))

@@ -47,6 +47,24 @@ def test_first_found_results_match_golden_corpus():
     assert not mismatches, f"{len(mismatches)} of {checked} cases differ, first: {mismatches[:5]}"
 
 
+def test_success_is_monotone_in_the_bound():
+    """A case proved at its recorded bound b with depth h is proved with
+    the same result, first-found tree included, at every bound from h to b."""
+    wl = _load_workloads()
+    builder = wl.Builder()
+    cases = checks = 0
+    for line in wl.load_golden("prove-corpus"):
+        _, _, case, record = line.split()
+        if record.startswith("P"):
+            seq, bound, model, kappa = wl.corpus_case(builder, int(case))
+            expected = prove(seq, bound, model, kappa)
+            for lower in range(expected.depth, bound):
+                assert prove(seq, lower, model, kappa) == expected, f"case {case} at bound {lower}"
+                checks += 1
+            cases += 1
+    assert (cases, checks) == (927, 1621)
+
+
 def test_observer_chain_reports_match_golden(tmp_path, capsys):
     wl = _load_workloads()
     builder = wl.Builder()
