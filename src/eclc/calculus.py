@@ -423,14 +423,24 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
 
 
 def proved_once(seq: Sequent, bound: int, model: CostModel, kappa: float, proofs: dict) -> ProofResult:
-    """``prove`` through a run's memo keyed (seq, bound, kappa); one memo serves one cost model.
-    A bound below 1 admits no proof: it is ``depth_exceeded`` without a search."""
+    """``prove`` through a run's memo, which serves one cost model: each result
+    keyed (seq, bound, kappa), and per (seq, kappa) the proof found at the
+    largest bound b so far.  It answers every bound from its height up to b:
+    each application tried before it has a premise unprovable within b - 1
+    levels, so within fewer, and its own premises fit.  A failure answers its
+    own bound only, as its reason can rest on what the search met.  A bound
+    below 1 admits no proof: it is ``depth_exceeded`` without a search."""
     if bound < 1:
         return ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
     key = (seq, bound, kappa)
-    if key not in proofs:
-        proofs[key] = prove(seq, bound, model, kappa)
-    return proofs[key]
+    if (result := proofs.get(key)) is None:
+        top, best = proofs.get((seq, kappa), (0, None))
+        if best is not None and best.depth <= bound <= top:
+            return best
+        result = proofs[key] = prove(seq, bound, model, kappa)
+        if result.proved and bound > top:
+            proofs[seq, kappa] = bound, result
+    return result
 
 
 def format_sequent(seq: Sequent) -> str:

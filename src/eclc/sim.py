@@ -233,12 +233,13 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     proof depth is perturbed per measurement by an integer jitter drawn
     uniformly from [0, noise * lambda] of the measuring world; each
     trial draws every jitter of the first world before any of the
-    second.  The legs prove through one memo per run, since a proof
-    depends only on (sequent, bound, kappa).  A leg starts from a fresh
-    copy of ``config.frame`` and each of its steps reads only the earlier
-    ones and the (proved, depth, reason) of its measurement's proof, so
-    each distinct (direction, outcome vector) is measured once per run
-    and later trials that meet it reuse the result.
+    second.  Each leg proves each qubit once per run at every bound its
+    jitters can leave, from the highest down, so one search answers each
+    lower bound down to its proof's height (``proved_once``).  A leg
+    starts from a fresh copy of ``config.frame`` and each of its steps
+    reads only the earlier ones and the (proved, depth, reason) of its
+    measurement's proof, so each distinct (direction, outcome vector) is
+    measured once per run; a trial finds it by its jitters.
     """
     _require_kind(config, "reciprocity")
     ids = list(config.frame.worlds)
@@ -258,20 +259,29 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     frame, model = config.frame, config.cost_model
     legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
     spans = [int(config.noise * frame.world(src).lam) for _, src, _, _ in legs]
-    sequents = {qubit: measurement(qubit, _outcome(qubit)) for qubit in qubits}
-    outcomes: dict = {}
     proofs: dict = {}
+
+    def by_jitter(world, qubit, span):
+        """(proved, depth, reason) of ``qubit`` at ``world`` by jitter, to ``span`` or to lambda, the first with no bound."""
+        seq = measurement(qubit, _outcome(qubit))
+        found = (proved_once(seq, world.lam - j, model, world.kappa, proofs) for j in range(min(span, world.lam) + 1))
+        return [(p.proved, p.depth, p.failure_reason) for p in found]
+
+    tables = [[by_jitter(frame.world(src), q, span) for q in order] for (_, src, _, order), span in zip(legs, spans)]
+    seen: tuple[dict, dict] = ({}, {})  # per leg: jitter vector -> outcome
+    outcomes: dict = {}
     trials: list[TrialRecord] = []
+    rng = random.Random()
     for index in range(config.trials):
-        rng = random.Random(derive_trial_seed(master_seed, index))
+        rng.seed(derive_trial_seed(master_seed, index))
         jitters = [tuple(rng.randint(0, span) for _ in qubits) for span in spans]
-        for (direction, src, dst, order), jitter in zip(legs, jitters):
-            world = frame.world(src)
-            met = [proved_once(sequents[q], world.lam - j, model, world.kappa, proofs) for q, j in zip(order, jitter)]
-            key = (direction, *((p.proved, p.depth, p.failure_reason) for p in met))
-            if key not in outcomes:
-                outcomes[key] = _measure_sequence(frame.copy(), src, dst, order, jitter, model, proofs)
-            trials.append(TrialRecord(index, direction, *outcomes[key]))
+        for (direction, src, dst, order), jitter, table, known in zip(legs, jitters, tables, seen):
+            if (outcome := known.get(jitter)) is None:
+                key = (direction, *(row[min(j, len(row) - 1)] for row, j in zip(table, jitter)))
+                if key not in outcomes:
+                    outcomes[key] = _measure_sequence(frame.copy(), src, dst, order, jitter, model, proofs)
+                outcome = known[jitter] = outcomes[key]
+            trials.append(TrialRecord(index, direction, *outcome))
 
     # trials alternate forward, reverse; each direction gives two table
     # cells (successes, failures) and the row of its measuring world

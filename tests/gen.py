@@ -87,6 +87,27 @@ def random_formula(rng: random.Random, depth: int = 2):
     return Diamond(round(rng.uniform(0, 9), 3), random_formula(rng, depth - 1))
 
 
+def random_sequent(rng: random.Random) -> Sequent:
+    """A small gamma |- delta of random formulas.  Two in three are built
+    to be provable: gamma regrouped on the right, or a measurement; some
+    gain a banged context to weaken or derelict."""
+    gamma = [random_formula(rng, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))]
+    kind = rng.randrange(3)
+    if kind == 0:
+        delta = [random_formula(rng, 1)]
+    elif kind == 1:
+        delta = [gamma[0] if len(gamma) == 1 else Tensor(*gamma)]
+        if rng.random() < 0.3:
+            delta = [With(delta[0], delta[0])]
+    else:
+        q = rng.choice("xy")
+        gamma, delta = [Bang(Atom("Quantum", (q,), True))], [Atom("Classical", (q,), False)]
+    if rng.random() < 0.4:
+        gamma.append(Bang(random_formula(rng, rng.randint(0, 1))))
+    rng.shuffle(gamma)
+    return Sequent(gamma, delta)
+
+
 def random_config(rng: random.Random) -> ScenarioConfig:
     """A structurally valid config with varied fields, for round-trips."""
     n = rng.randint(1, 6)

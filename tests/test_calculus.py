@@ -41,6 +41,7 @@ from eclc.calculus import (
 from eclc.dsl import parse_formula
 
 import oracles
+from gen import random_sequent
 from test_prove_golden import _load_workloads
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
@@ -636,6 +637,18 @@ def frame_order(frame):
     )
 
 
+def assert_fresh(proofs, model):
+    """Each memo entry equals a fresh ``prove``, tree included, and each
+    (seq, kappa) entry holds the search at its bound."""
+    for key, value in proofs.items():
+        if len(key) == 3:
+            seq, bound, kappa = key
+            assert value == prove(seq, bound, model, kappa)
+        else:
+            (seq, kappa), (bound, result) = key, value
+            assert result.proved and result == proofs[seq, bound, kappa]
+
+
 class TestProofMemo:
     def test_measure_twice_still_raises(self, unit_model, monkeypatch):
         calls = counted_prove(monkeypatch)
@@ -645,9 +658,13 @@ class TestProofMemo:
         with pytest.raises(PreconditionError):
             measure(frame, "wa", "wb", "psi", "o", unit_model, proofs=proofs)
         # the replay raised before any memo lookup, so a fresh frame's
-        # measurement is the memo's first hit
+        # measurement is the memo's first hit; the one search is kept at
+        # its bound and as the sequent's proof at the largest bound
         assert measure(measurement_frame(), "wa", "wb", "psi", "o", unit_model, proofs=proofs).valid
-        assert len(calls) == len(proofs) == 1
+        seq = measurement("psi", "o")
+        fresh = prove(seq, 8, unit_model, 0.0)
+        assert len(calls) == 1
+        assert proofs == {(seq, 8, 0.0): fresh, (seq, 0.0): (8, fresh)}
 
     def test_failed_transition_on_memo_hit_changes_nothing(self, unit_model, monkeypatch):
         calls = counted_prove(monkeypatch)
@@ -707,8 +724,33 @@ class TestProofMemo:
             assert frame_order(frame) == frame_order(plain)
             outcomes[memoized.valid, memoized.proof.failure_reason] += 1
         assert len(outcomes) >= 3 and outcomes[True, None] >= 50
-        # the memo-free side proves all 300; the memo side only its misses
-        assert len(calls) - 300 == len(proofs) < 250
+        # the memo-free side proves all 300; the memo side searches only
+        # its misses, keeps each at its bound, and each entry is a fresh prove
+        assert len(calls) - 300 == sum(len(key) == 3 for key in proofs) < 250
+        assert_fresh(proofs, unit_model)
+
+    def test_every_bound_in_any_order_matches_fresh_prove(self, zero_model, unit_model, monkeypatch):
+        # bounds 0-7 at kappa 0 and 0.5, in random order through one memo
+        # per sequent and cost model: each answer is a fresh prove, tree
+        # included, and proofs found at a higher bound answer lower ones
+        calls = counted_prove(monkeypatch)
+        rng = random.Random(2024)
+        queries = [(kappa, bound) for kappa in (0.0, 0.5) for bound in range(8)]
+        answers = Counter()
+        for _ in range(200):
+            seq = random_sequent(rng)
+            for model in (zero_model, unit_model):
+                proofs = {}
+                for kappa, bound in rng.sample(queries, len(queries)):
+                    result = proved_once(seq, bound, model, kappa, proofs)
+                    if bound == 0:
+                        assert result == ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
+                    else:
+                        assert result == prove(seq, bound, model, kappa)
+                    answers[result.failure_reason] += 1
+        assert len(answers) == 4 and answers[None] >= 2000
+        # of the 5,600 queries at bounds 1-7, reuse answers 1,056 here
+        assert len(calls) < 5600 - 1000
 
 
 class TestRenderProof:

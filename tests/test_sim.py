@@ -309,32 +309,75 @@ class TestRunReciprocity:
         assert reasons[None] and reasons["inaccessible"] and reasons["depth_exceeded"]
 
     def test_one_prove_per_distinct_proof(self, monkeypatch):
-        # the run proves each (sequent, bound, kappa) it needs once, the
-        # same set the memo-free reference proves, and writes the same bytes
-        prove = calculus.prove
+        # the run searches each (sequent, bound, kappa) at most once, each
+        # proof it resolves equals a fresh prove, it resolves every proof
+        # the memo-free reference makes, and it writes the same bytes
+        prove, proved_once = calculus.prove, calculus.proved_once
         calls = []
+        resolved = {}
 
         def counted(seq, bound, model, kappa):
             calls.append((seq, bound, kappa))
             return prove(seq, bound, model, kappa)
 
+        def recorded(seq, bound, model, kappa, proofs):
+            resolved[seq, bound, kappa] = proved_once(seq, bound, model, kappa, proofs)
+            return resolved[seq, bound, kappa]
+
         monkeypatch.setattr(calculus, "prove", counted)
+        monkeypatch.setattr(calculus, "proved_once", recorded)
+        monkeypatch.setattr(sim, "proved_once", recorded)
+        below_one = calculus.ProofResult(False, 0, None, 0.0, calculus.DEPTH_EXCEEDED)
         rng = random.Random(29)
         configs = [load("reciprocity")]
         configs += [parse_scenario(random_reciprocity_text(rng)) for _ in range(6)]
         configs += [parse_scenario(draining_reciprocity_text(rng)) for _ in range(6)]
         for index, config in enumerate(configs):
             calls.clear()
+            resolved.clear()
             report = run_reciprocity(config)
-            memoized = list(calls)
+            searched = list(calls)
+            for (seq, bound, kappa), result in resolved.items():
+                assert result == (prove(seq, bound, config.cost_model, kappa) if bound >= 1 else below_one)
+            run_resolved = set(resolved)
             calls.clear()
             expected = reference_reciprocity(config)
-            assert len(memoized) == len(set(memoized))
-            assert set(memoized) == set(calls)
+            assert len(searched) == len(set(searched))
+            assert set(calls) <= run_resolved
             if index == 0:
-                assert len(memoized) == 24 and len(calls) > 98
+                # each qubit at wA's bound, whose proof answers every bound
+                # down to 2, and at bound 1
+                assert len(searched) == 4 and len(calls) > 98
             assert report_to_json(report) == report_to_json(expected)
             assert trials_csv(report) == trials_csv(expected)
+
+    def test_high_noise_table_stops_at_lambda(self, monkeypatch):
+        # noise 100 at lambda 500 draws jitters up to 50,000, but each
+        # qubit's table stops at jitter lambda, the first that leaves no
+        # bound; the memo holds each qubit's searches at bounds 500 and 1,
+        # and the proof at 500, which answers bounds 2-499
+        text = scenarios.read("reciprocity").replace("noise = 0.8", "noise = 100")
+        text = re.sub(r"lambda=\d+", "lambda=500", text) + "prop wA : !Quantum(qC)\nprop wB : !Quantum(qC)\n"
+        config = replace(parse_scenario(text), trials=200)
+        assert len(sim._quantum_names(config.frame.world("wA").props)) == 3
+        proved_once = sim.proved_once
+        resolved = Counter()
+        memos = {}
+
+        def counted(seq, bound, model, kappa, proofs):
+            resolved[seq] += 1
+            memos[id(proofs)] = proofs
+            return proved_once(seq, bound, model, kappa, proofs)
+
+        monkeypatch.setattr(sim, "proved_once", counted)
+        report = run_reciprocity(config)
+        # jitters 0-500 for each qubit in each direction
+        assert resolved == {calculus.measurement(q, f"o_{q}"): 2 * 501 for q in ("qA", "qB", "qC")}
+        (memo,) = memos.values()
+        assert len(memo) == 3 * 3
+        expected = reference_reciprocity(config)
+        assert report_to_json(report) == report_to_json(expected)
+        assert trials_csv(report) == trials_csv(expected)
 
     def test_requires_two_worlds(self):
         with pytest.raises(ScenarioError):
