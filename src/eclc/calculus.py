@@ -357,6 +357,31 @@ def _refuted_outright(gamma, delta) -> bool:
     return _refuted(_tally(gamma), _tally(delta))
 
 
+def _copies_refuted(gamma, delta) -> bool:
+    """``_refuted_outright``, or no rational copy counts ``k_i`` solve ``fixed +
+    sum(k_i * v_i) = 0`` (Kanovich 1995; fraction-free elimination).  A banged
+    member, either side, whose inner tally has no slack (no ``&``, ``!`` or diamond)
+    adds ``v_i`` per copy; any other adds its fixed totals and frees its slack buckets."""
+    if _refuted_outright(gamma, delta):
+        return True
+    fixed, free, vectors = Counter(), set(), []
+    for sign, side in ((-1, gamma), (1, delta)):
+        for phi in side:
+            inner = _tally((phi.inner,)) if isinstance(phi, Bang) else None
+            if inner is not None and not (inner[0] or inner[2] or inner[3]):
+                vectors.append({bucket: sign * total for bucket, total in inner[1].items()})
+                continue
+            _, totals, up, down = _tally((phi,))
+            (fixed.update if sign > 0 else fixed.subtract)(totals)
+            free |= up | down
+    rows = [[v.get(b, 0) for v in vectors] + [fixed.get(b, 0)] for b in set(fixed).union(*vectors) - free]
+    for col in range(len(vectors)):
+        if (pivot := next((row for row in rows if row[col]), None)) is not None:
+            rows.remove(pivot)
+            rows = [[x * pivot[col] - p * row[col] for x, p in zip(row, pivot)] for row in rows]
+    return any(row[-1] for row in rows)
+
+
 def _search(gamma, delta, remaining, memo, key, tables):
     """Depth-first backward search; returns (tree or None, died_to_depth).
 
@@ -428,8 +453,8 @@ def proved_once(seq: Sequent, bound: int, model: CostModel, kappa: float, proofs
     largest bound b so far.  It answers every bound from its height up to b:
     each application tried before it has a premise unprovable within b - 1
     levels, so within fewer, and its own premises fit.  A failure answers its
-    own bound only, as its reason can rest on what the search met.  A bound
-    below 1 admits no proof: it is ``depth_exceeded`` without a search."""
+    own bound only, as its reason can rest on what the search met, but ``cost_invalid``
+    answers every bound from 1.  A bound below 1 is ``depth_exceeded`` without a search."""
     if bound < 1:
         return ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
     key = (seq, bound, kappa)
@@ -440,6 +465,8 @@ def proved_once(seq: Sequent, bound: int, model: CostModel, kappa: float, proofs
         result = proofs[key] = prove(seq, bound, model, kappa)
         if result.proved and bound > top:
             proofs[seq, kappa] = bound, result
+        elif result.failure_reason == COST_INVALID:
+            proofs[seq, kappa] = _NO_DEPTH_LIMIT, result
     return result
 
 

@@ -323,7 +323,7 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
     # distances from each home hold for the whole run.
     distances = {home: hop_distances(frame, home) for home in dict.fromkeys(o.home for o in config.observers)}
 
-    proofs: dict = {}
+    proofs, verdicts = {}, {}
     rows = []
     cumulative = 0.0
     alive = True
@@ -335,7 +335,7 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
                 alive = False
             world.props[phi if alive else decohere(phi)] += 1
         seen = [distances[o.home].get(wid, o.horizon + 1) <= o.horizon for o in config.observers]
-        truth = truth_at(frame, wid, phi, model) if any(seen) else 0
+        truth = truth_at(frame, wid, phi, model, verdicts) if any(seen) else 0
         bits = [truth if sees else 0 for sees in seen]
         depths = [_self_carry(phi, world, model, proofs).depth] if alive else []
         rows.append(_row(world, world.props, bits, depths))

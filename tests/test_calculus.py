@@ -639,14 +639,19 @@ def frame_order(frame):
 
 def assert_fresh(proofs, model):
     """Each memo entry equals a fresh ``prove``, tree included, and each
-    (seq, kappa) entry holds the search at its bound."""
+    (seq, kappa) entry holds the search at its bound, or a ``cost_invalid``
+    result, which a fresh ``prove`` gives at every bound."""
     for key, value in proofs.items():
         if len(key) == 3:
             seq, bound, kappa = key
             assert value == prove(seq, bound, model, kappa)
         else:
             (seq, kappa), (bound, result) = key, value
-            assert result.proved and result == proofs[seq, bound, kappa]
+            if result.proved:
+                assert result == proofs[seq, bound, kappa]
+            else:
+                assert result.failure_reason == COST_INVALID and bound == calculus._NO_DEPTH_LIMIT
+                assert all(result == prove(seq, b, model, kappa) for b in (1, 2, 7))
 
 
 class TestProofMemo:

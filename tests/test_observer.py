@@ -22,7 +22,8 @@ from eclc import (
     persistence_check,
     prove,
 )
-from eclc.calculus import _refuted, _tally, quantum_token
+from eclc import calculus, observer
+from eclc.calculus import _copies_refuted, _refuted, _refuted_outright, _tally, quantum_token
 from eclc.formula import Bang, Diamond, With
 from eclc.observer import truth_at
 from gen import small_frames
@@ -55,6 +56,44 @@ def observed_worlds(draw):
     held = st.sampled_from(sorted(world.props, key=repr))
     goal = st.one_of(OBSERVED, st.builds(Tensor, held, held), st.builds(With, held, held), st.builds(Tensor, held, OBSERVED))
     return Frame([world], []), draw(goal)
+
+
+@st.composite
+def shared_worlds(draw):
+    """2-6 worlds over one pool of 2-6 OBSERVED props and implications or
+    bangs of them, at lambda 1-8 and mixed kappa, and 1-12 visits (world,
+    goal) in random order over 1-2 goals, often a pool prop, a pair of them
+    or what one of them yields, so that visits meet one antecedent multiset
+    at several bounds and some goals need a proof."""
+    pool = draw(st.lists(OBSERVED, min_size=2, max_size=4, unique=True))
+    extra = st.one_of(st.builds(Lolli, st.sampled_from(pool), OBSERVED), st.builds(Bang, st.sampled_from(pool)))
+    pool = list(dict.fromkeys(pool + draw(st.lists(extra, max_size=2))))
+    held = st.sampled_from(pool)
+    yields = [psi.right for psi in pool if isinstance(psi, Lolli)] + [psi.inner for psi in pool if isinstance(psi, Bang)]
+    goal = st.one_of(held, st.builds(Tensor, held, held), st.builds(With, held, held), st.sampled_from(yields or pool))
+    goals = draw(st.lists(goal, min_size=1, max_size=2))
+    worlds = []
+    for i in range(draw(st.integers(2, 6))):
+        world = World(f"w{i}", 10.0, draw(st.sampled_from((0.0, 0.5, 2.0))), draw(st.integers(1, 8)))
+        world.props.update(draw(st.lists(held, min_size=1, max_size=4)))
+        worlds.append(world)
+    visits = draw(st.lists(st.tuples(st.sampled_from([w.id for w in worlds]), st.sampled_from(goals)), min_size=1, max_size=12))
+    return Frame(worlds, []), visits
+
+
+# Banged contexts for the counted refutation: plain formulas over a few
+# atoms, each possibly under a bang, so that many balance by their counts.
+COUNTED_ATOMS = (Atom("A"), Atom("B"), PHI, Atom("Quantum", ("q",)), Atom("Classical", ("o",), False))
+COUNTED = st.recursive(
+    st.sampled_from(COUNTED_ATOMS),
+    lambda kids: st.one_of(st.builds(Tensor, kids, kids), st.builds(Lolli, kids, kids)),
+    max_leaves=3,
+)
+COUNTED_MEMBER = st.one_of(
+    COUNTED,
+    st.builds(Bang, COUNTED),
+    st.builds(Bang, st.one_of(st.builds(With, COUNTED, COUNTED), st.builds(Diamond, st.just(1.0), COUNTED))),
+)
 
 
 def chain_frame(length=4, lam=8):
@@ -128,50 +167,95 @@ class TestObserverValuation:
     def test_each_antecedent_multiset_proved_once_or_refuted(self, unit_model, monkeypatch):
         a, b = Atom("A"), Atom("B")
         held = Counter({a: 2, b: 1, Tensor(a, b): 1})
-        frame = chain_frame(lam=1)  # too shallow for any proof, so every multiset is visited
+        frame = chain_frame(lam=1)  # too shallow for any proof
         frame.worlds["w0"].props.update(held)
-        tried, refuted, tallied = [], [], []
+        goal = Tensor(a, Tensor(a, b))
+        multisets = {
+            frozenset(Counter(combo).items())
+            for size in (1, 2, 3)
+            for combo in itertools.combinations(held.elements(), size)
+        }
+        assert len(multisets) == 10
+        passed = {m for m in multisets if not _refuted(_tally(tuple(Counter(dict(m)).elements())), _tally((goal,)))}
+        # only the multisets that balance A * (A * B) pass the filter
+        assert passed == {frozenset({(a, 2), (b, 1)}), frozenset({(a, 1), (Tensor(a, b), 1)})}
+        # the walk hands on exactly those, each once, and leaves out the
+        # rest, each refuted on its own
+        walked = list(observer._balanced(frame.worlds["w0"].props, _tally((goal,))))
+        assert len(walked) == len(passed) == len({frozenset(Counter(m).items()) for m in walked})
+        assert {frozenset(Counter(m).items()) for m in walked} == passed
+        for m in multisets - passed:
+            assert _refuted(_tally(tuple(Counter(dict(m)).elements())), _tally((goal,)))
+        tried = []
 
         def record(seq, *args):
             tried.append(frozenset(Counter(seq.gamma).items()))
             return prove(seq, *args)
 
-        def tally(side):
-            tallied.append(side)
-            return _tally(side)
-
-        def check(gamma_tally, delta_tally):
-            # the antecedent's tally is taken just before each check
-            verdict = _refuted(gamma_tally, delta_tally)
-            if verdict:
-                refuted.append(frozenset(Counter(tallied[-1]).items()))
-            return verdict
-
         monkeypatch.setattr("eclc.observer.prove", record)
-        monkeypatch.setattr("eclc.observer._tally", tally)
-        monkeypatch.setattr("eclc.observer._refuted", check)
-        goal = Tensor(a, Tensor(a, b))
+        verdicts = {}
+        for _ in range(3):
+            assert truth_at(frame, "w0", goal, unit_model, verdicts) == 0
+        # one table proves each multiset once, at bound 1, and keeps it
+        assert len(tried) == len(set(tried)) and set(tried) == passed
+        assert set(verdicts.values()) == {(1, calculus._NO_DEPTH_LIMIT)}
+        # without a table each call proves them again
         assert observer_valuation(frame, Observer("o", "w0", 0), "w0", goal, unit_model) == 0
-        expected = {
-            frozenset(Counter(combo).items())
-            for size in (1, 2, 3)
-            for combo in itertools.combinations(held.elements(), size)
-        }
-        assert len(expected) == 10
-        assert len(tried) == len(set(tried)) and len(refuted) == len(set(refuted))
-        assert set(tried).isdisjoint(refuted)
-        assert set(tried) | set(refuted) == expected
-        # only the multisets that balance A * (A * B) reach the prover
-        assert set(tried) == {frozenset({(a, 2), (b, 1)}), frozenset({(a, 1), (Tensor(a, b), 1)})}
-        # the goal's side is tallied once per call, not once per multiset
-        assert tallied[0] == (goal,) and tallied.count((goal,)) == 1
+        assert len(tried) == 2 * len(passed)
 
     @settings(max_examples=100)
     @given(observed_worlds(), st.sampled_from((0.0, 1.0)))
     def test_truth_matches_proving_every_multiset(self, world_and_goal, default_cost):
         frame, phi = world_and_goal
         model = CostModel({}, default_cost=default_cost, alpha=0.75)
-        assert truth_at(frame, "w0", phi, model) == oracles.reference_truth_at(frame, "w0", phi, model)
+        assert truth_at(frame, "w0", phi, model, {}) == oracles.reference_truth_at(frame, "w0", phi, model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(OBSERVED, st.integers(1, 3)), min_size=1, max_size=9), st.data())
+    def test_walk_yields_the_filter_pass_set_in_order(self, held, data):
+        # the multisets the old loop sent on: every combination within the
+        # counts, by size, that _refuted passes against phi's tally
+        props = Counter()
+        for psi, count in held:
+            props[psi] += count
+        some = st.sampled_from(sorted(props, key=repr))
+        phi = data.draw(st.one_of(OBSERVED, st.builds(Tensor, some, some), st.builds(Tensor, some, st.builds(Tensor, some, some))))
+        goal = _tally((phi,))
+        expected = [
+            combo
+            for size in range(1, observer.MAX_ANTECEDENT + 1)
+            for combo in itertools.combinations_with_replacement(props, size)
+            if all(combo.count(psi) <= props[psi] for psi in combo) and not _refuted(_tally(combo), goal)
+        ]
+        assert list(observer._balanced(props, goal)) == expected
+
+    def test_table_answers_by_bound(self, unit_model):
+        # A, A -o Phi proves Phi at height 2: a deep world's proof does not
+        # answer a lambda=1 world, and that world's failure does not answer
+        # a deeper one
+        held = [Atom("A"), Lolli(Atom("A"), PHI)]
+        frame = Frame([World(f"w{lam}", 10.0, 0.0, lam, Counter(held)) for lam in (4, 1, 2)], [])
+        verdicts = {}
+        assert [truth_at(frame, w, PHI, unit_model, verdicts) for w in ("w4", "w1", "w2", "w1")] == [1, 0, 1, 0]
+        assert list(verdicts.values()) == [(1, 2)]
+
+    def test_table_keeps_goals_apart(self, unit_model):
+        # A, A -o Phi proves Phi but not Phi & C, though both pass the filter
+        frame = chain_frame(lam=4)
+        frame.worlds["w0"].props.update([Atom("A"), Lolli(Atom("A"), PHI)])
+        verdicts = {}
+        assert truth_at(frame, "w0", PHI, unit_model, verdicts) == 1
+        assert truth_at(frame, "w0", With(PHI, Atom("C")), unit_model, verdicts) == 0
+        assert truth_at(frame, "w0", PHI, unit_model, verdicts) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(shared_worlds(), st.sampled_from((0.0, 1.0)))
+    def test_one_table_across_worlds_matches_reference(self, drawn, default_cost):
+        frame, visits = drawn
+        model = CostModel({}, default_cost=default_cost, alpha=0.75)
+        verdicts = {}
+        for wid, phi in visits:
+            assert truth_at(frame, wid, phi, model, verdicts) == oracles.reference_truth_at(frame, wid, phi, model)
 
     @settings(max_examples=30)
     @given(small_frames(max_worlds=5), st.integers(0, 3))
@@ -184,6 +268,40 @@ class TestObserverValuation:
         for wid in ids:
             value = observer_valuation(frame, observer, wid, PHI, model)
             assert value <= int(observer_sees(frame, observer, wid))
+
+
+class TestCountedRefutation:
+    @pytest.mark.parametrize(
+        "gamma, delta",
+        [
+            ((Bang(Lolli(Atom("A"), PHI)),), (PHI,)),
+            ((Bang(Lolli(Atom("A"), Atom("Phi", ("x",)))),), (Atom("Phi", ("x",)),)),
+            ((Bang(Lolli(Atom("A"), Atom("B"))), Atom("A")), (Tensor(Atom("B"), Atom("B")),)),
+        ],
+        ids=["bang-lolli-phi", "bang-lolli-phi-x", "bang-lolli-b-b"],
+    )
+    def test_banged_copies_that_cannot_balance(self, gamma, delta):
+        # one copy of A -o Phi needs one A the goal lacks; each copy of
+        # A -o B turns one A into one B, and no count gives one A and two Bs
+        assert not _refuted_outright(gamma, delta)
+        assert _copies_refuted(gamma, delta)
+        assert not oracles.provable(gamma, delta, 7)
+
+    def test_banged_copies_that_balance(self):
+        a, b = Atom("A"), Atom("B")
+        # two copies of A -o B take two As to two Bs
+        assert not _copies_refuted((Bang(Lolli(a, b)), a, a), (Tensor(b, b),))
+        # a promoted copy: !A |- !A
+        assert not _copies_refuted((Bang(a),), (Bang(a),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(COUNTED_MEMBER, min_size=1, max_size=3), st.lists(COUNTED_MEMBER, min_size=1, max_size=2))
+    def test_sound_and_at_least_as_strong(self, gamma, delta):
+        gamma, delta = tuple(gamma), tuple(delta)
+        if _refuted_outright(gamma, delta):
+            assert _copies_refuted(gamma, delta)
+        elif _copies_refuted(gamma, delta):
+            assert not oracles.provable(gamma, delta, 6)
 
 
 class TestPersistenceCheck:

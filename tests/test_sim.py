@@ -379,6 +379,31 @@ class TestRunReciprocity:
         assert report_to_json(report) == report_to_json(expected)
         assert trials_csv(report) == trials_csv(expected)
 
+    def test_cost_invalid_searched_once_at_high_noise(self, monkeypatch):
+        # Classical costs more than !Quantum, so every measurement is
+        # cost_invalid, which reads no bound: one search per sequent and
+        # kappa answers all 501 bounds of each leg's table
+        text = scenarios.read("reciprocity").replace("noise = 0.8", "noise = 100")
+        text = re.sub(r"lambda=\d+", "lambda=500", text).replace("cost * = 1.0", "cost * = 1.0\ncost Classical = 3.0")
+        config = parse_scenario(text)
+        prove = calculus.prove
+        searched = Counter()
+
+        def counted(seq, bound, model, kappa):
+            searched[seq, kappa] += 1
+            return prove(seq, bound, model, kappa)
+
+        monkeypatch.setattr(calculus, "prove", counted)
+        report = run_reciprocity(config)
+        assert searched == {(calculus.measurement(q, f"o_{q}"), 0.0): 1 for q in ("qA", "qB")}
+        # a jitter of lambda or more leaves bound 0: depth_exceeded, unsearched
+        assert {t.failure_reason for t in report.trials} == {calculus.COST_INVALID, calculus.DEPTH_EXCEEDED}
+        monkeypatch.undo()
+        expected = reference_reciprocity(config)
+        assert report_to_json(report) == report_to_json(expected)
+        assert per_world_csv(report) == per_world_csv(expected)
+        assert trials_csv(report) == trials_csv(expected)
+
     def test_requires_two_worlds(self):
         with pytest.raises(ScenarioError):
             run_reciprocity(replace(load("coherence"), scenario_kind="reciprocity"))
@@ -597,6 +622,42 @@ class TestRunAccessibility:
         assert 1 <= calls["bfs"] <= len({o.home for o in config.observers})
         # visibility comes from the per-home tables only, never a BFS per row
         assert calls["row bfs"] == 0
+
+    @pytest.mark.parametrize("shape", ["!P{} -o Phi", "!P{}"])
+    def test_wide_world_merges_grow_at_most_quadratically(self, shape, monkeypatch):
+        # Phi decoheres at w1, a lambda=1 world that holds n props !Pi -o Phi:
+        # each alone balances Phi, and every pair is cut at once, so the
+        # walk's tally merges grow with n^2, not with the n^3 multisets; a
+        # prop !Pi cannot give Phi, so each is cut alone
+        spend, merges = observer._spend, Counter()
+
+        def counted(net, totals):
+            merges[n] += 1
+            return spend(net, totals)
+
+        def reference(frame, w, phi, model, verdicts):
+            world = frame.world(w)
+            if world.lam > 1:
+                return oracles.reference_truth_at(frame, w, phi, model)
+            # at bound 1 only an axiom, one formula a side, proves a goal;
+            # at n=60 the full reference checks this shortcut
+            held = phi in world.props or any(
+                calculus.prove(calculus.Sequent((psi,), (phi,)), 1, model, world.kappa).proved for psi in world.props
+            )
+            assert n > 60 or int(held) == oracles.reference_truth_at(frame, w, phi, model)
+            return int(held)
+
+        for n in (60, 120, 240):
+            text = scenarios.read("accessibility").replace("kappa=1.0, lambda=8", "kappa=1.0, lambda=1")
+            config = parse_scenario(text + "".join(f"prop w1 : {shape.format(i)}\n" for i in range(n)))
+            with monkeypatch.context() as patched:
+                patched.setattr(observer, "_spend", counted)
+                report = run_accessibility(config)
+            with monkeypatch.context() as patched:
+                patched.setattr(sim, "truth_at", reference)
+                assert report == run_accessibility(config)
+            assert [row.access_fraction for row in report.per_world] == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert merges[240] <= 4.5 * merges[120] and merges[120] <= 4.5 * merges[60]
 
     def test_shipped_decline(self):
         report = run_accessibility(load("accessibility"))
