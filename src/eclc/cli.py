@@ -93,7 +93,9 @@ def _resolve_seed(args, config: ScenarioConfig) -> int | None:
             shown = ascii(env)  # escaped, so one character is one byte
             if len(shown) > 40:
                 shown = f"{shown[:32]}... ({len(env)} characters)"
-            problem = "out of range" if env.strip().lstrip("+-").isdecimal() else f"must be an integer, got {shown}"
+            digits = env.strip()
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits  # one sign at most, as int() takes
+            problem = "out of range" if digits.isdecimal() else f"must be an integer, got {shown}"
             raise ScenarioError(f"{ENV_SEED} {problem}") from None
     if seed is not None and not (0 <= seed < 1 << 64):
         raise ScenarioError(f"seed must fit in 64 unsigned bits, got {seed}")

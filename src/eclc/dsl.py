@@ -132,8 +132,7 @@ class _Parser:
         self.worlds: dict[str, World] = {}
         self.edges: dict[tuple[str, str], float] = {}
         self.atom_costs: dict[str, float] = {}
-        self.observers: list[Observer] = []
-        self.observer_ids: set[str] = set()
+        self.observers: dict[str, Observer] = {}
         self.sequents: dict[str, tuple[str, str, Sequent]] = {}
         # the fields a directive set; the rest keep their dataclass defaults
         self.settings: dict[str, object] = {}
@@ -209,6 +208,12 @@ class _Parser:
         except ValueError:  # more digits than Python converts
             raise self.error(at, f"{what} out of range") from None
 
+    def need(self, at: int, word: str) -> int:
+        """The index just past token ``at``, which must be ``word``."""
+        if self.t[at] != word:
+            raise self.unexpected(at, word)
+        return at + 1
+
     def set_once(self, field: str, value, at: int, message: str) -> None:
         if field in self.settings:
             raise self.error(at, message)
@@ -238,11 +243,6 @@ class _Parser:
             raise self.error(self.pos, f"formula has more than {MAX_FORMULA_NODES} connectives")
         self.pos += 1
 
-    def expect(self, word: str) -> None:
-        if self.t[self.pos] != word:
-            raise self.unexpected(self.pos, word)
-        self.pos += 1
-
     def unary(self) -> Formula:
         t, at = self.t, self.pos
         word = t[at]
@@ -252,13 +252,12 @@ class _Parser:
         if word == "<":
             self.connective()
             budget = self.real(self.pos, "diamond budget")
-            self.pos += 1
-            self.expect(">")
+            self.pos = self.need(self.pos + 1, ">")
             return Diamond(budget, self.unary())
         if word == "(":
             self.connective()
             inner = self.formula()
-            self.expect(")")
+            self.pos = self.need(self.pos, ")")
             return inner
         # an atom: ``~`` marks it non-coherent
         coherent = word != "~"
@@ -270,6 +269,7 @@ class _Parser:
         if not name.isidentifier():
             raise self.unexpected(at, "atom name")
         args: list[str] = []
+        self.pos = at + 1
         if t[at + 1] == "(":
             at += 1
             while True:  # at is on "(" or ","
@@ -280,9 +280,7 @@ class _Parser:
                 at += 1
                 if t[at] != ",":
                     break
-            if t[at] != ")":
-                raise self.unexpected(at, ")")
-        self.pos = at + 1
+            self.pos = self.need(at, ")")
         return Atom(name, tuple(args), coherent and name not in CLASSICAL_ATOMS)
 
     def formula_list(self, stop: str) -> list[Formula]:
@@ -296,57 +294,44 @@ class _Parser:
 
     def world(self, t: list[str]) -> int:
         wid = self.new_id(1, self.worlds, "world id", "duplicate world id")
-        if t[2] != "{":
-            raise self.unexpected(2, "{")
+        at = self.need(2, "{")
         fields: dict[str, float | int] = {}
-        at = 3
         while True:
             key = t[at]
             if key not in _WORLD_FIELDS:
                 raise self.wrong(at, f"unknown world attribute {key!r}", _WORLD_FIELDS, "world attribute")
             if key in fields:
                 raise self.error(at, f"duplicate attribute {key!r}")
-            if t[at + 1] != "=":
-                raise self.unexpected(at + 1, "=")
-            fields[key] = value = (self.integer if key == "lambda" else self.real)(at + 2, key)
+            fields[key] = value = (self.integer if key == "lambda" else self.real)(self.need(at + 1, "="), key)
             if key == "lambda" and not 1 <= value <= MAX_LAMBDA:
                 raise self.error(at, f"lambda must be between 1 and {MAX_LAMBDA}")
             at += 3
             if t[at] != ",":
                 break
             at += 1
-        if t[at] != "}":
-            raise self.unexpected(at, "}")
+        at = self.need(at, "}")
         for needed in _WORLD_FIELDS:
             if needed not in fields:
                 raise self.error(0, f"world {wid!r} missing {needed!r}")
         self.worlds[wid] = World(wid, fields["energy"], fields["kappa"], fields["lambda"])
-        return at + 1
+        return at
 
     def edge(self, t: list[str]) -> int:
         src = self.world_id(1, "source world")
-        if t[2] != "->":
-            raise self.unexpected(2, "->")
-        dst = self.world_id(3, "target world")
+        dst = self.world_id(self.need(2, "->"), "target world")
         if (src, dst) in self.edges:
             raise self.error(0, f"duplicate edge {src!r} -> {dst!r}")
-        if t[4] != "{":
-            raise self.unexpected(4, "{")
+        self.need(4, "{")
         if t[5] != "deltaE":
             raise self.wrong(5, f"unknown edge attribute {t[5]!r}", ("deltaE",), "deltaE")
-        if t[6] != "=":
-            raise self.unexpected(6, "=")
-        self.edges[(src, dst)] = self.real(7, "deltaE")
-        if t[8] != "}":
-            raise self.unexpected(8, "}")
-        return 9
+        self.edges[(src, dst)] = self.real(self.need(6, "="), "deltaE")
+        return self.need(8, "}")
 
     def prop(self, t: list[str]) -> int:
         """Each distinct formula is parsed once per text: the same tokens
         give the same hash-consed formula, and a bad one raises the first time."""
         wid = self.world_id(1, "world id")
-        if t[2] != ":":
-            raise self.unexpected(2, ":")
+        self.need(2, ":")
         key = tuple(t[3:])
         phi = self.memo.get(key)
         if phi is None:
@@ -361,8 +346,7 @@ class _Parser:
         default = t[1] in ("*", "⊗")
         if not default:
             name = self.new_id(1, self.atom_costs, "atom name", "duplicate cost for")
-        if t[2] != "=":
-            raise self.unexpected(2, "=")
+        self.need(2, "=")
         if default:
             self.set_once("default_cost", self.real(3, "default cost"), 1, "duplicate default cost directive")
         else:
@@ -371,41 +355,30 @@ class _Parser:
 
     def scalar(self, t: list[str]) -> int:
         read, valid, message = _SCALARS[t[0]]
-        if t[1] != "=":
-            raise self.unexpected(1, "=")
-        value = read(self, 2, t[0])
+        value = read(self, self.need(1, "="), t[0])
         if not valid(value):
             raise self.error(0, message)
         self.set_once(t[0], value, 0, f"duplicate {t[0]!r} directive")
         return 3
 
     def observer(self, t: list[str]) -> int:
-        oid = self.new_id(1, self.observer_ids, "observer id", "duplicate observer id")
+        oid = self.new_id(1, self.observers, "observer id", "duplicate observer id")
         if t[2] != "home":
             raise self.wrong(2, "expected home=<world>", ("home",), "home")
-        if t[3] != "=":
-            raise self.unexpected(3, "=")
-        home = self.world_id(4, "home world")
+        home = self.world_id(self.need(3, "="), "home world")
         if t[5] != "horizon":
             raise self.wrong(5, "expected horizon=<int>", ("horizon",), "horizon")
-        if t[6] != "=":
-            raise self.unexpected(6, "=")
-        horizon = self.integer(7, "horizon")
-        self.observer_ids.add(oid)
-        self.observers.append(Observer(oid, home, horizon))
+        horizon = self.integer(self.need(6, "="), "horizon")
+        self.observers[oid] = Observer(oid, home, horizon)
         return 8
 
     def sequent(self, t: list[str]) -> int:
         name = self.new_id(1, self.sequents, "sequent name", "duplicate sequent name")
         src = self.world_id(2, "source world")
-        if t[3] != "->":
-            raise self.unexpected(3, "->")
-        dst = self.world_id(4, "target world")
-        if t[5] != ":":
-            raise self.unexpected(5, ":")
-        self.pos = 6
+        dst = self.world_id(self.need(3, "->"), "target world")
+        self.pos = self.need(5, ":")
         gamma = self.formula_list("|-")
-        self.expect("|-")
+        self.pos = self.need(self.pos, "|-")
         delta = self.formula_list("")
         self.sequents[name] = (src, dst, Sequent(gamma, delta))
         return self.pos
@@ -467,7 +440,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         frame=frame,
         cost_model=CostModel(parser.atom_costs, **costs),
-        observers=parser.observers,
+        observers=list(parser.observers.values()),
         sequents=parser.sequents,
         scenario_kind=settings.pop("scenario_kind", "coherence"),
         **settings,

@@ -207,7 +207,6 @@ def _outcome(qubit: str) -> str:
 
 def _measure_sequence(frame, src, dst, qubits, jitters, model, proofs):
     """Apply the measurements in order through the memo ``proofs``; returns (success, depth, reason)."""
-    success = True
     max_depth = 0
     reason = None
     for qubit, jitter in zip(qubits, jitters):
@@ -215,14 +214,9 @@ def _measure_sequence(frame, src, dst, qubits, jitters, model, proofs):
         outcome = measure(frame, src, dst, qubit, _outcome(qubit), model, bound, proofs)
         if outcome.valid:
             max_depth = max(max_depth, outcome.proof.depth)
-        else:
-            success = False
-            if reason is None:
-                if not accessible(frame, src, dst):
-                    reason = "inaccessible"
-                else:
-                    reason = outcome.proof.failure_reason
-    return success, max_depth, reason
+        elif reason is None:
+            reason = outcome.proof.failure_reason if accessible(frame, src, dst) else "inaccessible"
+    return reason is None, max_depth, reason
 
 
 def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:

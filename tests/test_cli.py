@@ -1,8 +1,10 @@
 import errno
+import glob
 import json
 import os
 import random
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from eclc import cli, parse_scenario, scenarios, serialize_scenario
 from eclc.cli import main
 from eclc.sim import ScenarioError, run_scenario, write_report
 from gen import random_config
+from test_report_pins import accessibility_text
 
 SRC = str(Path(eclc.__file__).resolve().parents[1])
 
@@ -589,6 +592,22 @@ FAILURES = [
         "error: ECLC_SEED must be an integer, got 'x'\n",
         id="bad-env-seed",
     ),
+    # int() takes one sign at most, so a second sign is no integer at any length
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "+-5"}, 1, "",
+        "error: ECLC_SEED must be an integer, got '+-5'\n",
+        id="env-seed-two-signs",
+    ),
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "--5"}, 1, "",
+        "error: ECLC_SEED must be an integer, got '--5'\n",
+        id="env-seed-two-minus-signs",
+    ),
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "+-" + "7" * 5000}, 1, "",
+        "error: ECLC_SEED must be an integer, got '+-" + "7" * 29 + "... (5002 characters)\n",
+        id="env-seed-two-signs-over-long",
+    ),
     pytest.param(
         ["run", COHERENCE, "--seed", "-1", "--out", "{tmp}/out"], {}, 1, "",
         "error: seed must fit in 64 unsigned bits, got -1\n",
@@ -637,11 +656,12 @@ class TestFailures:
         assert not (tmp_path / "out").exists()
 
 
-def run_child(argv, **kwargs):
-    """Run ``eclc`` in a fresh interpreter, as the installed script does."""
-    env = {**os.environ, "PYTHONPATH": SRC}
+def run_child(argv, python=sys.executable, env=(), **kwargs):
+    """Run ``eclc`` in a fresh interpreter, as the installed script does,
+    with ``env`` added to the environment."""
+    env = {**os.environ, "PYTHONPATH": SRC, **dict(env)}
     env.pop("ECLC_SEED", None)
-    return subprocess.run([sys.executable, "-m", "eclc.cli", *argv], env=env, timeout=120, **kwargs)
+    return subprocess.run([python, "-m", "eclc.cli", *argv], env=env, timeout=120, **kwargs)
 
 
 class TestClosedStdout:
@@ -689,3 +709,73 @@ class TestParserReuse:
         for argv in (["validate", COHERENCE], ["prove", COHERENCE, "--sequent", "collapse", "--world", "w1"], []):
             main(argv)
         assert cli.build_parser.cache_info().misses == 1
+
+
+def eclc_outputs(commands, out, python=sys.executable, env=()):
+    """Run each ``eclc`` command line in a fresh ``python``; "{out}" in one
+    stands for a directory of its own under ``out``.  Returns each command's
+    exit code and stdout, with ``out`` masked, then every file written."""
+    results = []
+    for i, argv in enumerate(commands):
+        argv = [arg.replace("{out}", str(out / str(i))) for arg in argv]
+        proc = run_child(argv, python, env, capture_output=True)
+        results.append((proc.returncode, proc.stdout.replace(str(out).encode(), b"{out}")))
+    files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    return results, files
+
+
+BUNDLED_RUNS = [["run", str(scenarios.path(name)), "--out", "{out}"] for name in scenarios.NAMES]
+
+
+class TestHashSeed:
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # truth_at orders antecedents by hash and _copies_refuted walks a
+        # set, so string hashing must not reach what a command prints or writes
+        rng = random.Random(2026)
+        texts = [text for text in (accessibility_text(rng) for _ in range(12)) if "!" in text and "&" in text][:3]
+        assert len(texts) == 3
+        commands = list(BUNDLED_RUNS)
+        for i, text in enumerate(texts):
+            (tmp_path / f"gen{i}.eclc").write_text(text)
+            commands.append(["run", str(tmp_path / f"gen{i}.eclc"), "--out", "{out}"])
+        for name in scenarios.NAMES:
+            for seq_name, (src, _, _) in parse_scenario(scenarios.read(name)).sequents.items():
+                commands.append(["prove", str(scenarios.path(name)), "--sequent", seq_name, "--world", src])
+        first, second = (
+            eclc_outputs(commands, tmp_path / f"hash{seed}", env={"PYTHONHASHSEED": str(seed)}) for seed in (0, 1)
+        )
+        assert [code for code, _ in first[0]] == [0] * 9  # three bundled runs, three generated, three proves
+        assert first == second
+
+
+def other_interpreters():
+    """Each other CPython 3.10-3.13 that starts: ``python3.N`` on PATH, else
+    a pyenv install.  A pyenv shim with no version behind it fails to start."""
+    found = []
+    for minor in range(10, 14):
+        if minor == sys.version_info.minor:
+            continue
+        candidates = [shutil.which(f"python3.{minor}")]
+        candidates += sorted(glob.glob(os.path.expanduser(f"~/.pyenv/versions/3.{minor}.*/bin/python3")))
+        for python in filter(None, candidates):
+            try:
+                proc = subprocess.run(
+                    [python, "-c", "import sys; print(sys.version_info[:2])"], capture_output=True, timeout=30
+                )
+            except OSError:
+                continue
+            if proc.returncode == 0 and proc.stdout.strip() == f"(3, {minor})".encode():
+                found.append(python)
+                break
+    return found
+
+
+class TestOtherInterpreters:
+    def test_bundled_reports_match_across_interpreters(self, tmp_path):
+        pythons = other_interpreters()
+        if not pythons:
+            pytest.skip("no other CPython 3.10-3.13 found")
+        expected = eclc_outputs(BUNDLED_RUNS, tmp_path / "here")
+        assert [code for code, _ in expected[0]] == [0] * len(BUNDLED_RUNS)
+        for i, python in enumerate(pythons):
+            assert eclc_outputs(BUNDLED_RUNS, tmp_path / f"other{i}", python) == expected, python
