@@ -436,7 +436,7 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
     reported as a value, never an exception.  The first proof found in
     the fixed rule order is returned.
     """
-    if not (isinstance(depth_bound, int) and depth_bound >= 1):
+    if not (isinstance(depth_bound, int) and not isinstance(depth_bound, bool) and depth_bound >= 1):
         raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
     if not cost_valid(seq, model, kappa):
         return ProofResult(False, 0, None, 0.0, COST_INVALID)

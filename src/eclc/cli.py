@@ -17,6 +17,7 @@ import functools
 import io
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -83,6 +84,11 @@ def cmd_prove(args) -> int:
     return 0 if result.proved else 1
 
 
+def _cut(shown: str, count: str) -> str:
+    """``shown`` whole up to 40 characters, else its first 32 and ``count``."""
+    return shown if len(shown) <= 40 else f"{shown[:32]}... ({count})"
+
+
 def _resolve_seed(args, config: ScenarioConfig) -> int | None:
     seed = config.seed if args.seed is None else args.seed
     env = os.environ.get(ENV_SEED)
@@ -90,15 +96,15 @@ def _resolve_seed(args, config: ScenarioConfig) -> int | None:
         try:
             seed = int(env)
         except ValueError:  # not an integer, or more digits than Python converts
-            shown = ascii(env)  # escaped, so one character is one byte
-            if len(shown) > 40:
-                shown = f"{shown[:32]}... ({len(env)} characters)"
-            digits = env.strip()
-            digits = digits[1:] if digits[:1] in ("+", "-") else digits  # one sign at most, as int() takes
-            problem = "out of range" if digits.isdecimal() else f"must be an integer, got {shown}"
+            try:  # int() again, with each run of digits and single underscores cut to one digit
+                int(re.sub(r"\d+(?:_\d+)*", "1", env))
+                problem = "out of range"
+            except ValueError:  # ascii() escapes, so one character is one byte
+                problem = f"must be an integer, got {_cut(ascii(env), f'{len(env)} characters')}"
             raise ScenarioError(f"{ENV_SEED} {problem}") from None
     if seed is not None and not (0 <= seed < 1 << 64):
-        raise ScenarioError(f"seed must fit in 64 unsigned bits, got {seed}")
+        shown = _cut(str(seed), f"{len(str(abs(seed)))} digits")
+        raise ScenarioError(f"seed must fit in 64 unsigned bits, got {shown}")
     return seed
 
 

@@ -44,15 +44,13 @@ from dataclasses import dataclass
 
 from .calculus import Sequent, format_sequent
 from .formula import (
+    BINARY_SYNTAX,
     CLASSICAL_ATOMS,
     Atom,
     Bang,
     CostModel,
     Diamond,
     Formula,
-    Lolli,
-    Tensor,
-    With,
     format_formula,
     format_real,
 )
@@ -118,7 +116,7 @@ _TOKEN = re.compile(
 _ALIASES = {"⊗": "*", "⊸": "-o"}  # tensor, lolli
 
 # Binary connectives: token -> (precedence, constructor, right-associative).
-_BINARY = {"-o": (1, Lolli, True), "&": (2, With, False), "*": (3, Tensor, False)}
+_BINARY = {glyph: (level, make, right) for make, (glyph, level, right) in BINARY_SYNTAX.items()}
 _BINARY.update({glyph: _BINARY[word] for glyph, word in _ALIASES.items()})
 
 _WORLD_FIELDS = ("energy", "kappa", "lambda")

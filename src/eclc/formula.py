@@ -223,20 +223,15 @@ def curvature_cost(phi: Formula, model: CostModel, kappa: float) -> float:
     return cost * (1.0 + model.alpha * kappa) if cost else 0.0
 
 
-# Precedence levels for the textual syntax; higher binds tighter.
-_LOLLI, _WITH, _TENSOR, _UNARY, _ATOM = 1, 2, 3, 4, 5
+# The binary connectives' text, for this printer and the DSL parser: glyph,
+# precedence level (higher binds tighter) and whether it associates right.
+BINARY_SYNTAX = {Lolli: ("-o", 1, True), With: ("&", 2, False), Tensor: ("*", 3, False)}
 
 
 def _level(phi: Formula) -> int:
-    if isinstance(phi, Atom):
-        return _ATOM
     if isinstance(phi, (Bang, Diamond)):
-        return _UNARY
-    if isinstance(phi, Tensor):
-        return _TENSOR
-    if isinstance(phi, With):
-        return _WITH
-    return _LOLLI
+        return 4
+    return 5 if isinstance(phi, Atom) else BINARY_SYNTAX[type(phi)][1]
 
 
 def format_real(x: float) -> str:
@@ -270,15 +265,12 @@ def format_formula(phi: Formula) -> str:
                 return head
             return head if node.coherent else "~" + head
         if isinstance(node, Bang):
-            return "!" + wrap(node.inner, _UNARY)
+            return "!" + wrap(node.inner, 4)
         if isinstance(node, Diamond):
-            return f"<{format_real(node.budget)}>" + wrap(node.inner, _UNARY)
-        if isinstance(node, Tensor):
-            return f"{wrap(node.left, _TENSOR)} * {wrap(node.right, _TENSOR + 1)}"
-        if isinstance(node, With):
-            return f"{wrap(node.left, _WITH)} & {wrap(node.right, _WITH + 1)}"
-        if isinstance(node, Lolli):
-            return f"{wrap(node.left, _LOLLI + 1)} -o {wrap(node.right, _LOLLI)}"
-        raise TypeError(f"not a formula: {node!r}")
+            return f"<{format_real(node.budget)}>" + wrap(node.inner, 4)
+        if type(node) not in BINARY_SYNTAX:
+            raise TypeError(f"not a formula: {node!r}")
+        glyph, level, right = BINARY_SYNTAX[type(node)]
+        return f"{wrap(node.left, level + right)} {glyph} {wrap(node.right, level + (not right))}"
 
     return go(phi)

@@ -39,7 +39,7 @@ class World:
             raise ValueError(f"energy must be finite and >= 0, got {self.energy!r}")
         if not (math.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
-        if not (isinstance(self.lam, int) and self.lam >= 1):
+        if not (isinstance(self.lam, int) and not isinstance(self.lam, bool) and self.lam >= 1):
             raise ValueError(f"lambda must be an integer >= 1, got {self.lam!r}")
         self.props = Counter(self.props)
 

@@ -32,7 +32,7 @@ class Observer:
 
     def __post_init__(self) -> None:
         _check_ident(self.id, "observer id")
-        if not (isinstance(self.horizon, int) and self.horizon >= 0):
+        if not (isinstance(self.horizon, int) and not isinstance(self.horizon, bool) and self.horizon >= 0):
             raise ValueError(f"horizon must be an integer >= 0, got {self.horizon!r}")
 
 

@@ -145,8 +145,9 @@ class TestProveBattery:
         assert banged.proved and banged.depth == 2
 
     def test_invalid_bound_rejected(self, zero_model):
-        with pytest.raises(ValueError):
-            prove(Sequent((A,), (A,)), 0, zero_model, 0.0)
+        for bound in (0, True):
+            with pytest.raises(ValueError, match="depth_bound must be an integer >= 1"):
+                prove(Sequent((A,), (A,)), bound, zero_model, 0.0)
         with pytest.raises(ValueError, match="tree must be present iff proved"):
             ProofResult(True, 1, None, 0.0, None)
 

@@ -608,10 +608,47 @@ FAILURES = [
         "error: ECLC_SEED must be an integer, got '+-" + "7" * 29 + "... (5002 characters)\n",
         id="env-seed-two-signs-over-long",
     ),
+    # int() takes single underscores between digits, so this is an integer past its digit limit
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "1_" * 4400 + "1"}, 1, "",
+        "error: ECLC_SEED out of range\n",
+        id="env-seed-underscored-over-long",
+    ),
+    # int() strips blanks, but not the ASCII separator \x1c that str.strip() also strips
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "1" * 5000 + "\x1c"}, 1, "",
+        "error: ECLC_SEED must be an integer, got '" + "1" * 31 + "... (5001 characters)\n",
+        id="env-seed-over-long-trailing-separator",
+    ),
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "1__0"}, 1, "",
+        "error: ECLC_SEED must be an integer, got '1__0'\n",
+        id="env-seed-double-underscore",
+    ),
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "_1"}, 1, "",
+        "error: ECLC_SEED must be an integer, got '_1'\n",
+        id="env-seed-leading-underscore",
+    ),
     pytest.param(
         ["run", COHERENCE, "--seed", "-1", "--out", "{tmp}/out"], {}, 1, "",
         "error: seed must fit in 64 unsigned bits, got -1\n",
         id="negative-seed",
+    ),
+    pytest.param(
+        ["run", "{tmp}/seedless.eclc", "--out", "{tmp}/out"], {"ECLC_SEED": "1" * 4000}, 1, "",
+        "error: seed must fit in 64 unsigned bits, got " + "1" * 32 + "... (4000 digits)\n",
+        id="env-seed-4000-digits",
+    ),
+    pytest.param(
+        ["run", COHERENCE, "--seed", "1" * 4000, "--out", "{tmp}/out"], {}, 1, "",
+        "error: seed must fit in 64 unsigned bits, got " + "1" * 32 + "... (4000 digits)\n",
+        id="flag-seed-4000-digits",
+    ),
+    pytest.param(
+        ["run", COHERENCE, "--seed", str(1 << 64), "--out", "{tmp}/out"], {}, 1, "",
+        "error: seed must fit in 64 unsigned bits, got 18446744073709551616\n",
+        id="seed-just-over-64-bits",
     ),
     pytest.param(
         ["run", COHERENCE, "--out", "{tmp}/taken"], {}, 1, "", "error: cannot write {tmp}/taken: File exists\n",

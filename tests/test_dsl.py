@@ -98,11 +98,31 @@ class TestParseFormula:
 
 class TestFormatFormula:
     def test_minimal_parens(self):
-        assert format_formula(Tensor(A, Lolli(B, C))) == "A * (B -o C)"
-        assert format_formula(Lolli(A, Lolli(B, C))) == "A -o B -o C"
-        assert format_formula(Lolli(Lolli(A, B), C)) == "(A -o B) -o C"
-        assert format_formula(Tensor(Tensor(A, B), C)) == "A * B * C"
-        assert format_formula(Tensor(A, Tensor(B, C))) == "A * (B * C)"
+        # each binary connective as the parent, with each as its left and
+        # as its right child
+        cases = [
+            (Tensor(Tensor(A, B), C), "A * B * C"),
+            (Tensor(With(A, B), C), "(A & B) * C"),
+            (Tensor(Lolli(A, B), C), "(A -o B) * C"),
+            (Tensor(A, Tensor(B, C)), "A * (B * C)"),
+            (Tensor(A, With(B, C)), "A * (B & C)"),
+            (Tensor(A, Lolli(B, C)), "A * (B -o C)"),
+            (With(Tensor(A, B), C), "A * B & C"),
+            (With(With(A, B), C), "A & B & C"),
+            (With(Lolli(A, B), C), "(A -o B) & C"),
+            (With(A, Tensor(B, C)), "A & B * C"),
+            (With(A, With(B, C)), "A & (B & C)"),
+            (With(A, Lolli(B, C)), "A & (B -o C)"),
+            (Lolli(Tensor(A, B), C), "A * B -o C"),
+            (Lolli(With(A, B), C), "A & B -o C"),
+            (Lolli(Lolli(A, B), C), "(A -o B) -o C"),
+            (Lolli(A, Tensor(B, C)), "A -o B * C"),
+            (Lolli(A, With(B, C)), "A -o B & C"),
+            (Lolli(A, Lolli(B, C)), "A -o B -o C"),
+        ]
+        for phi, text in cases:
+            assert format_formula(phi) == text
+            assert parse_formula(text) == phi
 
     def test_coherent_classical_name_unserializable(self):
         with pytest.raises(ValueError):

@@ -240,8 +240,9 @@ class TestFrameValidation:
             World("w", -1.0, 0.0, 1)
         with pytest.raises(ValueError):
             World("w", 1.0, -0.5, 1)
-        with pytest.raises(ValueError):
-            World("w", 1.0, 0.0, 0)
+        for lam in (0, True):
+            with pytest.raises(ValueError, match="lambda must be an integer >= 1"):
+                World("w", 1.0, 0.0, lam)
         for bad in ("", "w 1", "1w", None, 7):
             with pytest.raises(ValueError, match="world id must be a nonempty identifier"):
                 World(bad, 1.0, 0.0, 1)

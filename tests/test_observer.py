@@ -112,7 +112,7 @@ class TestObserver:
             observer.horizon = 4
 
     def test_fields_validated(self):
-        for horizon in (-1, 1.5):
+        for horizon in (-1, 1.5, True):
             with pytest.raises(ValueError, match="horizon must be an integer >= 0"):
                 Observer("o1", "w0", horizon)
         for bad in ("", "o 1", "1o", None, 7):
