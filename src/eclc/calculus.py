@@ -388,28 +388,20 @@ def _search(gamma, delta, remaining, memo, key, tables):
     Entered on a memo miss only: the caller probes ``memo`` with each
     premise's key, and keys a second premise once the first is proved.
     Keys are pairs of canon ints from ``tables`` (``_new_tables``), which
-    live for one search; the root comes without them and makes them once
-    its own checks leave it open.  Failures memoize monotonically: a goal
+    ``prove`` makes once per search.  Failures memoize monotonically: a goal
     refuted with ``remaining`` levels is refuted with fewer.  Contraction
     spends a level, so the depth bound bounds it.  At the last level only
     an axiom can close the goal: it dies to depth iff some rule applies."""
     if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
-    if tables is None:
-        refuted = _refuted_outright(gamma, delta)
-    else:
-        tallies = tables[2]
-        refuted = _refuted(
-            tallies.get(key[0]) or tallies.setdefault(key[0], _tally(gamma)),
-            tallies.get(key[1]) or tallies.setdefault(key[1], _tally(delta)),
-        )
-    if refuted:
+    tallies = tables[2]
+    if _refuted(
+        tallies.get(key[0]) or tallies.setdefault(key[0], _tally(gamma)),
+        tallies.get(key[1]) or tallies.setdefault(key[1], _tally(delta)),
+    ):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
     died = remaining == 1 and _applicable(gamma, delta)
-    if remaining > 1 and tables is None:
-        tables = _new_tables()
-        key = _key(gamma, delta, tables[1])
     for rule, g, d, k, g2, d2 in _applications(gamma, delta, key, tables) if remaining > 1 else ():
         subtrees = ()
         while True:
@@ -432,15 +424,21 @@ def _search(gamma, delta, remaining, memo, key, tables):
 def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> ProofResult:
     """Backward proof search bounded by ``depth_bound`` (tree height).
 
-    The cost-validity inequality is checked once at the root; failure is
-    reported as a value, never an exception.  The first proof found in
-    the fixed rule order is returned.
+    The cost-validity inequality, an axiom or a refutation settles the
+    root where it can, and only a root left open gets a search's memo and
+    tables.  Failure is a value, never an exception.  The first proof
+    found in the fixed rule order is returned.
     """
     if not (isinstance(depth_bound, int) and not isinstance(depth_bound, bool) and depth_bound >= 1):
         raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
     if not cost_valid(seq, model, kappa):
         return ProofResult(False, 0, None, 0.0, COST_INVALID)
-    tree, died = _search(seq.gamma, seq.delta, depth_bound, {}, None, None)
+    tree, died = None, False
+    if (axiom := _is_axiom(seq.gamma, seq.delta)) is not None:
+        tree = ProofTree(axiom, seq)
+    elif not _refuted_outright(seq.gamma, seq.delta):
+        tables = _new_tables()
+        tree, died = _search(seq.gamma, seq.delta, depth_bound, {}, _key(seq.gamma, seq.delta, tables[1]), tables)
     if tree is not None:
         consumed = sum(curvature_cost(phi, model, kappa) for phi in seq.gamma)
         return ProofResult(True, tree.height, tree, consumed, None)

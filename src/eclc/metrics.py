@@ -39,7 +39,7 @@ class ContingencyTable:
 
     def __post_init__(self) -> None:
         cells = (self.a, self.b, self.c, self.d)
-        if any(not isinstance(x, int) or x < 0 for x in cells):
+        if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in cells):
             raise ValueError(f"cells must be nonnegative integers, got {cells}")
         if sum(cells) == 0:
             raise ValueError("at least one cell must be positive")

@@ -2,7 +2,8 @@
 
 Deliberately built on different machinery than the package: multisets
 are Counters, splits come from per-count products, derivations are
-enumerated exhaustively rather than searched in rule order, and the
+enumerated exhaustively rather than searched in rule order, a proof
+checker checks returned trees rule by rule over Counters, and the
 Fisher oracle uses exact rational arithmetic.  The exceptions are
 earlier versions of the package's own code, kept so that a faster one
 can be checked against them result for result: the reference prover
@@ -381,6 +382,89 @@ def minimal_proof_depth(gamma, delta, max_depth: int) -> int | None:
         if provable(gamma, delta, depth, memo=memo):
             return depth
     return None
+
+
+def _axiom(g: Counter, d: Counter) -> str | None:
+    if sum(g.values()) == 1 == sum(d.values()):
+        (left,), (right,) = g, d
+        if isinstance(left, Atom) and isinstance(right, Atom):
+            if left == right:
+                return "identity"
+            if left.name == QUANTUM and right.name == CLASSICAL:
+                return "collapse"
+    return None
+
+
+def _one(phi) -> Counter:
+    return Counter([phi])
+
+
+# each one-premise left rule: its principal connective, and what the
+# premise's gamma holds in place of the principal formula
+_LEFT_RULES = {
+    "tensor-left": (Tensor, lambda f: (f.left, f.right)),
+    "with-left-1": (With, lambda f: (f.left,)),
+    "with-left-2": (With, lambda f: (f.right,)),
+    "dereliction": (Bang, lambda f: (f.inner,)),
+    "contraction": (Bang, lambda f: (f, f)),
+    "weakening": (Bang, lambda f: ()),
+}
+
+
+def _instance(rule: str, g: Counter, d: Counter, premises: list) -> bool:
+    """True iff ``rule`` concludes g |- d from ``premises``, (gamma, delta)
+    Counter pairs, for some principal formula."""
+    if not premises:
+        return _axiom(g, d) == rule
+    if len(premises) == 1:
+        ((pg, pd),) = premises
+        if rule in _LEFT_RULES:
+            kind, replacement = _LEFT_RULES[rule]
+            return pd == d and any(pg == g - _one(f) + Counter(replacement(f)) for f in g if isinstance(f, kind))
+        if rule == "lolli-right":
+            return any(pg == g + _one(f.left) and pd == d - _one(f) + _one(f.right) for f in d if isinstance(f, Lolli))
+        if rule == "promotion":
+            (goal,) = d if sum(d.values()) == 1 else (None,)
+            return isinstance(goal, Bang) and all(isinstance(f, Bang) for f in g) and (pg, pd) == (g, _one(goal.inner))
+        return False
+    (g1, d1), (g2, d2) = premises
+    if rule == "tensor-right":
+        return g1 + g2 == g and any(
+            d1[f.left] and d2[f.right] and d1 - _one(f.left) + (d2 - _one(f.right)) + _one(f) == d
+            for f in d
+            if isinstance(f, Tensor)
+        )
+    if rule == "lolli-left":
+        return any(
+            d1[f.left] and g2[f.right] and g1 + (g2 - _one(f.right)) + _one(f) == g and d1 - _one(f.left) + d2 == d
+            for f in g
+            if isinstance(f, Lolli)
+        )
+    if rule == "with-right":
+        return g1 == g == g2 and any(
+            d1 == d - _one(f) + _one(f.left) and d2 == d - _one(f) + _one(f.right) for f in d if isinstance(f, With)
+        )
+    return False
+
+
+def check_proof(tree, bound: int) -> None:
+    """Raise AssertionError unless ``tree`` derives its sequent within
+    ``bound`` levels: every node an instance of its named rule over
+    multisets, with the premise shapes of the package's rules, every leaf
+    an axiom, and the height at most ``bound``.  Reads only the trees'
+    ``rule``, ``sequent`` and ``premises`` and the sequents' sides."""
+
+    def walk(node) -> int:
+        g, d = Counter(node.sequent.gamma), Counter(node.sequent.delta)
+        if not node.premises and _axiom(g, d) is None:
+            raise AssertionError(f"leaf {node.rule} is not an axiom: {node.sequent}")
+        premises = [(Counter(p.sequent.gamma), Counter(p.sequent.delta)) for p in node.premises]
+        if not _instance(node.rule, g, d, premises):
+            raise AssertionError(f"not an instance of {node.rule}: {node.sequent}")
+        return 1 + max(map(walk, node.premises), default=0)
+
+    if (height := walk(tree)) > bound:
+        raise AssertionError(f"height {height} exceeds the bound {bound}")
 
 
 def flat_cost(phi, atom_costs: dict, default: float) -> float:

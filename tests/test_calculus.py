@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from collections import Counter
@@ -143,6 +144,24 @@ class TestProveBattery:
         assert result.proved and result.depth == 1
         banged = prove(Sequent((Bang(quantum),), (classical,)), 5, zero_model, 0.0)
         assert banged.proved and banged.depth == 2
+
+    def test_settled_roots_make_no_search_state(self, zero_model, unit_model, monkeypatch):
+        # the cost gate, an axiom or a refutation settles a root in prove;
+        # only a root left open makes tables and enters the search
+        made, entries = [], []
+        new_tables, search = calculus._new_tables, calculus._search
+        monkeypatch.setattr(calculus, "_new_tables", lambda: made.append(1) or new_tables())
+        monkeypatch.setattr(calculus, "_search", lambda *args: entries.append(1) or search(*args))
+        quantum, classical = Atom("Quantum", ("psi",), True), Atom("Classical", ("o",), False)
+        for seq, axiom in ((Sequent((A,), (A,)), "identity"), (Sequent((quantum,), (classical,)), "collapse")):
+            result = prove(seq, 6, zero_model, 0.0)
+            assert result.tree == calculus.ProofTree(axiom, seq)
+            oracles.check_proof(result.tree, 1)
+        assert prove(Sequent((A,), (B,)), 6, zero_model, 0.0).failure_reason == NO_RULE_APPLIES
+        assert prove(Sequent((A,), (Tensor(A, A),)), 6, unit_model, 0.0).failure_reason == COST_INVALID
+        assert made == entries == []
+        assert prove(Sequent((Tensor(A, B),), (Tensor(B, A),)), 6, zero_model, 0.0).proved
+        assert len(made) == 1 and len(entries) > 1
 
     def test_invalid_bound_rejected(self, zero_model):
         for bound in (0, True):
@@ -316,7 +335,9 @@ class TestSearchDifferential:
     @example(Sequent((), (parse_formula("(A -o B -o A * B) & (B -o A -o (A -o A) * (B * A))"),)), 6, ZERO)
     def test_same_results_as_reference_search(self, seq, bound, cost):
         model, kappa = cost
-        assert prove(seq, bound, model, kappa) == oracles.reference_prove(seq, bound, model, kappa)
+        assert (result := prove(seq, bound, model, kappa)) == oracles.reference_prove(seq, bound, model, kappa)
+        if result.proved:
+            oracles.check_proof(result.tree, bound)
         # below the cost gate too, and the memo ends the same, died bits
         # included, once its int keys are read back as canon pairs
         memo, reference_memo, tables = {}, {}, calculus._new_tables()
@@ -363,7 +384,9 @@ class TestSearchDifferential:
         cases = [wl.corpus_case(builder, int(line.split()[2])) for line in wl.load_golden("prove-corpus")[::25]]
         cases += [(WORST_C01, bound, *ZERO) for bound in (5, 6, 7)]
         for case in cases:
-            assert prove(*case) == oracles.reference_prove(*case)
+            assert (result := prove(*case)) == oracles.reference_prove(*case)
+            if result.proved:
+                oracles.check_proof(result.tree, case[1])
         assert len(cases) == 207
         assert requests > builds > 0
 
@@ -481,13 +504,37 @@ class TestFirstCopyOnly:
     @example(Sequent((Tensor(A, B), Tensor(A, B)), (Tensor(Tensor(A, B), Tensor(A, B)),)), 6, COSTED)
     def test_same_results_as_per_copy_reference(self, seq, bound, cost):
         model, kappa = cost
-        assert prove(seq, bound, model, kappa) == oracles.reference_prove(seq, bound, model, kappa)
+        assert (result := prove(seq, bound, model, kappa)) == oracles.reference_prove(seq, bound, model, kappa)
+        if result.proved:
+            oracles.check_proof(result.tree, bound)
         memo, reference_memo, tables = {}, {}, calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
         got = calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
         canons = {number: canon for canon, number in tables[1].items()}
         assert {(canons[g], canons[d]): entry for (g, d), entry in memo.items()} == reference_memo
+
+
+class TestProofChecker:
+    """``oracles.check_proof`` rejects a tree that is not a derivation."""
+
+    def test_rejects_each_kind_of_broken_tree(self, zero_model):
+        tree = prove(Sequent((Tensor(A, B),), (Tensor(B, A),)), 3, zero_model, 0.0).tree
+        oracles.check_proof(tree, 3)
+        # tensor-left, then tensor-right on A, B |- B * A, then two identities
+        (inner,) = tree.premises
+        assert (tree.rule, inner.rule) == ("tensor-left", "tensor-right")
+        broken = {
+            "not an instance of tensor-right": dataclasses.replace(tree, rule="tensor-right"),
+            "not an instance of tensor-left": dataclasses.replace(
+                tree, premises=(dataclasses.replace(inner, sequent=Sequent((A,), inner.sequent.delta)),)
+            ),
+            "leaf tensor-right is not an axiom": dataclasses.replace(tree, premises=(dataclasses.replace(inner, premises=()),)),
+            "height 3 exceeds the bound 2": tree,
+        }
+        for message, candidate in broken.items():
+            with pytest.raises(AssertionError, match=message):
+                oracles.check_proof(candidate, 2 if candidate is tree else 3)
 
 
 def collapse_frame(lam=8, delta_e=2.0, energy=10.0):

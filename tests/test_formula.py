@@ -191,12 +191,17 @@ class TestValidation:
         before = len(formula._interned)
         phi = Lolli(Atom("Probe_1", ("x",)), With(Atom("Probe_1", ("y",)), Atom("Probe_2")))
         assert len(formula._interned) == before + 5
-        digest = hash(phi)
+        digest, old_id = hash(phi), id(phi)
         del phi
         gc.collect()
         assert len(formula._interned) == before
+        # live nodes of the same size take the freed memory, so the rebuilt
+        # tree lives elsewhere and only a structural hash can match
+        fillers = [Lolli(Atom("Filler", (f"x{i}",)), Atom("Probe_2")) for i in range(64)]
         rebuilt = Lolli(Atom("Probe_1", ("x",)), With(Atom("Probe_1", ("y",)), Atom("Probe_2")))
+        assert id(rebuilt) != old_id
         assert hash(rebuilt) == digest
+        del fillers
 
     def test_stored_signature_keeps_formulas_collectable_and_frozen(self):
         # the prover keeps a bucket signature on every formula it meets;

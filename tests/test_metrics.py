@@ -170,5 +170,7 @@ class TestFisherExact:
             ContingencyTable(0, 0, 0, 0)
         with pytest.raises(ValueError):
             ContingencyTable(-1, 1, 1, 1)
+        with pytest.raises(ValueError, match="cells must be nonnegative integers"):
+            ContingencyTable(True, False, 0, 1)
         with pytest.raises(ValueError, match="r_squared cannot exceed 1"):
             FitResult(0.0, 1.5)
