@@ -24,7 +24,7 @@ from .formula import (
     Tensor,
     With,
     base_cost,
-    curvature_cost,
+    curvature_cost,  # bench/tracer.py wraps calculus.curvature_cost
     format_formula,
 )
 from .frame import Frame, accessible
@@ -79,7 +79,6 @@ class ProofResult:
     proved: bool
     depth: int
     tree: ProofTree | None
-    consumed_cost: float
     failure_reason: str | None
 
     def __post_init__(self) -> None:
@@ -424,47 +423,47 @@ def _search(gamma, delta, remaining, memo, key, tables):
 def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> ProofResult:
     """Backward proof search bounded by ``depth_bound`` (tree height).
 
-    The cost-validity inequality, an axiom or a refutation settles the
-    root where it can, and only a root left open gets a search's memo and
-    tables.  Failure is a value, never an exception.  The first proof
-    found in the fixed rule order is returned.
+    The cost gate, an axiom or a refutation settles the root where it can;
+    only a root left open gets a search's memo and tables, seeded with its
+    side tallies.  Failure is a value, never an exception; the first proof
+    found in the fixed rule order is returned.  ``kappa`` is validated, never read.
     """
     if not (isinstance(depth_bound, int) and not isinstance(depth_bound, bool) and depth_bound >= 1):
         raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
     if not cost_valid(seq, model, kappa):
-        return ProofResult(False, 0, None, 0.0, COST_INVALID)
+        return ProofResult(False, 0, None, COST_INVALID)
     tree, died = None, False
     if (axiom := _is_axiom(seq.gamma, seq.delta)) is not None:
         tree = ProofTree(axiom, seq)
-    elif not _refuted_outright(seq.gamma, seq.delta):
+    elif not _refuted(*(sides := (_tally(seq.gamma), _tally(seq.delta)))):
         tables = _new_tables()
-        tree, died = _search(seq.gamma, seq.delta, depth_bound, {}, _key(seq.gamma, seq.delta, tables[1]), tables)
+        tables[2].update(zip(key := _key(seq.gamma, seq.delta, tables[1]), sides))
+        tree, died = _search(seq.gamma, seq.delta, depth_bound, {}, key, tables)
     if tree is not None:
-        consumed = sum(curvature_cost(phi, model, kappa) for phi in seq.gamma)
-        return ProofResult(True, tree.height, tree, consumed, None)
-    return ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED if died else NO_RULE_APPLIES)
+        return ProofResult(True, tree.height, tree, None)
+    return ProofResult(False, 0, None, DEPTH_EXCEEDED if died else NO_RULE_APPLIES)
 
 
 def proved_once(seq: Sequent, bound: int, model: CostModel, kappa: float, proofs: dict) -> ProofResult:
-    """``prove`` through a run's memo, which serves one cost model: each result
-    keyed (seq, bound, kappa), and per (seq, kappa) the proof found at the
-    largest bound b so far.  It answers every bound from its height up to b:
-    each application tried before it has a premise unprovable within b - 1
-    levels, so within fewer, and its own premises fit.  A failure answers its
+    """``prove`` through a run's memo, which serves one cost model and any kappa,
+    as no result reads it: each result keyed (seq, bound), and per seq the proof
+    found at the largest bound b so far.  It answers every bound from its height
+    up to b: each application tried before it has a premise unprovable within
+    b - 1 levels, so within fewer, and its own premises fit.  A failure answers its
     own bound only, as its reason can rest on what the search met, but ``cost_invalid``
     answers every bound from 1.  A bound below 1 is ``depth_exceeded`` without a search."""
     if bound < 1:
-        return ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
-    key = (seq, bound, kappa)
+        return ProofResult(False, 0, None, DEPTH_EXCEEDED)
+    key = (seq, bound)
     if (result := proofs.get(key)) is None:
-        top, best = proofs.get((seq, kappa), (0, None))
+        top, best = proofs.get(seq, (0, None))
         if best is not None and best.depth <= bound <= top:
             return best
         result = proofs[key] = prove(seq, bound, model, kappa)
         if result.proved and bound > top:
-            proofs[seq, kappa] = bound, result
+            proofs[seq] = bound, result
         elif result.failure_reason == COST_INVALID:
-            proofs[seq, kappa] = _NO_DEPTH_LIMIT, result
+            proofs[seq] = _NO_DEPTH_LIMIT, result
     return result
 
 

@@ -89,8 +89,8 @@ def truth_at(frame: Frame, w: str, phi: Formula, model: CostModel, verdicts: dic
     """Truth at w for whoever sees it: phi is present or provable at w, under
     its own capacity and curvature, from a multiset that ``_balanced`` yields.
     ``verdicts``, a run's table for one cost model, keeps per (multiset, phi) the
-    highest bound found unprovable and the lowest proof height found; provability
-    reads no kappa.  A new multiset meets ``_copies_refuted`` first, for every bound."""
+    highest bound found unprovable and the lowest proof height found; no proof
+    result reads kappa.  A new multiset meets ``_copies_refuted`` first, for every bound."""
     world = frame.world(w)
     if phi in world.props:
         return 1

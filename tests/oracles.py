@@ -39,7 +39,7 @@ from eclc.calculus import (
     prove,
 )
 from eclc.dsl import ParseError
-from eclc.formula import Atom, Bang, CostModel, Diamond, Lolli, Tensor, With, curvature_cost
+from eclc.formula import Atom, Bang, CostModel, Diamond, Lolli, Tensor, With
 from eclc.observer import MAX_ANTECEDENT
 
 
@@ -281,12 +281,11 @@ def reference_prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: flo
     if not (isinstance(depth_bound, int) and depth_bound >= 1):
         raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
     if not cost_valid(seq, model, kappa):
-        return ProofResult(False, 0, None, 0.0, COST_INVALID)
+        return ProofResult(False, 0, None, COST_INVALID)
     tree, died = _search(seq.gamma, seq.delta, depth_bound, {})
     if tree is not None:
-        consumed = sum(curvature_cost(phi, model, kappa) for phi in seq.gamma)
-        return ProofResult(True, tree.height, tree, consumed, None)
-    return ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED if died else NO_RULE_APPLIES)
+        return ProofResult(True, tree.height, tree, None)
+    return ProofResult(False, 0, None, DEPTH_EXCEEDED if died else NO_RULE_APPLIES)
 
 
 

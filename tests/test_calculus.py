@@ -162,13 +162,20 @@ class TestProveBattery:
         assert made == entries == []
         assert prove(Sequent((Tensor(A, B),), (Tensor(B, A),)), 6, zero_model, 0.0).proved
         assert len(made) == 1 and len(entries) > 1
+        # prove tallies each side of a root it leaves open once, and the
+        # search reads those tallies from its tables
+        tallied, tally = Counter(), calculus._tally
+        monkeypatch.setattr(calculus, "_tally", lambda side: tallied.update([side]) or tally(side))
+        seq = Sequent((A, B), (Tensor(A, B),))
+        assert prove(seq, 6, zero_model, 0.0).proved
+        assert len(made) == 2 and tallied[seq.gamma] == tallied[seq.delta] == 1
 
     def test_invalid_bound_rejected(self, zero_model):
         for bound in (0, True):
             with pytest.raises(ValueError, match="depth_bound must be an integer >= 1"):
                 prove(Sequent((A,), (A,)), bound, zero_model, 0.0)
         with pytest.raises(ValueError, match="tree must be present iff proved"):
-            ProofResult(True, 1, None, 0.0, None)
+            ProofResult(True, 1, None, None)
 
 
 def random_side(rng, pool, max_size=2):
@@ -336,6 +343,8 @@ class TestSearchDifferential:
     def test_same_results_as_reference_search(self, seq, bound, cost):
         model, kappa = cost
         assert (result := prove(seq, bound, model, kappa)) == oracles.reference_prove(seq, bound, model, kappa)
+        # no field of a result reads kappa
+        assert result == prove(seq, bound, model, 0.0)
         if result.proved:
             oracles.check_proof(result.tree, bound)
         # below the cost gate too, and the memo ends the same, died bits
@@ -687,19 +696,19 @@ def frame_order(frame):
 
 def assert_fresh(proofs, model):
     """Each memo entry equals a fresh ``prove``, tree included, and each
-    (seq, kappa) entry holds the search at its bound, or a ``cost_invalid``
-    result, which a fresh ``prove`` gives at every bound."""
+    seq entry holds the search at its bound, or a ``cost_invalid`` result,
+    which a fresh ``prove`` gives at every bound."""
     for key, value in proofs.items():
-        if len(key) == 3:
-            seq, bound, kappa = key
-            assert value == prove(seq, bound, model, kappa)
+        if isinstance(key, tuple):
+            seq, bound = key
+            assert value == prove(seq, bound, model, 0.0)
         else:
-            (seq, kappa), (bound, result) = key, value
+            seq, (bound, result) = key, value
             if result.proved:
-                assert result == proofs[seq, bound, kappa]
+                assert result == proofs[seq, bound]
             else:
                 assert result.failure_reason == COST_INVALID and bound == calculus._NO_DEPTH_LIMIT
-                assert all(result == prove(seq, b, model, kappa) for b in (1, 2, 7))
+                assert all(result == prove(seq, b, model, 0.0) for b in (1, 2, 7))
 
 
 class TestProofMemo:
@@ -717,7 +726,7 @@ class TestProofMemo:
         seq = measurement("psi", "o")
         fresh = prove(seq, 8, unit_model, 0.0)
         assert len(calls) == 1
-        assert proofs == {(seq, 8, 0.0): fresh, (seq, 0.0): (8, fresh)}
+        assert proofs == {(seq, 8): fresh, seq: (8, fresh)}
 
     def test_failed_transition_on_memo_hit_changes_nothing(self, unit_model, monkeypatch):
         calls = counted_prove(monkeypatch)
@@ -779,7 +788,7 @@ class TestProofMemo:
         assert len(outcomes) >= 3 and outcomes[True, None] >= 50
         # the memo-free side proves all 300; the memo side searches only
         # its misses, keeps each at its bound, and each entry is a fresh prove
-        assert len(calls) - 300 == sum(len(key) == 3 for key in proofs) < 250
+        assert len(calls) - 300 == sum(isinstance(key, tuple) for key in proofs) < 250
         assert_fresh(proofs, unit_model)
 
     def test_every_bound_in_any_order_matches_fresh_prove(self, zero_model, unit_model, monkeypatch):
@@ -793,17 +802,20 @@ class TestProofMemo:
         for _ in range(200):
             seq = random_sequent(rng)
             for model in (zero_model, unit_model):
-                proofs = {}
+                proofs, start = {}, len(calls)
                 for kappa, bound in rng.sample(queries, len(queries)):
                     result = proved_once(seq, bound, model, kappa, proofs)
                     if bound == 0:
-                        assert result == ProofResult(False, 0, None, 0.0, DEPTH_EXCEEDED)
+                        assert result == ProofResult(False, 0, None, DEPTH_EXCEEDED)
                     else:
                         assert result == prove(seq, bound, model, kappa)
                     answers[result.failure_reason] += 1
+                # one memo searches each (seq, bound) once, whatever the kappa
+                searched = [(s, bound) for s, bound, _ in calls[start:]]
+                assert len(searched) == len(set(searched))
         assert len(answers) == 4 and answers[None] >= 2000
-        # of the 5,600 queries at bounds 1-7, reuse answers 1,056 here
-        assert len(calls) < 5600 - 1000
+        # of the 5,600 queries at bounds 1-7, reuse answers 3,344 here
+        assert len(calls) < 5600 - 3000
 
 
 class TestRenderProof:

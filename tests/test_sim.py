@@ -309,7 +309,7 @@ class TestRunReciprocity:
         assert reasons[None] and reasons["inaccessible"] and reasons["depth_exceeded"]
 
     def test_one_prove_per_distinct_proof(self, monkeypatch):
-        # the run searches each (sequent, bound, kappa) at most once, each
+        # the run searches each (sequent, bound) at most once, each
         # proof it resolves equals a fresh prove, it resolves every proof
         # the memo-free reference makes, and it writes the same bytes
         prove, proved_once = calculus.prove, calculus.proved_once
@@ -327,7 +327,7 @@ class TestRunReciprocity:
         monkeypatch.setattr(calculus, "prove", counted)
         monkeypatch.setattr(calculus, "proved_once", recorded)
         monkeypatch.setattr(sim, "proved_once", recorded)
-        below_one = calculus.ProofResult(False, 0, None, 0.0, calculus.DEPTH_EXCEEDED)
+        below_one = calculus.ProofResult(False, 0, None, calculus.DEPTH_EXCEEDED)
         rng = random.Random(29)
         configs = [load("reciprocity")]
         configs += [parse_scenario(random_reciprocity_text(rng)) for _ in range(6)]
@@ -336,7 +336,7 @@ class TestRunReciprocity:
             calls.clear()
             resolved.clear()
             report = run_reciprocity(config)
-            searched = list(calls)
+            searched = [(seq, bound) for seq, bound, _ in calls]
             for (seq, bound, kappa), result in resolved.items():
                 assert result == (prove(seq, bound, config.cost_model, kappa) if bound >= 1 else below_one)
             run_resolved = set(resolved)
