@@ -11,7 +11,6 @@ consuming the antecedent irreversibly and spending edge energy.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -23,6 +22,8 @@ from .formula import (
     Lolli,
     Tensor,
     With,
+    _check_count,
+    _check_real,
     base_cost,
     curvature_cost,  # bench/tracer.py wraps calculus.curvature_cost
     format_formula,
@@ -100,8 +101,7 @@ def cost_valid(seq: Sequent, model: CostModel, kappa: float) -> bool:
     the unscaled sums decide it and rounding cannot make the verdict
     depend on kappa.  A negative or non-finite kappa still raises.
     """
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
+    _check_real(kappa, "kappa")
     spent = sum(base_cost(phi, model) for phi in seq.gamma)
     produced = sum(base_cost(phi, model) for phi in seq.delta)
     return spent >= produced
@@ -428,8 +428,7 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
     side tallies.  Failure is a value, never an exception; the first proof
     found in the fixed rule order is returned.  ``kappa`` is validated, never read.
     """
-    if not (isinstance(depth_bound, int) and not isinstance(depth_bound, bool) and depth_bound >= 1):
-        raise ValueError(f"depth_bound must be an integer >= 1, got {depth_bound!r}")
+    _check_count(depth_bound, 1, "depth_bound")
     if not cost_valid(seq, model, kappa):
         return ProofResult(False, 0, None, COST_INVALID)
     tree, died = None, False
@@ -444,8 +443,8 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
     return ProofResult(False, 0, None, DEPTH_EXCEEDED if died else NO_RULE_APPLIES)
 
 
-def proved_once(seq: Sequent, bound: int, model: CostModel, kappa: float, proofs: dict) -> ProofResult:
-    """``prove`` through a run's memo, which serves one cost model and any kappa,
+def proved_once(seq: Sequent, bound: int, model: CostModel, proofs: dict) -> ProofResult:
+    """``prove`` through a run's memo, which serves one cost model and takes no kappa,
     as no result reads it: each result keyed (seq, bound), and per seq the proof
     found at the largest bound b so far.  It answers every bound from its height
     up to b: each application tried before it has a premise unprovable within
@@ -459,7 +458,7 @@ def proved_once(seq: Sequent, bound: int, model: CostModel, kappa: float, proofs
         top, best = proofs.get(seq, (0, None))
         if best is not None and best.depth <= bound <= top:
             return best
-        result = proofs[key] = prove(seq, bound, model, kappa)
+        result = proofs[key] = prove(seq, bound, model, 0.0)  # prove only checks kappa
         if result.proved and bound > top:
             proofs[seq] = bound, result
         elif result.failure_reason == COST_INVALID:
@@ -497,10 +496,10 @@ def transition(
 ) -> TransitionOutcome:
     """Apply gamma |- delta across the edge w -> w'.
 
-    Valid iff the edge is accessible, the sequent is cost-valid at the
-    source world's curvature, and it is provable within the source
-    world's inference capacity (or ``depth_bound`` when given).  On
-    success gamma leaves w, delta lands in w', and the edge deltaE is
+    Valid iff the edge is accessible, the sequent is cost-valid (unscaled
+    sums decide, so no kappa is read), and it is provable within the
+    source world's inference capacity (or ``depth_bound`` when given).
+    On success gamma leaves w, delta lands in w', and the edge deltaE is
     deducted from w's energy; both worlds' props are updated in place.
     Failure changes nothing.  A run's memo ``proofs`` may supply the
     proof (``proved_once``), never the checks on the frame.
@@ -512,7 +511,7 @@ def transition(
         shown = ", ".join(format_formula(phi) for phi in missing)
         raise PreconditionError(f"gamma not contained in props({w}): missing {shown}")
     bound = source.lam if depth_bound is None else depth_bound
-    proof = proved_once(seq, bound, model, source.kappa, {} if proofs is None else proofs)
+    proof = proved_once(seq, bound, model, {} if proofs is None else proofs)
     if accessible(frame, w, w_prime) and proof.proved:
         spent = frame.edges[(w, w_prime)]
         source.props -= need

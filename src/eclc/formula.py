@@ -28,6 +28,17 @@ def _check_ident(text: str, what: str) -> None:
         raise ValueError(f"{what} must be a nonempty identifier, got {text!r}")
 
 
+def _check_count(value, minimum: int, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_real(value: float, what: str) -> float:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
+    return value
+
+
 # Hash-consing table: one live node per distinct tree, keyed by
 # (tag, fields...) with children compared by identity.  Entries go
 # away with the last reference to their node.
@@ -138,9 +149,7 @@ class Diamond(_Node):
     __slots__ = ("budget", "inner")
 
     def __new__(cls, budget: float, inner: Formula) -> Diamond:
-        value = float(budget) + 0.0  # normalize -0.0
-        if not math.isfinite(value) or value < 0:
-            raise ValueError(f"diamond budget must be finite and >= 0, got {budget!r}")
+        value = _check_real(float(budget) + 0.0, "diamond budget")  # normalize -0.0
         _check_children(cls, inner=inner)
         return _intern(cls, (5, value, inner))
 
@@ -190,11 +199,9 @@ class CostModel:
         costs = dict(self.atom_costs)
         for name, cost in costs.items():
             _check_ident(name, "cost atom name")
-            if not (math.isfinite(cost) and cost >= 0):
-                raise ValueError(f"cost for {name} must be finite and >= 0, got {cost!r}")
+            _check_real(cost, f"cost for {name}")
         object.__setattr__(self, "atom_costs", costs)
-        if not (math.isfinite(self.default_cost) and self.default_cost >= 0):
-            raise ValueError(f"default_cost must be finite and >= 0, got {self.default_cost!r}")
+        _check_real(self.default_cost, "default_cost")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
 
@@ -217,8 +224,7 @@ def base_cost(phi: Formula, model: CostModel) -> float:
 def curvature_cost(phi: Formula, model: CostModel, kappa: float) -> float:
     """Curvature-scaled cost: base cost inflated by (1 + alpha * kappa).
     A zero base cost stays 0.0 even where alpha * kappa overflows."""
-    if not (math.isfinite(kappa) and kappa >= 0):
-        raise ValueError(f"kappa must be finite and >= 0, got {kappa!r}")
+    _check_real(kappa, "kappa")
     cost = base_cost(phi, model)
     return cost * (1.0 + model.alpha * kappa) if cost else 0.0
 

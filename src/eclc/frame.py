@@ -9,11 +9,10 @@ calculus transition operations mutate world state.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .formula import Diamond, Formula, _check_ident
+from .formula import Diamond, Formula, _check_count, _check_ident, _check_real
 
 
 class UnknownWorldError(Exception):
@@ -33,14 +32,9 @@ class World:
 
     def __post_init__(self) -> None:
         _check_ident(self.id, "world id")
-        self.energy = float(self.energy) + 0.0
-        self.kappa = float(self.kappa) + 0.0
-        if not (math.isfinite(self.energy) and self.energy >= 0):
-            raise ValueError(f"energy must be finite and >= 0, got {self.energy!r}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa!r}")
-        if not (isinstance(self.lam, int) and not isinstance(self.lam, bool) and self.lam >= 1):
-            raise ValueError(f"lambda must be an integer >= 1, got {self.lam!r}")
+        self.energy = _check_real(float(self.energy) + 0.0, "energy")
+        self.kappa = _check_real(float(self.kappa) + 0.0, "kappa")
+        _check_count(self.lam, 1, "lambda")
         self.props = Counter(self.props)
 
     def copy(self) -> "World":
@@ -74,10 +68,7 @@ class Frame:
                 raise ValueError(f"edge {src!r} -> {dst!r} names an undeclared world")
             if (src, dst) in self.edges:
                 raise ValueError(f"duplicate edge {src!r} -> {dst!r}")
-            delta_e = float(delta_e) + 0.0
-            if not (math.isfinite(delta_e) and delta_e >= 0):
-                raise ValueError(f"deltaE must be finite and >= 0, got {delta_e!r}")
-            self.edges[(src, dst)] = delta_e
+            self.edges[(src, dst)] = _check_real(float(delta_e) + 0.0, "deltaE")
 
     def world(self, world_id: str) -> World:
         try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, PreconditionError, Sequent, _copies_refuted, _refuted, _tally, prove
-from .formula import CostModel, Formula, _check_ident
+from .formula import CostModel, Formula, _check_count, _check_ident
 from .frame import Frame, accessible, hop_distance
 
 PRESERVED = "preserved"
@@ -32,8 +32,7 @@ class Observer:
 
     def __post_init__(self) -> None:
         _check_ident(self.id, "observer id")
-        if not (isinstance(self.horizon, int) and not isinstance(self.horizon, bool) and self.horizon >= 0):
-            raise ValueError(f"horizon must be an integer >= 0, got {self.horizon!r}")
+        _check_count(self.horizon, 0, "horizon")
 
 
 def observer_sees(frame: Frame, o: Observer, w: str) -> bool:

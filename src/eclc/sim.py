@@ -117,8 +117,8 @@ def _edge_sequent(config: ScenarioConfig, src: str, dst: str) -> Sequent | None:
 
 
 def _self_carry(phi, world, model, proofs):
-    """The proof of phi |- phi under the world's capacity and curvature."""
-    return proved_once(Sequent((phi,), (phi,)), world.lam, model, world.kappa, proofs)
+    """The proof of phi |- phi under the world's capacity."""
+    return proved_once(Sequent((phi,), (phi,)), world.lam, model, proofs)
 
 
 def _row(world, props, bits, depths) -> WorldRow:
@@ -169,7 +169,7 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
         hop_ok = accessible(frame, src, dst)
         gate = _edge_sequent(config, src, dst)
         if hop_ok and gate is not None:
-            hop_ok = proved_once(gate, source.lam, model, source.kappa, proofs).proved
+            hop_ok = proved_once(gate, source.lam, model, proofs).proved
         budget = source.energy
         spent = 0.0
         carried: list[Formula] = []
@@ -258,7 +258,7 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     def by_jitter(world, qubit, span):
         """(proved, depth, reason) of ``qubit`` at ``world`` by jitter, to ``span`` or to lambda, the first with no bound."""
         seq = measurement(qubit, _outcome(qubit))
-        found = (proved_once(seq, world.lam - j, model, world.kappa, proofs) for j in range(min(span, world.lam) + 1))
+        found = (proved_once(seq, world.lam - j, model, proofs) for j in range(min(span, world.lam) + 1))
         return [(p.proved, p.depth, p.failure_reason) for p in found]
 
     tables = [[by_jitter(frame.world(src), q, span) for q in order] for (_, src, _, order), span in zip(legs, spans)]

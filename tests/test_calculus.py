@@ -751,7 +751,7 @@ class TestProofMemo:
             assert not outcome.valid and outcome.proof.failure_reason == DEPTH_EXCEEDED
             assert snapshot(frame) == before
             # the drivers look a proof up the same way, with no frame
-            proof = proved_once(measurement("psi", "o"), bound, unit_model, 0.0, proofs)
+            proof = proved_once(measurement("psi", "o"), bound, unit_model, proofs)
             assert not proof.proved and proof.failure_reason == DEPTH_EXCEEDED
         assert calls == [] and proofs == {}
 
@@ -792,30 +792,29 @@ class TestProofMemo:
         assert_fresh(proofs, unit_model)
 
     def test_every_bound_in_any_order_matches_fresh_prove(self, zero_model, unit_model, monkeypatch):
-        # bounds 0-7 at kappa 0 and 0.5, in random order through one memo
-        # per sequent and cost model: each answer is a fresh prove, tree
-        # included, and proofs found at a higher bound answer lower ones
+        # bounds 0-7 in random order through one memo per sequent and cost
+        # model: each answer is a fresh prove, tree included, and proofs
+        # found at a higher bound answer lower ones
         calls = counted_prove(monkeypatch)
         rng = random.Random(2024)
-        queries = [(kappa, bound) for kappa in (0.0, 0.5) for bound in range(8)]
         answers = Counter()
         for _ in range(200):
             seq = random_sequent(rng)
             for model in (zero_model, unit_model):
                 proofs, start = {}, len(calls)
-                for kappa, bound in rng.sample(queries, len(queries)):
-                    result = proved_once(seq, bound, model, kappa, proofs)
+                for bound in rng.sample(range(8), 8):
+                    result = proved_once(seq, bound, model, proofs)
                     if bound == 0:
                         assert result == ProofResult(False, 0, None, DEPTH_EXCEEDED)
                     else:
-                        assert result == prove(seq, bound, model, kappa)
+                        assert result == prove(seq, bound, model, 0.0)
                     answers[result.failure_reason] += 1
-                # one memo searches each (seq, bound) once, whatever the kappa
+                # one memo searches each (seq, bound) at most once
                 searched = [(s, bound) for s, bound, _ in calls[start:]]
                 assert len(searched) == len(set(searched))
-        assert len(answers) == 4 and answers[None] >= 2000
-        # of the 5,600 queries at bounds 1-7, reuse answers 3,344 here
-        assert len(calls) < 5600 - 3000
+        assert len(answers) == 4 and answers[None] >= 1000
+        # of the 2,800 queries at bounds 1-7, reuse answers 421 here
+        assert len(calls) < 2800 - 400
 
 
 class TestRenderProof:

@@ -13,12 +13,16 @@ from eclc import (
     Bang,
     CostModel,
     Diamond,
+    Frame,
     Lolli,
+    Observer,
     Sequent,
     Tensor,
     With,
+    World,
     base_cost,
     coherence,
+    cost_valid,
     curvature_cost,
     prove,
 )
@@ -132,6 +136,46 @@ class TestCurvatureCost:
             assert high > low
         else:
             assert high == low == 0.0
+
+
+# Each site that takes a finite real >= 0: (name in its message, whether it
+# converts its input through float first, a call that passes it the value).
+REAL_SITES = {
+    "World.energy": ("energy", True, lambda x: World("w", x, 0.0, 1)),
+    "World.kappa": ("kappa", True, lambda x: World("w", 0.0, x, 1)),
+    "Frame.deltaE": ("deltaE", True, lambda x: Frame([World("w", 0.0, 0.0, 1)], [("w", "w", x)])),
+    "CostModel.atom_costs": ("cost for A", False, lambda x: CostModel({"A": x})),
+    "CostModel.default_cost": ("default_cost", False, lambda x: CostModel({}, default_cost=x)),
+    "Diamond.budget": ("diamond budget", True, lambda x: Diamond(x, Atom("A"))),
+    "curvature_cost.kappa": ("kappa", False, lambda x: curvature_cost(Atom("A"), CostModel({}), x)),
+    "cost_valid.kappa": ("kappa", False, lambda x: cost_valid(Sequent((Atom("A"),), ()), CostModel({}), x)),
+}
+# Each site that takes an integer >= a minimum: (name, minimum, call).
+COUNT_SITES = {
+    "World.lam": ("lambda", 1, lambda n: World("w", 0.0, 0.0, n)),
+    "Observer.horizon": ("horizon", 0, lambda n: Observer("o", "w", n)),
+    "prove.depth_bound": ("depth_bound", 1, lambda n: prove(Sequent((Atom("A"),), (Atom("A"),)), n, CostModel({}), 0.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [(site, value) for site in REAL_SITES for value in (-1.0, math.nan, math.inf, -1)]
+    + [(site, value) for site in COUNT_SITES for value in (True, 2.0, COUNT_SITES[site][1] - 1)],
+)
+def test_numeric_input_messages(site, value):
+    # the exact text of each rejected input; a site that converts through
+    # float shows the float it checked, so Diamond(-1, A) says -1.0
+    if site in REAL_SITES:
+        what, converts, call = REAL_SITES[site]
+        shown = repr(float(value) if converts else value)
+        expected = f"{what} must be finite and >= 0, got {shown}"
+    else:
+        what, minimum, call = COUNT_SITES[site]
+        expected = f"{what} must be an integer >= {minimum}, got {value!r}"
+    with pytest.raises(ValueError) as raised:
+        call(value)
+    assert str(raised.value) == expected
 
 
 class TestValidation:

@@ -5,7 +5,8 @@ and the accessibility driver's reports on its recorded chains.
 failure_reason) for every pool case of the benchmark's prover corpus.
 Reported depth is the height of the first proof found in the fixed rule
 order, so this pins the search order as well as the verdicts.  Every
-case is replayed here, the large ones included.
+case is replayed here, the large ones included, and every proof tree
+found passes the independent checker ``oracles.check_proof``.
 ``bench/golden/observer-chain.txt`` records a digest of the report
 files of ``eclc run`` on every generated accessibility chain, and
 ``bench/golden/reciprocity-trials.txt`` one on the bundled reciprocity
@@ -20,6 +21,7 @@ from pathlib import Path
 
 from eclc import prove
 from eclc.cli import main
+from oracles import check_proof
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -34,16 +36,21 @@ def _load_workloads():
 def test_first_found_results_match_golden_corpus():
     wl = _load_workloads()
     builder = wl.Builder()
-    checked, mismatches = 0, []
+    checked, trees, mismatches = 0, 0, []
     for line in wl.load_golden("prove-corpus"):
         _, bound, case, record = line.split()
         seq, case_bound, model, kappa = wl.corpus_case(builder, int(case))
         assert case_bound == int(bound), f"case {case}: generated bound differs from the recorded one"
-        got = wl.proof_record(prove(seq, case_bound, model, kappa))
+        result = prove(seq, case_bound, model, kappa)
+        got = wl.proof_record(result)
         if got != record:
             mismatches.append((case, record, got))
+        if result.proved:
+            # the independent checker accepts every proof the prover finds
+            check_proof(result.tree, case_bound)
+            trees += 1
         checked += 1
-    assert checked == 5100
+    assert checked == 5100 and trees == 927
     assert not mismatches, f"{len(mismatches)} of {checked} cases differ, first: {mismatches[:5]}"
 
 

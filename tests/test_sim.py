@@ -317,12 +317,12 @@ class TestRunReciprocity:
         resolved = {}
 
         def counted(seq, bound, model, kappa):
-            calls.append((seq, bound, kappa))
+            calls.append((seq, bound))
             return prove(seq, bound, model, kappa)
 
-        def recorded(seq, bound, model, kappa, proofs):
-            resolved[seq, bound, kappa] = proved_once(seq, bound, model, kappa, proofs)
-            return resolved[seq, bound, kappa]
+        def recorded(seq, bound, model, proofs):
+            resolved[seq, bound] = proved_once(seq, bound, model, proofs)
+            return resolved[seq, bound]
 
         monkeypatch.setattr(calculus, "prove", counted)
         monkeypatch.setattr(calculus, "proved_once", recorded)
@@ -336,9 +336,9 @@ class TestRunReciprocity:
             calls.clear()
             resolved.clear()
             report = run_reciprocity(config)
-            searched = [(seq, bound) for seq, bound, _ in calls]
-            for (seq, bound, kappa), result in resolved.items():
-                assert result == (prove(seq, bound, config.cost_model, kappa) if bound >= 1 else below_one)
+            searched = list(calls)
+            for (seq, bound), result in resolved.items():
+                assert result == (prove(seq, bound, config.cost_model, 0.0) if bound >= 1 else below_one)
             run_resolved = set(resolved)
             calls.clear()
             expected = reference_reciprocity(config)
@@ -364,10 +364,10 @@ class TestRunReciprocity:
         resolved = Counter()
         memos = {}
 
-        def counted(seq, bound, model, kappa, proofs):
+        def counted(seq, bound, model, proofs):
             resolved[seq] += 1
             memos[id(proofs)] = proofs
-            return proved_once(seq, bound, model, kappa, proofs)
+            return proved_once(seq, bound, model, proofs)
 
         monkeypatch.setattr(sim, "proved_once", counted)
         report = run_reciprocity(config)
