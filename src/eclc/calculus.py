@@ -12,7 +12,7 @@ consuming the antecedent irreversibly and spending edge energy.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import (
     Atom,
@@ -46,49 +46,53 @@ class PreconditionError(Exception):
     """Raised when an operation's stated precondition does not hold."""
 
 
-@dataclass(frozen=True)
-class Sequent:
+class _Sequent(NamedTuple):
+    gamma: tuple[Formula, ...]
+    delta: tuple[Formula, ...]
+
+
+class Sequent(_Sequent):
     """Judgment gamma |- delta over formula multisets.
 
     Both sides preserve order and multiplicity as given; proof search
     treats them as multisets.
     """
 
-    gamma: tuple[Formula, ...]
-    delta: tuple[Formula, ...]
+    __slots__ = ()
 
-    def __init__(self, gamma, delta) -> None:
-        object.__setattr__(self, "gamma", tuple(gamma))
-        object.__setattr__(self, "delta", tuple(delta))
+    def __new__(cls, gamma, delta) -> Sequent:
+        return tuple.__new__(cls, (tuple(gamma), tuple(delta)))
 
 
-@dataclass(frozen=True)
-class ProofTree:
+class ProofTree(NamedTuple):
     """One derivation node: rule name, concluded sequent, premises."""
 
     rule: str
     sequent: Sequent
-    premises: tuple["ProofTree", ...] = ()
+    premises: tuple[ProofTree, ...] = ()
 
     @property
     def height(self) -> int:
         return 1 + max((p.height for p in self.premises), default=0)
 
 
-@dataclass(frozen=True)
-class ProofResult:
+class _ProofResult(NamedTuple):
     proved: bool
     depth: int
     tree: ProofTree | None
     failure_reason: str | None
 
-    def __post_init__(self) -> None:
-        if self.proved != (self.tree is not None):
+
+class ProofResult(_ProofResult):
+    __slots__ = ()
+
+    def __new__(cls, proved: bool, depth: int, tree: ProofTree | None, failure_reason: str | None) -> ProofResult:
+        if proved != (tree is not None):
             raise ValueError("tree must be present iff proved")
+        return tuple.__new__(cls, (proved, depth, tree, failure_reason))
 
 
-@dataclass(frozen=True)
-class TransitionOutcome:
+class TransitionOutcome(NamedTuple):
     valid: bool
     proof: ProofResult
     energy_spent: float

@@ -19,7 +19,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+import time
 
 from .calculus import curvature_cost, prove, render_proof
 from .dsl import MAX_TRIALS, ParseError, ScenarioConfig, parse_scenario
@@ -127,17 +127,23 @@ def _summary(report: ScenarioReport) -> str:
 
 
 def cmd_run(args) -> int:
+    start = time.perf_counter()
     config = _load_config(args.path)
+    parsed = time.perf_counter()
     overrides = {"seed": _resolve_seed(args, config)}
     if args.trials is not None:
         if not 1 <= args.trials <= MAX_TRIALS:
             raise ScenarioError(f"trials must be between 1 and {MAX_TRIALS}")
         overrides["trials"] = args.trials
-    report = run_scenario(replace(config, **overrides))
+    report = run_scenario(config._replace(**overrides))
+    ran = time.perf_counter()
     try:
         written = write_report(report, args.out, args.format)
     except OSError as exc:
         raise CliError(f"error: cannot write {args.out}: {exc.strerror or exc}", 1) from None
+    if args.timings:  # stderr only: timings vary from run to run, and reports must not
+        spans = (parsed - start, ran - parsed, time.perf_counter() - ran)
+        print("timings: parse %.6f s, run %.6f s, write %.6f s" % spans, file=sys.stderr)
     print(_summary(report))
     for path in written:
         print(f"wrote {path}")
@@ -198,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--trials", type=int, default=None, help="override the file trial count")
     p_run.add_argument("--out", default=".", help="output directory (default: current)")
     p_run.add_argument("--format", choices=("json", "csv", "both"), default="both")
+    p_run.add_argument("--timings", action="store_true", help="write the parse, run and write seconds to stderr")
     p_run.set_defaults(func=cmd_run)
 
     p_fit = sub.add_parser("fit", help="fit exp(-rate*kappa) to a two-column kappa,pi CSV")

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculus import Sequent, format_sequent
 from .formula import (
@@ -91,8 +91,7 @@ class ParseError(Exception):
         super().__init__(f"line {line}, column {column}: {message}{suffix}")
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Everything a simulation run needs, as parsed from one file."""
 
     frame: Frame
@@ -132,7 +131,7 @@ class _Parser:
         self.atom_costs: dict[str, float] = {}
         self.observers: dict[str, Observer] = {}
         self.sequents: dict[str, tuple[str, str, Sequent]] = {}
-        # the fields a directive set; the rest keep their dataclass defaults
+        # the fields a directive set; the rest keep their ScenarioConfig defaults
         self.settings: dict[str, object] = {}
         self.memo: dict[tuple[str, ...], Formula] = {}  # prop formula tokens -> formula
         self.pos = self.connectives = 0  # in the formula being parsed

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 # Atom names that always parse/serialize as non-coherent.
 CLASSICAL_ATOMS = frozenset({"Classical", "Decohered"})
@@ -77,10 +76,10 @@ class _Node:
         return self._hash
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -183,27 +182,30 @@ def decohere(phi: Formula) -> Formula:
     return Diamond(phi.budget, decohere(phi.inner))
 
 
-@dataclass(frozen=True)
-class CostModel:
+class _CostModel(NamedTuple):
+    atom_costs: dict[str, float]
+    default_cost: float
+    alpha: float
+
+
+class CostModel(_CostModel):
     """Per-atom base costs plus the curvature coupling constant alpha.
 
     Unknown atoms fall back to ``default_cost`` so scenario files need
     not enumerate every atom they mention.
     """
 
-    atom_costs: dict[str, float]
-    default_cost: float = 1.0
-    alpha: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        costs = dict(self.atom_costs)
+    def __new__(cls, atom_costs, default_cost: float = 1.0, alpha: float = 1.0) -> CostModel:
+        costs = dict(atom_costs)
         for name, cost in costs.items():
             _check_ident(name, "cost atom name")
             _check_real(cost, f"cost for {name}")
-        object.__setattr__(self, "atom_costs", costs)
-        _check_real(self.default_cost, "default_cost")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        _check_real(default_cost, "default_cost")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+        return tuple.__new__(cls, (costs, default_cost, alpha))
 
     def atom_cost(self, name: str) -> float:
         return self.atom_costs.get(name, self.default_cost)

@@ -10,7 +10,7 @@ calculus transition operations mutate world state.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import Diamond, Formula, _check_count, _check_ident, _check_real
 
@@ -19,38 +19,48 @@ class UnknownWorldError(Exception):
     """Raised when a query names a world absent from the frame."""
 
 
-@dataclass
 class World:
     """Logical context: proposition multiset, energy budget, curvature,
-    and inference capacity (maximum proof depth)."""
+    and inference capacity (maximum proof depth).  Mutable and equal by
+    fields, so unhashable."""
 
-    id: str
-    energy: float
-    kappa: float
-    lam: int
-    props: Counter | None = None
+    __slots__ = ("id", "energy", "kappa", "lam", "props")
 
-    def __post_init__(self) -> None:
-        _check_ident(self.id, "world id")
-        self.energy = _check_real(float(self.energy) + 0.0, "energy")
-        self.kappa = _check_real(float(self.kappa) + 0.0, "kappa")
-        _check_count(self.lam, 1, "lambda")
-        self.props = Counter(self.props)
+    def __init__(self, id: str, energy: float, kappa: float, lam: int, props: Counter | None = None) -> None:
+        _check_ident(id, "world id")
+        self.id = id
+        self.energy = _check_real(float(energy) + 0.0, "energy")
+        self.kappa = _check_real(float(kappa) + 0.0, "kappa")
+        _check_count(lam, 1, "lambda")
+        self.lam = lam
+        self.props = Counter(props)
 
-    def copy(self) -> "World":
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, name) for name in self.__slots__] == [getattr(other, name) for name in self.__slots__]
+
+    def __repr__(self) -> str:
+        return "World(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+
+    def copy(self) -> World:
         return World(self.id, self.energy, self.kappa, self.lam, self.props)
 
 
-@dataclass(frozen=True)
-class PathCost:
-    """Hop count and summed deltaE of a feasible directed path."""
-
+class _PathCost(NamedTuple):
     hops: int
     total_delta_e: float
 
-    def __post_init__(self) -> None:
-        if self.hops < 0 or self.total_delta_e < 0:
+
+class PathCost(_PathCost):
+    """Hop count and summed deltaE of a feasible directed path."""
+
+    __slots__ = ()
+
+    def __new__(cls, hops: int, total_delta_e: float) -> PathCost:
+        if hops < 0 or total_delta_e < 0:
             raise ValueError("path cost components must be >= 0")
+        return tuple.__new__(cls, (hops, total_delta_e))
 
 
 class Frame:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .formula import coherence
 
@@ -18,31 +18,39 @@ from .formula import coherence
 FISHER_TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FitResult:
+class _FitResult(NamedTuple):
     rate: float
     r_squared: float
 
-    def __post_init__(self) -> None:
-        if self.r_squared > 1.0:
-            raise ValueError(f"r_squared cannot exceed 1, got {self.r_squared!r}")
+
+class FitResult(_FitResult):
+    __slots__ = ()
+
+    def __new__(cls, rate: float, r_squared: float) -> FitResult:
+        if r_squared > 1.0:
+            raise ValueError(f"r_squared cannot exceed 1, got {r_squared!r}")
+        return tuple.__new__(cls, (rate, r_squared))
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """2x2 table [[a, b], [c, d]] of nonnegative counts."""
-
+class _ContingencyTable(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        cells = (self.a, self.b, self.c, self.d)
+
+class ContingencyTable(_ContingencyTable):
+    """2x2 table [[a, b], [c, d]] of nonnegative counts."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> ContingencyTable:
+        cells = (a, b, c, d)
         if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in cells):
             raise ValueError(f"cells must be nonnegative integers, got {cells}")
         if sum(cells) == 0:
             raise ValueError("at least one cell must be positive")
+        return tuple.__new__(cls, cells)
 
 
 def persistence_score(gamma) -> float:

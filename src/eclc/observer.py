@@ -10,7 +10,7 @@ home, calls ``truth_at`` once per row and keeps one verdict table per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, PreconditionError, Sequent, _copies_refuted, _refuted, _tally, prove
 from .formula import CostModel, Formula, _check_count, _check_ident
@@ -24,15 +24,19 @@ NOT_ESTABLISHED = "not_established"
 MAX_ANTECEDENT = 3
 
 
-@dataclass(frozen=True)
-class Observer:
+class _Observer(NamedTuple):
     id: str
     home: str
     horizon: int
 
-    def __post_init__(self) -> None:
-        _check_ident(self.id, "observer id")
-        _check_count(self.horizon, 0, "horizon")
+
+class Observer(_Observer):
+    __slots__ = ()
+
+    def __new__(cls, id: str, home: str, horizon: int) -> Observer:
+        _check_ident(id, "observer id")
+        _check_count(horizon, 0, "horizon")
+        return tuple.__new__(cls, (id, home, horizon))
 
 
 def observer_sees(frame: Frame, o: Observer, w: str) -> bool:

@@ -14,10 +14,9 @@ import os
 import random
 import stat
 from collections import Counter
-from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .calculus import Sequent, measure, measurement, prove, proved_once, quantum_token  # bench/tracer.py wraps sim.prove
 from .dsl import ScenarioConfig
@@ -37,8 +36,7 @@ class ScenarioError(Exception):
     """Config does not satisfy the requirements of the requested scenario."""
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     trial_index: int
     direction: str
     success: bool
@@ -46,8 +44,7 @@ class TrialRecord:
     failure_reason: str | None
 
 
-@dataclass(frozen=True)
-class WorldRow:
+class WorldRow(NamedTuple):
     world: str
     kappa: float
     pi: float
@@ -56,8 +53,7 @@ class WorldRow:
     mean_proof_depth: float
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     kind: str
     per_world: tuple[WorldRow, ...]
     fit: FitResult | None
@@ -140,7 +136,7 @@ def _coherence_row(world, formulas, model, proofs) -> WorldRow:
     proofs that succeed."""
     bits = [coherence(phi) for phi in formulas]
     carries = [_self_carry(phi, world, model, proofs) for phi, bit in zip(formulas, bits) if bit]
-    return replace(_row(world, formulas, bits, [r.depth for r in carries if r.proved]), access_fraction=None)
+    return _row(world, formulas, bits, [r.depth for r in carries if r.proved])._replace(access_fraction=None)
 
 
 def run_coherence(config: ScenarioConfig) -> ScenarioReport:
@@ -351,11 +347,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioReport:
 _COLUMN = {"trial_index": "trial"}
 
 
-def _table(cls, records) -> tuple[list[str], list[tuple]]:
-    """The report columns of dataclass ``cls`` and each record's values."""
-    names = [f.name for f in fields(cls)]
-    values = attrgetter(*names)
-    return [_COLUMN.get(name, name) for name in names], [values(r) for r in records]
+def _columns(cls) -> list[str]:
+    """The report columns of record class ``cls``; a record is the tuple of its values."""
+    return [_COLUMN.get(name, name) for name in cls._fields]
 
 
 def _json_cell(value) -> str:
@@ -370,9 +364,8 @@ def _json_cell(value) -> str:
 
 def _json_objects(cls, records, indent: str) -> list[str]:
     """Each record as the object ``json.dumps(..., indent=2)`` writes at ``indent``."""
-    columns, rows = _table(cls, records)
-    template = "{" + ",".join(f"\n{indent}  {_json_str(c)}: %s" for c in columns) + f"\n{indent}}}"
-    return [template % tuple(map(_json_cell, row)) for row in rows]
+    template = "{" + ",".join(f"\n{indent}  {_json_str(c)}: %s" for c in _columns(cls)) + f"\n{indent}}}"
+    return [template % tuple(map(_json_cell, r)) for r in records]
 
 
 def _json_list(cls, records) -> str:
@@ -402,8 +395,7 @@ def _csv_cell(value) -> str:
 
 
 def _csv(cls, records) -> str:
-    columns, rows = _table(cls, records)
-    return "\n".join([",".join(columns), *(",".join(map(_csv_cell, row)) for row in rows)]) + "\n"
+    return "\n".join([",".join(_columns(cls)), *(",".join(map(_csv_cell, r)) for r in records)]) + "\n"
 
 
 def per_world_csv(report: ScenarioReport) -> str:

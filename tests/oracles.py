@@ -19,7 +19,6 @@ import itertools
 import json
 import re
 from collections import Counter
-from dataclasses import fields
 from fractions import Fraction
 from math import comb, isfinite
 
@@ -612,7 +611,7 @@ def reference_report_json(report) -> str:
 
     def rows(records):
         return [
-            {("trial" if f.name == "trial_index" else f.name): cell(getattr(r, f.name)) for f in fields(r)}
+            {("trial" if name == "trial_index" else name): cell(getattr(r, name)) for name in r._fields}
             for r in records
         ]
 

@@ -11,7 +11,6 @@ loosened.  README's caveats section has the analysis.
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 

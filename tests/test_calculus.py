@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 from collections import Counter
@@ -534,11 +533,11 @@ class TestProofChecker:
         (inner,) = tree.premises
         assert (tree.rule, inner.rule) == ("tensor-left", "tensor-right")
         broken = {
-            "not an instance of tensor-right": dataclasses.replace(tree, rule="tensor-right"),
-            "not an instance of tensor-left": dataclasses.replace(
-                tree, premises=(dataclasses.replace(inner, sequent=Sequent((A,), inner.sequent.delta)),)
+            "not an instance of tensor-right": tree._replace(rule="tensor-right"),
+            "not an instance of tensor-left": tree._replace(
+                premises=(inner._replace(sequent=Sequent((A,), inner.sequent.delta)),)
             ),
-            "leaf tensor-right is not an axiom": dataclasses.replace(tree, premises=(dataclasses.replace(inner, premises=()),)),
+            "leaf tensor-right is not an axiom": tree._replace(premises=(inner._replace(premises=()),)),
             "height 3 exceeds the bound 2": tree,
         }
         for message, candidate in broken.items():
@@ -699,7 +698,7 @@ def assert_fresh(proofs, model):
     seq entry holds the search at its bound, or a ``cost_invalid`` result,
     which a fresh ``prove`` gives at every bound."""
     for key, value in proofs.items():
-        if isinstance(key, tuple):
+        if not isinstance(key, Sequent):  # a (seq, bound) key; a Sequent is a tuple too
             seq, bound = key
             assert value == prove(seq, bound, model, 0.0)
         else:
@@ -788,7 +787,7 @@ class TestProofMemo:
         assert len(outcomes) >= 3 and outcomes[True, None] >= 50
         # the memo-free side proves all 300; the memo side searches only
         # its misses, keeps each at its bound, and each entry is a fresh prove
-        assert len(calls) - 300 == sum(isinstance(key, tuple) for key in proofs) < 250
+        assert len(calls) - 300 == sum(not isinstance(key, Sequent) for key in proofs) < 250
         assert_fresh(proofs, unit_model)
 
     def test_every_bound_in_any_order_matches_fresh_prove(self, zero_model, unit_model, monkeypatch):

@@ -166,6 +166,20 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert [line.split(",")[2] for line in outputs[0].splitlines()[1:]] == ["1.0", "1.0", "1.0"]
 
+    @pytest.mark.parametrize("name", scenarios.NAMES)
+    def test_timings_change_no_report_and_no_stdout(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.delenv("ECLC_SEED", raising=False)
+        argv = ["run", str(scenarios.path(name)), "--out", str(tmp_path)]
+        runs = []
+        for extra in ([], ["--timings"]):
+            assert main(argv + extra) == 0
+            files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+            runs.append((files, *capsys.readouterr()))
+        (plain, out, err), (timed, timed_out, timed_err) = runs
+        assert len(plain) == 3 and timed == plain
+        assert timed_out == out and err == ""
+        assert re.fullmatch(r"timings: parse \d+\.\d{6} s, run \d+\.\d{6} s, write \d+\.\d{6} s\n", timed_err)
+
     def test_flat_chain_has_no_fit(self, tmp_path, capsys):
         # every kappa is 0, so no rate can be fitted
         path = tmp_path / "flat-kappa.eclc"
@@ -816,3 +830,14 @@ class TestOtherInterpreters:
         assert [code for code, _ in expected[0]] == [0] * len(BUNDLED_RUNS)
         for i, python in enumerate(pythons):
             assert eclc_outputs(BUNDLED_RUNS, tmp_path / f"other{i}", python) == expected, python
+
+
+class TestColdStart:
+    def test_import_loads_no_dataclasses(self):
+        # counted in modules, not seconds, so it cannot flake: dataclasses
+        # and what it pulls in cost every eclc process about 20 ms of start-up.
+        # -I -S: no environment or site hook imports any of them first.
+        heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+        code = f"import sys; sys.path.insert(0, {SRC!r}); import eclc.cli; print(sorted({heavy!r} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import replace
 
 from eclc import parse_scenario, run_scenario, scenarios
 from eclc.sim import per_world_csv, report_to_json, trials_csv
@@ -96,7 +95,7 @@ def cases():
 
 
 def run(text: str, seed: int):
-    return run_scenario(replace(parse_scenario(text), seed=seed))
+    return run_scenario(parse_scenario(text)._replace(seed=seed))
 
 
 def digest(text: str, seed: int) -> str:

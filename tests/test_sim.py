@@ -3,7 +3,6 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -147,7 +146,7 @@ class TestRunCoherence:
         # vanishing coupling: the curvature surcharge goes to zero and
         # nothing decoheres, whatever the budgets
         config = load("coherence")
-        config = replace(config, cost_model=CostModel({}, default_cost=1.0, alpha=1e-12))
+        config = config._replace(cost_model=CostModel({}, default_cost=1.0, alpha=1e-12))
         for world in config.frame.worlds.values():
             world.lam = 100
         report = run_coherence(config)
@@ -200,7 +199,7 @@ class TestRunReciprocity:
         assert len(report.trials) == 100
 
     def test_noise_zero_is_deterministic(self):
-        config = replace(load("reciprocity"), noise=0.0)
+        config = load("reciprocity")._replace(noise=0.0)
         report = run_reciprocity(config)
         for direction in ("forward", "reverse"):
             rates = {t.success for t in report.trials if t.direction == direction}
@@ -227,9 +226,9 @@ class TestRunReciprocity:
         rng = random.Random(17)
         configs = [load("reciprocity")] + [parse_scenario(random_reciprocity_text(rng)) for _ in range(8)]
         for config in configs:
-            longer = run_reciprocity(replace(config, trials=120)).trials
+            longer = run_reciprocity(config._replace(trials=120)).trials
             for k in (1, 7, 50):
-                assert run_reciprocity(replace(config, trials=k)).trials == longer[: 2 * k]
+                assert run_reciprocity(config._replace(trials=k)).trials == longer[: 2 * k]
 
     def test_matches_per_leg_reference(self):
         rng = random.Random(9)
@@ -253,7 +252,7 @@ class TestRunReciprocity:
             return measure(*args, **kwargs)
 
         monkeypatch.setattr(sim, "measure", counted)
-        report = run_reciprocity(replace(load("reciprocity"), trials=5000))
+        report = run_reciprocity(load("reciprocity")._replace(trials=5000))
         assert len(report.trials) == 10_000
         # forward proves at depth 2 at every bound it draws; reverse meets
         # depth_exceeded or depth 2 at each of its two measurements: 1
@@ -267,7 +266,7 @@ class TestRunReciprocity:
         config = parse_scenario(scenarios.read("reciprocity") + extra)
         assert len(sim._quantum_names(config.frame.world("wA").props)) == 4
         # the reference proves every measurement afresh, so keep it short
-        shorter = replace(config, trials=300)
+        shorter = config._replace(trials=300)
         assert run_reciprocity(shorter) == reference_reciprocity(shorter)
         calls = Counter()
         measure_sequence = sim._measure_sequence
@@ -277,7 +276,7 @@ class TestRunReciprocity:
             return measure_sequence(*args)
 
         monkeypatch.setattr(sim, "_measure_sequence", counted)
-        report = run_reciprocity(replace(config, trials=5000))
+        report = run_reciprocity(config._replace(trials=5000))
         assert len(report.trials) == 10_000
         assert 1 <= calls["legs"] <= 17
 
@@ -358,7 +357,7 @@ class TestRunReciprocity:
         # and the proof at 500, which answers bounds 2-499
         text = scenarios.read("reciprocity").replace("noise = 0.8", "noise = 100")
         text = re.sub(r"lambda=\d+", "lambda=500", text) + "prop wA : !Quantum(qC)\nprop wB : !Quantum(qC)\n"
-        config = replace(parse_scenario(text), trials=200)
+        config = parse_scenario(text)._replace(trials=200)
         assert len(sim._quantum_names(config.frame.world("wA").props)) == 3
         proved_once = sim.proved_once
         resolved = Counter()
@@ -406,7 +405,7 @@ class TestRunReciprocity:
 
     def test_requires_two_worlds(self):
         with pytest.raises(ScenarioError):
-            run_reciprocity(replace(load("coherence"), scenario_kind="reciprocity"))
+            run_reciprocity(load("coherence")._replace(scenario_kind="reciprocity"))
 
     def test_per_world_rows(self):
         report = run_reciprocity(load("reciprocity"))
@@ -777,7 +776,7 @@ class TestReportWriter:
     def test_bundled_scenarios_match_the_reference(self):
         for name in scenarios.NAMES:
             for seed in range(20):
-                report = run_scenario(replace(load(name), seed=seed))
+                report = run_scenario(load(name)._replace(seed=seed))
                 assert report_to_json(report) == oracles.reference_report_json(report), (name, seed)
 
     @settings(max_examples=300)
