@@ -69,7 +69,7 @@ class ProofTree(NamedTuple):
 
     rule: str
     sequent: Sequent
-    premises: tuple[ProofTree, ...] = ()
+    premises: tuple["ProofTree", ...] = ()
 
     @property
     def height(self) -> int:

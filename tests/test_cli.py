@@ -834,10 +834,11 @@ class TestOtherInterpreters:
 
 class TestColdStart:
     def test_import_loads_no_dataclasses(self):
-        # counted in modules, not seconds, so it cannot flake: dataclasses
-        # and what it pulls in cost every eclc process about 20 ms of start-up.
-        # -I -S: no environment or site hook imports any of them first.
+        # counted in modules, not seconds, so it cannot flake: dataclasses, what
+        # it pulls in and its decorations were over half of eclc's import time.
+        # -I -S: no environment or site hook imports any of them first; -B:
+        # the child writes no bytecode into the source tree.
         heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
         code = f"import sys; sys.path.insert(0, {SRC!r}); import eclc.cli; print(sorted({heavy!r} & set(sys.modules)))"
-        proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
