@@ -6,6 +6,7 @@ from .calculus import (
     COST_INVALID,
     DEPTH_EXCEEDED,
     NO_RULE_APPLIES,
+    SEARCH_BUDGET_EXCEEDED,
     PreconditionError,
     ProofResult,
     ProofTree,
@@ -70,7 +71,7 @@ __all__ = [
     "base_cost", "coherence", "curvature_cost", "format_formula",
     "Frame", "PathCost", "UnknownWorldError", "World",
     "accessible", "eval_diamond", "eval_prop", "hop_distance", "hop_distances", "path_cost",
-    "COST_INVALID", "DEPTH_EXCEEDED", "NO_RULE_APPLIES",
+    "COST_INVALID", "DEPTH_EXCEEDED", "NO_RULE_APPLIES", "SEARCH_BUDGET_EXCEEDED",
     "PreconditionError", "ProofResult", "ProofTree", "Sequent", "TransitionOutcome",
     "cost_valid", "measure", "prove", "render_proof", "transition",
     "NOT_ESTABLISHED", "PRESERVED", "VIOLATED", "Observer",

@@ -12,6 +12,7 @@ consuming the antecedent irreversibly and spending edge energy.
 from __future__ import annotations
 
 from collections import Counter
+from math import fsum
 from typing import NamedTuple
 
 from .formula import (
@@ -33,6 +34,8 @@ from .frame import Frame, accessible
 DEPTH_EXCEEDED = "depth_exceeded"
 NO_RULE_APPLIES = "no_rule_applies"
 COST_INVALID = "cost_invalid"
+SEARCH_BUDGET_EXCEEDED = "search_budget_exceeded"
+MAX_SEARCH_WORK = 1_000_000  # slots: len(gamma) + len(delta) per search entry past the axiom check
 
 # memo sentinel for refutations that hold at any depth
 _NO_DEPTH_LIMIT = 1 << 30
@@ -44,6 +47,10 @@ CLASSICAL = "Classical"
 
 class PreconditionError(Exception):
     """Raised when an operation's stated precondition does not hold."""
+
+
+class _SearchBudgetExceeded(Exception):
+    """Raised inside a search that spends more than MAX_SEARCH_WORK slots."""
 
 
 class _Sequent(NamedTuple):
@@ -59,6 +66,7 @@ class Sequent(_Sequent):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, gamma, delta) -> Sequent:
         return tuple.__new__(cls, (tuple(gamma), tuple(delta)))
@@ -85,6 +93,7 @@ class _ProofResult(NamedTuple):
 
 class ProofResult(_ProofResult):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, proved: bool, depth: int, tree: ProofTree | None, failure_reason: str | None) -> ProofResult:
         if proved != (tree is not None):
@@ -101,19 +110,19 @@ class TransitionOutcome(NamedTuple):
 def cost_valid(seq: Sequent, model: CostModel, kappa: float) -> bool:
     """True iff the curvature-scaled cost of gamma covers delta's.
 
-    Both sides scale by the same positive (1 + alpha*kappa) factor, so
-    the unscaled sums decide it and rounding cannot make the verdict
-    depend on kappa.  A negative or non-finite kappa still raises.
+    Both sides scale by the same positive (1 + alpha*kappa) factor, so the unscaled sums
+    decide it, and rounding cannot make the verdict depend on kappa; each sum is rounded
+    once (``fsum``), so neither can a side's order.  A negative or non-finite kappa still raises.
     """
     _check_real(kappa, "kappa")
-    spent = sum(base_cost(phi, model) for phi in seq.gamma)
-    produced = sum(base_cost(phi, model) for phi in seq.delta)
+    spent = fsum(base_cost(phi, model) for phi in seq.gamma)
+    produced = fsum(base_cost(phi, model) for phi in seq.delta)
     return spent >= produced
 
 
 # Formulas are hash-consed, so an object id stands for a whole tree.
 # A search meets only subformulas of the root sequent, which the caller
-# holds, so no id is freed and reused while its memo or tables live.
+# holds, so no id is freed and reused while its search state lives.
 def _canon(side: tuple[Formula, ...]) -> tuple:
     return tuple(sorted(map(id, side)))
 
@@ -142,8 +151,8 @@ def _splits(side: tuple[Formula, ...]) -> list[tuple[tuple, tuple]]:
 
 
 def _new_tables():
-    """One search's tables, keyed by side: split lists, canon ints, tallies and gamma-only premises."""
-    return {}, {}, {}, {}
+    """One search's state: split lists and canon ints, tallies, the memo and the work spent."""
+    return [{}, {}, {}, {}, 0]
 
 
 def _key(gamma, delta, ints) -> tuple[int, int]:
@@ -166,23 +175,15 @@ def _parts(tables, side, i, left, right):
 
 def _applications(gamma, delta, key, tables):
     """Yield (rule, g1, d1, key1, g2, d2) in the fixed rule order; g2 and d2
-    are None for a one-premise rule.  A rule on gamma keeps delta's half of
-    ``key``.  Split lists come from ``tables`` (``_parts``), and so does each
-    one-premise left rule's (premise, canon int): built once per gamma, in
-    rule order, when the order first reaches it.  One-premise left rules
+    are None for a one-premise rule.  Split lists come from ``tables``
+    (``_parts``).  A one-premise left rule builds its premise's gamma and
+    canon int and keeps delta's half of ``key``.  One-premise left rules
     fire on first copies only: a later copy's premise is already memoized."""
     int_delta, ints = key[1], tables[1]
-    premises = tables[3].setdefault(tuple(map(id, gamma)), [])
-    reached = 0
 
     def on_gamma(rule, i, middle):
-        nonlocal reached
-        if reached == len(premises):
-            g = gamma[:i] + middle + gamma[i + 1 :]
-            premises.append((g, ints.setdefault(_canon(g), len(ints))))
-        g, k = premises[reached]
-        reached += 1
-        return rule, g, delta, (k, int_delta), None, None
+        g = gamma[:i] + middle + gamma[i + 1 :]
+        return rule, g, delta, (ints.setdefault(_canon(g), len(ints)), int_delta), None, None
 
     # tensor-right: split gamma and the remaining delta across premises
     for i, phi in enumerate(delta):
@@ -385,19 +386,22 @@ def _copies_refuted(gamma, delta) -> bool:
     return any(row[-1] for row in rows)
 
 
-def _search(gamma, delta, remaining, memo, key, tables):
+def _search(gamma, delta, remaining, key, tables):
     """Depth-first backward search; returns (tree or None, died_to_depth).
 
-    Entered on a memo miss only: the caller probes ``memo`` with each
-    premise's key, and keys a second premise once the first is proved.
-    Keys are pairs of canon ints from ``tables`` (``_new_tables``), which
-    ``prove`` makes once per search.  Failures memoize monotonically: a goal
-    refuted with ``remaining`` levels is refuted with fewer.  Contraction
-    spends a level, so the depth bound bounds it.  At the last level only
-    an axiom can close the goal: it dies to depth iff some rule applies."""
+    Entered on a memo miss only: the caller probes the memo in ``tables``, the
+    one state ``prove`` makes per search (``_new_tables``), with each premise's
+    key, a pair of canon ints, and keys a second premise once the first is proved.
+    Failures memoize monotonically: a goal refuted with ``remaining`` levels is
+    refuted with fewer.  Contraction spends a level, so the depth bound bounds it.
+    At the last level only an axiom can close the goal: it dies to depth iff some
+    rule applies.  Past MAX_SEARCH_WORK slots it raises ``_SearchBudgetExceeded``."""
     if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
-    tallies = tables[2]
+    tables[4] += len(gamma) + len(delta)
+    if tables[4] > MAX_SEARCH_WORK:
+        raise _SearchBudgetExceeded
+    tallies, memo = tables[2], tables[3]
     if _refuted(
         tallies.get(key[0]) or tallies.setdefault(key[0], _tally(gamma)),
         tallies.get(key[1]) or tallies.setdefault(key[1], _tally(delta)),
@@ -412,7 +416,7 @@ def _search(gamma, delta, remaining, memo, key, tables):
             if hit is not None and hit[0] >= remaining - 1:
                 died = died or hit[1]
                 break
-            tree, sub_died = _search(g, d, remaining - 1, memo, k, tables)
+            tree, sub_died = _search(g, d, remaining - 1, k, tables)
             if tree is None:
                 died = died or sub_died
                 break
@@ -427,10 +431,11 @@ def _search(gamma, delta, remaining, memo, key, tables):
 def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> ProofResult:
     """Backward proof search bounded by ``depth_bound`` (tree height).
 
-    The cost gate, an axiom or a refutation settles the root where it can;
-    only a root left open gets a search's memo and tables, seeded with its
-    side tallies.  Failure is a value, never an exception; the first proof
-    found in the fixed rule order is returned.  ``kappa`` is validated, never read.
+    The cost gate, an axiom or a refutation settles the root where it can; only a
+    root left open gets a search state (``_new_tables``), seeded with its side tallies.
+    Failure is a value, never an exception: past MAX_SEARCH_WORK slots, at any bound,
+    it is ``search_budget_exceeded``.  The first proof found in the fixed rule order
+    is returned.  ``kappa`` is validated, never read.
     """
     _check_count(depth_bound, 1, "depth_bound")
     if not cost_valid(seq, model, kappa):
@@ -441,7 +446,10 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
     elif not _refuted(*(sides := (_tally(seq.gamma), _tally(seq.delta)))):
         tables = _new_tables()
         tables[2].update(zip(key := _key(seq.gamma, seq.delta, tables[1]), sides))
-        tree, died = _search(seq.gamma, seq.delta, depth_bound, {}, key, tables)
+        try:
+            tree, died = _search(seq.gamma, seq.delta, depth_bound, key, tables)
+        except _SearchBudgetExceeded:
+            return ProofResult(False, 0, None, SEARCH_BUDGET_EXCEEDED)
     if tree is not None:
         return ProofResult(True, tree.height, tree, None)
     return ProofResult(False, 0, None, DEPTH_EXCEEDED if died else NO_RULE_APPLIES)
@@ -453,8 +461,8 @@ def proved_once(seq: Sequent, bound: int, model: CostModel, proofs: dict) -> Pro
     found at the largest bound b so far.  It answers every bound from its height
     up to b: each application tried before it has a premise unprovable within
     b - 1 levels, so within fewer, and its own premises fit.  A failure answers its
-    own bound only, as its reason can rest on what the search met, but ``cost_invalid``
-    answers every bound from 1.  A bound below 1 is ``depth_exceeded`` without a search."""
+    own bound only, as its reason can rest on what the search met (a budget failure
+    included), but ``cost_invalid`` answers every bound from 1.  A bound below 1 is ``depth_exceeded`` without a search."""
     if bound < 1:
         return ProofResult(False, 0, None, DEPTH_EXCEEDED)
     key = (seq, bound)

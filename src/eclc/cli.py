@@ -70,7 +70,7 @@ def cmd_prove(args) -> int:
     world = config.frame.world(args.world)
     model = config.cost_model
     result = prove(seq, world.lam, model, world.kappa)
-    gamma_cost, delta_cost = (sum(base_cost(phi, model) for phi in side) for side in (seq.gamma, seq.delta))
+    gamma_cost, delta_cost = (math.fsum(base_cost(phi, model) for phi in side) for side in (seq.gamma, seq.delta))
     gamma_scaled, delta_scaled = (
         sum(curvature_cost(phi, model, world.kappa) for phi in side) for side in (seq.gamma, seq.delta)
     )

@@ -196,6 +196,7 @@ class CostModel(_CostModel):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, atom_costs, default_cost: float = 1.0, alpha: float = 1.0) -> CostModel:
         costs = dict(atom_costs)

@@ -56,6 +56,7 @@ class PathCost(_PathCost):
     """Hop count and summed deltaE of a feasible directed path."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, hops: int, total_delta_e: float) -> PathCost:
         if hops < 0 or total_delta_e < 0:

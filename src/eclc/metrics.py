@@ -25,6 +25,7 @@ class _FitResult(NamedTuple):
 
 class FitResult(_FitResult):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, rate: float, r_squared: float) -> FitResult:
         if r_squared > 1.0:
@@ -43,6 +44,7 @@ class ContingencyTable(_ContingencyTable):
     """2x2 table [[a, b], [c, d]] of nonnegative counts."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, a: int, b: int, c: int, d: int) -> ContingencyTable:
         cells = (a, b, c, d)

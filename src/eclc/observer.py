@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, PreconditionError, Sequent, _copies_refuted, _refuted, _tally, prove
+from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, SEARCH_BUDGET_EXCEEDED, PreconditionError, Sequent, _copies_refuted, _refuted, _tally, prove
 from .formula import CostModel, Formula, _check_count, _check_ident
 from .frame import Frame, accessible, hop_distance
 
@@ -32,6 +32,7 @@ class _Observer(NamedTuple):
 
 class Observer(_Observer):
     __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, id: str, home: str, horizon: int) -> Observer:
         _check_ident(id, "observer id")
@@ -89,11 +90,11 @@ def _spend(net: dict, totals: dict) -> dict:  # one tally merge
 
 
 def truth_at(frame: Frame, w: str, phi: Formula, model: CostModel, verdicts: dict) -> int:
-    """Truth at w for whoever sees it: phi is present or provable at w, under
-    its own capacity and curvature, from a multiset that ``_balanced`` yields.
-    ``verdicts``, a run's table for one cost model, keeps per (multiset, phi) the
-    highest bound found unprovable and the lowest proof height found; no proof
-    result reads kappa.  A new multiset meets ``_copies_refuted`` first, for every bound."""
+    """Truth at w for whoever sees it: phi is present or provable at w, under its own capacity
+    and curvature, from a multiset that ``_balanced`` yields.  ``verdicts``, a run's table for one
+    cost model, keeps per (multiset, phi) the highest bound found unprovable and the lowest proof
+    height found; no proof result reads kappa, and a budget failure records nothing, so a warm call
+    answers as a fresh one.  A new multiset meets ``_copies_refuted`` first, for every bound."""
     world = frame.world(w)
     if phi in world.props:
         return 1
@@ -105,7 +106,7 @@ def truth_at(frame: Frame, w: str, phi: Formula, model: CostModel, verdicts: dic
             result = prove(Sequent(combo, goal), lam, model, world.kappa)
             if result.proved:
                 high = result.depth
-            else:
+            elif result.failure_reason != SEARCH_BUDGET_EXCEEDED:
                 low = _NO_DEPTH_LIMIT if result.failure_reason == COST_INVALID else lam
         verdicts[key] = low, high
         if lam >= high:

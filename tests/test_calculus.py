@@ -31,6 +31,7 @@ from eclc.calculus import (
     COST_INVALID,
     DEPTH_EXCEEDED,
     NO_RULE_APPLIES,
+    SEARCH_BUDGET_EXCEEDED,
     _applicable,
     _applications,
     _refuted_outright,
@@ -39,6 +40,7 @@ from eclc.calculus import (
     proved_once,
 )
 from eclc.dsl import parse_formula
+from eclc.observer import truth_at
 
 import oracles
 from gen import random_sequent
@@ -75,6 +77,13 @@ class TestCostValid:
         model = CostModel({"A": 0.7, "B": 1.3}, alpha=0.5)
         seq = Sequent((A,) * n_gamma + (B,), (B,) * n_delta)
         assert cost_valid(seq, model, kappa) == cost_valid(seq, model, 0.0)
+
+    def test_verdict_does_not_depend_on_side_order(self):
+        # summed left to right, 0.1 + 0.3 + 0.2 and 0.2 + 0.3 + 0.1 round
+        # apart, so one order of this gamma covered delta and its reversal did not
+        model = CostModel({"A": 0.1, "Quantum": 0.3})
+        gamma, delta = (A, QUANTUM_Q, Tensor(A, A)), (Tensor(Tensor(A, QUANTUM_Q), Tensor(A, A)),)
+        assert cost_valid(Sequent(gamma, delta), model, 0.0) == cost_valid(Sequent(gamma[::-1], delta), model, 0.0)
 
     def test_verdict_does_not_round_with_kappa(self):
         # kappa-scaled sums of these costs round differently from one
@@ -348,13 +357,13 @@ class TestSearchDifferential:
             oracles.check_proof(result.tree, bound)
         # below the cost gate too, and the memo ends the same, died bits
         # included, once its int keys are read back as canon pairs
-        memo, reference_memo, tables = {}, {}, calculus._new_tables()
+        reference_memo, tables = {}, calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
-        got = calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
+        got = calculus._search(seq.gamma, seq.delta, bound, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
         canons = {number: canon for canon, number in tables[1].items()}
         assert len(canons) == len(tables[1])
-        assert {(canons[g], canons[d]): entry for (g, d), entry in memo.items()} == reference_memo
+        assert {(canons[g], canons[d]): entry for (g, d), entry in tables[3].items()} == reference_memo
 
     @settings(max_examples=300, deadline=None)
     @given(search_sequents())
@@ -409,15 +418,15 @@ class TestSearchDifferential:
         entries = []
         search = calculus._search
 
-        def recording_search(gamma, delta, remaining, memo, key, tables):
+        def recording_search(gamma, delta, remaining, key, tables):
             entries.append((gamma, delta, key))
-            return search(gamma, delta, remaining, memo, key, tables)
+            return search(gamma, delta, remaining, key, tables)
 
-        memo, tables = {}, calculus._new_tables()
+        tables = calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
         with mock.patch.object(calculus, "_search", recording_search):
-            calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
-        refuted = {k for k, (depth, _) in memo.items() if depth == calculus._NO_DEPTH_LIMIT}
+            calculus._search(seq.gamma, seq.delta, bound, key, tables)
+        refuted = {k for k, (depth, _) in tables[3].items() if depth == calculus._NO_DEPTH_LIMIT}
         for gamma, delta, k in entries:
             if calculus._is_axiom(gamma, delta) is None:
                 # memoized at any depth iff the reference walk refutes it
@@ -515,12 +524,98 @@ class TestFirstCopyOnly:
         assert (result := prove(seq, bound, model, kappa)) == oracles.reference_prove(seq, bound, model, kappa)
         if result.proved:
             oracles.check_proof(result.tree, bound)
-        memo, reference_memo, tables = {}, {}, calculus._new_tables()
+        reference_memo, tables = {}, calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
-        got = calculus._search(seq.gamma, seq.delta, bound, memo, key, tables)
+        got = calculus._search(seq.gamma, seq.delta, bound, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
         canons = {number: canon for canon, number in tables[1].items()}
-        assert {(canons[g], canons[d]): entry for (g, d), entry in memo.items()} == reference_memo
+        assert {(canons[g], canons[d]): entry for (g, d), entry in tables[3].items()} == reference_memo
+
+
+BANGED_SELF_CARRY = Sequent((BANGED_PAIR,), (BANGED_PAIR,))
+SPENT_TWICE = Sequent((Bang(Lolli(A, B)), A), (Tensor(B, B),))
+
+
+def recorded_states(monkeypatch):
+    """The search states that ``prove`` makes from now on, in order."""
+    states, new_tables = [], calculus._new_tables
+    monkeypatch.setattr(calculus, "_new_tables", lambda: states.append(new_tables()) or states[-1])
+    return states
+
+
+class TestSearchBudget:
+    """A search that spends more than MAX_SEARCH_WORK slots, len(gamma) +
+    len(delta) per entry past the axiom check, ends in search_budget_exceeded
+    at any bound.  Slots are counted, not seconds, so where it stops is fixed."""
+
+    @pytest.mark.parametrize("bound", [64, 500])
+    @pytest.mark.parametrize("seq", [BANGED_SELF_CARRY, SPENT_TWICE], ids=["banged-self-carry", "spent-twice"])
+    def test_large_searches_end_with_the_reason(self, monkeypatch, seq, bound):
+        # without a budget the self-carry proves at depth 64 after 2.35 million
+        # slots, and the other, which no bound proves, ran 26 s at bound 64 (2-CPU machine)
+        states = recorded_states(monkeypatch)
+        assert prove(seq, bound, *ZERO) == ProofResult(False, 0, None, SEARCH_BUDGET_EXCEEDED)
+        (state,) = states
+        assert calculus.MAX_SEARCH_WORK < state[4] < calculus.MAX_SEARCH_WORK + 1000
+
+    def test_a_search_stops_at_the_same_slot_count(self, monkeypatch):
+        monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 5000)
+        states = recorded_states(monkeypatch)
+        for seq, bound, work in ((WORST_C01, 7, 5002), (BANGED_SELF_CARRY, 64, 5034), (SPENT_TWICE, 64, 5025)):
+            for _ in range(3):
+                assert prove(seq, bound, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
+                assert states[-1][4] == work
+
+    def test_proved_once_keeps_a_budget_failure_for_its_bound_only(self, monkeypatch):
+        seq, proofs = Sequent((A, B), (Tensor(A, B),)), {}
+        monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 1)
+        assert proved_once(seq, 6, ZERO[0], proofs).failure_reason == SEARCH_BUDGET_EXCEEDED
+        monkeypatch.undo()
+        assert proved_once(seq, 6, ZERO[0], proofs).failure_reason == SEARCH_BUDGET_EXCEEDED
+        assert proved_once(seq, 5, ZERO[0], proofs).proved
+
+    def test_truth_at_records_nothing_for_a_budget_failure(self, monkeypatch):
+        frame, phi, verdicts = Frame([World("w", 1.0, 0.0, 6, [A, B])], []), Tensor(A, B), {}
+        monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 1)
+        assert truth_at(frame, "w", phi, ZERO[0], verdicts) == 0
+        monkeypatch.undo()
+        assert truth_at(frame, "w", phi, ZERO[0], verdicts) == truth_at(frame, "w", phi, ZERO[0], {}) == 1
+
+
+def assert_same_verdicts(seq, bound, model, kappa, rng):
+    """``prove`` on the reversal of both sides and on two shuffles by ``rng``
+    gives ``seq``'s verdict and cost-gate outcome."""
+    result = prove(seq, bound, model, kappa)
+    orders = [Sequent(seq.gamma[::-1], seq.delta[::-1])]
+    orders += [Sequent(rng.sample(seq.gamma, len(seq.gamma)), rng.sample(seq.delta, len(seq.delta))) for _ in range(2)]
+    for other in orders:
+        got = prove(other, bound, model, kappa)
+        assert (got.proved, got.failure_reason == COST_INVALID) == (result.proved, result.failure_reason == COST_INVALID), other
+
+
+class TestFormulaOrder:
+    """Gamma and delta are multisets, so their order must not move a verdict.
+    Depth and failure reason are left unpinned: the first proof found and
+    what the search met can depend on the order."""
+
+    def test_golden_pool_verdicts(self):
+        wl = _load_workloads()
+        builder = wl.Builder()
+        checked = 0
+        for line in wl.load_golden("prove-corpus"):
+            nodes, _, case, _ = line.split()
+            if int(nodes) <= 3000:  # the recorded search size keeps this test short
+                seq, bound, model, kappa = wl.corpus_case(builder, int(case))
+                assert_same_verdicts(seq, bound, model, kappa, random.Random(int(case)))
+                checked += 1
+        assert checked == 4953
+
+    @settings(max_examples=200, deadline=None)
+    @given(search_sequents(), st.integers(1, 6), st.sampled_from([ZERO, COSTED]), st.randoms(use_true_random=False))
+    @example(WORST_C01, 5, ZERO, random.Random(0))
+    @example(Sequent((A, QUANTUM_Q, Tensor(A, A)), (Tensor(Tensor(A, QUANTUM_Q), Tensor(A, A)),)), 1, COSTED, random.Random(0))
+    def test_random_sequent_verdicts(self, seq, bound, cost, rng):
+        assert_same_verdicts(seq, bound, *cost, rng)
 
 
 class TestProofChecker:

@@ -57,6 +57,14 @@ prop w0 : ~Junk
 """
 
 
+def banged_chain(lam):
+    """The bundled accessibility file with !(A * B) at a w0 of capacity ``lam``,
+    and that proposition's self-carry declared as the sequent ``carry``."""
+    text = scenarios.read("accessibility").replace("prop w0 : Phi", "prop w0 : !(A * B)")
+    text = text.replace("world w0 { energy=10.0, kappa=0.0, lambda=8 }", f"world w0 {{ energy=10.0, kappa=0.0, lambda={lam} }}")
+    return text + "sequent carry w0 -> w1 : !(A * B) |- !(A * B)\n"
+
+
 @pytest.fixture
 def three_worlds(tmp_path):
     path = tmp_path / "three.eclc"
@@ -448,6 +456,21 @@ FUZZ_PIECES = (
 )
 
 
+class TestSearchBudget:
+    @pytest.mark.parametrize("lam", [100, 500])
+    def test_banged_chain_runs_within_the_budget(self, tmp_path, capsys, lam):
+        # w0's self-carry of !(A * B) ends in search_budget_exceeded, so its
+        # row has no proof depth; without a budget the run did not finish
+        path = tmp_path / "banged.eclc"
+        path.write_text(banged_chain(lam))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "per_world.csv").read_text().splitlines()
+        assert rows[1] == "w0,0.0,1.0,1.0,0.0,0.0"
+        capsys.readouterr()
+        assert main(["prove", str(path), "--sequent", "carry", "--world", "w0"]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == "not proved: search_budget_exceeded"
+
+
 class TestNoTraceback:
     def test_mutated_scenario_files(self, tmp_path, capsys):
         rng = random.Random(20_261_018)
@@ -792,10 +815,15 @@ class TestHashSeed:
         for name in scenarios.NAMES:
             for seq_name, (src, _, _) in parse_scenario(scenarios.read(name)).sequents.items():
                 commands.append(["prove", str(scenarios.path(name)), "--sequent", seq_name, "--world", src])
+        # a search stopped by its work budget stops at the same place
+        (tmp_path / "banged.eclc").write_text(banged_chain(100))
+        commands.append(["prove", str(tmp_path / "banged.eclc"), "--sequent", "carry", "--world", "w0"])
         first, second = (
             eclc_outputs(commands, tmp_path / f"hash{seed}", env={"PYTHONHASHSEED": str(seed)}) for seed in (0, 1)
         )
-        assert [code for code, _ in first[0]] == [0] * 9  # three bundled runs, three generated, three proves
+        # three bundled runs, three generated, three proves, and the budget failure
+        assert [code for code, _ in first[0]] == [0] * 9 + [1]
+        assert first[0][-1][1].startswith(b"not proved: search_budget_exceeded\n")
         assert first == second
 
 

@@ -106,8 +106,18 @@ def test_reciprocity_reports_match_golden(tmp_path, capsys):
 
 def test_bench_bindings_exist():
     """The benchmark's tracer and search counter wrap module-level names
-    of the package from outside; installing both must find every name."""
-    code = "import tracer, make_golden\ntracer.install(tracer.Tracer())\nwith make_golden.SearchCounter():\n    pass\n"
+    of the package from outside; installing both must find every name.
+    The golden ``nodes`` column counts every entry of the search, so the
+    search must recurse through the module global that the counter wraps."""
+    code = (
+        "import tracer, make_golden\n"
+        "from eclc import Atom, CostModel, Sequent, Tensor, prove\n"
+        "tracer.install(tracer.Tracer())\n"
+        "A, B = Atom('A'), Atom('B')\n"
+        "with make_golden.SearchCounter() as counter:\n"
+        "    result = prove(Sequent((A, B), (Tensor(A, B),)), 5, CostModel({}), 0.0)\n"
+        "assert (result.proved, result.depth, counter.calls) == (True, 2, 4), (result, counter.calls)\n"
+    )
     path = os.pathsep.join([str(BENCH.parent / "src"), str(BENCH)])
     proc = subprocess.run(
         [sys.executable, "-c", code],

@@ -235,3 +235,40 @@ def test_validation_message(make, message):
         make()
     assert str(caught.value) == message
 
+
+
+@pytest.mark.parametrize("name", [name for name in NAMES if name != "World"])
+def test_replace_gives_the_constructed_record(name):
+    cls, fields, values, other, _, _ = RECORDS[name]
+    replaced = cls(*values)._replace(**dict(zip(fields, other)))
+    assert type(replaced) is cls
+    assert replaced == cls(*other) and repr(replaced) == repr(cls(*other))
+
+
+def test_sequent_replace_makes_tuples():
+    seq = Sequent((), ())._replace(gamma=[A], delta=iter([B]))
+    assert seq == Sequent((A,), (B,)) and type(seq.gamma) is tuple and type(seq.delta) is tuple
+
+
+# _replace builds its copy through the constructor, so a checked record
+# refuses a bad field with construction's message
+REPLACE_MESSAGES = [
+    ("ProofResult", lambda: PROVED._replace(tree=None), "tree must be present iff proved"),
+    ("CostModel", lambda: CostModel({})._replace(alpha=-1.0), "alpha must be finite and > 0, got -1.0"),
+    ("CostModel", lambda: CostModel({})._replace(atom_costs={"A": -1.0}), "cost for A must be finite and >= 0, got -1.0"),
+    ("PathCost", lambda: PathCost(2, 1.5)._replace(hops=-1), "path cost components must be >= 0"),
+    ("FitResult", lambda: FitResult(0.5, 0.9)._replace(r_squared=1.5), "r_squared cannot exceed 1, got 1.5"),
+    (
+        "ContingencyTable", lambda: ContingencyTable(1, 2, 3, 4)._replace(b=-1),
+        "cells must be nonnegative integers, got (1, -1, 3, 4)",
+    ),
+    ("Observer", lambda: Observer("o", "w0", 2)._replace(horizon=-1), "horizon must be an integer >= 0, got -1"),
+    ("Observer", lambda: Observer("o", "w0", 2)._replace(id="1"), "observer id must be a nonempty identifier, got '1'"),
+]
+
+
+@pytest.mark.parametrize("name, make, message", REPLACE_MESSAGES, ids=[f"{n}: {m}" for n, _, m in REPLACE_MESSAGES])
+def test_replace_runs_the_checks(name, make, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        make()
+    assert str(caught.value) == message
