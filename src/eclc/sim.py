@@ -201,6 +201,13 @@ def _outcome(qubit: str) -> str:
     return f"o_{qubit}"
 
 
+def _draw(getrandbits, k: int, n: int) -> int:
+    """``randint(0, n - 1)`` of the Random owning ``getrandbits`` (k = n.bit_length()), as CPython 3.10-3.13 does."""
+    while (r := getrandbits(k)) >= n:
+        pass
+    return r
+
+
 def _measure_sequence(frame, src, dst, qubits, jitters, model, proofs):
     """Apply the measurements in order through the memo ``proofs``; returns (success, depth, reason)."""
     max_depth = 0
@@ -223,9 +230,9 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     proof depth is perturbed per measurement by an integer jitter drawn
     uniformly from [0, noise * lambda] of the measuring world; each
     trial draws every jitter of the first world before any of the
-    second.  Each leg proves each qubit once per run at every bound its
-    jitters can leave, from the highest down, so one search answers each
-    lower bound down to its proof's height (``proved_once``).  A leg
+    second.  Each leg proves each qubit at its lambda first, whose proof
+    answers each lower bound down to its height (``proved_once``), and at
+    another bound only once a trial draws a jitter that leaves it.  A leg
     starts from a fresh copy of ``config.frame`` and each of its steps
     reads only the earlier ones and the (proved, depth, reason) of its
     measurement's proof, so each distinct (direction, outcome vector) is
@@ -248,26 +255,30 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     master_seed = _resolved_seed(config)
     frame, model = config.frame, config.cost_model
     legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
-    spans = [int(config.noise * frame.world(src).lam) for _, src, _, _ in legs]
+    draws = [(n.bit_length(), n) for n in (int(config.noise * frame.world(src).lam) + 1 for _, src, _, _ in legs)]
     proofs: dict = {}
 
-    def by_jitter(world, qubit, span):
-        """(proved, depth, reason) of ``qubit`` at ``world`` by jitter, to ``span`` or to lambda, the first with no bound."""
-        seq = measurement(qubit, _outcome(qubit))
-        found = (proved_once(seq, world.lam - j, model, proofs) for j in range(min(span, world.lam) + 1))
-        return [(p.proved, p.depth, p.failure_reason) for p in found]
+    def by_jitter(cell, j):
+        """(proved, depth, reason) of a (lambda, sequent, row) ``cell`` at jitter ``j``, kept from first use."""
+        lam, seq, row = cell
+        if (found := row.get(j := min(j, lam))) is None:  # jitter lambda leaves no bound, nor does any larger
+            p = proved_once(seq, lam - j, model, proofs)
+            found = row[j] = (p.proved, p.depth, p.failure_reason)
+        return found
 
-    tables = [[by_jitter(frame.world(src), q, span) for q in order] for (_, src, _, order), span in zip(legs, spans)]
+    tables = [[(frame.world(src).lam, measurement(q, _outcome(q)), {}) for q in order] for _, src, _, order in legs]
+    for cell in tables[0] + tables[1]:  # each qubit at its leg's lambda first
+        by_jitter(cell, 0)
     seen: tuple[dict, dict] = ({}, {})  # per leg: jitter vector -> outcome
     outcomes: dict = {}
     trials: list[TrialRecord] = []
-    rng = random.Random()
+    rng = random.Random(0)  # a constant seed reads no os.urandom; each trial reseeds it
+    seed, getrandbits = super(random.Random, rng).seed, rng.getrandbits  # the C seed: random.py's adds only checks
     for index in range(config.trials):
-        rng.seed(derive_trial_seed(master_seed, index))
-        jitters = [tuple(rng.randint(0, span) for _ in qubits) for span in spans]
-        for (direction, src, dst, order), jitter, table, known in zip(legs, jitters, tables, seen):
-            if (outcome := known.get(jitter)) is None:
-                key = (direction, *(row[min(j, len(row) - 1)] for row, j in zip(table, jitter)))
+        seed(derive_trial_seed(master_seed, index))
+        for (direction, src, dst, order), (k, n), table, known in zip(legs, draws, tables, seen):
+            if (outcome := known.get(jitter := tuple([_draw(getrandbits, k, n) for _ in order]))) is None:
+                key = (direction, *map(by_jitter, table, jitter))
                 if key not in outcomes:
                     outcomes[key] = _measure_sequence(frame.copy(), src, dst, order, jitter, model, proofs)
                 outcome = known[jitter] = outcomes[key]
@@ -284,9 +295,7 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
         cells += (sum(bits), len(bits) - sum(bits))
         rows.append(_row(world, world.props, bits, [t.proof_depth for t in records if t.success]))
     fisher_p = fisher_exact_two_tailed(ContingencyTable(*cells))
-    return ScenarioReport(
-        "reciprocity", tuple(rows), None, fisher_p, tuple(trials), master_seed
-    )
+    return ScenarioReport("reciprocity", tuple(rows), None, fisher_p, tuple(trials), master_seed)
 
 
 def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
@@ -365,13 +374,24 @@ def _json_cell(value) -> str:
 def _json_objects(cls, records, indent: str) -> list[str]:
     """Each record as the object ``json.dumps(..., indent=2)`` writes at ``indent``."""
     template = "{" + ",".join(f"\n{indent}  {_json_str(c)}: %s" for c in _columns(cls)) + f"\n{indent}}}"
+    if cls is TrialRecord:
+        return _trial_texts(records, _json_cell, template)
     return [template % tuple(map(_json_cell, r)) for r in records]
+
+
+def _trial_texts(trials, cell, template: str) -> list[str]:
+    """``template`` filled with each trial's cells, the text after the index made once per distinct
+    objects after it: the same objects print alike, equal values may not (True, 1, 1.0; 0.0, -0.0)."""
+    head, tail = template.split("%s", 1)
+    tails: dict = {}
+    keyed = ((t, (id(t[1]), id(t[2]), id(t[3]), id(t[4]))) for t in trials)
+    return [head + cell(t[0]) + (tails.get(k) or tails.setdefault(k, tail % tuple(map(cell, t[1:])))) for t, k in keyed]
 
 
 def _json_list(cls, records) -> str:
     """The records as the list value of a top-level key."""
     items = _json_objects(cls, records, "    ")
-    return "[" + ",".join(f"\n    {item}" for item in items) + "\n  ]" if items else "[]"
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def report_to_json(report: ScenarioReport) -> str:
@@ -394,16 +414,16 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _csv(cls, records) -> str:
-    return "\n".join([",".join(_columns(cls)), *(",".join(map(_csv_cell, r)) for r in records)]) + "\n"
+def _csv(cls, rows) -> str:
+    return "\n".join([",".join(_columns(cls)), *rows]) + "\n"
 
 
 def per_world_csv(report: ScenarioReport) -> str:
-    return _csv(WorldRow, report.per_world)
+    return _csv(WorldRow, (",".join(map(_csv_cell, r)) for r in report.per_world))
 
 
 def trials_csv(report: ScenarioReport) -> str:
-    return _csv(TrialRecord, report.trials)
+    return _csv(TrialRecord, _trial_texts(report.trials, _csv_cell, ",".join(["%s"] * len(TrialRecord._fields))))
 
 
 def _write_in_place(path: Path, text: str) -> None:

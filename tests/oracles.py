@@ -624,3 +624,23 @@ def reference_report_json(report) -> str:
         "trials": rows(report.trials),
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_csv(cls, records) -> str:
+    """A report CSV table, one field at a time: a header of ``cls``'s
+    columns, then a line per record, every line ending in a newline.
+    Cells are not quoted: a cell is empty for None, ``true`` or ``false``
+    for a bool, the repr of a float and the str of anything else."""
+    lines = [",".join("trial" if name == "trial_index" else name for name in cls._fields)]
+    for record in records:
+        cells = []
+        for name in cls._fields:
+            value = getattr(record, name)
+            if value is None:
+                cells.append("")
+            elif value is True or value is False:
+                cells.append(str(value).lower())
+            else:
+                cells.append(float.__repr__(value) if isinstance(value, float) else str(value))
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)

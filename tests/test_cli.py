@@ -854,10 +854,20 @@ class TestOtherInterpreters:
         pythons = other_interpreters()
         if not pythons:
             pytest.skip("no other CPython 3.10-3.13 found")
-        expected = eclc_outputs(BUNDLED_RUNS, tmp_path / "here")
-        assert [code for code, _ in expected[0]] == [0] * len(BUNDLED_RUNS)
+        # the reciprocity driver draws its jitters through random.py's rejection
+        # loop by hand (sim._draw), so run it under several seeds, and at noise
+        # 100, whose spans of 50,000 take 16 bits a draw and reject often
+        text = scenarios.read("reciprocity").replace("noise = 0.8", "noise = 100")
+        noisy = tmp_path / "noisy.eclc"
+        noisy.write_text(re.sub(r"lambda=\d+", "lambda=500", text))
+        reciprocity = str(scenarios.path("reciprocity"))
+        commands = list(BUNDLED_RUNS)
+        commands += [["run", reciprocity, "--seed", str(seed), "--out", "{out}"] for seed in range(5)]
+        commands += [["run", str(noisy), "--trials", "300", "--out", "{out}"]]
+        expected = eclc_outputs(commands, tmp_path / "here")
+        assert [code for code, _ in expected[0]] == [0] * len(commands)
         for i, python in enumerate(pythons):
-            assert eclc_outputs(BUNDLED_RUNS, tmp_path / f"other{i}", python) == expected, python
+            assert eclc_outputs(commands, tmp_path / f"other{i}", python) == expected, python
 
 
 class TestColdStart:

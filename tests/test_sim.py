@@ -64,6 +64,22 @@ class TestDeriveTrialSeed:
             assert 0 <= derive_trial_seed((1 << 64) - 1, index) < (1 << 64)
 
 
+class TestDraw:
+    def test_same_draws_as_randint(self):
+        # run_reciprocity draws its jitters with _draw, which copies the
+        # rejection loop of random.py's _randbelow; a CPython whose randint
+        # draws otherwise fails here instead of silently changing reports
+        seeds = [0, 1, (1 << 64) - 1] + [derive_trial_seed(master, i) for master in (9, 2**63 + 5) for i in range(5)]
+        spans = [*range(501), 50_000, 2**16 - 1, 2**16, 2**31, 2**32 - 1, 2**40 + 3]
+        for span in spans:
+            n = span + 1
+            for seed in seeds:
+                ours, theirs = random.Random(seed), random.Random(seed)
+                drawn = [sim._draw(ours.getrandbits, n.bit_length(), n) for _ in range(3)]
+                assert drawn == [theirs.randint(0, span) for _ in range(3)], (span, seed)
+                assert ours.getstate() == theirs.getstate(), (span, seed)
+
+
 class TestDecohere:
     def test_atom_rewrite(self):
         assert decohere(Atom("Entangled", ("A", "B"))) == Atom("Decohered_Entangled", ("A", "B"), False)
@@ -353,12 +369,17 @@ class TestRunReciprocity:
     def test_high_noise_table_stops_at_lambda(self, monkeypatch):
         # noise 100 at lambda 500 draws jitters up to 50,000, but each
         # qubit's table stops at jitter lambda, the first that leaves no
-        # bound; the memo holds each qubit's searches at bounds 500 and 1,
-        # and the proof at 500, which answers bounds 2-499
+        # bound, and holds only the jitters that trials draw: each leg
+        # resolves each qubit at lambda first, then once per other distinct
+        # jitter, counting every jitter past lambda as lambda.  The memo
+        # holds each qubit's search at bound 500 and the proof it found,
+        # which answers bounds 2-499, and a search at bound 1 only for a
+        # qubit that some trial drew jitter 499 for
         text = scenarios.read("reciprocity").replace("noise = 0.8", "noise = 100")
         text = re.sub(r"lambda=\d+", "lambda=500", text) + "prop wA : !Quantum(qC)\nprop wB : !Quantum(qC)\n"
         config = parse_scenario(text)._replace(trials=200)
-        assert len(sim._quantum_names(config.frame.world("wA").props)) == 3
+        qubits = sim._quantum_names(config.frame.world("wA").props)
+        assert qubits == ["qA", "qB", "qC"]
         proved_once = sim.proved_once
         resolved = Counter()
         memos = {}
@@ -370,13 +391,49 @@ class TestRunReciprocity:
 
         monkeypatch.setattr(sim, "proved_once", counted)
         report = run_reciprocity(config)
-        # jitters 0-500 for each qubit in each direction
-        assert resolved == {calculus.measurement(q, f"o_{q}"): 2 * 501 for q in ("qA", "qB", "qC")}
+        drawn = {q: ({0}, {0}) for q in qubits}  # per qubit and leg, the jitters resolved
+        for index in range(config.trials):
+            rng = random.Random(derive_trial_seed(config.seed, index))
+            for leg, order in enumerate((qubits, qubits[::-1])):
+                for q in order:
+                    drawn[q][leg].add(min(rng.randint(0, 50_000), 500))
+        assert resolved == {calculus.measurement(q, f"o_{q}"): sum(map(len, drawn[q])) for q in qubits}
+        assert all(count < 20 for count in resolved.values())  # eagerly filled, 2 * 501 each
         (memo,) = memos.values()
-        assert len(memo) == 3 * 3
+        assert len(memo) == 2 * 3 + sum(499 in forward | reverse for forward, reverse in drawn.values())
         expected = reference_reciprocity(config)
         assert report_to_json(report) == report_to_json(expected)
         assert trials_csv(report) == trials_csv(expected)
+
+    def test_jitter_tables_fill_on_first_use(self, monkeypatch):
+        # one trial at noise 100 and lambda 500 resolves each qubit at
+        # lambda and at the one jitter each direction draws, where eager
+        # tables resolved every jitter 0-500 in both directions, 1,002 calls
+        text = scenarios.read("reciprocity").replace("noise = 0.8", "noise = 100")
+        config = parse_scenario(re.sub(r"lambda=\d+", "lambda=500", text))._replace(trials=1)
+        proved_once = sim.proved_once
+        calls = Counter()
+
+        def counted(seq, bound, model, proofs):
+            calls[seq] += 1
+            return proved_once(seq, bound, model, proofs)
+
+        monkeypatch.setattr(sim, "proved_once", counted)
+        run_reciprocity(config)
+        assert set(calls) == {calculus.measurement(q, f"o_{q}") for q in ("qA", "qB")}
+        assert all(count <= 4 for count in calls.values())
+        # the bundled run still makes 4 searches: each qubit at wA's
+        # lambda, whose proof answers bounds 2-12, and at bound 1
+        prove = calculus.prove
+        searched = []
+
+        def searching(seq, bound, model, kappa):
+            searched.append((seq, bound))
+            return prove(seq, bound, model, kappa)
+
+        monkeypatch.setattr(calculus, "prove", searching)
+        run_reciprocity(load("reciprocity"))
+        assert sorted(bound for _, bound in searched) == [1, 1, 12, 12]
 
     def test_cost_invalid_searched_once_at_high_noise(self, monkeypatch):
         # Classical costs more than !Quantum, so every measurement is
@@ -769,9 +826,29 @@ def scenario_reports():
     )
 
 
+# Trials whose cells after the index are equal but print apart (True, 1
+# and 1.0; 0.0 and -0.0; 1 and 1.0), each beside a twin of the same
+# objects, so that a writer that formats a trial's text once per equal
+# tail would print some of them wrongly.
+COLLIDING_TAILS = [
+    ("forward", True, 2, None),
+    ("forward", 1, 2, None),
+    ("forward", 1.0, 2, None),
+    ("reverse", False, 0.0, "x"),
+    ("reverse", False, -0.0, "x"),
+    ("reverse", 0, 1, None),
+    ("reverse", 0, 1.0, None),
+]
+COLLIDING_TRIALS = ScenarioReport(
+    "reciprocity", (), None, None, tuple(TrialRecord(i, *tail) for i, tail in enumerate(2 * COLLIDING_TAILS)), 0
+)
+
+
 class TestReportWriter:
     """``report_to_json`` writes the bytes of ``json.dumps(doc, indent=2)``
-    with non-finite floats as null (``oracles.reference_report_json``)."""
+    with non-finite floats as null (``oracles.reference_report_json``), and
+    the CSV tables are those that ``oracles.reference_csv`` builds a field
+    at a time."""
 
     def test_bundled_scenarios_match_the_reference(self):
         for name in scenarios.NAMES:
@@ -783,5 +860,21 @@ class TestReportWriter:
     @given(scenario_reports())
     @example(ScenarioReport("coherence", (), None, None, (), 0))
     @example(ScenarioReport("coherence", (), FitResult(1.0, 1.0), math.inf, (), 0))
+    @example(COLLIDING_TRIALS)
     def test_generated_reports_match_the_reference(self, report):
         assert report_to_json(report) == oracles.reference_report_json(report)
+
+    def test_bundled_csv_match_the_reference(self):
+        for name in scenarios.NAMES:
+            for seed in range(20):
+                report = run_scenario(load(name)._replace(seed=seed))
+                assert per_world_csv(report) == oracles.reference_csv(WorldRow, report.per_world), (name, seed)
+                assert trials_csv(report) == oracles.reference_csv(TrialRecord, report.trials), (name, seed)
+
+    @settings(max_examples=300)
+    @given(scenario_reports())
+    @example(ScenarioReport("coherence", (), None, None, (), 0))
+    @example(COLLIDING_TRIALS)
+    def test_generated_csv_match_the_reference(self, report):
+        assert per_world_csv(report) == oracles.reference_csv(WorldRow, report.per_world)
+        assert trials_csv(report) == oracles.reference_csv(TrialRecord, report.trials)
