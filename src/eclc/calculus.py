@@ -5,8 +5,9 @@ contraction are available only under the bang modality, so plain
 resources are consumed exactly once.  Proof search is a complete
 backward search over a fixed rule order with a hard depth bound, and a
 measurement axiom lets a coherent Quantum atom collapse to a Classical
-one.  World-indexed transitions apply a proved sequent to frame state,
-consuming the antecedent irreversibly and spending edge energy.
+one.  An occurrence tally refutes sequents and picks antecedents that balance
+a goal (``_balanced``).  World-indexed transitions apply a proved sequent to
+frame state, consuming the antecedent irreversibly and spending edge energy.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ NO_RULE_APPLIES = "no_rule_applies"
 COST_INVALID = "cost_invalid"
 SEARCH_BUDGET_EXCEEDED = "search_budget_exceeded"
 MAX_SEARCH_WORK = 1_000_000  # slots: len(gamma) + len(delta) per search entry past the axiom check
+MAX_ANTECEDENT = 3  # formulas per antecedent multiset that _balanced yields, so valuations stay decidable
 
 # memo sentinel for refutations that hold at any depth
 _NO_DEPTH_LIMIT = 1 << 30
@@ -341,6 +343,49 @@ def _refuted(gamma_tally, delta_tally) -> bool:
             if total > 0 and bucket not in up and bucket not in spent_down:
                 return True
     return False
+
+
+def _balanced(props, phi):
+    """Yield the sub-multisets of ``props`` with 1 to MAX_ANTECEDENT members that
+    ``_refuted`` passes against ``phi``, level by level: the distinct props in order, each
+    at most its count times.  The walk carries the net totals (goal less antecedent) and
+    slack, passes a multiset where no bucket is off, and cuts where one is off that neither
+    slack nor a prop from the current one on can repair, as all below are refuted."""
+    fatal, want, up, down = _tally((phi,))  # a fatal goal or prop refutes every multiset it meets
+    signed = [] if fatal else [(psi, count, sig) for psi, count in props.items() if not (sig := _tally((psi,)))[0]]
+    lowers, raises = {}, {}  # bucket -> the last position of a prop that can lower (raise) its net
+    for i, (_, _, (_, totals, ups, downs)) in enumerate(signed):
+        for bucket, total in totals.items():
+            if total:
+                (lowers if total > 0 else raises)[bucket] = i
+        lowers.update(dict.fromkeys(ups, i))
+        raises.update(dict.fromkeys(downs, i))
+    level = [((), want, down, up, 0)]  # the goal's down-slack lowers its net, its up-slack raises it
+    while level:
+        deeper = []
+        for combo, net, can_lower, can_raise, start in level:
+            for i in range(start, len(signed)):
+                psi, count, (_, totals, ups, downs) = signed[i]
+                net_i, passes = _spend(net, totals), True
+                for bucket, total in net_i.items():
+                    if total > 0 and bucket not in can_lower and bucket not in ups or total < 0 and bucket not in can_raise and bucket not in downs:
+                        if (lowers if total > 0 else raises).get(bucket, -1) < i:
+                            break
+                        passes = False  # off, but a later prop can repair it
+                else:
+                    members = combo + (psi,)
+                    if passes:
+                        yield members
+                    if len(members) < MAX_ANTECEDENT:
+                        deeper.append((members, net_i, can_lower | ups, can_raise | downs, i + (members.count(psi) == count)))
+        level = deeper
+
+
+def _spend(net: dict, totals: dict) -> dict:  # one tally merge
+    net = dict(net)
+    for bucket, total in totals.items():
+        net[bucket] = net.get(bucket, 0) - total
+    return net
 
 
 def _refuted_outright(gamma, delta) -> bool:

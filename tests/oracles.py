@@ -465,6 +465,19 @@ def check_proof(tree, bound: int) -> None:
         raise AssertionError(f"height {height} exceeds the bound {bound}")
 
 
+def checking(prove):
+    """``prove`` that runs ``check_proof`` on every tree it returns, against
+    the bound it was asked for."""
+
+    def checked(seq, depth_bound, model, kappa):
+        result = prove(seq, depth_bound, model, kappa)
+        if result.proved:
+            check_proof(result.tree, depth_bound)
+        return result
+
+    return checked
+
+
 def flat_cost(phi, atom_costs: dict, default: float) -> float:
     """Independent recursion mirroring the documented cost rules."""
     if isinstance(phi, Atom):

@@ -32,6 +32,16 @@ import oracles
 
 PHI = Atom("Phi")
 
+
+@pytest.fixture(autouse=True, scope="module")
+def every_proof_checked():
+    # each tree that the scenario runs and truth_at get derives its sequent within its bound
+    with pytest.MonkeyPatch.context() as patched:
+        for module in (calculus, observer):
+            patched.setattr(module, "prove", oracles.checking(module.prove))
+        yield
+
+
 # Props and goals over few atoms, so that many antecedents balance the goal.
 OBSERVED = st.recursive(
     st.sampled_from((Atom("A"), Atom("B"), PHI, Atom("Quantum", ("q",)), quantum_token("q"))),
@@ -181,7 +191,7 @@ class TestObserverValuation:
         assert passed == {frozenset({(a, 2), (b, 1)}), frozenset({(a, 1), (Tensor(a, b), 1)})}
         # the walk hands on exactly those, each once, and leaves out the
         # rest, each refuted on its own
-        walked = list(observer._balanced(frame.worlds["w0"].props, _tally((goal,))))
+        walked = list(calculus._balanced(frame.worlds["w0"].props, goal))
         assert len(walked) == len(passed) == len({frozenset(Counter(m).items()) for m in walked})
         assert {frozenset(Counter(m).items()) for m in walked} == passed
         for m in multisets - passed:
@@ -227,7 +237,7 @@ class TestObserverValuation:
             for combo in itertools.combinations_with_replacement(props, size)
             if all(combo.count(psi) <= props[psi] for psi in combo) and not _refuted(_tally(combo), goal)
         ]
-        assert list(observer._balanced(props, goal)) == expected
+        assert list(calculus._balanced(props, phi)) == expected
 
     def test_table_answers_by_bound(self, unit_model):
         # A, A -o Phi proves Phi at height 2: a deep world's proof does not

@@ -13,6 +13,7 @@ from eclc import (
     Bang,
     CostModel,
     Frame,
+    Lolli,
     ScenarioError,
     Tensor,
     World,
@@ -46,6 +47,15 @@ from eclc.sim import (
 )
 
 import oracles
+
+
+@pytest.fixture(autouse=True, scope="module")
+def every_proof_checked():
+    # each tree that the scenario runs and truth_at get derives its sequent within its bound
+    with pytest.MonkeyPatch.context() as patched:
+        for module in (calculus, observer):
+            patched.setattr(module, "prove", oracles.checking(module.prove))
+        yield
 
 
 def load(name):
@@ -702,7 +712,7 @@ class TestRunAccessibility:
         # each alone balances Phi, and every pair is cut at once, so the
         # walk's tally merges grow with n^2, not with the n^3 multisets; a
         # prop !Pi cannot give Phi, so each is cut alone
-        spend, merges = observer._spend, Counter()
+        spend, merges = calculus._spend, Counter()
 
         def counted(net, totals):
             merges[n] += 1
@@ -724,13 +734,47 @@ class TestRunAccessibility:
             text = scenarios.read("accessibility").replace("kappa=1.0, lambda=8", "kappa=1.0, lambda=1")
             config = parse_scenario(text + "".join(f"prop w1 : {shape.format(i)}\n" for i in range(n)))
             with monkeypatch.context() as patched:
-                patched.setattr(observer, "_spend", counted)
+                patched.setattr(calculus, "_spend", counted)
                 report = run_accessibility(config)
             with monkeypatch.context() as patched:
                 patched.setattr(sim, "truth_at", reference)
                 assert report == run_accessibility(config)
             assert [row.access_fraction for row in report.per_world] == [1.0, 0.0, 0.0, 0.0, 0.0]
         assert merges[240] <= 4.5 * merges[120] and merges[120] <= 4.5 * merges[60]
+
+    @pytest.mark.parametrize("n", [0, 240])
+    def test_walk_judges_each_candidate_once(self, n, monkeypatch):
+        # the walk decides each candidate from the net totals it carries: it
+        # tallies each distinct prop and the goal once, and merges or refutes
+        # no candidate, on the bundled run (n=0) and on the wide world
+        text = scenarios.read("accessibility")
+        if n:
+            text = text.replace("kappa=1.0, lambda=8", "kappa=1.0, lambda=1") + "".join(f"prop w1 : !P{i} -o Phi\n" for i in range(n))
+        walks = []
+
+        def recorded(props, phi):
+            walks.append((Counter(props), phi))
+            return calculus._balanced(props, phi)
+
+        monkeypatch.setattr(observer, "_balanced", recorded)
+        run_accessibility(parse_scenario(text))
+        assert walks and max(len(props) for props, _ in walks) == n + 1  # and the decohered Phi
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("_tally", "_refuted"):
+            monkeypatch.setattr(calculus, name, counted(name, getattr(calculus, name)))
+        for props, phi in walks:
+            calls.clear()
+            walked = list(calculus._balanced(props, phi))
+            assert calls == {"_tally": len(props) + 1}
+            assert walked == [(psi,) for psi in props if isinstance(psi, Lolli)]
 
     def test_shipped_decline(self):
         report = run_accessibility(load("accessibility"))
