@@ -13,7 +13,7 @@ frame state, consuming the antecedent irreversibly and spending edge energy.
 from __future__ import annotations
 
 from collections import Counter
-from math import fsum
+from math import fsum, inf
 from typing import NamedTuple
 
 from .formula import (
@@ -109,17 +109,23 @@ class TransitionOutcome(NamedTuple):
     energy_spent: float
 
 
+def _side_cost(side, model: CostModel) -> float:
+    """``side``'s exact base cost rounded once (``fsum``), or ``inf`` past the largest float, as no cost is negative."""
+    try:
+        return fsum(base_cost(phi, model) for phi in side)
+    except OverflowError:
+        return inf
+
+
 def cost_valid(seq: Sequent, model: CostModel, kappa: float) -> bool:
     """True iff the curvature-scaled cost of gamma covers delta's.
 
     Both sides scale by the same positive (1 + alpha*kappa) factor, so the unscaled sums
     decide it, and rounding cannot make the verdict depend on kappa; each sum is rounded
-    once (``fsum``), so neither can a side's order.  A negative or non-finite kappa still raises.
+    once (``_side_cost``), so neither can a side's order.  A negative or non-finite kappa still raises.
     """
     _check_real(kappa, "kappa")
-    spent = fsum(base_cost(phi, model) for phi in seq.gamma)
-    produced = fsum(base_cost(phi, model) for phi in seq.delta)
-    return spent >= produced
+    return _side_cost(seq.gamma, model) >= _side_cost(seq.delta, model)
 
 
 # Formulas are hash-consed, so an object id stands for a whole tree.
@@ -323,9 +329,14 @@ def _tally(side) -> tuple:
 
 
 def _refuted(gamma_tally, delta_tally) -> bool:
-    """The refutation of gamma |- delta from its sides' tallies: delta's
-    as stored, gamma's with each fixed total negated and the two slack
-    directions swapped, so a bucket that only gamma holds totals minus its count."""
+    """Depth-independent refutation of gamma |- delta from its sides' tallies: delta's
+    as stored, gamma's with each fixed total negated and the two slack directions swapped,
+    so a bucket that only gamma holds totals minus its count.  Sound: an axiom consumes one
+    left and one right occurrence of a bucket, and every rule keeps signed totals, except
+    that with-projections and weakening may drop occurrences and contraction replay them,
+    so a provable sequent has each fixed total repairable by slack of the right direction.
+    A diamond outside slack (under no bang or with-branch) surfaces where no rule or axiom
+    consumes it, which refutes the goal."""
     gamma_fatal, spent, spent_up, spent_down = gamma_tally
     fatal, fixed, up, down = delta_tally
     if fatal or gamma_fatal:
@@ -388,31 +399,11 @@ def _spend(net: dict, totals: dict) -> dict:  # one tally merge
     return net
 
 
-def _refuted_outright(gamma, delta) -> bool:
-    """Depth-independent refutation by signed occurrence accounting.
-
-    Axioms consume one left and one right occurrence of the same
-    bucket, and every rule preserves signed bucket totals, except that
-    with-projections and bang-weakening may drop occurrences and
-    bang-contraction may replay them.  A provable sequent therefore
-    needs each bucket's fixed total to be repairable by slack of the
-    right direction.  A diamond that is not discardable (not under a
-    bang or a with-branch) eventually surfaces at top level where no
-    rule and no axiom can consume it, which refutes the goal outright.
-
-    The verdict merges the two sides' tallies (``_refuted``); a search
-    takes each side's tally once, keyed by its canon int in its tables.
-    """
-    return _refuted(_tally(gamma), _tally(delta))
-
-
 def _copies_refuted(gamma, delta) -> bool:
-    """``_refuted_outright``, or no rational copy counts ``k_i`` solve ``fixed +
-    sum(k_i * v_i) = 0`` (Kanovich 1995; fraction-free elimination).  A banged
-    member, either side, whose inner tally has no slack (no ``&``, ``!`` or diamond)
-    adds ``v_i`` per copy; any other adds its fixed totals and frees its slack buckets."""
-    if _refuted_outright(gamma, delta):
-        return True
+    """True iff no rational copy counts ``k_i`` solve ``fixed + sum(k_i * v_i) = 0`` (Kanovich 1995;
+    fraction-free elimination), on a goal that ``_refuted`` passes, as all ``_balanced`` yields do,
+    so no member is fatal.  A banged member, either side, whose inner tally has no slack (no ``&``,
+    ``!`` or diamond) adds ``v_i`` per copy; any other adds its fixed totals and frees its slack buckets."""
     fixed, free, vectors = Counter(), set(), []
     for sign, side in ((-1, gamma), (1, delta)):
         for phi in side:

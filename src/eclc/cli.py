@@ -21,9 +21,8 @@ import re
 import sys
 import time
 
-from .calculus import curvature_cost, prove, render_proof
+from .calculus import _side_cost, curvature_cost, prove, render_proof
 from .dsl import MAX_TRIALS, ParseError, ScenarioConfig, parse_scenario
-from .formula import base_cost
 from .metrics import fit_exponential
 from .sim import ScenarioError, ScenarioReport, run_scenario, write_report
 
@@ -70,7 +69,7 @@ def cmd_prove(args) -> int:
     world = config.frame.world(args.world)
     model = config.cost_model
     result = prove(seq, world.lam, model, world.kappa)
-    gamma_cost, delta_cost = (math.fsum(base_cost(phi, model) for phi in side) for side in (seq.gamma, seq.delta))
+    gamma_cost, delta_cost = _side_cost(seq.gamma, model), _side_cost(seq.delta, model)
     gamma_scaled, delta_scaled = (
         sum(curvature_cost(phi, model, world.kappa) for phi in side) for side in (seq.gamma, seq.delta)
     )

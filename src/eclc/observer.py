@@ -4,7 +4,7 @@ An observer sees a world within a bounded hop distance of its home over
 accessibility-feasible edges; one BFS from the home gives every distance.
 A proposition is true for an observer at a visible world when it is present
 there or provable from a multiset that ``calculus._balanced`` yields, of at most
-MAX_ANTECEDENT props.  Neither depends on who asks: ``sim.run_accessibility`` runs
+``calculus.MAX_ANTECEDENT`` props.  Neither depends on who asks: ``sim.run_accessibility`` runs
 one BFS per home, calls ``truth_at`` once per row and keeps one verdict table per run.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, MAX_ANTECEDENT, SEARCH_BUDGET_EXCEEDED, PreconditionError, Sequent, _balanced, _copies_refuted, prove
+from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, SEARCH_BUDGET_EXCEEDED, PreconditionError, Sequent, _balanced, _copies_refuted, prove
 from .formula import CostModel, Formula, _check_count, _check_ident
 from .frame import Frame, accessible, hop_distance
 

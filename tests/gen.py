@@ -1,6 +1,7 @@
 """Shared generators: hypothesis strategies for formulas and frames,
-a plain-random scenario-config generator for round-trip sweeps, and
-seeded faulty scenario texts for parser differentials."""
+a plain-random scenario-config generator for round-trip sweeps,
+seeded faulty scenario texts for parser differentials, and seeded valid
+scenario texts at the extremes of every field, for totality sweeps."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import string
 
 import hypothesis.strategies as st
 
-from eclc.calculus import Sequent
+from eclc.calculus import Sequent, quantum_token
 from eclc import scenarios
 from eclc.dsl import MAX_FORMULA_NODES, ScenarioConfig, serialize_scenario
 from eclc.formula import CLASSICAL_ATOMS, Atom, Bang, Diamond, Lolli, Tensor, With
@@ -237,3 +238,77 @@ def faulty_scenario_texts(seed: int, count: int) -> list[str]:
         source = rng.choice(bundled) if rng.random() < 0.2 else serialize_scenario(random_config(rng))
         texts.append(_with_fault(rng, _respelled(rng, source)))
     return texts
+
+
+# Costs at the edges of what a valid file may hold: two 1e308 sum past the largest float.
+_EXTREME_COSTS = (0.0, 0.5, 1.0, 1e308)
+_EXTREME_ATOMS = (Atom("A"), Atom("B"), Atom("Phi"), Atom("R", coherent=False), Atom("Entangled", ("a", "b")))
+
+
+def _extreme_formula(rng: random.Random, qubits, depth: int):
+    """A formula over few atoms, so that many antecedents balance: banged,
+    with, diamond, Quantum/Classical and nested connectives."""
+    if depth == 0 or rng.random() < 0.3:
+        q = rng.choice(qubits)
+        return rng.choice(_EXTREME_ATOMS + (Atom("Quantum", (q,)), Atom("Classical", (q,), False)))
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Bang(_extreme_formula(rng, qubits, depth - 1))
+    if kind == 1:
+        return Diamond(rng.choice((0.0, 2.5, 1e308)), _extreme_formula(rng, qubits, depth - 1))
+    connective = (Tensor, Lolli, With, Tensor)[kind - 2]
+    return connective(_extreme_formula(rng, qubits, depth - 1), _extreme_formula(rng, qubits, depth - 1))
+
+
+def extreme_config(rng: random.Random) -> ScenarioConfig:
+    """A config that each driver accepts, of a random kind: a forward chain
+    of 2-5 worlds, or two worlds sharing 1-3 quantum tokens, with lambda,
+    costs and noise at their extremes, up to about 30 props a world, up to
+    40 observers, up to 2,000 trials and up to 3 declared sequents, some of
+    them gamma regrouped on the right."""
+    kind = rng.choice(("coherence", "reciprocity", "accessibility"))
+    qubits = [f"q{i}" for i in range(rng.randint(1, 3))]
+    ids = [f"w{i}" for i in range(2 if kind == "reciprocity" else rng.randint(2, 5))]
+    worlds = [
+        World(wid, rng.choice((0.0, 10.0, 1e308)), rng.choice((0.0, 1.0, 100.0)), rng.choice((1, 2, 8, 64, 500)))
+        for wid in ids
+    ]
+    pairs = list(zip(ids, ids[1:])) + ([(ids[1], ids[0])] if kind == "reciprocity" else [])
+    frame = Frame(worlds, [(src, dst, rng.choice((0.0, 1.0, 1e308))) for src, dst in pairs])
+    for world in frame.worlds.values():
+        if kind == "reciprocity":
+            world.props.update(quantum_token(q) for q in qubits)
+        for _ in range(rng.choice((0, 1, 3, 10, 30))):
+            world.props[_extreme_formula(rng, qubits, rng.randint(0, 3))] += 1
+    first = frame.world(ids[0]).props
+    if not first:
+        first[_extreme_formula(rng, qubits, 1)] += 1
+    sequents = {}
+    for i in range(rng.randint(0, 3)):
+        src, dst = rng.choice(pairs)
+        held = list(frame.world(src).props.elements())
+        gamma = rng.sample(held, min(len(held), rng.randint(0, 3)))
+        if len(gamma) > 1 and rng.random() < 0.5:
+            delta = [Tensor(gamma[0], gamma[1])] + gamma[2:]  # a regrouping, so some searches prove
+        else:
+            delta = [_extreme_formula(rng, qubits, rng.randint(0, 2)) for _ in range(rng.randint(0, 2))]
+        sequents[f"s{i}"] = (src, dst, Sequent(gamma, delta))
+    observers = [Observer(f"o{i}", rng.choice(ids), rng.randint(0, 5)) for i in range(rng.choice((1, 2, 40)))]
+    atom_costs = {name: rng.choice(_EXTREME_COSTS) for name in rng.sample(["A", "B", "Phi", "Quantum", "Classical"], 3)}
+    return ScenarioConfig(
+        frame=frame,
+        cost_model=CostModel(atom_costs, default_cost=rng.choice(_EXTREME_COSTS), alpha=rng.choice((0.1, 0.75, 100.0))),
+        observers=observers,
+        sequents=sequents,
+        scenario_kind=kind,
+        trials=rng.choice((1, 50, 2000)),
+        seed=rng.randrange(1 << 64),
+        kappa0=rng.choice((0.0, 1.0, 100.0)),
+        noise=rng.choice((0.0, 0.8, 100.0)),
+    )
+
+
+def extreme_scenario_texts(seed: int, count: int) -> list[str]:
+    """``count`` serialized ``extreme_config`` texts."""
+    rng = random.Random(seed)
+    return [serialize_scenario(extreme_config(rng)) for _ in range(count)]

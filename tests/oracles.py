@@ -26,20 +26,21 @@ from eclc.calculus import (
     _NO_DEPTH_LIMIT,
     COST_INVALID,
     DEPTH_EXCEEDED,
+    MAX_ANTECEDENT,
     NO_RULE_APPLIES,
     ProofResult,
     ProofTree,
     Sequent,
     _canon,
     _is_axiom,
-    _refuted_outright,
+    _refuted,
     _splits,
+    _tally,
     cost_valid,
     prove,
 )
 from eclc.dsl import ParseError
 from eclc.formula import Atom, Bang, CostModel, Diamond, Lolli, Tensor, With
-from eclc.observer import MAX_ANTECEDENT
 
 
 def _ms_key(ms: Counter) -> frozenset:
@@ -249,7 +250,7 @@ def _search(gamma, delta, remaining, memo):
     axiom = _is_axiom(gamma, delta)
     if axiom is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
-    if _refuted_outright(gamma, delta):
+    if _refuted(_tally(gamma), _tally(delta)):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
     died = False

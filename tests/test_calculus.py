@@ -34,8 +34,9 @@ from eclc.calculus import (
     SEARCH_BUDGET_EXCEEDED,
     _applicable,
     _applications,
-    _refuted_outright,
+    _refuted,
     _splits,
+    _tally,
     measurement,
     proved_once,
 )
@@ -94,6 +95,13 @@ class TestCostValid:
             assert [kappa for kappa in grid if cost_valid(seq, model, kappa) != want] == []
             reason = prove(seq, 5, model, 0.41).failure_reason
             assert (reason != COST_INVALID) == want
+
+    def test_side_past_the_float_range_costs_inf(self):
+        # 1e308 + 1e308 passes the largest float, so the side costs inf,
+        # as the single formula A * A does, and the gate still decides
+        model = CostModel({"A": 1e308, "B": 1.0})
+        assert cost_valid(Sequent((A, A), (B,)), model, 0.0) is True
+        assert prove(Sequent((B,), (A, A)), 5, model, 0.0).failure_reason == COST_INVALID
 
     @pytest.mark.parametrize("kappa", [-0.5, float("nan"), float("inf")])
     def test_bad_kappa_raises_on_every_prove_path(self, unit_model, kappa):
@@ -293,12 +301,12 @@ class TestRefutationShortcut:
     @example([Bang(A), Bang(Tensor(QUANTUM_Q, B))], [Tensor(CLASSICAL_O, Atom("A", coherent=False))])
     def test_signature_sum_matches_reference_walk(self, gamma, delta):
         gamma, delta = tuple(gamma), tuple(delta)
-        assert _refuted_outright(gamma, delta) == oracles.refuted_outright_walk(gamma, delta)
+        assert _refuted(_tally(gamma), _tally(delta)) == oracles.refuted_outright_walk(gamma, delta)
         # every member now has a stored signature; read each again on the other side too
         for phi in gamma + delta:
             g, d = gamma + (phi,), delta + (phi,)
-            assert _refuted_outright(g, d) == oracles.refuted_outright_walk(g, d)
-        assert _refuted_outright(delta, gamma) == oracles.refuted_outright_walk(delta, gamma)
+            assert _refuted(_tally(g), _tally(d)) == oracles.refuted_outright_walk(g, d)
+        assert _refuted(_tally(delta), _tally(gamma)) == oracles.refuted_outright_walk(delta, gamma)
 
 
 search_formulas = leaf_formulas(3)

@@ -13,10 +13,10 @@ from pathlib import Path
 import pytest
 
 import eclc
-from eclc import cli, parse_scenario, scenarios, serialize_scenario
+from eclc import calculus, cli, parse_scenario, scenarios, serialize_scenario
 from eclc.cli import main
 from eclc.sim import ScenarioError, run_scenario, write_report
-from gen import random_config
+from gen import extreme_scenario_texts, random_config
 from test_report_pins import accessibility_text
 
 SRC = str(Path(eclc.__file__).resolve().parents[1])
@@ -487,6 +487,20 @@ class TestNoTraceback:
             path.write_bytes(data)
             assert main(["validate", str(path)]) in (0, 1)
 
+    def test_extreme_scenario_files(self, tmp_path, capsys, monkeypatch):
+        # valid files at the edges of every field end in a result or a clean
+        # error under run and under prove of each declared sequent; a small
+        # work budget keeps every search short
+        monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 20_000)
+        for i, text in enumerate(extreme_scenario_texts(20_261_019, 120)):
+            path = tmp_path / f"extreme-{i}.eclc"
+            path.write_text(text)
+            assert main(["validate", str(path)]) == 0
+            assert main(["run", str(path), "--out", str(tmp_path / f"out-{i}")]) in (0, 1)
+            for name, (src, _, _) in parse_scenario(text).sequents.items():
+                assert main(["prove", str(path), "--sequent", name, "--world", src]) in (0, 1)
+        capsys.readouterr()
+
 
 class TestFit:
     def test_with_header(self, tmp_path, capsys):
@@ -560,6 +574,10 @@ FAILURE_FILES = {
     "no-prop.eclc": scenarios.read("accessibility").replace("prop w0 : Phi\n", ""),
     "chain-and-cycle.eclc": THREE_WORLDS + "world c1 { energy=1.0, kappa=0.0, lambda=1 }\n"
     "world c2 { energy=1.0, kappa=0.0, lambda=1 }\nedge c1 -> c2 { deltaE=0.0 }\nedge c2 -> c1 { deltaE=0.0 }\n",
+    # the exact cost of the side A, A passes the largest float
+    "overflow.eclc": "scenario coherence\ncost A = 1e308\ncost B = 1.0\n"
+    "world w1 { energy=10.0, kappa=0.0, lambda=4 }\nworld w2 { energy=10.0, kappa=1.0, lambda=4 }\n"
+    "edge w1 -> w2 { deltaE=0.0 }\nprop w1 : A\nsequent s w1 -> w2 : A, A |- B\n",
     "taken": "a file, not a directory\n",
     "columns.csv": "kappa,pi\n0\n",
     "words.csv": "kappa,pi\n0,1\nx,2\n",
@@ -590,6 +608,18 @@ FAILURES = [
     pytest.param(
         ["prove", COHERENCE, "--sequent", "collapse", "--world", "zz"], {}, 2, "", "usage error: unknown world 'zz'\n",
         id="unknown-world",
+    ),
+    # a gamma that costs inf passes the gate: prove fails in its search, and run ends cleanly
+    pytest.param(
+        ["prove", "{tmp}/overflow.eclc", "--sequent", "s", "--world", "w1"], {}, 1,
+        "not proved: no_rule_applies\ncost: gamma=inf delta=1.0 (unscaled; these decide cost_valid)\n"
+        "scaled: gamma=inf delta=1.0 (kappa=0.0, alpha=1.0)\n", "",
+        id="prove-cost-overflow",
+    ),
+    pytest.param(
+        ["run", "{tmp}/overflow.eclc", "--out", "{tmp}/ran", "--format", "json"], {}, 0,
+        "coherence: pi=[1, 0] (no fit)\nwrote {tmp}/ran/report.json\n", "",
+        id="run-cost-overflow",
     ),
     pytest.param(
         ["run", "{tmp}/one-world.eclc", "--out", "{tmp}/out"], {}, 1, "",

@@ -22,11 +22,14 @@ from eclc import (
     persistence_check,
     prove,
 )
-from eclc import calculus, observer
-from eclc.calculus import _copies_refuted, _refuted, _refuted_outright, _tally, quantum_token
+from eclc import calculus, observer, scenarios
+from eclc.calculus import _copies_refuted, _refuted, _tally, quantum_token
+from eclc.dsl import parse_scenario
 from eclc.formula import Bang, Diamond, With
 from eclc.observer import truth_at
+from eclc.sim import run_scenario
 from gen import small_frames
+from test_prove_golden import _load_workloads
 
 import oracles
 
@@ -233,7 +236,7 @@ class TestObserverValuation:
         goal = _tally((phi,))
         expected = [
             combo
-            for size in range(1, observer.MAX_ANTECEDENT + 1)
+            for size in range(1, calculus.MAX_ANTECEDENT + 1)
             for combo in itertools.combinations_with_replacement(props, size)
             if all(combo.count(psi) <= props[psi] for psi in combo) and not _refuted(_tally(combo), goal)
         ]
@@ -293,7 +296,7 @@ class TestCountedRefutation:
     def test_banged_copies_that_cannot_balance(self, gamma, delta):
         # one copy of A -o Phi needs one A the goal lacks; each copy of
         # A -o B turns one A into one B, and no count gives one A and two Bs
-        assert not _refuted_outright(gamma, delta)
+        assert not _refuted(_tally(gamma), _tally(delta))
         assert _copies_refuted(gamma, delta)
         assert not oracles.provable(gamma, delta, 7)
 
@@ -306,12 +309,29 @@ class TestCountedRefutation:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(COUNTED_MEMBER, min_size=1, max_size=3), st.lists(COUNTED_MEMBER, min_size=1, max_size=2))
-    def test_sound_and_at_least_as_strong(self, gamma, delta):
+    def test_sound_on_goals_the_tally_passes(self, gamma, delta):
+        # the counted check is asked only of goals that _refuted passes
         gamma, delta = tuple(gamma), tuple(delta)
-        if _refuted_outright(gamma, delta):
-            assert _copies_refuted(gamma, delta)
-        elif _copies_refuted(gamma, delta):
+        if not _refuted(_tally(gamma), _tally(delta)) and _copies_refuted(gamma, delta):
             assert not oracles.provable(gamma, delta, 6)
+
+    def test_called_only_on_goals_the_tally_passes(self, monkeypatch):
+        # truth_at asks the counted check only of what _balanced yields, so the
+        # check need not repeat the tally refutation on any accessibility run
+        passed, counted = [], observer._copies_refuted
+
+        def checked(gamma, delta):
+            passed.append(not _refuted(_tally(gamma), _tally(delta)))
+            return counted(gamma, delta)
+
+        monkeypatch.setattr(observer, "_copies_refuted", checked)
+        wl = _load_workloads()
+        builder = wl.Builder()
+        texts = [scenarios.read("accessibility")]
+        texts += [wl.observer_text(builder, index) for index in range(0, wl.POOL["observer-chain"], 10)]
+        for text in texts:
+            run_scenario(parse_scenario(text))
+        assert passed and all(passed)
 
 
 class TestPersistenceCheck:
