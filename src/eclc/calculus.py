@@ -36,7 +36,7 @@ DEPTH_EXCEEDED = "depth_exceeded"
 NO_RULE_APPLIES = "no_rule_applies"
 COST_INVALID = "cost_invalid"
 SEARCH_BUDGET_EXCEEDED = "search_budget_exceeded"
-MAX_SEARCH_WORK = 1_000_000  # slots: len(gamma) + len(delta) per search entry past the axiom check
+MAX_SEARCH_WORK = 1_000_000  # len(gamma) + len(delta) per search entry past the axiom check, 1 per application tried
 MAX_ANTECEDENT = 3  # formulas per antecedent multiset that _balanced yields, so valuations stay decidable
 
 # memo sentinel for refutations that hold at any depth
@@ -52,7 +52,7 @@ class PreconditionError(Exception):
 
 
 class _SearchBudgetExceeded(Exception):
-    """Raised inside a search that spends more than MAX_SEARCH_WORK slots."""
+    """Raised inside a search that spends more than MAX_SEARCH_WORK units of work."""
 
 
 class _Sequent(NamedTuple):
@@ -422,7 +422,44 @@ def _copies_refuted(gamma, delta) -> bool:
     return any(row[-1] for row in rows)
 
 
-def _search(gamma, delta, remaining, key, tables):
+def _with_polarities(phi, sign: int, out: list) -> list:
+    """Append to ``out`` the polarity of each ``&`` in ``phi`` outside ``!`` and diamonds, children
+    first: ``sign`` (-1 in gamma, +1 in delta), flipped under a lolli's left side."""
+    if isinstance(phi, (Tensor, With, Lolli)):
+        _with_polarities(phi.left, -sign if isinstance(phi, Lolli) else sign, out)
+        _with_polarities(phi.right, sign, out)
+    if isinstance(phi, With):
+        out.append(sign)
+    return out
+
+
+def _project(phi, bits):
+    """``phi`` with each ``&`` that ``_with_polarities`` lists replaced by the branch the next of ``bits`` picks (1: right)."""
+    if isinstance(phi, With):
+        return (_project(phi.left, bits), _project(phi.right, bits))[next(bits)]
+    if isinstance(phi, (Tensor, Lolli)):
+        return type(phi)(_project(phi.left, bits), _project(phi.right, bits))
+    return phi
+
+
+def _hopeless(gamma, delta) -> bool:
+    """True iff some branch choice at the positive ``&``s leaves every choice at the negative ones
+    refuted (``_refuted``), so no depth proves the goal (Andreoli 1992): only with-right removes a
+    positive ``&``, keeping the rest in each premise, and only with-left a negative one, so a proof
+    kept to the chosen premises derives one projection per path.  False past 8 ``&``s."""
+    signs = [s for sign, side in ((-1, gamma), (1, delta)) for phi in side for s in _with_polarities(phi, sign, [])]
+    if not signs or len(signs) > 8:
+        return False
+    full, positive = 1 << len(signs), sum(1 << i for i, sign in enumerate(signs) if sign > 0)
+
+    def refuted(mask):
+        bits = iter([mask >> i & 1 for i in range(len(signs))])  # gamma's &s, then delta's
+        return _refuted(*(_tally(tuple(_project(phi, bits) for phi in side)) for side in (gamma, delta)))
+
+    return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
+
+
+def _search(gamma, delta, remaining, key, tables, hopeless=False):
     """Depth-first backward search; returns (tree or None, died_to_depth).
 
     Entered on a memo miss only: the caller probes the memo in ``tables``, the
@@ -431,7 +468,9 @@ def _search(gamma, delta, remaining, key, tables):
     Failures memoize monotonically: a goal refuted with ``remaining`` levels is
     refuted with fewer.  Contraction spends a level, so the depth bound bounds it.
     At the last level only an axiom can close the goal: it dies to depth iff some
-    rule applies.  Past MAX_SEARCH_WORK slots it raises ``_SearchBudgetExceeded``."""
+    rule applies.  Past MAX_SEARCH_WORK units it raises ``_SearchBudgetExceeded``.  A
+    ``hopeless`` root stops at its first death, which fixes its answer; a subgoal never
+    does, as that would leave part of its subtree out of the memo."""
     if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
     tables[4] += len(gamma) + len(delta)
@@ -446,6 +485,9 @@ def _search(gamma, delta, remaining, key, tables):
         return None, False
     died = remaining == 1 and _applicable(gamma, delta)
     for rule, g, d, k, g2, d2 in _applications(gamma, delta, key, tables) if remaining > 1 else ():
+        tables[4] += 1
+        if tables[4] > MAX_SEARCH_WORK:
+            raise _SearchBudgetExceeded
         subtrees = ()
         while True:
             hit = memo.get(k)
@@ -460,6 +502,8 @@ def _search(gamma, delta, remaining, key, tables):
             if g2 is None:
                 return ProofTree(rule, Sequent(gamma, delta), subtrees), False
             g, d, k, g2 = g2, d2, _key(g2, d2, tables[1]), None
+        if died and hopeless:
+            break
     memo[key] = (remaining, died)
     return None, died
 
@@ -468,8 +512,9 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
     """Backward proof search bounded by ``depth_bound`` (tree height).
 
     The cost gate, an axiom or a refutation settles the root where it can; only a
-    root left open gets a search state (``_new_tables``), seeded with its side tallies.
-    Failure is a value, never an exception: past MAX_SEARCH_WORK slots, at any bound,
+    root left open gets a search state (``_new_tables``), seeded with its side tallies,
+    and one ``_hopeless`` check, which lets its search stop at the first death.
+    Failure is a value, never an exception: past MAX_SEARCH_WORK units, at any bound,
     it is ``search_budget_exceeded``.  The first proof found in the fixed rule order
     is returned.  ``kappa`` is validated, never read.
     """
@@ -483,7 +528,7 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
         tables = _new_tables()
         tables[2].update(zip(key := _key(seq.gamma, seq.delta, tables[1]), sides))
         try:
-            tree, died = _search(seq.gamma, seq.delta, depth_bound, key, tables)
+            tree, died = _search(seq.gamma, seq.delta, depth_bound, key, tables, depth_bound > 1 and _hopeless(*seq))
         except _SearchBudgetExceeded:
             return ProofResult(False, 0, None, SEARCH_BUDGET_EXCEEDED)
     if tree is not None:

@@ -271,13 +271,13 @@ shortcut_leaves = st.sampled_from(
 )
 
 
-def leaf_formulas(max_leaves):
+def leaf_formulas(max_leaves, withs=1):
     return st.recursive(
         shortcut_leaves,
         lambda kids: st.one_of(
             st.builds(Tensor, kids, kids),
             st.builds(Lolli, kids, kids),
-            st.builds(With, kids, kids),
+            *[st.builds(With, kids, kids)] * withs,
             st.builds(Bang, kids),
             st.builds(Diamond, st.sampled_from([0.0, 1.5]), kids),
         ),
@@ -334,6 +334,8 @@ def search_sequents(draw):
     return Sequent(gamma, delta)
 
 
+POOL = _load_workloads()
+POOL_CASES = {case: POOL.corpus_case(POOL.Builder(), case) for case in (49, 927, 1734)}
 COSTED = (CostModel({"A": 0.1, "B": 0.2, "Quantum": 0.3}, default_cost=0.15, alpha=0.75), 0.41)
 ZERO = (CostModel({}, default_cost=0.0, alpha=0.75), 0.0)
 # the worst acceptance-c01 case for search size; it dies to depth at bounds 5-8
@@ -356,6 +358,10 @@ class TestSearchDifferential:
     # one search splits A, B and then B, A: a split list shared by the two
     # orders would give the second tree the first one's order
     @example(Sequent((), (parse_formula("(A -o B -o A * B) & (B -o A -o (A -o A) * (B * A))"),)), 6, ZERO)
+    # pool roots that _hopeless accepts, so prove stops their search at its first death
+    @example(POOL_CASES[49][0], 5, POOL_CASES[49][2:])
+    @example(POOL_CASES[927][0], 5, POOL_CASES[927][2:])
+    @example(POOL_CASES[1734][0], 5, POOL_CASES[1734][2:])
     def test_same_results_as_reference_search(self, seq, bound, cost):
         model, kappa = cost
         assert (result := prove(seq, bound, model, kappa)) == oracles.reference_prove(seq, bound, model, kappa)
@@ -552,9 +558,10 @@ def recorded_states(monkeypatch):
 
 
 class TestSearchBudget:
-    """A search that spends more than MAX_SEARCH_WORK slots, len(gamma) +
-    len(delta) per entry past the axiom check, ends in search_budget_exceeded
-    at any bound.  Slots are counted, not seconds, so where it stops is fixed."""
+    """A search that spends more than MAX_SEARCH_WORK units, len(gamma) +
+    len(delta) per entry past the axiom check and one per application tried,
+    ends in search_budget_exceeded at any bound.  Work is counted, not
+    seconds, so where it stops is fixed."""
 
     @pytest.mark.parametrize("bound", [64, 500])
     @pytest.mark.parametrize("seq", [BANGED_SELF_CARRY, SPENT_TWICE], ids=["banged-self-carry", "spent-twice"])
@@ -569,7 +576,7 @@ class TestSearchBudget:
     def test_a_search_stops_at_the_same_slot_count(self, monkeypatch):
         monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 5000)
         states = recorded_states(monkeypatch)
-        for seq, bound, work in ((WORST_C01, 7, 5002), (BANGED_SELF_CARRY, 64, 5034), (SPENT_TWICE, 64, 5025)):
+        for seq, bound, work in ((WORST_C01, 7, 5001), (BANGED_SELF_CARRY, 64, 5016), (SPENT_TWICE, 64, 5014)):
             for _ in range(3):
                 assert prove(seq, bound, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
                 assert states[-1][4] == work
@@ -588,6 +595,39 @@ class TestSearchBudget:
         assert truth_at(frame, "w", phi, ZERO[0], verdicts) == 0
         monkeypatch.undo()
         assert truth_at(frame, "w", phi, ZERO[0], verdicts) == truth_at(frame, "w", phi, ZERO[0], {}) == 1
+
+
+with_rich_sides = st.lists(leaf_formulas(4, withs=3), max_size=3)
+
+
+class TestHopelessRoot:
+    """``prove`` stops the search of a root that ``_hopeless`` accepts at its first
+    death to depth: no depth proves that root, so the result cannot change."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(with_rich_sides, with_rich_sides)
+    @example([With(A, B)], [A])  # a & in gamma is negative
+    @example([], [Lolli(With(A, B), A)])  # and so is one in the antecedent of a lolli in delta
+    @example([With(A, C)], [With(C, B)])  # hopeless: no projection of gamma proves B
+    def test_hopeless_goals_are_unprovable(self, gamma, delta):
+        gamma, delta = tuple(gamma), tuple(delta)
+        if not _refuted(_tally(gamma), _tally(delta)) and calculus._hopeless(gamma, delta):
+            assert not oracles.provable(gamma, delta, 5), (gamma, delta)
+
+    def test_same_results_without_the_check(self, monkeypatch):
+        cases = [POOL.corpus_case(POOL.Builder(), int(line.split()[2])) for line in POOL.load_golden("prove-corpus")[::25]]
+        stopped = [prove(*case) for case in cases]
+        assert any(calculus._hopeless(*case[0]) for case in cases)
+        monkeypatch.setattr(calculus, "_hopeless", lambda gamma, delta: False)
+        assert [prove(*case) for case in cases] == stopped
+
+    def test_a_hopeless_pool_root_stops_at_its_first_death(self, monkeypatch):
+        entries, search = [], calculus._search
+        monkeypatch.setattr(calculus, "_search", lambda *args: entries.append(1) or search(*args))
+        seq, _, model, kappa = POOL_CASES[49]
+        assert POOL.proof_record(prove(seq, 5, model, kappa)) == "D0"
+        # the whole search of this root makes 2,933 entries
+        assert len(entries) < 100
 
 
 def assert_same_verdicts(seq, bound, model, kappa, rng):

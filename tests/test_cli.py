@@ -470,6 +470,28 @@ class TestSearchBudget:
         assert main(["prove", str(path), "--sequent", "carry", "--world", "w0"]) == 1
         assert capsys.readouterr().out.splitlines()[0] == "not proved: search_budget_exceeded"
 
+    def test_memo_hit_applications_count_against_the_budget(self, tmp_path, capsys, monkeypatch):
+        # w0's self-carry of !(B -o A) * (Phi * B & A) at lambda=64 tries
+        # applications whose premises the memo answers; when only search
+        # entries counted, it tried 112 million of them within the budget
+        states, new_tables, applications = [], calculus._new_tables, calculus._applications
+        tried = {}
+
+        def counted(gamma, delta, key, tables):
+            for application in applications(gamma, delta, key, tables):
+                tried[id(tables)] = tried.get(id(tables), 0) + 1
+                yield application
+
+        monkeypatch.setattr(calculus, "_new_tables", lambda: states.append(new_tables()) or states[-1])
+        monkeypatch.setattr(calculus, "_applications", counted)
+        path = tmp_path / "extreme-75.eclc"
+        path.write_text(extreme_scenario_texts(12, 200)[75])
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert tried and max(state[4] for state in states) > calculus.MAX_SEARCH_WORK
+        for state in states:
+            assert tried.get(id(state), 0) <= state[4] <= calculus.MAX_SEARCH_WORK + 1000
+
 
 class TestNoTraceback:
     def test_mutated_scenario_files(self, tmp_path, capsys):
