@@ -459,7 +459,7 @@ def _hopeless(gamma, delta) -> bool:
     return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
 
 
-def _search(gamma, delta, remaining, key, tables, hopeless=False):
+def _search(gamma, delta, remaining, key, tables, root=False):
     """Depth-first backward search; returns (tree or None, died_to_depth).
 
     Entered on a memo miss only: the caller probes the memo in ``tables``, the
@@ -468,9 +468,12 @@ def _search(gamma, delta, remaining, key, tables, hopeless=False):
     Failures memoize monotonically: a goal refuted with ``remaining`` levels is
     refuted with fewer.  Contraction spends a level, so the depth bound bounds it.
     At the last level only an axiom can close the goal: it dies to depth iff some
-    rule applies.  Past MAX_SEARCH_WORK units it raises ``_SearchBudgetExceeded``.  A
-    ``hopeless`` root stops at its first death, which fixes its answer; a subgoal never
-    does, as that would leave part of its subtree out of the memo."""
+    rule applies.  Past MAX_SEARCH_WORK units it raises ``_SearchBudgetExceeded``.
+    A death fixes the answer, and two goals stop at their first: the ``root``, if
+    ``_hopeless`` (asked then, once), and a goal with two levels left and more than
+    three formulas, which has no height-2 proof (its premises would all be axioms).
+    The second skips only level-1 premises, which any later probe recomputes alike;
+    no other subgoal stops, as that would leave part of its subtree out of the memo."""
     if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
     tables[4] += len(gamma) + len(delta)
@@ -502,8 +505,9 @@ def _search(gamma, delta, remaining, key, tables, hopeless=False):
             if g2 is None:
                 return ProofTree(rule, Sequent(gamma, delta), subtrees), False
             g, d, k, g2 = g2, d2, _key(g2, d2, tables[1]), None
-        if died and hopeless:
+        if died and (remaining == 2 and len(gamma) + len(delta) > 3 or root and _hopeless(gamma, delta)):
             break
+        root = root and not died
     memo[key] = (remaining, died)
     return None, died
 
@@ -512,8 +516,8 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
     """Backward proof search bounded by ``depth_bound`` (tree height).
 
     The cost gate, an axiom or a refutation settles the root where it can; only a
-    root left open gets a search state (``_new_tables``), seeded with its side tallies,
-    and one ``_hopeless`` check, which lets its search stop at the first death.
+    root left open gets a search state (``_new_tables``), seeded with its side tallies.
+    Its search asks ``_hopeless`` at its first death and stops there if so.
     Failure is a value, never an exception: past MAX_SEARCH_WORK units, at any bound,
     it is ``search_budget_exceeded``.  The first proof found in the fixed rule order
     is returned.  ``kappa`` is validated, never read.
@@ -528,7 +532,7 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
         tables = _new_tables()
         tables[2].update(zip(key := _key(seq.gamma, seq.delta, tables[1]), sides))
         try:
-            tree, died = _search(seq.gamma, seq.delta, depth_bound, key, tables, depth_bound > 1 and _hopeless(*seq))
+            tree, died = _search(seq.gamma, seq.delta, depth_bound, key, tables, True)
         except _SearchBudgetExceeded:
             return ProofResult(False, 0, None, SEARCH_BUDGET_EXCEEDED)
     if tree is not None:

@@ -335,7 +335,7 @@ def search_sequents(draw):
 
 
 POOL = _load_workloads()
-POOL_CASES = {case: POOL.corpus_case(POOL.Builder(), case) for case in (49, 927, 1734)}
+POOL_CASES = {case: POOL.corpus_case(POOL.Builder(), case) for case in (49, 732, 927, 1734, 2179)}
 COSTED = (CostModel({"A": 0.1, "B": 0.2, "Quantum": 0.3}, default_cost=0.15, alpha=0.75), 0.41)
 ZERO = (CostModel({}, default_cost=0.0, alpha=0.75), 0.0)
 # the worst acceptance-c01 case for search size; it dies to depth at bounds 5-8
@@ -343,6 +343,20 @@ WORST_C01 = Sequent(
     [parse_formula(text) for text in ("C * C -o A", "!C * (A -o A)", "(A -o B) -o C")],
     [parse_formula(text) for text in ("A * B", "!A -o C * A", "!(B -o C)")],
 )
+
+
+def assert_memo_matches_reference(tables, reference_memo):
+    """Each memo entry the search wrote, its int keys read back as canon pairs, equals the
+    reference search's entry for that key, died bits included.  A reference key the search
+    lacks holds a level-1 value: a goal with two levels left and more than three formulas
+    stops at its first death, and the level-1 premises it skips are pure functions of their
+    sequents, so any later probe recomputes them alike."""
+    canons = {number: canon for canon, number in tables[1].items()}
+    assert len(canons) == len(tables[1])
+    memo = {(canons[g], canons[d]): entry for (g, d), entry in tables[3].items()}
+    assert {key: reference_memo.get(key) for key in memo} == memo
+    skipped = {key: entry for key, entry in reference_memo.items() if key not in memo}
+    assert all(entry[0] == 1 or entry == (calculus._NO_DEPTH_LIMIT, False) for entry in skipped.values()), skipped
 
 
 class TestSearchDifferential:
@@ -362,6 +376,9 @@ class TestSearchDifferential:
     @example(POOL_CASES[49][0], 5, POOL_CASES[49][2:])
     @example(POOL_CASES[927][0], 5, POOL_CASES[927][2:])
     @example(POOL_CASES[1734][0], 5, POOL_CASES[1734][2:])
+    # pool roots whose two-level goals of more than three formulas stop at their first death
+    @example(POOL_CASES[2179][0], 5, POOL_CASES[2179][2:])
+    @example(POOL_CASES[732][0], 5, POOL_CASES[732][2:])
     def test_same_results_as_reference_search(self, seq, bound, cost):
         model, kappa = cost
         assert (result := prove(seq, bound, model, kappa)) == oracles.reference_prove(seq, bound, model, kappa)
@@ -369,15 +386,12 @@ class TestSearchDifferential:
         assert result == prove(seq, bound, model, 0.0)
         if result.proved:
             oracles.check_proof(result.tree, bound)
-        # below the cost gate too, and the memo ends the same, died bits
-        # included, once its int keys are read back as canon pairs
+        # below the cost gate too, and the memo agrees with the reference's
         reference_memo, tables = {}, calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta, tables[1])
         got = calculus._search(seq.gamma, seq.delta, bound, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
-        canons = {number: canon for canon, number in tables[1].items()}
-        assert len(canons) == len(tables[1])
-        assert {(canons[g], canons[d]): entry for (g, d), entry in tables[3].items()} == reference_memo
+        assert_memo_matches_reference(tables, reference_memo)
 
     @settings(max_examples=300, deadline=None)
     @given(search_sequents())
@@ -524,7 +538,8 @@ class TestFirstCopyOnly:
         monkeypatch.setattr(calculus, "_applications", counting_applications)
         result = prove(Sequent((BANGED_PAIR,), (BANGED_PAIR,)), 32, *ZERO)
         assert result.proved and result.depth == 32
-        assert entries == 7466
+        # 7,466 before two-level goals of more than three formulas stopped at their first death
+        assert entries == 6897
         assert applications <= 31_000
 
     @settings(max_examples=150, deadline=None)
@@ -542,8 +557,7 @@ class TestFirstCopyOnly:
         key = calculus._key(seq.gamma, seq.delta, tables[1])
         got = calculus._search(seq.gamma, seq.delta, bound, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
-        canons = {number: canon for canon, number in tables[1].items()}
-        assert {(canons[g], canons[d]): entry for (g, d), entry in tables[3].items()} == reference_memo
+        assert_memo_matches_reference(tables, reference_memo)
 
 
 BANGED_SELF_CARRY = Sequent((BANGED_PAIR,), (BANGED_PAIR,))
@@ -576,7 +590,7 @@ class TestSearchBudget:
     def test_a_search_stops_at_the_same_slot_count(self, monkeypatch):
         monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 5000)
         states = recorded_states(monkeypatch)
-        for seq, bound, work in ((WORST_C01, 7, 5001), (BANGED_SELF_CARRY, 64, 5016), (SPENT_TWICE, 64, 5014)):
+        for seq, bound, work in ((WORST_C01, 7, 5001), (BANGED_SELF_CARRY, 64, 5011), (SPENT_TWICE, 64, 5012)):
             for _ in range(3):
                 assert prove(seq, bound, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
                 assert states[-1][4] == work
@@ -628,6 +642,37 @@ class TestHopelessRoot:
         assert POOL.proof_record(prove(seq, 5, model, kappa)) == "D0"
         # the whole search of this root makes 2,933 entries
         assert len(entries) < 100
+
+
+# the connectives and atoms a height-2 proof of a wide goal would have to spend
+wide_formulas = st.recursive(
+    shortcut_leaves | st.sampled_from([QUANTUM_Q, CLASSICAL_O]),
+    lambda kids: st.one_of(*[st.builds(rule, kids, kids) for rule in (Tensor, Lolli, Lolli, With, With)], st.builds(Bang, kids)),
+    max_leaves=3,
+)
+wide_sequents = st.lists(wide_formulas | wide_formulas.map(Bang), min_size=4, max_size=6).flatmap(
+    lambda side: st.integers(0, len(side)).map(lambda k: (tuple(side[:k]), tuple(side[k:])))
+)
+
+
+class TestTwoLevelStop:
+    """A goal with two levels left and more than three formulas stops at its first
+    death: its premises would all be axioms, which hold one formula a side, and no
+    rule takes such a goal to premises that small."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_sequents)
+    def test_no_goal_of_four_formulas_has_a_height_2_proof(self, sides):
+        gamma, delta = sides
+        assert not oracles.provable(gamma, delta, 2, use_filter=False), sides
+
+    def test_a_pool_root_stops_its_two_level_goals(self, monkeypatch):
+        entries, search = [], calculus._search
+        monkeypatch.setattr(calculus, "_search", lambda *args: entries.append(1) or search(*args))
+        seq, bound, model, kappa = POOL_CASES[2179]
+        assert POOL.proof_record(prove(seq, bound, model, kappa)) == "D0"
+        # 5,658 entries when every two-level goal tried all its applications
+        assert len(entries) < 2200
 
 
 def assert_same_verdicts(seq, bound, model, kappa, rng):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import eclc
-from eclc import calculus, cli, parse_scenario, scenarios, serialize_scenario
+from eclc import calculus, cli, observer, parse_scenario, scenarios, serialize_scenario, sim
 from eclc.cli import main
 from eclc.sim import ScenarioError, run_scenario, write_report
 from gen import extreme_scenario_texts, random_config
@@ -491,6 +491,23 @@ class TestSearchBudget:
         assert tried and max(state[4] for state in states) > calculus.MAX_SEARCH_WORK
         for state in states:
             assert tried.get(id(state), 0) <= state[4] <= calculus.MAX_SEARCH_WORK + 1000
+
+    def test_hopeless_antecedents_spend_no_budget(self, tmp_path, capsys, monkeypatch):
+        # a valid accessibility file whose lambda=64 world meets 288 balanced
+        # antecedent multisets; when each one that no depth proves got its own
+        # search, 232 of them spent the whole budget and the run took over 90 s
+        reasons = []
+
+        def recorded(prove):
+            return lambda *args: reasons.append((result := prove(*args)).failure_reason) or result
+
+        for module in (calculus, observer, sim):
+            monkeypatch.setattr(module, "prove", recorded(module.prove))
+        path = tmp_path / "extreme-87.eclc"
+        path.write_text(extreme_scenario_texts(20_261_019, 120)[87])
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert reasons and calculus.SEARCH_BUDGET_EXCEEDED not in reasons
 
 
 class TestNoTraceback:

@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from eclc import (
@@ -218,6 +218,10 @@ class TestObserverValuation:
 
     @settings(max_examples=100)
     @given(observed_worlds(), st.sampled_from((0.0, 1.0)))
+    # A & Phi is hopeless against Phi & B, as no branch of it proves B, so
+    # truth_at never searches it; B & Phi proves the goal, and B alone is hopeless
+    @example((Frame([World("w0", 10.0, 0.5, 4, [With(Atom("A"), PHI), With(Atom("B"), PHI)])], []), With(PHI, Atom("B"))), 0.0)
+    @example((Frame([World("w0", 10.0, 0.5, 4, [With(Atom("A"), PHI), Atom("B")])], []), With(PHI, Atom("B"))), 1.0)
     def test_truth_matches_proving_every_multiset(self, world_and_goal, default_cost):
         frame, phi = world_and_goal
         model = CostModel({}, default_cost=default_cost, alpha=0.75)
