@@ -36,7 +36,7 @@ DEPTH_EXCEEDED = "depth_exceeded"
 NO_RULE_APPLIES = "no_rule_applies"
 COST_INVALID = "cost_invalid"
 SEARCH_BUDGET_EXCEEDED = "search_budget_exceeded"
-MAX_SEARCH_WORK = 1_000_000  # len(gamma) + len(delta) per search entry past the axiom check, 1 per application tried
+MAX_SEARCH_WORK = 1_000_000  # len(gamma) + len(delta) per entry past the axiom check, 1 per application tried, len(side) per split
 MAX_ANTECEDENT = 3  # formulas per antecedent multiset that _balanced yields, so valuations stay decidable
 
 # memo sentinel for refutations that hold at any depth
@@ -170,13 +170,16 @@ def _key(gamma, delta, ints) -> tuple[int, int]:
 
 def _parts(tables, side, i, left, right):
     """The splits of ``side`` less position ``i`` (None: none) as (first + left,
-    its canon int, second + right), built once per search.  They are keyed by
-    the side's ids in position order, since split order decides first-found
-    trees, and by ``i``, whose connective decides what is added, or else ``left``."""
+    its canon int, second + right), built once per search for ``len(side)`` units
+    each.  They are keyed by the side's ids in position order, since split order
+    decides first-found trees, and by ``i``, whose connective decides what is added, or else ``left``."""
     splits, ints = tables[0], tables[1]
     key = (tuple(map(id, side)), left if i is None else i)
     if (parts := splits.get(key)) is None:
         rest = _splits(side if i is None else side[:i] + side[i + 1 :])
+        tables[4] += len(side) * len(rest)
+        if tables[4] > MAX_SEARCH_WORK:
+            raise _SearchBudgetExceeded
         parts = splits[key] = [(f, ints.setdefault(_canon(f), len(ints)), s + right) for f1, s in rest for f in (f1 + left,)]
     return parts
 
@@ -202,7 +205,7 @@ def _applications(gamma, delta, key, tables):
                     yield "tensor-right", g1, d1, (k1, k2), g2, d2
     # tensor-left
     for i, phi in enumerate(gamma):
-        if isinstance(phi, Tensor) and phi not in gamma[:i]:
+        if isinstance(phi, Tensor) and gamma.index(phi) == i:
             yield on_gamma("tensor-left", i, (phi.left, phi.right))
     # lolli-right
     for i, phi in enumerate(delta):
@@ -223,13 +226,13 @@ def _applications(gamma, delta, key, tables):
             d1 = rest + (phi.left,)
             yield "with-right", gamma, d1, _key(gamma, d1, ints), gamma, rest + (phi.right,)
     # with-left, either projection
-    withs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, With) and phi not in gamma[:i]]
+    withs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, With) and gamma.index(phi) == i]
     for i, phi in withs:
         yield on_gamma("with-left-1", i, (phi.left,))
     for i, phi in withs:
         yield on_gamma("with-left-2", i, (phi.right,))
     # exponentials
-    bangs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, Bang) and phi not in gamma[:i]]
+    bangs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, Bang) and gamma.index(phi) == i]
     for i, phi in bangs:
         yield on_gamma("dereliction", i, (phi.inner,))
     for _, phi in bangs:
@@ -401,9 +404,9 @@ def _spend(net: dict, totals: dict) -> dict:  # one tally merge
 
 def _copies_refuted(gamma, delta) -> bool:
     """True iff no rational copy counts ``k_i`` solve ``fixed + sum(k_i * v_i) = 0`` (Kanovich 1995;
-    fraction-free elimination), on a goal that ``_refuted`` passes, as all ``_balanced`` yields do,
-    so no member is fatal.  A banged member, either side, whose inner tally has no slack (no ``&``,
-    ``!`` or diamond) adds ``v_i`` per copy; any other adds its fixed totals and frees its slack buckets."""
+    fraction-free elimination), the counted half of ``_hopeless``, so no member is fatal.  A banged
+    member, either side, whose inner tally has no slack (no ``&``, ``!`` or diamond) adds ``v_i``
+    per copy; any other adds its fixed totals and frees its slack buckets."""
     fixed, free, vectors = Counter(), set(), []
     for sign, side in ((-1, gamma), (1, delta)):
         for phi in side:
@@ -443,10 +446,12 @@ def _project(phi, bits):
 
 
 def _hopeless(gamma, delta) -> bool:
-    """True iff some branch choice at the positive ``&``s leaves every choice at the negative ones
-    refuted (``_refuted``), so no depth proves the goal (Andreoli 1992): only with-right removes a
-    positive ``&``, keeping the rest in each premise, and only with-left a negative one, so a proof
-    kept to the chosen premises derives one projection per path.  False past 8 ``&``s."""
+    """True iff no depth proves gamma |- delta, a goal that ``_refuted`` passes: its banged copies cannot balance
+    (``_copies_refuted``), or some choice at its positive ``&``s (8 at most) leaves every choice at the negative ones
+    refuted (Andreoli 1992), as only with-right removes a positive ``&``, keeping the rest in each premise, and only
+    with-left a negative one: a proof kept to those premises derives one projection per path."""
+    if _copies_refuted(gamma, delta):
+        return True
     signs = [s for sign, side in ((-1, gamma), (1, delta)) for phi in side for s in _with_polarities(phi, sign, [])]
     if not signs or len(signs) > 8:
         return False
@@ -469,9 +474,9 @@ def _search(gamma, delta, remaining, key, tables, root=False):
     refuted with fewer.  Contraction spends a level, so the depth bound bounds it.
     At the last level only an axiom can close the goal: it dies to depth iff some
     rule applies.  Past MAX_SEARCH_WORK units it raises ``_SearchBudgetExceeded``.
-    A death fixes the answer, and two goals stop at their first: the ``root``, if
-    ``_hopeless`` (asked then, once), and a goal with two levels left and more than
-    three formulas, which has no height-2 proof (its premises would all be axioms).
+    A death fixes the answer, and two goals stop at their first: the ``root``, if no
+    depth proves it (``_hopeless``, asked then, once), and a goal with two levels left
+    and more than three formulas, which has no height-2 proof (its premises would all be axioms).
     The second skips only level-1 premises, which any later probe recomputes alike;
     no other subgoal stops, as that would leave part of its subtree out of the memo."""
     if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
@@ -517,7 +522,7 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
 
     The cost gate, an axiom or a refutation settles the root where it can; only a
     root left open gets a search state (``_new_tables``), seeded with its side tallies.
-    Its search asks ``_hopeless`` at its first death and stops there if so.
+    Its search stops at its first death if ``_hopeless`` says no depth proves it.
     Failure is a value, never an exception: past MAX_SEARCH_WORK units, at any bound,
     it is ``search_budget_exceeded``.  The first proof found in the fixed rule order
     is returned.  ``kappa`` is validated, never read.

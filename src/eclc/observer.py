@@ -4,17 +4,16 @@ An observer sees a world within a bounded hop distance of its home over
 accessibility-feasible edges; one BFS from the home gives every distance.
 A proposition is true for an observer at a visible world when it is present
 there or provable from a multiset that ``calculus._balanced`` yields, of at most
-``calculus.MAX_ANTECEDENT`` props; a multiset that ``calculus._copies_refuted`` or
-``calculus._hopeless`` refutes at every depth is never searched.  Neither depends on who asks:
-``sim.run_accessibility`` runs one BFS per home, calls ``truth_at`` once per row and keeps one
-verdict table per run.
+``calculus.MAX_ANTECEDENT`` props; a multiset that ``calculus._hopeless`` says no depth proves
+is never searched.  Neither depends on who asks: ``sim.run_accessibility`` runs one BFS per
+home, calls ``truth_at`` once per row and keeps one verdict table per run.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, SEARCH_BUDGET_EXCEEDED, PreconditionError, Sequent, _balanced, _copies_refuted, _hopeless, prove
+from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, SEARCH_BUDGET_EXCEEDED, PreconditionError, Sequent, _balanced, _hopeless, prove
 from .formula import CostModel, Formula, _check_count, _check_ident
 from .frame import Frame, accessible, hop_distance
 
@@ -49,15 +48,14 @@ def truth_at(frame: Frame, w: str, phi: Formula, model: CostModel, verdicts: dic
     and curvature, from a multiset that ``_balanced`` yields.  ``verdicts``, a run's table for one
     cost model, keeps per (multiset, phi) the highest bound found unprovable and the lowest proof
     height found; no proof result reads kappa, and a budget failure records nothing, so a warm call
-    answers as a fresh one.  A new multiset meets ``_copies_refuted`` and ``_hopeless`` first, for every
-    bound, so one that no depth proves spends no search budget."""
+    answers as a fresh one.  A new multiset that ``_hopeless`` accepts is never searched."""
     world = frame.world(w)
     if phi in world.props:
         return 1
     lam, goal = world.lam, (phi,)
     for combo in _balanced(world.props, phi):
         key = (tuple(sorted(combo, key=hash)), phi)
-        low, high = verdicts.get(key) or (_NO_DEPTH_LIMIT if _copies_refuted(combo, goal) or _hopeless(combo, goal) else 0, _NO_DEPTH_LIMIT)
+        low, high = verdicts.get(key) or (_NO_DEPTH_LIMIT if _hopeless(combo, goal) else 0, _NO_DEPTH_LIMIT)
         if low < lam < high:
             result = prove(Sequent(combo, goal), lam, model, world.kappa)
             if result.proved:

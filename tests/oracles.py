@@ -96,10 +96,10 @@ def occurrence_profile(gamma, delta):
     return fixed, up, down, undiscardable_diamond
 
 
-def hopeless(gamma, delta) -> bool:
-    """Depth-independent refutation: an undiscardable diamond, or a
-    fixed occurrence imbalance with no slack in the repairing
-    direction."""
+def tally_refuted(gamma, delta) -> bool:
+    """Depth-independent refutation by the occurrence tally alone: an
+    undiscardable diamond, or a fixed occurrence imbalance with no slack
+    in the repairing direction."""
     fixed, up, down, dead = occurrence_profile(gamma, delta)
     if dead:
         return True
@@ -327,7 +327,7 @@ def provable(gamma, delta, depth: int, memo=None, use_filter: bool = True) -> bo
                     return True
                 if left.name == "Quantum" and right.name == "Classical":
                     return True
-        if use_filter and hopeless(g, d):
+        if use_filter and tally_refuted(g, d):
             return False
         r = remaining - 1
         for f in list(d):

@@ -258,7 +258,7 @@ class TestOracleAgreement:
         for _ in range(400):
             gamma = random_side(rng, pool, 2)
             delta = random_side(rng, pool, 2)
-            if oracles.hopeless(gamma, delta):
+            if oracles.tally_refuted(gamma, delta):
                 checked += 1
                 assert not oracles.provable(gamma, delta, 5, use_filter=False), (gamma, delta)
         assert checked > 50
@@ -577,20 +577,37 @@ class TestSearchBudget:
     ends in search_budget_exceeded at any bound.  Work is counted, not
     seconds, so where it stops is fixed."""
 
-    @pytest.mark.parametrize("bound", [64, 500])
-    @pytest.mark.parametrize("seq", [BANGED_SELF_CARRY, SPENT_TWICE], ids=["banged-self-carry", "spent-twice"])
-    def test_large_searches_end_with_the_reason(self, monkeypatch, seq, bound):
+    @pytest.mark.parametrize(
+        "seq, bound, reason",
+        [
+            (BANGED_SELF_CARRY, 64, SEARCH_BUDGET_EXCEEDED),
+            (BANGED_SELF_CARRY, 500, SEARCH_BUDGET_EXCEEDED),
+            # no bound proves it, and the counted check says so at the root's first death
+            (SPENT_TWICE, 64, DEPTH_EXCEEDED),
+            # at bound 500 its first death comes only after the budget runs out
+            (SPENT_TWICE, 500, SEARCH_BUDGET_EXCEEDED),
+        ],
+        ids=["banged-self-carry-64", "banged-self-carry-500", "spent-twice-64", "spent-twice-500"],
+    )
+    def test_large_searches_end_with_the_reason(self, monkeypatch, seq, bound, reason):
         # without a budget the self-carry proves at depth 64 after 2.35 million
-        # slots, and the other, which no bound proves, ran 26 s at bound 64 (2-CPU machine)
-        states = recorded_states(monkeypatch)
-        assert prove(seq, bound, *ZERO) == ProofResult(False, 0, None, SEARCH_BUDGET_EXCEEDED)
+        # slots, and the other ran 26 s at bound 64 (2-CPU machine)
+        states, entries = recorded_states(monkeypatch), []
+        if reason == DEPTH_EXCEEDED:  # a wrapped search at bound 500 would pass the recursion limit
+            search = calculus._search
+            monkeypatch.setattr(calculus, "_search", lambda *args: entries.append(1) or search(*args))
+        assert prove(seq, bound, *ZERO) == ProofResult(False, 0, None, reason)
         (state,) = states
-        assert calculus.MAX_SEARCH_WORK < state[4] < calculus.MAX_SEARCH_WORK + 1000
+        if reason == SEARCH_BUDGET_EXCEEDED:
+            assert calculus.MAX_SEARCH_WORK < state[4] < calculus.MAX_SEARCH_WORK + 1000
+        else:
+            # 1,088 entries; 71,144 and the whole budget when the root stop asked only the & polarities
+            assert len(entries) < 2000
 
     def test_a_search_stops_at_the_same_slot_count(self, monkeypatch):
         monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 5000)
         states = recorded_states(monkeypatch)
-        for seq, bound, work in ((WORST_C01, 7, 5001), (BANGED_SELF_CARRY, 64, 5011), (SPENT_TWICE, 64, 5012)):
+        for seq, bound, work in ((WORST_C01, 7, 5005), (BANGED_SELF_CARRY, 64, 5011), (SPENT_TWICE, 64, 5021)):
             for _ in range(3):
                 assert prove(seq, bound, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
                 assert states[-1][4] == work
@@ -603,6 +620,21 @@ class TestSearchBudget:
         assert proved_once(seq, 6, ZERO[0], proofs).failure_reason == SEARCH_BUDGET_EXCEEDED
         assert proved_once(seq, 5, ZERO[0], proofs).proved
 
+    def test_split_lists_count_against_the_budget(self, monkeypatch):
+        # a side of many bang copies gets long: its split lists held 41,168,500
+        # formulas, 12.9 s on a 2-CPU machine, before each list was charged
+        built, splits = [], calculus._splits
+
+        def counted(side):
+            built.append(len(side) * len(parts := splits(side)))
+            return parts
+
+        monkeypatch.setattr(calculus, "_splits", counted)
+        gamma = ("<1e+308>Classical(q0) & (Classical(q0) -o Quantum(q0)) & Classical(q1) * (Entangled(a,b) * B)", "!~Decohered_B")
+        seq = Sequent(tuple(map(parse_formula, gamma)), (parse_formula("!B"),))
+        assert prove(seq, 500, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
+        assert sum(built) <= calculus.MAX_SEARCH_WORK
+
     def test_truth_at_records_nothing_for_a_budget_failure(self, monkeypatch):
         frame, phi, verdicts = Frame([World("w", 1.0, 0.0, 6, [A, B])], []), Tensor(A, B), {}
         monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 1)
@@ -611,18 +643,24 @@ class TestSearchBudget:
         assert truth_at(frame, "w", phi, ZERO[0], verdicts) == truth_at(frame, "w", phi, ZERO[0], {}) == 1
 
 
-with_rich_sides = st.lists(leaf_formulas(4, withs=3), max_size=3)
+# &-rich members, and members over A and B, bare or banged, whose copies the counted check weighs
+ab_formulas = st.recursive(
+    st.sampled_from([A, B]), lambda kids: st.builds(Tensor, kids, kids) | st.builds(Lolli, kids, kids), max_leaves=3
+)
+with_rich_sides = st.lists(leaf_formulas(4, withs=3) | ab_formulas | ab_formulas.map(Bang), max_size=3)
 
 
 class TestHopelessRoot:
     """``prove`` stops the search of a root that ``_hopeless`` accepts at its first
-    death to depth: no depth proves that root, so the result cannot change."""
+    death to depth: no depth proves that root, by the counted check or the ``&``
+    polarities, so the result cannot change."""
 
     @settings(max_examples=300, deadline=None)
     @given(with_rich_sides, with_rich_sides)
     @example([With(A, B)], [A])  # a & in gamma is negative
     @example([], [Lolli(With(A, B), A)])  # and so is one in the antecedent of a lolli in delta
     @example([With(A, C)], [With(C, B)])  # hopeless: no projection of gamma proves B
+    @example([Bang(Lolli(A, B)), A], [Tensor(B, B)])  # hopeless: no copy count of A -o B balances
     def test_hopeless_goals_are_unprovable(self, gamma, delta):
         gamma, delta = tuple(gamma), tuple(delta)
         if not _refuted(_tally(gamma), _tally(delta)) and calculus._hopeless(gamma, delta):

@@ -320,22 +320,26 @@ class TestCountedRefutation:
             assert not oracles.provable(gamma, delta, 6)
 
     def test_called_only_on_goals_the_tally_passes(self, monkeypatch):
-        # truth_at asks the counted check only of what _balanced yields, so the
-        # check need not repeat the tally refutation on any accessibility run
-        passed, counted = [], observer._copies_refuted
+        # _hopeless asks the counted check, and is asked only of what _balanced yields
+        # (truth_at) and of a search root past the tally refutation (prove), so the
+        # check need not repeat that refutation on any accessibility run or pool case
+        passed, counted = [], calculus._copies_refuted
 
         def checked(gamma, delta):
             passed.append(not _refuted(_tally(gamma), _tally(delta)))
             return counted(gamma, delta)
 
-        monkeypatch.setattr(observer, "_copies_refuted", checked)
+        monkeypatch.setattr(calculus, "_copies_refuted", checked)
         wl = _load_workloads()
         builder = wl.Builder()
         texts = [scenarios.read("accessibility")]
         texts += [wl.observer_text(builder, index) for index in range(0, wl.POOL["observer-chain"], 10)]
         for text in texts:
             run_scenario(parse_scenario(text))
-        assert passed and all(passed)
+        observed = len(passed)
+        for line in wl.load_golden("prove-corpus")[::25]:
+            prove(*wl.corpus_case(builder, int(line.split()[2])))
+        assert observed and len(passed) > observed and all(passed)
 
 
 class TestPersistenceCheck:
