@@ -552,7 +552,7 @@ def proved_once(seq: Sequent, bound: int, model: CostModel, proofs: dict) -> Pro
     up to b: each application tried before it has a premise unprovable within
     b - 1 levels, so within fewer, and its own premises fit.  A failure answers its
     own bound only, as its reason can rest on what the search met (a budget failure
-    included), but ``cost_invalid`` answers every bound from 1.  A bound below 1 is ``depth_exceeded`` without a search."""
+    included).  A bound below 1 is ``depth_exceeded`` without a search."""
     if bound < 1:
         return ProofResult(False, 0, None, DEPTH_EXCEEDED)
     key = (seq, bound)
@@ -563,8 +563,6 @@ def proved_once(seq: Sequent, bound: int, model: CostModel, proofs: dict) -> Pro
         result = proofs[key] = prove(seq, bound, model, 0.0)  # prove only checks kappa
         if result.proved and bound > top:
             proofs[seq] = bound, result
-        elif result.failure_reason == COST_INVALID:
-            proofs[seq] = _NO_DEPTH_LIMIT, result
     return result
 
 

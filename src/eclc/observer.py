@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .calculus import _NO_DEPTH_LIMIT, COST_INVALID, SEARCH_BUDGET_EXCEEDED, PreconditionError, Sequent, _balanced, _hopeless, prove
+from .calculus import _NO_DEPTH_LIMIT, SEARCH_BUDGET_EXCEEDED, PreconditionError, Sequent, _balanced, _hopeless, prove
 from .formula import CostModel, Formula, _check_count, _check_ident
 from .frame import Frame, accessible, hop_distance
 
@@ -46,22 +46,23 @@ def observer_sees(frame: Frame, o: Observer, w: str) -> bool:
 def truth_at(frame: Frame, w: str, phi: Formula, model: CostModel, verdicts: dict) -> int:
     """Truth at w for whoever sees it: phi is present or provable at w, under its own capacity
     and curvature, from a multiset that ``_balanced`` yields.  ``verdicts``, a run's table for one
-    cost model, keeps per (multiset, phi) the highest bound found unprovable and the lowest proof
-    height found; no proof result reads kappa, and a budget failure records nothing, so a warm call
-    answers as a fresh one.  A new multiset that ``_hopeless`` accepts is never searched."""
+    cost model, keeps per (multiset in ``_canon``'s id order, phi) the highest bound found
+    unprovable and the lowest proof height found; no proof result reads kappa, and a budget failure
+    records nothing, so a warm call answers as a fresh one.  A new multiset that ``_hopeless``
+    accepts is never searched."""
     world = frame.world(w)
     if phi in world.props:
         return 1
     lam, goal = world.lam, (phi,)
     for combo in _balanced(world.props, phi):
-        key = (tuple(sorted(combo, key=hash)), phi)
+        key = (tuple(sorted(combo, key=id)), phi)
         low, high = verdicts.get(key) or (_NO_DEPTH_LIMIT if _hopeless(combo, goal) else 0, _NO_DEPTH_LIMIT)
         if low < lam < high:
             result = prove(Sequent(combo, goal), lam, model, world.kappa)
             if result.proved:
                 high = result.depth
             elif result.failure_reason != SEARCH_BUDGET_EXCEEDED:
-                low = _NO_DEPTH_LIMIT if result.failure_reason == COST_INVALID else lam
+                low = lam
         verdicts[key] = low, high
         if lam >= high:
             return 1

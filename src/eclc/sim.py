@@ -344,11 +344,9 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
-    runner = {
-        "coherence": run_coherence,
-        "reciprocity": run_reciprocity,
-        "accessibility": run_accessibility,
-    }[config.scenario_kind]
+    runners = {"coherence": run_coherence, "reciprocity": run_reciprocity, "accessibility": run_accessibility}
+    if (runner := runners.get(config.scenario_kind)) is None:
+        raise ScenarioError(f"unknown scenario kind {config.scenario_kind!r}, expected one of {', '.join(map(repr, runners))}")
     return runner(config)
 
 

@@ -921,19 +921,14 @@ def frame_order(frame):
 
 def assert_fresh(proofs, model):
     """Each memo entry equals a fresh ``prove``, tree included, and each
-    seq entry holds the search at its bound, or a ``cost_invalid`` result,
-    which a fresh ``prove`` gives at every bound."""
+    seq entry holds a proof found at its bound."""
     for key, value in proofs.items():
         if not isinstance(key, Sequent):  # a (seq, bound) key; a Sequent is a tuple too
             seq, bound = key
             assert value == prove(seq, bound, model, 0.0)
         else:
             seq, (bound, result) = key, value
-            if result.proved:
-                assert result == proofs[seq, bound]
-            else:
-                assert result.failure_reason == COST_INVALID and bound == calculus._NO_DEPTH_LIMIT
-                assert all(result == prove(seq, b, model, 0.0) for b in (1, 2, 7))
+            assert result.proved and result == proofs[seq, bound]
 
 
 class TestProofMemo:
@@ -1016,6 +1011,20 @@ class TestProofMemo:
         assert len(calls) - 300 == sum(not isinstance(key, Sequent) for key in proofs) < 250
         assert_fresh(proofs, unit_model)
 
+    def test_cost_invalid_answers_its_own_bound(self, unit_model, monkeypatch):
+        # !A covers one A's cost, not two: each bound asks prove again,
+        # which settles it at the gate, and no seq entry answers other bounds
+        calls = counted_prove(monkeypatch)
+        monkeypatch.setattr(calculus, "_new_tables", None)  # a search state would raise
+        seq = Sequent((Bang(A),), (Tensor(A, A),))
+        proofs = {}
+        for bound in (7, 2, 1, 2):
+            result = proved_once(seq, bound, unit_model, proofs)
+            assert result == prove(seq, bound, unit_model, 0.0)
+            assert result.failure_reason == COST_INVALID
+        assert [bound for _, bound, _ in calls] == [7, 2, 1]
+        assert list(proofs) == [(seq, 7), (seq, 2), (seq, 1)]
+
     def test_every_bound_in_any_order_matches_fresh_prove(self, zero_model, unit_model, monkeypatch):
         # bounds 0-7 in random order through one memo per sequent and cost
         # model: each answer is a fresh prove, tree included, and proofs
@@ -1038,7 +1047,7 @@ class TestProofMemo:
                 searched = [(s, bound) for s, bound, _ in calls[start:]]
                 assert len(searched) == len(set(searched))
         assert len(answers) == 4 and answers[None] >= 1000
-        # of the 2,800 queries at bounds 1-7, reuse answers 421 here
+        # of the 2,800 queries at bounds 1-7, reuse answers 403 here
         assert len(calls) < 2800 - 400
 
 

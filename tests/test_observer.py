@@ -256,6 +256,16 @@ class TestObserverValuation:
         assert [truth_at(frame, w, PHI, unit_model, verdicts) for w in ("w4", "w1", "w2", "w1")] == [1, 0, 1, 0]
         assert list(verdicts.values()) == [(1, 2)]
 
+    def test_table_answers_a_cost_invalid_multiset_by_bound(self, unit_model):
+        # !Phi alone cannot pay for Phi * Phi, which !Phi, Phi proves at height 3:
+        # the cost_invalid verdict answers lower bounds only, like any failure
+        goal = Tensor(PHI, PHI)
+        frame = Frame([World(f"w{lam}", 10.0, 0.0, lam, Counter([Bang(PHI), PHI])) for lam in (4, 1, 2)], [])
+        verdicts, visits = {}, ("w4", "w1", "w2", "w1")
+        warm = [truth_at(frame, w, goal, unit_model, verdicts) for w in visits]
+        assert warm == [truth_at(frame, w, goal, unit_model, {}) for w in visits] == [1, 0, 0, 0]
+        assert sorted(verdicts.values()) == [(2, 3), (4, calculus._NO_DEPTH_LIMIT)]
+
     def test_table_keeps_goals_apart(self, unit_model):
         # A, A -o Phi proves Phi but not Phi & C, though both pass the filter
         frame = chain_frame(lam=4)

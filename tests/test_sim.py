@@ -445,23 +445,14 @@ class TestRunReciprocity:
         run_reciprocity(load("reciprocity"))
         assert sorted(bound for _, bound in searched) == [1, 1, 12, 12]
 
-    def test_cost_invalid_searched_once_at_high_noise(self, monkeypatch):
+    def test_cost_invalid_never_searched_at_high_noise(self, monkeypatch):
         # Classical costs more than !Quantum, so every measurement is
-        # cost_invalid, which reads no bound: one search per sequent and
-        # kappa answers all 501 bounds of each leg's table
+        # cost_invalid: the cost gate answers each bound, and no search state is made
         text = scenarios.read("reciprocity").replace("noise = 0.8", "noise = 100")
         text = re.sub(r"lambda=\d+", "lambda=500", text).replace("cost * = 1.0", "cost * = 1.0\ncost Classical = 3.0")
         config = parse_scenario(text)
-        prove = calculus.prove
-        searched = Counter()
-
-        def counted(seq, bound, model, kappa):
-            searched[seq, kappa] += 1
-            return prove(seq, bound, model, kappa)
-
-        monkeypatch.setattr(calculus, "prove", counted)
+        monkeypatch.setattr(calculus, "_new_tables", None)  # a search state would raise
         report = run_reciprocity(config)
-        assert searched == {(calculus.measurement(q, f"o_{q}"), 0.0): 1 for q in ("qA", "qB")}
         # a jitter of lambda or more leaves bound 0: depth_exceeded, unsearched
         assert {t.failure_reason for t in report.trials} == {calculus.COST_INVALID, calculus.DEPTH_EXCEEDED}
         monkeypatch.undo()
@@ -817,6 +808,11 @@ class TestReports:
             assert report_to_json(first) == report_to_json(second)
             assert per_world_csv(first) == per_world_csv(second)
             assert trials_csv(first) == trials_csv(second)
+
+    def test_unknown_kind_is_a_scenario_error(self):
+        message = "unknown scenario kind 'Coherence', expected one of 'coherence', 'reciprocity', 'accessibility'"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            run_scenario(load("coherence")._replace(scenario_kind="Coherence"))
 
     def test_csv_shapes(self):
         report = run_scenario(load("reciprocity"))
