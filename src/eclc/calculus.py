@@ -159,8 +159,8 @@ def _splits(side: tuple[Formula, ...]) -> list[tuple[tuple, tuple]]:
 
 
 def _new_tables():
-    """One search's state: split lists and canon ints, tallies, the memo and the work spent."""
-    return [{}, {}, {}, {}, 0]
+    """One search's state: split lists and canon ints, tallies, the memo, the work spent and proof-only mode."""
+    return [{}, {}, {}, {}, 0, False]
 
 
 def _key(gamma, delta, ints) -> tuple[int, int]:
@@ -478,7 +478,11 @@ def _search(gamma, delta, remaining, key, tables, root=False):
     depth proves it (``_hopeless``, asked then, once), and a goal with two levels left
     and more than three formulas, which has no height-2 proof (its premises would all be axioms).
     The second skips only level-1 premises, which any later probe recomputes alike;
-    no other subgoal stops, as that would leave part of its subtree out of the memo."""
+    no other subgoal stops before the root dies, as that would leave part of its subtree out of the memo.
+    A root that goes on turns on proof-only mode (``tables[5]``): only a proof can change
+    its result now, so no died bit is read again, and a goal the tally passes fails at once
+    past 2**(remaining - 1) + 1 formulas, as no proof of that height concludes more (an axiom
+    holds 2, a one-premise rule adds at most 1, tensor-right and lolli-left n1 + n2 - 1)."""
     if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
     tables[4] += len(gamma) + len(delta)
@@ -491,6 +495,9 @@ def _search(gamma, delta, remaining, key, tables, root=False):
     ):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
+    if tables[5] and len(gamma) + len(delta) > 2 ** (remaining - 1) + 1:
+        memo[key] = (remaining, True)
+        return None, True
     died = remaining == 1 and _applicable(gamma, delta)
     for rule, g, d, k, g2, d2 in _applications(gamma, delta, key, tables) if remaining > 1 else ():
         tables[4] += 1
@@ -512,7 +519,8 @@ def _search(gamma, delta, remaining, key, tables, root=False):
             g, d, k, g2 = g2, d2, _key(g2, d2, tables[1]), None
         if died and (remaining == 2 and len(gamma) + len(delta) > 3 or root and _hopeless(gamma, delta)):
             break
-        root = root and not died
+        if root and died:
+            root, tables[5] = False, True
     memo[key] = (remaining, died)
     return None, died
 
@@ -522,7 +530,8 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
 
     The cost gate, an axiom or a refutation settles the root where it can; only a
     root left open gets a search state (``_new_tables``), seeded with its side tallies.
-    Its search stops at its first death if ``_hopeless`` says no depth proves it.
+    Its search stops at its first death if ``_hopeless`` says no depth proves it, and
+    otherwise looks only for a proof from then on (``_search``'s proof-only mode).
     Failure is a value, never an exception: past MAX_SEARCH_WORK units, at any bound,
     it is ``search_budget_exceeded``.  The first proof found in the fixed rule order
     is returned.  ``kappa`` is validated, never read.

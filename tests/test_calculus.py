@@ -47,7 +47,7 @@ import oracles
 from gen import random_sequent
 from test_prove_golden import _load_workloads
 
-A, B, C = Atom("A"), Atom("B"), Atom("C")
+A, B, C, D = Atom("A"), Atom("B"), Atom("C"), Atom("D")
 
 
 def snapshot(frame):
@@ -607,7 +607,8 @@ class TestSearchBudget:
     def test_a_search_stops_at_the_same_slot_count(self, monkeypatch):
         monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 5000)
         states = recorded_states(monkeypatch)
-        for seq, bound, work in ((WORST_C01, 7, 5005), (BANGED_SELF_CARRY, 64, 5011), (SPENT_TWICE, 64, 5021)):
+        # WORST_C01's root dies early, and the goals its proof-only mode skips move its stop from 5,005
+        for seq, bound, work in ((WORST_C01, 7, 5002), (BANGED_SELF_CARRY, 64, 5011), (SPENT_TWICE, 64, 5021)):
             for _ in range(3):
                 assert prove(seq, bound, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
                 assert states[-1][4] == work
@@ -682,35 +683,72 @@ class TestHopelessRoot:
         assert len(entries) < 100
 
 
-# the connectives and atoms a height-2 proof of a wide goal would have to spend
+# the connectives and atoms a short proof of a wide goal would have to spend
 wide_formulas = st.recursive(
     shortcut_leaves | st.sampled_from([QUANTUM_Q, CLASSICAL_O]),
     lambda kids: st.one_of(*[st.builds(rule, kids, kids) for rule in (Tensor, Lolli, Lolli, With, With)], st.builds(Bang, kids)),
     max_leaves=3,
 )
-wide_sequents = st.lists(wide_formulas | wide_formulas.map(Bang), min_size=4, max_size=6).flatmap(
-    lambda side: st.integers(0, len(side)).map(lambda k: (tuple(side[:k]), tuple(side[k:])))
-)
+
+
+def wide_sequents(height):
+    """Goals of 2**(height - 1) + 2 or + 3 formulas, one or two more than a height-``height`` proof concludes."""
+    least = 2 ** (height - 1) + 2
+    return st.lists(wide_formulas | wide_formulas.map(Bang), min_size=least, max_size=least + 1).flatmap(
+        lambda side: st.integers(0, len(side)).map(lambda k: (tuple(side[:k]), tuple(side[k:])))
+    )
 
 
 class TestTwoLevelStop:
-    """A goal with two levels left and more than three formulas stops at its first
-    death: its premises would all be axioms, which hold one formula a side, and no
-    rule takes such a goal to premises that small."""
+    """A proof of height h concludes at most 2**(h - 1) + 1 formulas: an axiom holds two, a
+    one-premise rule adds at most one, tensor-right and lolli-left conclude n1 + n2 - 1 from
+    premises of n1 and n2, and with-right as many as each premise.  So a goal with two levels
+    left and more than three formulas stops at its first death (h = 2), and once the root has
+    died, every goal wider than a proof of its height fails at once (proof-only mode)."""
 
     @settings(max_examples=300, deadline=None)
-    @given(wide_sequents)
-    def test_no_goal_of_four_formulas_has_a_height_2_proof(self, sides):
-        gamma, delta = sides
-        assert not oracles.provable(gamma, delta, 2, use_filter=False), sides
+    @given(st.sampled_from([2, 3]).flatmap(lambda height: st.tuples(st.just(height), wide_sequents(height))))
+    # every drawn goal is wider than the bound; this one sits on it with a height-3 proof, so the bound is tight
+    @example((3, ((A, B, C, D), (Tensor(Tensor(A, B), Tensor(C, D)),))))
+    def test_no_goal_wider_than_the_bound_has_a_proof_of_that_height(self, drawn):
+        height, (gamma, delta) = drawn
+        fits = len(gamma) + len(delta) <= 2 ** (height - 1) + 1
+        assert oracles.provable(gamma, delta, height, use_filter=False) == fits, drawn
 
     def test_a_pool_root_stops_its_two_level_goals(self, monkeypatch):
         entries, search = [], calculus._search
         monkeypatch.setattr(calculus, "_search", lambda *args: entries.append(1) or search(*args))
         seq, bound, model, kappa = POOL_CASES[2179]
         assert POOL.proof_record(prove(seq, bound, model, kappa)) == "D0"
-        # 5,658 entries when every two-level goal tried all its applications
-        assert len(entries) < 2200
+        # 2,087 entries before proof-only mode, 5,658 when every two-level goal tried all its applications
+        assert len(entries) == 850
+
+
+# the 14 pool cases whose searches made the most entries without proof-only mode, largest first
+LARGEST_WITHOUT_PROOF_ONLY = [2179, 732, 761, 1236, 2742, 108, 3498, 1734, 682, 415, 2389, 2298, 752, 2171]
+
+
+class _ProofOnlyOff(list):
+    """A search state whose proof-only slot stays off."""
+
+    def __setitem__(self, i, value):
+        super().__setitem__(i, False if i == 5 else value)
+
+
+class TestProofOnlyMode:
+    """Once the root has died and ``_hopeless`` lets it go on, only a proof can change the
+    result, and skipping goals that no proof of their height concludes loses none."""
+
+    def test_same_results_without_the_mode(self, monkeypatch):
+        builder = POOL.Builder()
+        every_25th = [int(line.split()[2]) for line in POOL.load_golden("prove-corpus")[::25]]
+        cases = [POOL.corpus_case(builder, case) for case in every_25th + LARGEST_WITHOUT_PROOF_ONLY]
+        new_tables, states = calculus._new_tables, recorded_states(monkeypatch)
+        with_mode = [prove(*case) for case in cases]
+        # 28 of the 96 searches go on past their root's first death, 13 of them among the largest
+        assert (len(states), sum(state[5] for state in states)) == (96, 28)
+        monkeypatch.setattr(calculus, "_new_tables", lambda: _ProofOnlyOff(new_tables()))
+        assert [prove(*case) for case in cases] == with_mode
 
 
 def assert_same_verdicts(seq, bound, model, kappa, rng):
