@@ -109,10 +109,10 @@ class TransitionOutcome(NamedTuple):
     energy_spent: float
 
 
-def _side_cost(side, model: CostModel) -> float:
-    """``side``'s exact base cost rounded once (``fsum``), or ``inf`` past the largest float, as no cost is negative."""
+def _side_cost(costs) -> float:
+    """A side's per-formula ``costs`` summed exactly, rounded once (``fsum``), or ``inf`` past the largest float, as none is negative."""
     try:
-        return fsum(base_cost(phi, model) for phi in side)
+        return fsum(costs)
     except OverflowError:
         return inf
 
@@ -125,7 +125,7 @@ def cost_valid(seq: Sequent, model: CostModel, kappa: float) -> bool:
     once (``_side_cost``), so neither can a side's order.  A negative or non-finite kappa still raises.
     """
     _check_real(kappa, "kappa")
-    return _side_cost(seq.gamma, model) >= _side_cost(seq.delta, model)
+    return _side_cost(base_cost(phi, model) for phi in seq.gamma) >= _side_cost(base_cost(phi, model) for phi in seq.delta)
 
 
 # Formulas are hash-consed, so an object id stands for a whole tree.
@@ -159,42 +159,40 @@ def _splits(side: tuple[Formula, ...]) -> list[tuple[tuple, tuple]]:
 
 
 def _new_tables():
-    """One search's state: split lists and canon ints, tallies, the memo, the work spent and proof-only mode."""
-    return [{}, {}, {}, {}, 0, False]
+    """One search's state: split lists, side tallies by canon, the memo, the work spent and proof-only mode."""
+    return [{}, {}, {}, 0, False]
 
 
-def _key(gamma, delta, ints) -> tuple[int, int]:
-    """The memo key of gamma |- delta: each side's canon as its small int in ``ints``."""
-    return ints.setdefault(_canon(gamma), len(ints)), ints.setdefault(_canon(delta), len(ints))
+def _key(gamma, delta) -> tuple[tuple, tuple]:
+    """The memo key of gamma |- delta: each side's canon."""
+    return _canon(gamma), _canon(delta)
 
 
 def _parts(tables, side, i, left, right):
     """The splits of ``side`` less position ``i`` (None: none) as (first + left,
-    its canon int, second + right), built once per search for ``len(side)`` units
+    its canon, second + right), built once per search for ``len(side)`` units
     each.  They are keyed by the side's ids in position order, since split order
     decides first-found trees, and by ``i``, whose connective decides what is added, or else ``left``."""
-    splits, ints = tables[0], tables[1]
     key = (tuple(map(id, side)), left if i is None else i)
-    if (parts := splits.get(key)) is None:
+    if (parts := tables[0].get(key)) is None:
         rest = _splits(side if i is None else side[:i] + side[i + 1 :])
-        tables[4] += len(side) * len(rest)
-        if tables[4] > MAX_SEARCH_WORK:
+        tables[3] += len(side) * len(rest)
+        if tables[3] > MAX_SEARCH_WORK:
             raise _SearchBudgetExceeded
-        parts = splits[key] = [(f, ints.setdefault(_canon(f), len(ints)), s + right) for f1, s in rest for f in (f1 + left,)]
+        parts = tables[0][key] = [(f, _canon(f), s + right) for f1, s in rest for f in (f1 + left,)]
     return parts
 
 
 def _applications(gamma, delta, key, tables):
     """Yield (rule, g1, d1, key1, g2, d2) in the fixed rule order; g2 and d2
     are None for a one-premise rule.  Split lists come from ``tables``
-    (``_parts``).  A one-premise left rule builds its premise's gamma and
-    canon int and keeps delta's half of ``key``.  One-premise left rules
-    fire on first copies only: a later copy's premise is already memoized."""
-    int_delta, ints = key[1], tables[1]
+    (``_parts``).  A rule reuses ``key``'s canon of a side it keeps: delta's in
+    a one-premise left rule, gamma's in with-right and promotion.  One-premise
+    left rules fire on first copies only: a later copy's premise is already memoized."""
 
     def on_gamma(rule, i, middle):
         g = gamma[:i] + middle + gamma[i + 1 :]
-        return rule, g, delta, (ints.setdefault(_canon(g), len(ints)), int_delta), None, None
+        return rule, g, delta, (_canon(g), key[1]), None, None
 
     # tensor-right: split gamma and the remaining delta across premises
     for i, phi in enumerate(delta):
@@ -211,7 +209,7 @@ def _applications(gamma, delta, key, tables):
     for i, phi in enumerate(delta):
         if isinstance(phi, Lolli):
             g, d = gamma + (phi.left,), delta[:i] + delta[i + 1 :] + (phi.right,)
-            yield "lolli-right", g, d, _key(g, d, ints), None, None
+            yield "lolli-right", g, d, _key(g, d), None, None
     # lolli-left: one premise proves the antecedent, the other spends the result
     for i, phi in enumerate(gamma):
         if isinstance(phi, Lolli):
@@ -224,7 +222,7 @@ def _applications(gamma, delta, key, tables):
         if isinstance(phi, With):
             rest = delta[:i] + delta[i + 1 :]
             d1 = rest + (phi.left,)
-            yield "with-right", gamma, d1, _key(gamma, d1, ints), gamma, rest + (phi.right,)
+            yield "with-right", gamma, d1, (key[0], _canon(d1)), gamma, rest + (phi.right,)
     # with-left, either projection
     withs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, With) and gamma.index(phi) == i]
     for i, phi in withs:
@@ -240,7 +238,7 @@ def _applications(gamma, delta, key, tables):
     for i, phi in bangs:
         yield on_gamma("weakening", i, ())
     if _promotes(gamma, delta):
-        yield "promotion", gamma, (delta[0].inner,), _key(gamma, (delta[0].inner,), ints), None, None
+        yield "promotion", gamma, (delta[0].inner,), (key[0], _canon((delta[0].inner,))), None, None
 
 
 def _promotes(gamma, delta) -> bool:
@@ -469,7 +467,7 @@ def _search(gamma, delta, remaining, key, tables, root=False):
 
     Entered on a memo miss only: the caller probes the memo in ``tables``, the
     one state ``prove`` makes per search (``_new_tables``), with each premise's
-    key, a pair of canon ints, and keys a second premise once the first is proved.
+    key, a pair of canons (``_key``), and keys a second premise once the first is proved.
     Failures memoize monotonically: a goal refuted with ``remaining`` levels is
     refuted with fewer.  Contraction spends a level, so the depth bound bounds it.
     At the last level only an axiom can close the goal: it dies to depth iff some
@@ -479,29 +477,29 @@ def _search(gamma, delta, remaining, key, tables, root=False):
     and more than three formulas, which has no height-2 proof (its premises would all be axioms).
     The second skips only level-1 premises, which any later probe recomputes alike;
     no other subgoal stops before the root dies, as that would leave part of its subtree out of the memo.
-    A root that goes on turns on proof-only mode (``tables[5]``): only a proof can change
+    A root that goes on turns on proof-only mode (``tables[4]``): only a proof can change
     its result now, so no died bit is read again, and a goal the tally passes fails at once
     past 2**(remaining - 1) + 1 formulas, as no proof of that height concludes more (an axiom
     holds 2, a one-premise rule adds at most 1, tensor-right and lolli-left n1 + n2 - 1)."""
     if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
-    tables[4] += len(gamma) + len(delta)
-    if tables[4] > MAX_SEARCH_WORK:
+    tables[3] += len(gamma) + len(delta)
+    if tables[3] > MAX_SEARCH_WORK:
         raise _SearchBudgetExceeded
-    tallies, memo = tables[2], tables[3]
+    tallies, memo = tables[1], tables[2]
     if _refuted(
         tallies.get(key[0]) or tallies.setdefault(key[0], _tally(gamma)),
         tallies.get(key[1]) or tallies.setdefault(key[1], _tally(delta)),
     ):
         memo[key] = (_NO_DEPTH_LIMIT, False)
         return None, False
-    if tables[5] and len(gamma) + len(delta) > 2 ** (remaining - 1) + 1:
+    if tables[4] and len(gamma) + len(delta) > 2 ** (remaining - 1) + 1:
         memo[key] = (remaining, True)
         return None, True
     died = remaining == 1 and _applicable(gamma, delta)
     for rule, g, d, k, g2, d2 in _applications(gamma, delta, key, tables) if remaining > 1 else ():
-        tables[4] += 1
-        if tables[4] > MAX_SEARCH_WORK:
+        tables[3] += 1
+        if tables[3] > MAX_SEARCH_WORK:
             raise _SearchBudgetExceeded
         subtrees = ()
         while True:
@@ -516,11 +514,11 @@ def _search(gamma, delta, remaining, key, tables, root=False):
             subtrees += (tree,)
             if g2 is None:
                 return ProofTree(rule, Sequent(gamma, delta), subtrees), False
-            g, d, k, g2 = g2, d2, _key(g2, d2, tables[1]), None
+            g, d, k, g2 = g2, d2, _key(g2, d2), None
         if died and (remaining == 2 and len(gamma) + len(delta) > 3 or root and _hopeless(gamma, delta)):
             break
         if root and died:
-            root, tables[5] = False, True
+            root, tables[4] = False, True
     memo[key] = (remaining, died)
     return None, died
 
@@ -544,7 +542,7 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
         tree = ProofTree(axiom, seq)
     elif not _refuted(*(sides := (_tally(seq.gamma), _tally(seq.delta)))):
         tables = _new_tables()
-        tables[2].update(zip(key := _key(seq.gamma, seq.delta, tables[1]), sides))
+        tables[1].update(zip(key := _key(seq.gamma, seq.delta), sides))
         try:
             tree, died = _search(seq.gamma, seq.delta, depth_bound, key, tables, True)
         except _SearchBudgetExceeded:

@@ -21,7 +21,7 @@ import re
 import sys
 import time
 
-from .calculus import _side_cost, curvature_cost, prove, render_proof
+from .calculus import _side_cost, base_cost, curvature_cost, prove, render_proof
 from .dsl import MAX_TRIALS, ParseError, ScenarioConfig, parse_scenario
 from .metrics import fit_exponential
 from .sim import ScenarioError, ScenarioReport, run_scenario, write_report
@@ -69,10 +69,9 @@ def cmd_prove(args) -> int:
     world = config.frame.world(args.world)
     model = config.cost_model
     result = prove(seq, world.lam, model, world.kappa)
-    gamma_cost, delta_cost = _side_cost(seq.gamma, model), _side_cost(seq.delta, model)
-    gamma_scaled, delta_scaled = (
-        sum(curvature_cost(phi, model, world.kappa) for phi in side) for side in (seq.gamma, seq.delta)
-    )
+    sides = (seq.gamma, seq.delta)
+    gamma_cost, delta_cost = (_side_cost(base_cost(phi, model) for phi in side) for side in sides)
+    gamma_scaled, delta_scaled = (_side_cost(curvature_cost(phi, model, world.kappa) for phi in side) for side in sides)
     if result.proved:
         print(render_proof(result.tree))
         print(f"proved: depth {result.depth} (bound {world.lam})")

@@ -33,7 +33,9 @@ class World:
         self.kappa = _check_real(float(kappa) + 0.0, "kappa")
         _check_count(lam, 1, "lambda")
         self.lam = lam
-        self.props = Counter(props)
+        for count in (props := Counter(props)).values():
+            _check_count(count, 0, "prop count")
+        self.props = +props if 0 in props.values() else props  # no zero counts, as transition's -= leaves none
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -346,14 +346,12 @@ WORST_C01 = Sequent(
 
 
 def assert_memo_matches_reference(tables, reference_memo):
-    """Each memo entry the search wrote, its int keys read back as canon pairs, equals the
-    reference search's entry for that key, died bits included.  A reference key the search
-    lacks holds a level-1 value: a goal with two levels left and more than three formulas
-    stops at its first death, and the level-1 premises it skips are pure functions of their
-    sequents, so any later probe recomputes them alike."""
-    canons = {number: canon for canon, number in tables[1].items()}
-    assert len(canons) == len(tables[1])
-    memo = {(canons[g], canons[d]): entry for (g, d), entry in tables[3].items()}
+    """Each memo entry the search wrote equals the reference search's entry for its key, a
+    canon pair in both, died bits included.  A reference key the search lacks holds a level-1
+    value: a goal with two levels left and more than three formulas stops at its first death,
+    and the level-1 premises it skips are pure functions of their sequents, so any later probe
+    recomputes them alike."""
+    memo = tables[2]
     assert {key: reference_memo.get(key) for key in memo} == memo
     skipped = {key: entry for key, entry in reference_memo.items() if key not in memo}
     assert all(entry[0] == 1 or entry == (calculus._NO_DEPTH_LIMIT, False) for entry in skipped.values()), skipped
@@ -388,7 +386,7 @@ class TestSearchDifferential:
             oracles.check_proof(result.tree, bound)
         # below the cost gate too, and the memo agrees with the reference's
         reference_memo, tables = {}, calculus._new_tables()
-        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        key = calculus._key(seq.gamma, seq.delta)
         got = calculus._search(seq.gamma, seq.delta, bound, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
         assert_memo_matches_reference(tables, reference_memo)
@@ -401,7 +399,7 @@ class TestSearchDifferential:
     @example(Sequent((Diamond(1.5, A), QUANTUM_Q), (Bang(A), B)))
     def test_last_level_test_matches_first_application(self, seq):
         tables = calculus._new_tables()
-        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        key = calculus._key(seq.gamma, seq.delta)
         got = _applicable(seq.gamma, seq.delta)
         assert got == (next(_applications(seq.gamma, seq.delta, key, tables), None) is not None)
         assert got == (next(oracles._applications(seq.gamma, seq.delta), None) is not None)
@@ -451,10 +449,10 @@ class TestSearchDifferential:
             return search(gamma, delta, remaining, key, tables)
 
         tables = calculus._new_tables()
-        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        key = calculus._key(seq.gamma, seq.delta)
         with mock.patch.object(calculus, "_search", recording_search):
             calculus._search(seq.gamma, seq.delta, bound, key, tables)
-        refuted = {k for k, (depth, _) in tables[3].items() if depth == calculus._NO_DEPTH_LIMIT}
+        refuted = {k for k, (depth, _) in tables[2].items() if depth == calculus._NO_DEPTH_LIMIT}
         for gamma, delta, k in entries:
             if calculus._is_axiom(gamma, delta) is None:
                 # memoized at any depth iff the reference walk refutes it
@@ -510,7 +508,7 @@ class TestFirstCopyOnly:
     @example(Sequent((BANGED_PAIR, BANGED_PAIR), (BANGED_PAIR,)))
     def test_no_one_premise_left_rule_repeats_a_premise(self, seq):
         tables = calculus._new_tables()
-        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        key = calculus._key(seq.gamma, seq.delta)
         seen = Counter(
             (rule, k) for rule, _, _, k, g2, _ in _applications(seq.gamma, seq.delta, key, tables)
             if rule in ONE_PREMISE_LEFT and g2 is None
@@ -554,7 +552,7 @@ class TestFirstCopyOnly:
         if result.proved:
             oracles.check_proof(result.tree, bound)
         reference_memo, tables = {}, calculus._new_tables()
-        key = calculus._key(seq.gamma, seq.delta, tables[1])
+        key = calculus._key(seq.gamma, seq.delta)
         got = calculus._search(seq.gamma, seq.delta, bound, key, tables)
         assert got == oracles._search(seq.gamma, seq.delta, bound, reference_memo)
         assert_memo_matches_reference(tables, reference_memo)
@@ -599,7 +597,7 @@ class TestSearchBudget:
         assert prove(seq, bound, *ZERO) == ProofResult(False, 0, None, reason)
         (state,) = states
         if reason == SEARCH_BUDGET_EXCEEDED:
-            assert calculus.MAX_SEARCH_WORK < state[4] < calculus.MAX_SEARCH_WORK + 1000
+            assert calculus.MAX_SEARCH_WORK < state[3] < calculus.MAX_SEARCH_WORK + 1000
         else:
             # 1,088 entries; 71,144 and the whole budget when the root stop asked only the & polarities
             assert len(entries) < 2000
@@ -611,7 +609,7 @@ class TestSearchBudget:
         for seq, bound, work in ((WORST_C01, 7, 5002), (BANGED_SELF_CARRY, 64, 5011), (SPENT_TWICE, 64, 5021)):
             for _ in range(3):
                 assert prove(seq, bound, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
-                assert states[-1][4] == work
+                assert states[-1][3] == work
 
     def test_proved_once_keeps_a_budget_failure_for_its_bound_only(self, monkeypatch):
         seq, proofs = Sequent((A, B), (Tensor(A, B),)), {}
@@ -732,7 +730,7 @@ class _ProofOnlyOff(list):
     """A search state whose proof-only slot stays off."""
 
     def __setitem__(self, i, value):
-        super().__setitem__(i, False if i == 5 else value)
+        super().__setitem__(i, False if i == 4 else value)
 
 
 class TestProofOnlyMode:
@@ -746,7 +744,7 @@ class TestProofOnlyMode:
         new_tables, states = calculus._new_tables, recorded_states(monkeypatch)
         with_mode = [prove(*case) for case in cases]
         # 28 of the 96 searches go on past their root's first death, 13 of them among the largest
-        assert (len(states), sum(state[5] for state in states)) == (96, 28)
+        assert (len(states), sum(state[4] for state in states)) == (96, 28)
         monkeypatch.setattr(calculus, "_new_tables", lambda: _ProofOnlyOff(new_tables()))
         assert [prove(*case) for case in cases] == with_mode
 

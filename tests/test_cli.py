@@ -128,6 +128,20 @@ class TestProve:
             assert (gamma >= delta) == ("not proved: cost_invalid" not in lines)
             assert any(line.startswith("scaled: gamma=") for line in lines)
 
+    def test_scaled_line_does_not_depend_on_order(self, tmp_path, capsys):
+        # summed in written order, A, B, C printed 0.7845 and C, B, A 0.7845000000000001
+        path = tmp_path / "orders.eclc"
+        path.write_text(
+            "scenario coherence\nalpha = 0.75\ncost A = 0.1\ncost B = 0.2\ncost C = 0.3\n"
+            "world w1 { energy=10.0, kappa=0.41, lambda=4 }\n"
+            "sequent written w1 -> w1 : A, B, C |- C, B, A\nsequent reversed w1 -> w1 : C, B, A |- A, B, C\n"
+        )
+        scaled = []
+        for name in ("written", "reversed"):
+            main(["prove", str(path), "--sequent", name, "--world", "w1"])
+            scaled += [line for line in capsys.readouterr().out.splitlines() if line.startswith("scaled: ")]
+        assert scaled == ["scaled: gamma=0.7845000000000001 delta=0.7845000000000001 (kappa=0.41, alpha=0.75)"] * 2
+
     def test_depth_failure_exits_one(self, tmp_path, capsys):
         text = scenarios.read("coherence").replace(
             "world w1 { energy=92.0, kappa=0.0, lambda=8 }",
@@ -488,9 +502,9 @@ class TestSearchBudget:
         path.write_text(extreme_scenario_texts(12, 200)[75])
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         capsys.readouterr()
-        assert tried and max(state[4] for state in states) > calculus.MAX_SEARCH_WORK
+        assert tried and max(state[3] for state in states) > calculus.MAX_SEARCH_WORK
         for state in states:
-            assert tried.get(id(state), 0) <= state[4] <= calculus.MAX_SEARCH_WORK + 1000
+            assert tried.get(id(state), 0) <= state[3] <= calculus.MAX_SEARCH_WORK + 1000
 
     def test_hopeless_antecedents_spend_no_budget(self, tmp_path, capsys, monkeypatch):
         # a valid accessibility file whose lambda=64 world meets 288 balanced

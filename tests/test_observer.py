@@ -275,6 +275,13 @@ class TestObserverValuation:
         assert truth_at(frame, "w0", With(PHI, Atom("C")), unit_model, verdicts) == 0
         assert truth_at(frame, "w0", PHI, unit_model, verdicts) == 1
 
+    def test_zero_count_prop_is_not_held(self, unit_model):
+        # a World drops a zero count, so Phi neither holds nor balances Phi * Phi
+        frame = Frame([World("w0", 1.0, 0.0, 4, Counter({PHI: 0}))], [])
+        assert frame.worlds["w0"].props == Counter()
+        assert truth_at(frame, "w0", PHI, unit_model, {}) == 0
+        assert list(calculus._balanced(frame.worlds["w0"].props, Tensor(PHI, PHI))) == []
+
     @settings(max_examples=60, deadline=None)
     @given(shared_worlds(), st.sampled_from((0.0, 1.0)))
     def test_one_table_across_worlds_matches_reference(self, drawn, default_cost):
