@@ -140,15 +140,22 @@ def _cheapest_paths(frame: Frame, w: str) -> dict[str, tuple[int, float]]:
     """(fewest hops, then least summed deltaE) of a path from w to every
     world it reaches over accessible edges, each step gated by its own
     source world's energy; w maps to (0, 0.0).  The BFS dequeues a world
-    only after every world one hop closer, so its label is final by then."""
+    only after every world one hop closer, so its label is final by then.
+    It walks an out-edge index built per call, each source's edges in
+    declaration order, so it is O(V+E)."""
     frame.world(w)
+    out: dict[str, list] = {}
+    for (src, dst), delta_e in frame.edges.items():
+        out.setdefault(src, []).append((dst, delta_e))
     best = {w: (0, 0.0)}
     queue = deque([w])
     while queue:
         here = queue.popleft()
         hops, spent = best[here]
-        for dst, delta_e in frame.successors(here):
-            if not accessible(frame, here, dst):
+        energy = frame.worlds[here].energy
+        for dst, delta_e in out.get(here, ()):
+            frame.world(dst)  # an undeclared world raises, as in accessible
+            if not delta_e <= energy:
                 continue
             candidate = (hops + 1, spent + delta_e)
             if dst not in best:

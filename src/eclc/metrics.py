@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from operator import index
 from typing import NamedTuple
 
 from .formula import coherence
@@ -56,11 +57,12 @@ class ContingencyTable(_ContingencyTable):
 
 
 def persistence_score(gamma) -> float:
-    """Fraction of coherent formulas in the multiset; 1.0 when empty."""
-    items = list(gamma.elements()) if isinstance(gamma, Counter) else list(gamma)
-    if not items:
+    """Fraction of coherent formulas in the multiset; 1.0 when empty.  A
+    Counter holds each formula n times for a positive count n, as in ``elements()``."""
+    counts = [(phi, n) for phi, n in gamma.items() if index(n) > 0] if isinstance(gamma, Counter) else [(phi, 1) for phi in gamma]
+    if not counts:
         return 1.0
-    return sum(coherence(phi) for phi in items) / len(items)
+    return sum(coherence(phi) * n for phi, n in counts) / sum(n for _, n in counts)
 
 
 def shannon_entropy(bits) -> float:
@@ -128,8 +130,10 @@ def fisher_exact_two_tailed(table: ContingencyTable) -> float:
     lo = max(0, row1 - (total - col1))
     hi = min(row1, col1)
 
+    ln_margin = _ln_comb(total, row1)
+
     def log_prob(x: int) -> float:
-        return _ln_comb(col1, x) + _ln_comb(total - col1, row1 - x) - _ln_comb(total, row1)
+        return _ln_comb(col1, x) + _ln_comb(total - col1, row1 - x) - ln_margin
 
     observed = math.exp(log_prob(table.a))
     cutoff = observed * (1.0 + FISHER_TIE_RTOL)

@@ -304,8 +304,9 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
     curvature-scaled carry cost stays within that world's inference
     capacity; past that point it is decohered.  Access is the fraction
     of observers for which the proposition is visible and provable.
-    Visibility comes from one BFS per observer home; truth at a world is
-    computed once per row and shared by every observer that sees it."""
+    Visibility comes from one BFS per observer home, paired once per run
+    with each observer's horizon; truth at a world is computed once per
+    row and shared by every observer that sees it."""
     _require_kind(config, "accessibility")
     frame = config.frame.copy()
     order = chain_order(frame)
@@ -321,19 +322,20 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
     # The run changes only props, never energies or edges, so the hop
     # distances from each home hold for the whole run.
     distances = {home: hop_distances(frame, home) for home in dict.fromkeys(o.home for o in config.observers)}
+    sights = [(distances[o.home], o.horizon) for o in config.observers]
 
     proofs, verdicts = {}, {}
     rows = []
     cumulative = 0.0
-    alive = True
+    carried, alive = phi, True  # phi is decohered once, where it dies
     for position, wid in enumerate(order):
         world = frame.world(wid)
         if position > 0:
             cumulative += curvature_cost(phi, model, world.kappa)
             if alive and cumulative > world.lam:
-                alive = False
-            world.props[phi if alive else decohere(phi)] += 1
-        seen = [distances[o.home].get(wid, o.horizon + 1) <= o.horizon for o in config.observers]
+                alive, carried = False, decohere(phi)
+            world.props[carried] += 1
+        seen = [wid in dist and dist[wid] <= horizon for dist, horizon in sights]
         truth = truth_at(frame, wid, phi, model, verdicts) if any(seen) else 0
         bits = [truth if sees else 0 for sees in seen]
         depths = [_self_carry(phi, world, model, proofs).depth] if alive else []
@@ -427,11 +429,18 @@ def trials_csv(report: ScenarioReport) -> str:
 def _write_in_place(path: Path, text: str) -> None:
     """``path.write_text(text, encoding="utf-8")``, but over the old bytes
     and then cut to length: truncating a file to zero first makes ext4
-    start writeback on close, which costs more than the write."""
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666), "w", encoding="utf-8") as f:
-        f.write(text)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a device or a pipe cannot be cut
-            f.truncate()
+    start writeback on close, which costs more than the write.  The bytes
+    (newlines as text mode writes them) go out by ``os.write`` calls."""
+    data = text.replace("\n", os.linesep).encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # a device or a pipe cannot be cut
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_report(report: ScenarioReport, out_dir, fmt: str = "both") -> list[Path]:

@@ -71,6 +71,20 @@ def small_frames(draw, max_worlds: int = 8):
     return Frame(worlds, edges)
 
 
+@st.composite
+def tangled_frames(draw, max_worlds: int = 6):
+    """Frames whose edges are declared in shuffled order, not grouped by
+    source, with several out-edges per world and self-loops.  Energies
+    and deltaE come from small sets, so many edges cost more than their
+    source can pay and equal-hop paths differ in summed deltaE."""
+    ids = [f"w{i}" for i in range(draw(st.integers(min_value=1, max_value=max_worlds)))]
+    worlds = [World(wid, draw(st.sampled_from((0.0, 0.5, 3.0, 8.0))), 0.0, 1) for wid in ids]
+    pairs = draw(st.permutations([(src, dst) for src in ids for dst in ids]))
+    kept = pairs[: draw(st.integers(min_value=0, max_value=len(pairs)))]
+    deltas = st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.7, 2.5, 6.0))
+    return Frame(worlds, [(src, dst, draw(deltas)) for src, dst in kept])
+
+
 def random_formula(rng: random.Random, depth: int = 2):
     if depth == 0 or rng.random() < 0.4:
         name = rng.choice(["A", "B", "C", "E", "Phi", "Token"])

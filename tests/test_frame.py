@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from eclc import (
@@ -20,7 +20,7 @@ from eclc import (
     hop_distances,
     path_cost,
 )
-from gen import small_frames
+from gen import small_frames, tangled_frames
 
 from oracles import brute_force_hop_distance, brute_force_path_costs
 
@@ -216,6 +216,38 @@ class TestPathCost:
                     assert path_cost(frame, src, dst) == PathCost(hops, spent)
                     alternatives += len({s for h, s in costs if h == hops}) > 1
         assert alternatives > 20  # pairs with equal-hop paths of different deltaE
+
+
+class TestIndexedSearch:
+    """The BFS walks an out-edge index; on frames declared out of source
+    order, with self-loops and energy-gated edges, it agrees with
+    exhaustive enumeration of simple paths."""
+
+    @settings(max_examples=200)
+    @given(tangled_frames())
+    def test_matches_brute_force(self, frame):
+        ids = list(frame.worlds)
+        for src in ids:
+            distances = hop_distances(frame, src)
+            assert set(distances) <= set(ids)
+            for dst in ids:
+                hops = brute_force_hop_distance(frame, src, dst)
+                assert hop_distance(frame, src, dst) == distances.get(dst) == hops
+                costs = brute_force_path_costs(frame, src, dst)
+                if costs:
+                    assert min(costs)[0] == hops and path_cost(frame, src, dst) == PathCost(*min(costs))
+                else:
+                    assert hops is None and path_cost(frame, src, dst) is None
+
+    @pytest.mark.parametrize("delta_e", [0.5, 50.0])
+    def test_edge_added_to_undeclared_world_raises(self, delta_e):
+        # checked before the source's energy gates the edge, as accessible does
+        frame = chain()
+        frame.edges[("w1", "ghost")] = delta_e
+        for search in (lambda: hop_distances(frame, "w0"), lambda: path_cost(frame, "w0", "w2")):
+            with pytest.raises(UnknownWorldError, match="unknown world 'ghost'"):
+                search()
+        assert hop_distances(frame, "w2") == {"w2": 0}  # no search reaches w1
 
 
 class TestFrameValidation:

@@ -2,7 +2,7 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from eclc import (
@@ -15,6 +15,8 @@ from eclc import (
     persistence_score,
     shannon_entropy,
 )
+from eclc.formula import coherence
+from gen import formulas
 
 import oracles
 
@@ -50,6 +52,23 @@ class TestPersistenceScore:
         score = persistence_score(gamma)
         assert 0.0 <= score <= 1.0
         assert (score == 1.0) == all(flags)
+
+    @given(st.lists(st.tuples(formulas(3), st.integers(min_value=-3, max_value=5))).map(lambda pairs: Counter(dict(pairs))))
+    @example(Counter({Atom("A"): 0, Atom("B", (), False): -2}))
+    @example(Counter({Atom("A"): -1, Atom("B", (), False): 2, Atom("C"): 3}))
+    def test_counter_counts_its_elements(self, gamma):
+        # zero and negative counts are skipped, as elements() skips them
+        items = list(gamma.elements())
+        want = sum(map(coherence, items)) / len(items) if items else 1.0
+        assert persistence_score(gamma) == want
+
+    @pytest.mark.parametrize("count", [1.5, -1.5, 2.0])
+    def test_non_integer_count_raises_as_elements_does(self, count):
+        gamma = Counter({Atom("A"): 1, Atom("B"): count})
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            list(gamma.elements())
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            persistence_score(gamma)
 
 
 class TestShannonEntropy:

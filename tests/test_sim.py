@@ -884,6 +884,27 @@ COLLIDING_TRIALS = ScenarioReport(
 )
 
 
+class TestWriteInPlace:
+    TEXT = "{\n  \"w\u00e9\": [1, 2]\n}\n" * 500
+
+    def test_bytes_match_a_text_mode_write(self, tmp_path):
+        # newlines as text mode writes them, so os.linesep where it is not \n
+        sim._write_in_place(tmp_path / "fast", self.TEXT)
+        with open(tmp_path / "text", "w", encoding="utf-8") as f:
+            f.write(self.TEXT)
+        assert (tmp_path / "fast").read_bytes() == (tmp_path / "text").read_bytes()
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"x" * 100_000)
+        write = sim.os.write
+        monkeypatch.setattr(sim.os, "write", lambda fd, data: write(fd, data[:7]))
+        sim._write_in_place(path, self.TEXT)
+        monkeypatch.undo()
+        sim._write_in_place(tmp_path / "whole", self.TEXT)
+        assert path.read_bytes() == (tmp_path / "whole").read_bytes()
+
+
 class TestReportWriter:
     """``report_to_json`` writes the bytes of ``json.dumps(doc, indent=2)``
     with non-finite floats as null (``oracles.reference_report_json``), and
