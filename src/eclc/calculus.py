@@ -24,6 +24,7 @@ from .formula import (
     Lolli,
     Tensor,
     With,
+    _Checked,
     _check_count,
     _check_real,
     base_cost,
@@ -37,6 +38,9 @@ NO_RULE_APPLIES = "no_rule_applies"
 COST_INVALID = "cost_invalid"
 SEARCH_BUDGET_EXCEEDED = "search_budget_exceeded"
 MAX_SEARCH_WORK = 1_000_000  # len(gamma) + len(delta) per entry past the axiom check, 1 per application tried, len(side) per split
+# Largest depth bound, and so world capacity.  Proof search recurses once per depth level,
+# so this leaves a dsl.MAX_FORMULA_NODES-deep formula walk room under the limit.
+MAX_LAMBDA = 500
 MAX_ANTECEDENT = 3  # formulas per antecedent multiset that _balanced yields, so valuations stay decidable
 
 # memo sentinel for refutations that hold at any depth
@@ -60,7 +64,7 @@ class _Sequent(NamedTuple):
     delta: tuple[Formula, ...]
 
 
-class Sequent(_Sequent):
+class Sequent(_Checked, _Sequent):
     """Judgment gamma |- delta over formula multisets.
 
     Both sides preserve order and multiplicity as given; proof search
@@ -68,7 +72,6 @@ class Sequent(_Sequent):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, gamma, delta) -> Sequent:
         return tuple.__new__(cls, (tuple(gamma), tuple(delta)))
@@ -93,9 +96,8 @@ class _ProofResult(NamedTuple):
     failure_reason: str | None
 
 
-class ProofResult(_ProofResult):
+class ProofResult(_Checked, _ProofResult):
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, proved: bool, depth: int, tree: ProofTree | None, failure_reason: str | None) -> ProofResult:
         if proved != (tree is not None):
@@ -530,11 +532,13 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
     root left open gets a search state (``_new_tables``), seeded with its side tallies.
     Its search stops at its first death if ``_hopeless`` says no depth proves it, and
     otherwise looks only for a proof from then on (``_search``'s proof-only mode).
-    Failure is a value, never an exception: past MAX_SEARCH_WORK units, at any bound,
-    it is ``search_budget_exceeded``.  The first proof found in the fixed rule order
-    is returned.  ``kappa`` is validated, never read.
+    Failure is a value, never an exception: past MAX_SEARCH_WORK units, at any bound up to
+    ``MAX_LAMBDA`` (500), it is ``search_budget_exceeded``; a larger bound raises ``ValueError``.
+    The first proof found in the fixed rule order is returned.  ``kappa`` is validated, never read.
     """
     _check_count(depth_bound, 1, "depth_bound")
+    if depth_bound > MAX_LAMBDA:
+        raise ValueError(f"depth_bound must be at most {MAX_LAMBDA}, got {depth_bound}")
     if not cost_valid(seq, model, kappa):
         return ProofResult(False, 0, None, COST_INVALID)
     tree, died = None, False

@@ -42,7 +42,7 @@ import math
 import re
 from typing import NamedTuple
 
-from .calculus import Sequent, format_sequent
+from .calculus import MAX_LAMBDA, Sequent, format_sequent
 from .formula import (
     BINARY_SYNTAX,
     CLASSICAL_ATOMS,
@@ -69,10 +69,6 @@ MAX_FORMULA_NODES = 200
 # Most trials one run may make.  A reciprocity trial takes about a third
 # of a millisecond, so the bound keeps a run to tens of seconds.
 MAX_TRIALS = 100_000
-
-# Largest world capacity.  Proof search recurses once per depth level, so
-# this leaves a MAX_FORMULA_NODES-deep formula walk room under the limit.
-MAX_LAMBDA = 500
 
 # Largest jitter amplitude; it keeps noise * lambda a finite float, and at
 # 100 a measurement already fails with probability above 0.99.

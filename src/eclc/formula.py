@@ -182,13 +182,20 @@ def decohere(phi: Formula) -> Formula:
     return Diamond(phi.budget, decohere(phi.inner))
 
 
+class _Checked(tuple):
+    """First base of each record that checks its fields in ``__new__``, so its ``_replace`` runs the checks."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))
+
+
 class _CostModel(NamedTuple):
     atom_costs: dict[str, float]
     default_cost: float
     alpha: float
 
 
-class CostModel(_CostModel):
+class CostModel(_Checked, _CostModel):
     """Per-atom base costs plus the curvature coupling constant alpha.
 
     Unknown atoms fall back to ``default_cost`` so scenario files need
@@ -196,7 +203,6 @@ class CostModel(_CostModel):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, atom_costs, default_cost: float = 1.0, alpha: float = 1.0) -> CostModel:
         costs = dict(atom_costs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import NamedTuple
 
-from .formula import Diamond, Formula, _check_count, _check_ident, _check_real
+from .formula import Diamond, Formula, _Checked, _check_count, _check_ident, _check_real
 
 
 class UnknownWorldError(Exception):
@@ -54,11 +54,10 @@ class _PathCost(NamedTuple):
     total_delta_e: float
 
 
-class PathCost(_PathCost):
+class PathCost(_Checked, _PathCost):
     """Hop count and summed deltaE of a feasible directed path."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, hops: int, total_delta_e: float) -> PathCost:
         if hops < 0 or total_delta_e < 0:
@@ -89,13 +88,6 @@ class Frame:
         except KeyError:
             raise UnknownWorldError(f"unknown world {world_id!r}") from None
 
-    def successors(self, world_id: str):
-        """Yield (target id, deltaE) pairs in edge declaration order."""
-        self.world(world_id)
-        for (src, dst), delta_e in self.edges.items():
-            if src == world_id:
-                yield dst, delta_e
-
     def copy(self) -> "Frame":
         dup = Frame.__new__(Frame)
         dup.worlds = {wid: world.copy() for wid, world in self.worlds.items()}
@@ -121,9 +113,10 @@ def accessible(frame: Frame, w: str, w_prime: str) -> bool:
 
 def eval_diamond(frame: Frame, w: str, phi: Formula, budget: float) -> bool:
     """True iff some accessible successor holds ``phi`` (syntactic
-    membership) over an edge whose deltaE is within ``budget``."""
-    for dst, delta_e in frame.successors(w):
-        if delta_e <= budget and accessible(frame, w, dst) and phi in frame.world(dst).props:
+    membership) over an edge whose deltaE is within ``budget``, tried in declaration order."""
+    frame.world(w)
+    for (src, dst), delta_e in frame.edges.items():
+        if src == w and delta_e <= budget and accessible(frame, w, dst) and phi in frame.world(dst).props:
             return True
     return False
 

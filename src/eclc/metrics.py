@@ -12,7 +12,7 @@ from collections import Counter
 from operator import index
 from typing import NamedTuple
 
-from .formula import coherence
+from .formula import _Checked, coherence
 
 # Relative tolerance when comparing table probabilities for tail
 # membership; guards against floating-point equality failures on ties.
@@ -24,9 +24,8 @@ class _FitResult(NamedTuple):
     r_squared: float
 
 
-class FitResult(_FitResult):
+class FitResult(_Checked, _FitResult):
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, rate: float, r_squared: float) -> FitResult:
         if r_squared > 1.0:
@@ -41,11 +40,10 @@ class _ContingencyTable(NamedTuple):
     d: int
 
 
-class ContingencyTable(_ContingencyTable):
+class ContingencyTable(_Checked, _ContingencyTable):
     """2x2 table [[a, b], [c, d]] of nonnegative counts."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, a: int, b: int, c: int, d: int) -> ContingencyTable:
         cells = (a, b, c, d)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .calculus import _NO_DEPTH_LIMIT, SEARCH_BUDGET_EXCEEDED, PreconditionError, Sequent, _balanced, _hopeless, prove
-from .formula import CostModel, Formula, _check_count, _check_ident
+from .formula import CostModel, Formula, _Checked, _check_count, _check_ident
 from .frame import Frame, accessible, hop_distance
 
 PRESERVED = "preserved"
@@ -27,9 +27,8 @@ class _Observer(NamedTuple):
     horizon: int
 
 
-class Observer(_Observer):
+class Observer(_Checked, _Observer):
     __slots__ = ()
-    _make = classmethod(lambda cls, values: cls(*values))  # so _replace runs the checks
 
     def __new__(cls, id: str, home: str, horizon: int) -> Observer:
         _check_ident(id, "observer id")

@@ -642,6 +642,39 @@ class TestSearchBudget:
         assert truth_at(frame, "w", phi, ZERO[0], verdicts) == truth_at(frame, "w", phi, ZERO[0], {}) == 1
 
 
+class TestDepthBound:
+    """``prove`` refuses a bound above MAX_LAMBDA before any search, since the
+    search recurses once per level: under the default recursion limit of 1000,
+    every bound from 996 up would end in RecursionError.  Its callers reach the
+    bound through it, so they raise the same error."""
+
+    BANGED = Sequent((Bang(A),), (Bang(A),))
+
+    @pytest.mark.parametrize("bound", [calculus.MAX_LAMBDA + 1, 996])
+    def test_prove_rejects_a_bound_past_max_lambda(self, bound):
+        with pytest.raises(ValueError) as caught:
+            prove(self.BANGED, bound, *ZERO)
+        assert str(caught.value) == f"depth_bound must be at most 500, got {bound}"
+
+    def test_transition_on_a_deep_world_raises_and_changes_nothing(self):
+        frame = Frame([World("w0", 1.0, 0.0, 1500, [Bang(A)]), World("w1", 1.0, 0.0, 1)], [("w0", "w1", 0.0)])
+        before = snapshot(frame)
+        with pytest.raises(ValueError) as caught:
+            transition(frame, "w0", "w1", self.BANGED, ZERO[0])
+        assert str(caught.value) == "depth_bound must be at most 500, got 1500"
+        assert snapshot(frame) == before
+
+    def test_proved_once_raises_and_keeps_nothing(self):
+        # a proof kept at a lower bound answers no bound above it
+        proofs = {}
+        assert proved_once(self.BANGED, 6, ZERO[0], proofs).proved
+        kept = dict(proofs)
+        with pytest.raises(ValueError) as caught:
+            proved_once(self.BANGED, 501, ZERO[0], proofs)
+        assert str(caught.value) == "depth_bound must be at most 500, got 501"
+        assert proofs == kept
+
+
 # &-rich members, and members over A and B, bare or banged, whose copies the counted check weighs
 ab_formulas = st.recursive(
     st.sampled_from([A, B]), lambda kids: st.builds(Tensor, kids, kids) | st.builds(Lolli, kids, kids), max_leaves=3

@@ -947,6 +947,10 @@ class TestOtherInterpreters:
         commands = list(BUNDLED_RUNS)
         commands += [["run", reciprocity, "--seed", str(seed), "--out", "{out}"] for seed in range(5)]
         commands += [["run", str(noisy), "--trials", "300", "--out", "{out}"]]
+        # and a sample of the extreme files: four accessibility, one coherence, one reciprocity
+        for i, text in enumerate(extreme_scenario_texts(10, 6)):
+            (tmp_path / f"extreme{i}.eclc").write_text(text)
+            commands.append(["run", str(tmp_path / f"extreme{i}.eclc"), "--out", "{out}"])
         expected = eclc_outputs(commands, tmp_path / "here")
         assert [code for code, _ in expected[0]] == [0] * len(commands)
         for i, python in enumerate(pythons):

@@ -111,6 +111,33 @@ class TestEvalDiamond:
             if eval_diamond(frame, src, PHI, budget):
                 assert eval_diamond(frame, src, PHI, budget + extra)
 
+    @settings(max_examples=200)
+    @given(tangled_frames(), st.data())
+    def test_matches_brute_force_over_tangled_frames(self, frame, data):
+        ids = list(frame.worlds)
+        for wid in data.draw(st.sets(st.sampled_from(ids))):
+            frame.worlds[wid].props[PHI] += 1
+        for budget in {0.0, 1e300, *frame.edges.values()}:
+            for w in ids:
+                expected = any(
+                    src == w and d <= budget and d <= frame.worlds[w].energy and PHI in frame.worlds[dst].props
+                    for (src, dst), d in frame.edges.items()
+                )
+                assert eval_diamond(frame, w, PHI, budget) is expected
+
+    def test_edge_added_to_undeclared_world(self):
+        # edges are tried in declaration order, and a target is looked up
+        # only once its edge's deltaE fits the budget
+        frame = chain(deltas=(2.0, 2.0))
+        frame.edges[("w0", "ghost")] = 0.5
+        with pytest.raises(UnknownWorldError, match="unknown world 'ghost'"):
+            eval_diamond(frame, "w0", PHI, 1.0)
+        assert eval_diamond(frame, "w0", PHI, 0.25) is False
+        frame.worlds["w1"].props[PHI] += 1
+        assert eval_diamond(frame, "w0", PHI, 3.0) is True  # w0 -> w1 holds PHI before the ghost edge is tried
+        with pytest.raises(UnknownWorldError, match="unknown world 'zz'"):
+            eval_diamond(frame, "zz", PHI, 3.0)
+
 
 class TestEvalProp:
     def test_membership(self):

@@ -247,8 +247,8 @@ def test_replace_gives_the_constructed_record(name):
 
 
 def test_sequent_replace_makes_tuples():
-    seq = Sequent((), ())._replace(gamma=[A], delta=iter([B]))
-    assert seq == Sequent((A,), (B,)) and type(seq.gamma) is tuple and type(seq.delta) is tuple
+    for seq in (Sequent((), ())._replace(gamma=[A], delta=iter([B])), Sequent._make([[A], iter([B])])):
+        assert seq == Sequent((A,), (B,)) and type(seq.gamma) is tuple and type(seq.delta) is tuple
 
 
 # _replace builds its copy through the constructor, so a checked record
@@ -270,6 +270,25 @@ REPLACE_MESSAGES = [
 
 @pytest.mark.parametrize("name, make, message", REPLACE_MESSAGES, ids=[f"{n}: {m}" for n, _, m in REPLACE_MESSAGES])
 def test_replace_runs_the_checks(name, make, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+# _replace goes through _make, which each checked record takes from one
+# base: a record that lost it would build from the values unchecked
+MAKE_MESSAGES = [
+    ("ProofResult", lambda: ProofResult._make([True, 1, None, None]), "tree must be present iff proved"),
+    ("CostModel", lambda: CostModel._make(({}, 1.0, -1.0)), "alpha must be finite and > 0, got -1.0"),
+    ("PathCost", lambda: PathCost._make((-1, 1.5)), "path cost components must be >= 0"),
+    ("FitResult", lambda: FitResult._make((0.5, 1.5)), "r_squared cannot exceed 1, got 1.5"),
+    ("ContingencyTable", lambda: ContingencyTable._make(iter([1, -1, 3, 4])), "cells must be nonnegative integers, got (1, -1, 3, 4)"),
+    ("Observer", lambda: Observer._make(("o", "w0", -1)), "horizon must be an integer >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("name, make, message", MAKE_MESSAGES, ids=[f"{n}: {m}" for n, _, m in MAKE_MESSAGES])
+def test_make_runs_the_checks(name, make, message):
     with pytest.raises(ValueError, match=re.escape(message)) as caught:
         make()
     assert str(caught.value) == message
