@@ -85,8 +85,11 @@ class ProofTree(NamedTuple):
     premises: tuple["ProofTree", ...] = ()
 
     @property
-    def height(self) -> int:
-        return 1 + max((p.height for p in self.premises), default=0)
+    def height(self) -> int:  # level by level, so a tall tree stays under the recursion limit
+        level, height = [self], 0
+        while level:
+            level, height = [p for node in level for p in node.premises], height + 1
+        return height
 
 
 class _ProofResult(NamedTuple):
@@ -464,7 +467,22 @@ def _hopeless(gamma, delta) -> bool:
     return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
 
 
-def _search(gamma, delta, remaining, key, tables, root=False):
+def _fails(gamma, delta, remaining, key, tables) -> bool | None:
+    """The memoized died bit of a goal the tally refutes or, in proof-only mode, too wide for ``remaining`` levels; else None."""
+    tallies = tables[1]
+    if _refuted(
+        tallies.get(key[0]) or tallies.setdefault(key[0], _tally(gamma)),
+        tallies.get(key[1]) or tallies.setdefault(key[1], _tally(delta)),
+    ):
+        tables[2][key] = (_NO_DEPTH_LIMIT, False)
+        return False
+    if tables[4] and len(gamma) + len(delta) > 2 ** (remaining - 1) + 1:
+        tables[2][key] = (remaining, True)
+        return True
+    return None
+
+
+def _search(gamma, delta, remaining, key, tables, spine=False, root=False):
     """Depth-first backward search; returns (tree or None, died_to_depth).
 
     Entered on a memo miss only: the caller probes the memo in ``tables``, the
@@ -477,49 +495,49 @@ def _search(gamma, delta, remaining, key, tables, root=False):
     A death fixes the answer, and two goals stop at their first: the ``root``, if no
     depth proves it (``_hopeless``, asked then, once), and a goal with two levels left
     and more than three formulas, which has no height-2 proof (its premises would all be axioms).
-    The second skips only level-1 premises, which any later probe recomputes alike;
-    no other subgoal stops before the root dies, as that would leave part of its subtree out of the memo.
-    A root that goes on turns on proof-only mode (``tables[4]``): only a proof can change
-    its result now, so no died bit is read again, and a goal the tally passes fails at once
-    past 2**(remaining - 1) + 1 formulas, as no proof of that height concludes more (an axiom
-    holds 2, a one-premise rule adds at most 1, tensor-right and lolli-left n1 + n2 - 1)."""
+    The second skips only level-1 premises, which any later probe recomputes alike; no other
+    subgoal stops before proof-only mode, as that would leave part of its subtree out of the memo.
+    The first death of a goal on the ``spine`` (the root, and the last premise of a spine goal's
+    rule: its only one, or the second of tensor-right, lolli-left or with-right) turns that mode on
+    (``tables[4]``): that goal now ends in a proof or a death, so its parent does, and so the root,
+    whose result only a proof can change.  A goal the tally passes then fails at once past
+    2**(remaining - 1) + 1 formulas, as no proof of that height concludes more (an axiom holds 2,
+    a one-premise rule adds at most 1, tensor-right and lolli-left n1 + n2 - 1), and an application
+    whose second premise fails so (``_fails``) or is memoized failed skips its first premise."""
     if len(gamma) == 1 == len(delta) and (axiom := _is_axiom(gamma, delta)) is not None:
         return ProofTree(axiom, Sequent(gamma, delta)), False
     tables[3] += len(gamma) + len(delta)
     if tables[3] > MAX_SEARCH_WORK:
         raise _SearchBudgetExceeded
-    tallies, memo = tables[1], tables[2]
-    if _refuted(
-        tallies.get(key[0]) or tallies.setdefault(key[0], _tally(gamma)),
-        tallies.get(key[1]) or tallies.setdefault(key[1], _tally(delta)),
-    ):
-        memo[key] = (_NO_DEPTH_LIMIT, False)
-        return None, False
-    if tables[4] and len(gamma) + len(delta) > 2 ** (remaining - 1) + 1:
-        memo[key] = (remaining, True)
-        return None, True
+    if (failed := _fails(gamma, delta, remaining, key, tables)) is not None:
+        return None, failed
+    memo = tables[2]
     died = remaining == 1 and _applicable(gamma, delta)
     for rule, g, d, k, g2, d2 in _applications(gamma, delta, key, tables) if remaining > 1 else ():
         tables[3] += 1
         if tables[3] > MAX_SEARCH_WORK:
             raise _SearchBudgetExceeded
-        subtrees = ()
+        subtrees, k2 = (), None
         while True:
             hit = memo.get(k)
             if hit is not None and hit[0] >= remaining - 1:
                 died = died or hit[1]
                 break
-            tree, sub_died = _search(g, d, remaining - 1, k, tables)
+            if tables[4] and g2 is not None:  # a failed second premise makes the first one moot
+                hit = memo.get(k2 := _key(g2, d2))
+                if hit is not None and hit[0] >= remaining - 1 or _fails(g2, d2, remaining - 1, k2, tables) is not None:
+                    break
+            tree, sub_died = _search(g, d, remaining - 1, k, tables, spine and g2 is None)
             if tree is None:
                 died = died or sub_died
                 break
             subtrees += (tree,)
             if g2 is None:
                 return ProofTree(rule, Sequent(gamma, delta), subtrees), False
-            g, d, k, g2 = g2, d2, _key(g2, d2), None
+            g, d, k, g2 = g2, d2, k2 or _key(g2, d2), None
         if died and (remaining == 2 and len(gamma) + len(delta) > 3 or root and _hopeless(gamma, delta)):
             break
-        if root and died:
+        if spine and died:
             root, tables[4] = False, True
     memo[key] = (remaining, died)
     return None, died
@@ -530,8 +548,8 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
 
     The cost gate, an axiom or a refutation settles the root where it can; only a
     root left open gets a search state (``_new_tables``), seeded with its side tallies.
-    Its search stops at its first death if ``_hopeless`` says no depth proves it, and
-    otherwise looks only for a proof from then on (``_search``'s proof-only mode).
+    Its search stops at its first death if ``_hopeless`` says no depth proves it, and looks
+    only for a proof once a goal on its last-premise spine has died (``_search``'s proof-only mode).
     Failure is a value, never an exception: past MAX_SEARCH_WORK units, at any bound up to
     ``MAX_LAMBDA`` (500), it is ``search_budget_exceeded``; a larger bound raises ``ValueError``.
     The first proof found in the fixed rule order is returned.  ``kappa`` is validated, never read.
@@ -548,7 +566,7 @@ def prove(seq: Sequent, depth_bound: int, model: CostModel, kappa: float) -> Pro
         tables = _new_tables()
         tables[1].update(zip(key := _key(seq.gamma, seq.delta), sides))
         try:
-            tree, died = _search(seq.gamma, seq.delta, depth_bound, key, tables, True)
+            tree, died = _search(seq.gamma, seq.delta, depth_bound, key, tables, True, True)
         except _SearchBudgetExceeded:
             return ProofResult(False, 0, None, SEARCH_BUDGET_EXCEEDED)
     if tree is not None:

@@ -345,6 +345,19 @@ WORST_C01 = Sequent(
 )
 
 
+def parse_sequent(text):
+    gamma, delta = (side.split(", ") if side else [] for side in text.split(" |- "))
+    return Sequent(map(parse_formula, gamma), map(parse_formula, delta))
+
+
+# goals that end depth_exceeded, and no_rule_applies in a search that turns on
+# proof-only mode at the death of a first premise of a two-premise rule
+DIES_OFF_THE_SPINE = [
+    (parse_sequent("Quantum(q), (!B & A * Quantum(q)) * C |- C * A, B & C -o A * Quantum(q)"), 7),
+    (parse_sequent("A & A, !A * A & <1.5>Classical(q) * (C * A) |- C, B & B, A * !(A & B)"), 5),
+]
+
+
 def assert_memo_matches_reference(tables, reference_memo):
     """Each memo entry the search wrote equals the reference search's entry for its key, a
     canon pair in both, died bits included.  A reference key the search lacks holds a level-1
@@ -377,6 +390,8 @@ class TestSearchDifferential:
     # pool roots whose two-level goals of more than three formulas stop at their first death
     @example(POOL_CASES[2179][0], 5, POOL_CASES[2179][2:])
     @example(POOL_CASES[732][0], 5, POOL_CASES[732][2:])
+    @example(*DIES_OFF_THE_SPINE[0], ZERO)
+    @example(*DIES_OFF_THE_SPINE[1], ZERO)
     def test_same_results_as_reference_search(self, seq, bound, cost):
         model, kappa = cost
         assert (result := prove(seq, bound, model, kappa)) == oracles.reference_prove(seq, bound, model, kappa)
@@ -444,9 +459,9 @@ class TestSearchDifferential:
         entries = []
         search = calculus._search
 
-        def recording_search(gamma, delta, remaining, key, tables):
+        def recording_search(gamma, delta, remaining, key, tables, spine=False):
             entries.append((gamma, delta, key))
-            return search(gamma, delta, remaining, key, tables)
+            return search(gamma, delta, remaining, key, tables, spine)
 
         tables = calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta)
@@ -536,8 +551,9 @@ class TestFirstCopyOnly:
         monkeypatch.setattr(calculus, "_applications", counting_applications)
         result = prove(Sequent((BANGED_PAIR,), (BANGED_PAIR,)), 32, *ZERO)
         assert result.proved and result.depth == 32
-        # 7,466 before two-level goals of more than three formulas stopped at their first death
-        assert entries == 6897
+        # 6,897 when only the root's death turned on proof-only mode, 7,466 before
+        # two-level goals of more than three formulas stopped at their first death
+        assert entries == 4625
         assert applications <= 31_000
 
     @settings(max_examples=150, deadline=None)
@@ -605,8 +621,9 @@ class TestSearchBudget:
     def test_a_search_stops_at_the_same_slot_count(self, monkeypatch):
         monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 5000)
         states = recorded_states(monkeypatch)
-        # WORST_C01's root dies early, and the goals its proof-only mode skips move its stop from 5,005
-        for seq, bound, work in ((WORST_C01, 7, 5002), (BANGED_SELF_CARRY, 64, 5011), (SPENT_TWICE, 64, 5021)):
+        # proof-only mode moves the first two stops: from 5,005 and 5,011 without it, from 5,002
+        # and 5,011 when only the root's death turned it on
+        for seq, bound, work in ((WORST_C01, 7, 5012), (BANGED_SELF_CARRY, 64, 5012), (SPENT_TWICE, 64, 5021)):
             for _ in range(3):
                 assert prove(seq, bound, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
                 assert states[-1][3] == work
@@ -751,8 +768,9 @@ class TestTwoLevelStop:
         monkeypatch.setattr(calculus, "_search", lambda *args: entries.append(1) or search(*args))
         seq, bound, model, kappa = POOL_CASES[2179]
         assert POOL.proof_record(prove(seq, bound, model, kappa)) == "D0"
-        # 2,087 entries before proof-only mode, 5,658 when every two-level goal tried all its applications
-        assert len(entries) == 850
+        # 850 when only the root's death turned on proof-only mode, 2,087 before that mode,
+        # 5,658 when every two-level goal tried all its applications
+        assert len(entries) == 344
 
 
 # the 14 pool cases whose searches made the most entries without proof-only mode, largest first
@@ -767,8 +785,18 @@ class _ProofOnlyOff(list):
 
 
 class TestProofOnlyMode:
-    """Once the root has died and ``_hopeless`` lets it go on, only a proof can change the
-    result, and skipping goals that no proof of their height concludes loses none."""
+    """Once a goal on the last-premise spine has died, only a proof can change the root's
+    result, and skipping goals that no proof of their height concludes, or applications
+    whose second premise fails, loses none."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_sequents(), st.integers(1, 7), st.sampled_from([ZERO, COSTED]))
+    @example(*DIES_OFF_THE_SPINE[0], ZERO)
+    @example(*DIES_OFF_THE_SPINE[1], ZERO)
+    def test_same_results_as_with_the_mode_off(self, seq, bound, cost):
+        result, new_tables = prove(seq, bound, *cost), calculus._new_tables
+        with mock.patch.object(calculus, "_new_tables", lambda: _ProofOnlyOff(new_tables())):
+            assert prove(seq, bound, *cost) == result  # trees and reasons included
 
     def test_same_results_without_the_mode(self, monkeypatch):
         builder = POOL.Builder()
@@ -776,8 +804,8 @@ class TestProofOnlyMode:
         cases = [POOL.corpus_case(builder, case) for case in every_25th + LARGEST_WITHOUT_PROOF_ONLY]
         new_tables, states = calculus._new_tables, recorded_states(monkeypatch)
         with_mode = [prove(*case) for case in cases]
-        # 28 of the 96 searches go on past their root's first death, 13 of them among the largest
-        assert (len(states), sum(state[4] for state in states)) == (96, 28)
+        # 39 of the 96 searches go on past a spine goal's first death; 28 when only the root's counted
+        assert (len(states), sum(state[4] for state in states)) == (96, 39)
         monkeypatch.setattr(calculus, "_new_tables", lambda: _ProofOnlyOff(new_tables()))
         assert [prove(*case) for case in cases] == with_mode
 

@@ -14,9 +14,11 @@ import pytest
 
 import eclc
 from eclc import calculus, cli, observer, parse_scenario, scenarios, serialize_scenario, sim
+from eclc.calculus import format_sequent
 from eclc.cli import main
 from eclc.sim import ScenarioError, run_scenario, write_report
 from gen import extreme_scenario_texts, random_config
+from oracles import check_proof
 from test_report_pins import accessibility_text
 
 SRC = str(Path(eclc.__file__).resolve().parents[1])
@@ -523,6 +525,29 @@ class TestSearchBudget:
         capsys.readouterr()
         assert reasons and calculus.SEARCH_BUDGET_EXCEEDED not in reasons
 
+    def test_an_antecedent_search_past_a_dead_spine_goal_proves(self, tmp_path, capsys, monkeypatch):
+        # w1's lambda=64 antecedent search spent the whole budget when only the root's
+        # first death turned on proof-only mode, and w1's access_fraction was 0.0
+        results = {}
+
+        def recorded(prove):
+            return lambda seq, bound, *args: results.setdefault((format_sequent(seq), bound), prove(seq, bound, *args))
+
+        for module in (calculus, observer, sim):
+            monkeypatch.setattr(module, "prove", recorded(module.prove))
+        path = tmp_path / "extreme-144.eclc"
+        path.write_text(extreme_scenario_texts(10, 200)[144])
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        goal = "Quantum(q0) & Phi, ~R, !(!Phi * (Classical(q0) * B)) |- Classical(q0) * Quantum(q0) * (~R * B)"
+        result = results[goal, 64]
+        assert (result.proved, result.depth) == (True, 64)
+        check_proof(result.tree, 64)
+        seq, model = result.tree.sequent, parse_scenario(path.read_text()).cost_model
+        assert [calculus.prove(seq, bound, model, 0.0).proved for bound in (6, 7)] == [False, True]
+        w1 = json.loads((tmp_path / "out" / "report.json").read_text())["per_world"][1]
+        assert (w1["world"], w1["access_fraction"], w1["entropy"]) == ("w1", 0.5, 1.0)
+
 
 class TestNoTraceback:
     def test_mutated_scenario_files(self, tmp_path, capsys):
@@ -932,7 +957,30 @@ def other_interpreters():
     return found
 
 
+# a valid file whose carry of 200 tensors over A has a proof of height 401 at lambda=500
+TALL_CARRY = (
+    "scenario accessibility\n"
+    "world w0 { energy=1.0, kappa=0.0, lambda=500 }\n"
+    "world w1 { energy=1.0, kappa=0.0, lambda=500 }\n"
+    "edge w0 -> w1 { deltaE=0.0 }\n"
+    "observer o0 home=w0 horizon=1\n"
+    "prop w0 : {x}\n"
+    "sequent carry w0 -> w1 : {x} |- {x}\n"
+).replace("{x}", " * ".join(["A"] * 201))
+
+
 class TestOtherInterpreters:
+    def test_a_tall_proof_under_every_interpreter(self, tmp_path):
+        # a recursive ProofTree.height ended both commands in RecursionError under 3.10 and 3.11
+        (tmp_path / "tall.eclc").write_text(TALL_CARRY)
+        path = str(tmp_path / "tall.eclc")
+        commands = [["prove", path, "--sequent", "carry", "--world", "w0"], ["run", path, "--out", "{out}"]]
+        for i, python in enumerate([sys.executable, *other_interpreters()]):
+            (prove, run), files = eclc_outputs(commands, tmp_path / f"out{i}", python)
+            assert (prove[0], run[0]) == (0, 0), python
+            assert prove[1].splitlines()[-3] == b"proved: depth 401 (bound 500)"
+            assert files["1/per_world.csv"].splitlines()[1:] == [b"w0,0.0,1.0,1.0,0.0,401.0", b"w1,0.0,1.0,1.0,0.0,401.0"]
+
     def test_bundled_reports_match_across_interpreters(self, tmp_path):
         pythons = other_interpreters()
         if not pythons:
