@@ -31,16 +31,13 @@ from .formula import (
     curvature_cost,  # bench/tracer.py wraps calculus.curvature_cost
     format_formula,
 )
-from .frame import Frame, accessible
+from .frame import MAX_LAMBDA, Frame, accessible
 
 DEPTH_EXCEEDED = "depth_exceeded"
 NO_RULE_APPLIES = "no_rule_applies"
 COST_INVALID = "cost_invalid"
 SEARCH_BUDGET_EXCEEDED = "search_budget_exceeded"
 MAX_SEARCH_WORK = 1_000_000  # len(gamma) + len(delta) per entry past the axiom check, 1 per application tried, len(side) per split
-# Largest depth bound, and so world capacity.  Proof search recurses once per depth level,
-# so this leaves a dsl.MAX_FORMULA_NODES-deep formula walk room under the limit.
-MAX_LAMBDA = 500
 MAX_ANTECEDENT = 3  # formulas per antecedent multiset that _balanced yields, so valuations stay decidable
 
 # memo sentinel for refutations that hold at any depth
@@ -127,9 +124,12 @@ def cost_valid(seq: Sequent, model: CostModel, kappa: float) -> bool:
 
     Both sides scale by the same positive (1 + alpha*kappa) factor, so the unscaled sums
     decide it, and rounding cannot make the verdict depend on kappa; each sum is rounded
-    once (``_side_cost``), so neither can a side's order.  A negative or non-finite kappa still raises.
+    once (``_side_cost``), so neither can a side's order.  A negative or non-finite kappa still raises,
+    and then a model whose costs are all 0 passes without a walk: both sides cost 0.0.
     """
     _check_real(kappa, "kappa")
+    if not model.default_cost and not any(model.atom_costs.values()):
+        return True
     return _side_cost(base_cost(phi, model) for phi in seq.gamma) >= _side_cost(base_cost(phi, model) for phi in seq.delta)
 
 
@@ -174,26 +174,35 @@ def _key(gamma, delta) -> tuple[tuple, tuple]:
 
 
 def _parts(tables, side, i, left, right):
-    """The splits of ``side`` less position ``i`` (None: none) as (first + left,
-    its canon, second + right), built once per search for ``len(side)`` units
-    each.  They are keyed by the side's ids in position order, since split order
-    decides first-found trees, and by ``i``, whose connective decides what is added, or else ``left``."""
+    """The splits of ``side`` less position ``i`` (None: none) as parts [first + left,
+    its canon, second + right, its canon], built once per search for ``len(side)`` units
+    each; the second canon stays None until ``_second`` reads it, as most are never read.
+    They are keyed by the side's ids in position order, since split order decides
+    first-found trees, and by ``i``, whose connective decides what is added, or else ``left``."""
     key = (tuple(map(id, side)), left if i is None else i)
     if (parts := tables[0].get(key)) is None:
         rest = _splits(side if i is None else side[:i] + side[i + 1 :])
         tables[3] += len(side) * len(rest)
         if tables[3] > MAX_SEARCH_WORK:
             raise _SearchBudgetExceeded
-        parts = tables[0][key] = [(f, _canon(f), s + right) for f1, s in rest for f in (f1 + left,)]
+        parts = tables[0][key] = [[f, _canon(f), s + right, None] for f1, s in rest for f in (f1 + left,)]
     return parts
 
 
+def _second(part) -> tuple:
+    """The canon of a part's second half (``_parts``), built on first use and kept in the part."""
+    if part[3] is None:
+        part[3] = _canon(part[2])
+    return part[3]
+
+
 def _applications(gamma, delta, key, tables):
-    """Yield (rule, g1, d1, key1, g2, d2) in the fixed rule order; g2 and d2
-    are None for a one-premise rule.  Split lists come from ``tables``
-    (``_parts``).  A rule reuses ``key``'s canon of a side it keeps: delta's in
-    a one-premise left rule, gamma's in with-right and promotion.  One-premise
-    left rules fire on first copies only: a later copy's premise is already memoized."""
+    """Yield (rule, g1, d1, key1, pg, pd) in the fixed rule order.  A two-premise rule's
+    second premise is pg[2] |- pd[2], keyed by their ``_second`` canons: pg and pd are split
+    parts from ``tables`` (``_parts``), or parts made for with-right; both are None for a
+    one-premise rule.  A rule reuses ``key``'s canon of a side it keeps: delta's in a
+    one-premise left rule, gamma's in with-right and promotion.  One-premise left rules
+    fire on first copies only: a later copy's premise is already memoized."""
 
     def on_gamma(rule, i, middle):
         g = gamma[:i] + middle + gamma[i + 1 :]
@@ -203,9 +212,9 @@ def _applications(gamma, delta, key, tables):
     for i, phi in enumerate(delta):
         if isinstance(phi, Tensor):
             parts = _parts(tables, delta, i, (phi.left,), (phi.right,))
-            for g1, k1, g2 in _parts(tables, gamma, None, (), ()):
-                for d1, k2, d2 in parts:
-                    yield "tensor-right", g1, d1, (k1, k2), g2, d2
+            for pg in _parts(tables, gamma, None, (), ()):
+                for pd in parts:
+                    yield "tensor-right", pg[0], pd[0], (pg[1], pd[1]), pg, pd
     # tensor-left
     for i, phi in enumerate(gamma):
         if isinstance(phi, Tensor) and gamma.index(phi) == i:
@@ -219,15 +228,16 @@ def _applications(gamma, delta, key, tables):
     for i, phi in enumerate(gamma):
         if isinstance(phi, Lolli):
             parts = _parts(tables, delta, None, (phi.left,), ())
-            for g1, k1, g2 in _parts(tables, gamma, i, (), (phi.right,)):
-                for d1, k2, d2 in parts:
-                    yield "lolli-left", g1, d1, (k1, k2), g2, d2
+            for pg in _parts(tables, gamma, i, (), (phi.right,)):
+                for pd in parts:
+                    yield "lolli-left", pg[0], pd[0], (pg[1], pd[1]), pg, pd
     # with-right: additive, same context in both premises
     for i, phi in enumerate(delta):
         if isinstance(phi, With):
             rest = delta[:i] + delta[i + 1 :]
             d1 = rest + (phi.left,)
-            yield "with-right", gamma, d1, (key[0], _canon(d1)), gamma, rest + (phi.right,)
+            pd = [d1, _canon(d1), rest + (phi.right,), None]
+            yield "with-right", gamma, d1, (key[0], pd[1]), (gamma, key[0], gamma, key[0]), pd
     # with-left, either projection
     withs = [(i, phi) for i, phi in enumerate(gamma) if isinstance(phi, With) and gamma.index(phi) == i]
     for i, phi in withs:
@@ -448,21 +458,40 @@ def _project(phi, bits):
     return phi
 
 
+def _withs(phi) -> tuple:
+    """``phi``'s ``&`` polarities in delta (``_with_polarities``) and, for 8 at most, its projections by a mask whose
+    bits pick in ``_project``'s order, each None until ``_hopeless`` builds it; () if none.  Kept on the node: a
+    projection has no ``&`` outside ``!`` and diamonds, so it holds no ``_withs`` back, and a node stays collectable."""
+    if (withs := getattr(phi, "_withs", None)) is None:
+        n = len(signs := tuple(_with_polarities(phi, 1, [])))
+        object.__setattr__(phi, "_withs", withs := (signs, [None] * (1 << n) if n <= 8 else None) if n else ())
+    return withs
+
+
 def _hopeless(gamma, delta) -> bool:
     """True iff no depth proves gamma |- delta, a goal that ``_refuted`` passes: its banged copies cannot balance
     (``_copies_refuted``), or some choice at its positive ``&``s (8 at most) leaves every choice at the negative ones
     refuted (Andreoli 1992), as only with-right removes a positive ``&``, keeping the rest in each premise, and only
-    with-left a negative one: a proof kept to those premises derives one projection per path."""
+    with-left a negative one: a proof kept to those premises derives one projection per path.  A mask picks each
+    member's projection from those kept on its node (``_withs``)."""
     if _copies_refuted(gamma, delta):
         return True
-    signs = [s for sign, side in ((-1, gamma), (1, delta)) for phi in side for s in _with_polarities(phi, sign, [])]
+    members = [(sign > 0, phi, _withs(phi)) for sign, side in ((-1, gamma), (1, delta)) for phi in side]
+    signs = [s if right else -s for right, _, withs in members if withs for s in withs[0]]
     if not signs or len(signs) > 8:
         return False
     full, positive = 1 << len(signs), sum(1 << i for i, sign in enumerate(signs) if sign > 0)
 
-    def refuted(mask):
-        bits = iter([mask >> i & 1 for i in range(len(signs))])  # gamma's &s, then delta's
-        return _refuted(*(_tally(tuple(_project(phi, bits) for phi in side)) for side in (gamma, delta)))
+    def refuted(mask):  # gamma's &s in the low bits, then delta's
+        sides = ([], [])
+        for right, phi, withs in members:
+            if withs:
+                own, projections = withs
+                if (projection := projections[local := mask & (len(projections) - 1)]) is None:
+                    projection = projections[local] = _project(phi, iter([local >> i & 1 for i in range(len(own))]))
+                phi, mask = projection, mask >> len(own)
+            sides[right].append(phi)
+        return _refuted(_tally(sides[0]), _tally(sides[1]))
 
     return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
 
@@ -487,7 +516,7 @@ def _search(gamma, delta, remaining, key, tables, spine=False, root=False):
 
     Entered on a memo miss only: the caller probes the memo in ``tables``, the
     one state ``prove`` makes per search (``_new_tables``), with each premise's
-    key, a pair of canons (``_key``), and keys a second premise once the first is proved.
+    key, a pair of canons (``_key``); a second premise's key is its parts' kept canons (``_second``).
     Failures memoize monotonically: a goal refuted with ``remaining`` levels is
     refuted with fewer.  Contraction spends a level, so the depth bound bounds it.
     At the last level only an axiom can close the goal: it dies to depth iff some
@@ -513,28 +542,28 @@ def _search(gamma, delta, remaining, key, tables, spine=False, root=False):
         return None, failed
     memo = tables[2]
     died = remaining == 1 and _applicable(gamma, delta)
-    for rule, g, d, k, g2, d2 in _applications(gamma, delta, key, tables) if remaining > 1 else ():
+    for rule, g, d, k, pg, pd in _applications(gamma, delta, key, tables) if remaining > 1 else ():
         tables[3] += 1
         if tables[3] > MAX_SEARCH_WORK:
             raise _SearchBudgetExceeded
-        subtrees, k2 = (), None
+        subtrees = ()
         while True:
             hit = memo.get(k)
             if hit is not None and hit[0] >= remaining - 1:
                 died = died or hit[1]
                 break
-            if tables[4] and g2 is not None:  # a failed second premise makes the first one moot
-                hit = memo.get(k2 := _key(g2, d2))
-                if hit is not None and hit[0] >= remaining - 1 or _fails(g2, d2, remaining - 1, k2, tables) is not None:
+            if tables[4] and pg is not None:  # a failed second premise makes the first one moot
+                hit = memo.get(k2 := (_second(pg), _second(pd)))
+                if hit is not None and hit[0] >= remaining - 1 or _fails(pg[2], pd[2], remaining - 1, k2, tables) is not None:
                     break
-            tree, sub_died = _search(g, d, remaining - 1, k, tables, spine and g2 is None)
+            tree, sub_died = _search(g, d, remaining - 1, k, tables, spine and pg is None)
             if tree is None:
                 died = died or sub_died
                 break
             subtrees += (tree,)
-            if g2 is None:
+            if pg is None:
                 return ProofTree(rule, Sequent(gamma, delta), subtrees), False
-            g, d, k, g2 = g2, d2, k2 or _key(g2, d2), None
+            g, d, k, pg = pg[2], pd[2], (_second(pg), _second(pd)), None
         if died and (remaining == 2 and len(gamma) + len(delta) > 3 or root and _hopeless(gamma, delta)):
             break
         if spine and died:
@@ -602,15 +631,14 @@ def format_sequent(seq: Sequent) -> str:
 
 
 def render_proof(tree: ProofTree) -> str:
-    """Indented plain-text rendering: rule name, sequent, children."""
+    """Indented plain-text rendering: rule name, sequent, children.  It walks an
+    explicit stack, so a tall tree stays under the recursion limit."""
     lines: list[str] = []
-
-    def walk(node: ProofTree, depth: int) -> None:
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
         lines.append(f"{'  ' * depth}{node.rule}  {format_sequent(node.sequent)}")
-        for premise in node.premises:
-            walk(premise, depth + 1)
-
-    walk(tree, 0)
+        stack.extend((premise, depth + 1) for premise in reversed(node.premises))
     return "\n".join(lines)
 
 

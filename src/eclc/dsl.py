@@ -42,7 +42,7 @@ import math
 import re
 from typing import NamedTuple
 
-from .calculus import MAX_LAMBDA, Sequent, format_sequent
+from .calculus import Sequent, format_sequent
 from .formula import (
     BINARY_SYNTAX,
     CLASSICAL_ATOMS,
@@ -54,7 +54,7 @@ from .formula import (
     format_formula,
     format_real,
 )
-from .frame import Frame, World
+from .frame import MAX_LAMBDA, Frame, World
 from .observer import Observer
 
 SCENARIO_KINDS = ("coherence", "reciprocity", "accessibility")

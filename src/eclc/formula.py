@@ -69,8 +69,8 @@ class _Node:
     """Immutable, hash-consed formula node: equal trees are one object,
     so ``==`` is identity."""
 
-    # ``_buckets`` stays unset at build; ``calculus`` fills it on first use
-    __slots__ = ("_hash", "_buckets", "__weakref__")
+    # ``_buckets`` and ``_withs`` stay unset at build; ``calculus`` fills each on first use
+    __slots__ = ("_hash", "_buckets", "_withs", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash

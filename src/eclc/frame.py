@@ -14,6 +14,10 @@ from typing import NamedTuple
 
 from .formula import Diamond, Formula, _Checked, _check_count, _check_ident, _check_real
 
+# Largest depth bound, and so world capacity.  Proof search recurses once per depth level,
+# so this leaves a dsl.MAX_FORMULA_NODES-deep formula walk room under the limit.
+MAX_LAMBDA = 500
+
 
 class UnknownWorldError(Exception):
     """Raised when a query names a world absent from the frame."""
@@ -21,8 +25,8 @@ class UnknownWorldError(Exception):
 
 class World:
     """Logical context: proposition multiset, energy budget, curvature,
-    and inference capacity (maximum proof depth).  Mutable and equal by
-    fields, so unhashable."""
+    and inference capacity (maximum proof depth, at most ``MAX_LAMBDA``).
+    Mutable and equal by fields, so unhashable."""
 
     __slots__ = ("id", "energy", "kappa", "lam", "props")
 
@@ -32,6 +36,8 @@ class World:
         self.energy = _check_real(float(energy) + 0.0, "energy")
         self.kappa = _check_real(float(kappa) + 0.0, "kappa")
         _check_count(lam, 1, "lambda")
+        if lam > MAX_LAMBDA:
+            raise ValueError(f"lambda must be at most {MAX_LAMBDA}, got {lam}")
         self.lam = lam
         for count in (props := Counter(props)).values():
             _check_count(count, 0, "prop count")
@@ -129,17 +135,21 @@ def eval_prop(frame: Frame, w: str, phi: Formula) -> int:
     return 1 if phi in frame.world(w).props else 0
 
 
-def _cheapest_paths(frame: Frame, w: str) -> dict[str, tuple[int, float]]:
+def _out_edges(frame: Frame) -> dict[str, list[tuple[str, float]]]:
+    """Each source's out-edges as (destination, deltaE), in declaration order."""
+    out: dict[str, list] = {}
+    for (src, dst), delta_e in frame.edges.items():
+        out.setdefault(src, []).append((dst, delta_e))
+    return out
+
+
+def _cheapest_paths(frame: Frame, w: str, out: dict) -> dict[str, tuple[int, float]]:
     """(fewest hops, then least summed deltaE) of a path from w to every
     world it reaches over accessible edges, each step gated by its own
     source world's energy; w maps to (0, 0.0).  The BFS dequeues a world
     only after every world one hop closer, so its label is final by then.
-    It walks an out-edge index built per call, each source's edges in
-    declaration order, so it is O(V+E)."""
+    It walks ``out``, the frame's out-edge index (``_out_edges``), so it is O(V+E)."""
     frame.world(w)
-    out: dict[str, list] = {}
-    for (src, dst), delta_e in frame.edges.items():
-        out.setdefault(src, []).append((dst, delta_e))
     best = {w: (0, 0.0)}
     queue = deque([w])
     while queue:
@@ -159,11 +169,16 @@ def _cheapest_paths(frame: Frame, w: str) -> dict[str, tuple[int, float]]:
     return best
 
 
+def _hop_distances(frame: Frame, w: str, out: dict) -> dict[str, int]:
+    """``hop_distances`` over an out-edge index built once, for callers that ask from many worlds."""
+    return {dst: hops for dst, (hops, _) in _cheapest_paths(frame, w, out).items()}
+
+
 def hop_distances(frame: Frame, w: str) -> dict[str, int]:
     """Hop count of the shortest accessible path from w to every world
     it reaches: one BFS for all targets.  w maps to 0; unreachable
     worlds are absent."""
-    return {dst: hops for dst, (hops, _) in _cheapest_paths(frame, w).items()}
+    return _hop_distances(frame, w, _out_edges(frame))
 
 
 def hop_distance(frame: Frame, w: str, w_prime: str) -> int | None:
@@ -177,6 +192,6 @@ def hop_distance(frame: Frame, w: str, w_prime: str) -> int | None:
 def path_cost(frame: Frame, w: str, w_prime: str) -> PathCost | None:
     """Cheapest feasible path as (hops, total deltaE), minimizing hops
     first and summed deltaE among equal-hop paths; None if unreachable."""
-    best = _cheapest_paths(frame, w)
+    best = _cheapest_paths(frame, w, _out_edges(frame))
     frame.world(w_prime)
     return PathCost(*best[w_prime]) if w_prime in best else None

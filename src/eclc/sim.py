@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .calculus import Sequent, measure, measurement, prove, proved_once, quantum_token  # bench/tracer.py wraps sim.prove
 from .dsl import ScenarioConfig
 from .formula import Atom, Bang, Formula, base_cost, coherence, curvature_cost, decohere
-from .frame import Frame, accessible, hop_distances
+from .frame import Frame, _hop_distances, _out_edges, accessible
 from .metrics import ContingencyTable, FitResult, fisher_exact_two_tailed, fit_exponential, persistence_score, shannon_entropy
 from .observer import observer_valuation, truth_at  # bench/tracer.py wraps sim.observer_valuation
 
@@ -319,9 +319,10 @@ def run_accessibility(config: ScenarioConfig) -> ScenarioReport:
     if not start_props:
         raise ScenarioError(f"no proposition declared at {order[0]!r}")
     phi = next(iter(start_props))
-    # The run changes only props, never energies or edges, so the hop
-    # distances from each home hold for the whole run.
-    distances = {home: hop_distances(frame, home) for home in dict.fromkeys(o.home for o in config.observers)}
+    # The run changes only props, never energies or edges, so one out-edge
+    # index serves every home, and its hop distances hold for the whole run.
+    out = _out_edges(frame)
+    distances = {home: _hop_distances(frame, home, out) for home in dict.fromkeys(o.home for o in config.observers)}
     sights = [(distances[o.home], o.horizon) for o in config.observers]
 
     proofs, verdicts = {}, {}

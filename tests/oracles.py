@@ -9,8 +9,10 @@ earlier versions of the package's own code, kept so that a faster one
 can be checked against them result for result: the reference prover
 search; the reference lexer, the scenario lexer as it was when it lexed
 one line at a time; the reference observer truth, which proves every
-antecedent sub-multiset; and the reference report writer, which renders
-``report.json`` with ``json.dumps``.
+antecedent sub-multiset; the reference report writer, which renders
+``report.json`` with ``json.dumps``; the reference ``&`` projection
+check, which rebuilds every projection through the constructors; and
+the recursive proof renderer.
 """
 
 from __future__ import annotations
@@ -32,11 +34,13 @@ from eclc.calculus import (
     ProofTree,
     Sequent,
     _canon,
+    _copies_refuted,
     _is_axiom,
     _refuted,
     _splits,
     _tally,
     cost_valid,
+    format_sequent,
     prove,
 )
 from eclc.dsl import ParseError
@@ -464,6 +468,58 @@ def check_proof(tree, bound: int) -> None:
 
     if (height := walk(tree)) > bound:
         raise AssertionError(f"height {height} exceeds the bound {bound}")
+
+
+def _with_polarities(phi, sign: int, out: list) -> list:
+    """The polarity of each ``&`` in ``phi`` outside ``!`` and diamonds, children
+    first: ``sign`` (-1 in gamma, +1 in delta), flipped under a lolli's left side."""
+    if isinstance(phi, (Tensor, With, Lolli)):
+        _with_polarities(phi.left, -sign if isinstance(phi, Lolli) else sign, out)
+        _with_polarities(phi.right, sign, out)
+    if isinstance(phi, With):
+        out.append(sign)
+    return out
+
+
+def _project(phi, bits):
+    """``phi`` with each ``&`` that ``_with_polarities`` lists replaced by the branch the next of ``bits`` picks (1: right)."""
+    if isinstance(phi, With):
+        return (_project(phi.left, bits), _project(phi.right, bits))[next(bits)]
+    if isinstance(phi, (Tensor, Lolli)):
+        return type(phi)(_project(phi.left, bits), _project(phi.right, bits))
+    return phi
+
+
+def reference_hopeless(gamma, delta) -> bool:
+    """``calculus._hopeless`` as it was when every mask rebuilt every projected
+    member through the constructors: the counted check, then, for 8 ``&``s at
+    most, some choice at the positive ones that leaves every choice at the
+    negative ones refuted."""
+    if _copies_refuted(gamma, delta):
+        return True
+    signs = [s for sign, side in ((-1, gamma), (1, delta)) for phi in side for s in _with_polarities(phi, sign, [])]
+    if not signs or len(signs) > 8:
+        return False
+    full, positive = 1 << len(signs), sum(1 << i for i, sign in enumerate(signs) if sign > 0)
+
+    def refuted(mask):
+        bits = iter([mask >> i & 1 for i in range(len(signs))])  # gamma's &s, then delta's
+        return _refuted(*(_tally(tuple(_project(phi, bits) for phi in side)) for side in (gamma, delta)))
+
+    return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
+
+
+def reference_render_proof(tree) -> str:
+    """``calculus.render_proof`` as it was, recursing once per tree level."""
+    lines: list[str] = []
+
+    def walk(node, depth: int) -> None:
+        lines.append(f"{'  ' * depth}{node.rule}  {format_sequent(node.sequent)}")
+        for premise in node.premises:
+            walk(premise, depth + 1)
+
+    walk(tree, 0)
+    return "\n".join(lines)
 
 
 def checking(prove):

@@ -4,7 +4,7 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from eclc import (
@@ -525,8 +525,8 @@ class TestFirstCopyOnly:
         tables = calculus._new_tables()
         key = calculus._key(seq.gamma, seq.delta)
         seen = Counter(
-            (rule, k) for rule, _, _, k, g2, _ in _applications(seq.gamma, seq.delta, key, tables)
-            if rule in ONE_PREMISE_LEFT and g2 is None
+            (rule, k) for rule, _, _, k, pg, _ in _applications(seq.gamma, seq.delta, key, tables)
+            if rule in ONE_PREMISE_LEFT and pg is None
         )
         assert [item for item, count in seen.items() if count > 1] == []
 
@@ -674,10 +674,11 @@ class TestDepthBound:
         assert str(caught.value) == f"depth_bound must be at most 500, got {bound}"
 
     def test_transition_on_a_deep_world_raises_and_changes_nothing(self):
-        frame = Frame([World("w0", 1.0, 0.0, 1500, [Bang(A)]), World("w1", 1.0, 0.0, 1)], [("w0", "w1", 0.0)])
+        # a World refuses a lambda past MAX_LAMBDA, so the deep bound comes as depth_bound
+        frame = Frame([World("w0", 1.0, 0.0, 500, [Bang(A)]), World("w1", 1.0, 0.0, 1)], [("w0", "w1", 0.0)])
         before = snapshot(frame)
         with pytest.raises(ValueError) as caught:
-            transition(frame, "w0", "w1", self.BANGED, ZERO[0])
+            transition(frame, "w0", "w1", self.BANGED, ZERO[0], depth_bound=1500)
         assert str(caught.value) == "depth_bound must be at most 500, got 1500"
         assert snapshot(frame) == before
 
@@ -729,6 +730,42 @@ class TestHopelessRoot:
         assert POOL.proof_record(prove(seq, 5, model, kappa)) == "D0"
         # the whole search of this root makes 2,933 entries
         assert len(entries) < 100
+
+
+# pool case 2332, whose root _hopeless accepts by its & projections: 5 &s, on both sides
+CASE_2332 = tuple(tuple(map(parse_formula, side)) for side in (["C * A & C", "B & (A & A)", "(C -o C) * (B & C)"], ["A & A -o C * C"]))
+projection_sides = st.lists(leaf_formulas(7, withs=5), max_size=3)
+WITHS_4, WITHS_5 = functools.reduce(With, [A, B, C, A, B]), functools.reduce(With, [C, B, A, C, B, A])
+
+
+class TestKeptProjections:
+    """``_hopeless`` picks each member's ``&`` projection by mask from the list kept on
+    its node; it must answer as the check that rebuilt every projection per mask did,
+    on goals with 0-9 ``&``s on both sides, under a lolli's left side, ``!`` and diamonds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(projection_sides, projection_sides)
+    @example(*CASE_2332)
+    @example([With(A, C), Lolli(With(B, A), C)], [With(Bang(With(A, B)), Diamond(1.5, With(A, C)))])
+    # a & over one of the other polarity: the masks must pick the node's own & last
+    @example([], [With(Bang(A), Lolli(With(A, A), B))])
+    @example([WITHS_4], [Tensor(WITHS_4, A)])  # 8 &s, the cap
+    @example([WITHS_4], [WITHS_5])  # 9 &s, past it
+    def test_matches_rebuilt_projections(self, gamma, delta):
+        gamma, delta = tuple(gamma), tuple(delta)
+        assume(len([s for phi in gamma + delta for s in oracles._with_polarities(phi, 1, [])]) <= 9)
+        assert calculus._hopeless(gamma, delta) == oracles.reference_hopeless(gamma, delta)
+        # each projection a mask read is the one its local bits pick, in the reference order
+        for phi in gamma + delta:
+            signs, projections = getattr(phi, "_withs", None) or ((), None)
+            for local, projection in enumerate(projections or ()):
+                if projection is not None:
+                    assert projection is oracles._project(phi, iter([local >> i & 1 for i in range(len(signs))]))
+
+    def test_pool_case_2332_is_hopeless(self):
+        seq = POOL.corpus_case(POOL.Builder(), 2332)[0]
+        assert (seq.gamma, seq.delta) == CASE_2332
+        assert calculus._hopeless(*CASE_2332) and not calculus._copies_refuted(*CASE_2332)
 
 
 # the connectives and atoms a short proof of a wide goal would have to spend
@@ -1155,6 +1192,19 @@ class TestRenderProof:
         assert text.splitlines()[0] == "tensor-left  A * B |- B * A"
         assert "    identity  B |- B" in text.splitlines()
         assert text.count("identity") == 2
+
+    def test_same_bytes_as_the_recursive_form(self, zero_model):
+        # render_proof walks an explicit stack; every proved pool case, and the
+        # 401-level proof of a 200-tensor carry at MAX_LAMBDA, print as before
+        builder, trees = POOL.Builder(), []
+        for line in POOL.load_golden("prove-corpus"):
+            if line.split()[3].startswith("P"):
+                trees.append(prove(*POOL.corpus_case(builder, int(line.split()[2]))).tree)
+        carry = functools.reduce(Tensor, [A] * 201)
+        trees.append(prove(Sequent((carry,), (carry,)), calculus.MAX_LAMBDA, zero_model, 0.0).tree)
+        assert len(trees) == 928 and trees[-1].height == 401
+        for tree in trees:
+            assert render_proof(tree) == oracles.reference_render_proof(tree)
 
 
 class TestIrreversibilityProperty:

@@ -148,6 +148,10 @@ REAL_SITES = {
     "Diamond.budget": ("diamond budget", True, lambda x: Diamond(x, Atom("A"))),
     "curvature_cost.kappa": ("kappa", False, lambda x: curvature_cost(Atom("A"), CostModel({}), x)),
     "cost_valid.kappa": ("kappa", False, lambda x: cost_valid(Sequent((Atom("A"),), ()), CostModel({}), x)),
+    # a model whose costs are all 0 skips the walk, never the kappa check
+    "cost_valid.kappa.zero_model": (
+        "kappa", False, lambda x: cost_valid(Sequent((Atom("A"),), ()), CostModel({"A": 0.0}, default_cost=0.0), x)
+    ),
 }
 # Each site that takes an integer >= a minimum: (name, minimum, call).
 COUNT_SITES = {
@@ -263,6 +267,15 @@ class TestValidation:
             assert len(formula._interned) == before + 5
             del a, b, goal, node
             assert len(formula._interned) == before
+            # a root whose first death asks _hopeless keeps each member's & projections
+            # on its node; no projection holds a node back, so all go with the last user
+            a, b, c = Atom("Probe_7"), Atom("Probe_8"), Atom("Probe_9")
+            left, right = Tensor(a, With(c, b)), Tensor(With(a, b), c)
+            assert prove(Sequent((left,), (right,)), 4, zero, 0.0).failure_reason == "depth_exceeded"
+            assert left._withs[1] == [Tensor(a, c), Tensor(a, b)] and right._withs[1] == [Tensor(a, c), Tensor(b, c)]
+            assert len(formula._interned) == before + 10
+            del a, b, c, left, right
+            assert len(formula._interned) == before
         finally:
             gc.enable()
         phi = Lolli(Diamond(1.5, Atom("Probe_5")), With(Atom("Probe_5"), Bang(Atom("Probe_6"))))
@@ -270,6 +283,7 @@ class TestValidation:
         assert phi._buckets is not None
         assert copy.deepcopy(phi) is phi
         assert pickle.loads(pickle.dumps(phi)) is phi
-        assert "_buckets" not in repr(phi)
-        with pytest.raises(AttributeError, match="cannot assign to field '_buckets'"):
-            phi._buckets = None
+        assert "_buckets" not in repr(phi) and "_withs" not in repr(phi)
+        for slot in ("_buckets", "_withs"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{slot}'"):
+                setattr(phi, slot, None)

@@ -20,6 +20,7 @@ from eclc import (
     hop_distances,
     path_cost,
 )
+from eclc import frame as frame_module
 from gen import small_frames, tangled_frames
 
 from oracles import brute_force_hop_distance, brute_force_path_costs
@@ -253,9 +254,11 @@ class TestIndexedSearch:
     @settings(max_examples=200)
     @given(tangled_frames())
     def test_matches_brute_force(self, frame):
-        ids = list(frame.worlds)
+        ids, out = list(frame.worlds), frame_module._out_edges(frame)
         for src in ids:
             distances = hop_distances(frame, src)
+            # the run-wide helper reads one index for every source
+            assert frame_module._hop_distances(frame, src, out) == distances
             assert set(distances) <= set(ids)
             for dst in ids:
                 hops = brute_force_hop_distance(frame, src, dst)
@@ -271,7 +274,12 @@ class TestIndexedSearch:
         # checked before the source's energy gates the edge, as accessible does
         frame = chain()
         frame.edges[("w1", "ghost")] = delta_e
-        for search in (lambda: hop_distances(frame, "w0"), lambda: path_cost(frame, "w0", "w2")):
+        searches = (
+            lambda: hop_distances(frame, "w0"),
+            lambda: frame_module._hop_distances(frame, "w0", frame_module._out_edges(frame)),
+            lambda: path_cost(frame, "w0", "w2"),
+        )
+        for search in searches:
             with pytest.raises(UnknownWorldError, match="unknown world 'ghost'"):
                 search()
         assert hop_distances(frame, "w2") == {"w2": 0}  # no search reaches w1

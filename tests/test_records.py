@@ -208,6 +208,7 @@ MESSAGES = [
     (lambda: World("w", 1.0, float("inf"), 1), "kappa must be finite and >= 0, got inf"),
     (lambda: World("w", 1.0, 0.0, 0), "lambda must be an integer >= 1, got 0"),
     (lambda: World("w", 1.0, 0.0, True), "lambda must be an integer >= 1, got True"),
+    (lambda: World("w", 1.0, 0.0, 1500), "lambda must be at most 500, got 1500"),
     (lambda: World("w", 1.0, 0.0, 1, Counter({A: -1})), "prop count must be an integer >= 0, got -1"),
     (lambda: Observer("1", "w", 0), "observer id must be a nonempty identifier, got '1'"),
     (lambda: Observer("o", "w", -1), "horizon must be an integer >= 0, got -1"),

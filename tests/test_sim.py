@@ -688,12 +688,15 @@ class TestRunAccessibility:
             return wrapper
 
         monkeypatch.setattr(sim, "truth_at", counted("valuation", sim.truth_at))
-        monkeypatch.setattr(sim, "hop_distances", counted("bfs", sim.hop_distances))
+        monkeypatch.setattr(sim, "_hop_distances", counted("bfs", sim._hop_distances))
+        monkeypatch.setattr(sim, "_out_edges", counted("index", sim._out_edges))
         monkeypatch.setattr(observer, "hop_distance", counted("row bfs", observer.hop_distance))
         config = load("accessibility")
         report = run_accessibility(config)
         assert 1 <= calls["valuation"] <= len(report.per_world)
         assert 1 <= calls["bfs"] <= len({o.home for o in config.observers})
+        # every home's BFS walks the one out-edge index of the run
+        assert calls["index"] == 1
         # visibility comes from the per-home tables only, never a BFS per row
         assert calls["row bfs"] == 0
 
