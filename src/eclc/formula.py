@@ -38,6 +38,11 @@ def _check_real(value: float, what: str) -> float:
     return value
 
 
+# Most connectives one formula may nest: a node more than MAX_FORMULA_NODES + 1
+# levels tall (an atom is one level) cannot be built.  The formula walkers recurse
+# once per level, so the bound keeps every formula clear of the recursion limit.
+MAX_FORMULA_NODES = 200
+
 # Hash-consing table: one live node per distinct tree, keyed by
 # (tag, fields...) with children compared by identity.  Entries go
 # away with the last reference to their node.
@@ -50,14 +55,17 @@ def _check_children(cls, **children) -> None:
             raise TypeError(f"{cls.__name__} {name} must be a formula, got {child!r}")
 
 
-def _intern(cls, parts: tuple):
+def _intern(cls, parts: tuple, below: int = 0):
     """The live ``cls`` node for ``parts`` = (tag, fields in slot order),
-    built on first use."""
+    built on first use; ``below`` is its tallest child's height (0 for none)."""
     node = _interned.get(parts)
     if node is None:
+        if below > MAX_FORMULA_NODES:
+            raise ValueError(f"formula would be more than {MAX_FORMULA_NODES + 1} levels tall")
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, parts[1:]):
             object.__setattr__(node, name, value)
+        object.__setattr__(node, "_height", below + 1)
         # structural, from the children's hashes: a tree freed and built
         # again hashes as before
         object.__setattr__(node, "_hash", hash(parts))
@@ -70,7 +78,7 @@ class _Node:
     so ``==`` is identity."""
 
     # ``_buckets`` and ``_withs`` stay unset at build; ``calculus`` fills each on first use
-    __slots__ = ("_hash", "_buckets", "_withs", "__weakref__")
+    __slots__ = ("_hash", "_height", "_buckets", "_withs", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,7 +117,7 @@ class Tensor(_Node):
 
     def __new__(cls, left: Formula, right: Formula) -> Tensor:
         _check_children(cls, left=left, right=right)
-        return _intern(cls, (1, left, right))
+        return _intern(cls, (1, left, right), max(left._height, right._height))
 
 
 class Lolli(_Node):
@@ -119,7 +127,7 @@ class Lolli(_Node):
 
     def __new__(cls, left: Formula, right: Formula) -> Lolli:
         _check_children(cls, left=left, right=right)
-        return _intern(cls, (2, left, right))
+        return _intern(cls, (2, left, right), max(left._height, right._height))
 
 
 class With(_Node):
@@ -129,7 +137,7 @@ class With(_Node):
 
     def __new__(cls, left: Formula, right: Formula) -> With:
         _check_children(cls, left=left, right=right)
-        return _intern(cls, (3, left, right))
+        return _intern(cls, (3, left, right), max(left._height, right._height))
 
 
 class Bang(_Node):
@@ -139,7 +147,7 @@ class Bang(_Node):
 
     def __new__(cls, inner: Formula) -> Bang:
         _check_children(cls, inner=inner)
-        return _intern(cls, (4, inner))
+        return _intern(cls, (4, inner), inner._height)
 
 
 class Diamond(_Node):
@@ -150,7 +158,7 @@ class Diamond(_Node):
     def __new__(cls, budget: float, inner: Formula) -> Diamond:
         value = _check_real(float(budget) + 0.0, "diamond budget")  # normalize -0.0
         _check_children(cls, inner=inner)
-        return _intern(cls, (5, value, inner))
+        return _intern(cls, (5, value, inner), inner._height)
 
 
 Formula = Union[Atom, Tensor, Lolli, With, Bang, Diamond]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .formula import Diamond, Formula, _Checked, _check_count, _check_ident, _check_real
 
 # Largest depth bound, and so world capacity.  Proof search recurses once per depth level,
-# so this leaves a dsl.MAX_FORMULA_NODES-deep formula walk room under the limit.
+# so this leaves a formula.MAX_FORMULA_NODES-deep formula walk room under the limit.
 MAX_LAMBDA = 500
 
 
@@ -52,7 +52,10 @@ class World:
         return "World(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
     def copy(self) -> World:
-        return World(self.id, self.energy, self.kappa, self.lam, self.props)
+        dup = object.__new__(World)
+        dup.id, dup.energy, dup.kappa, dup.lam = self.id, self.energy, self.kappa, self.lam
+        dup.props = +self.props if 0 in self.props.values() else self.props.copy()  # as __init__ keeps them
+        return dup
 
 
 class _PathCost(NamedTuple):

@@ -201,11 +201,30 @@ def _outcome(qubit: str) -> str:
     return f"o_{qubit}"
 
 
-def _draw(getrandbits, k: int, n: int) -> int:
-    """``randint(0, n - 1)`` of the Random owning ``getrandbits`` (k = n.bit_length()), as CPython 3.10-3.13 does."""
-    while (r := getrandbits(k)) >= n:
-        pass
-    return r
+class _Classes(dict):
+    """One qubit's class ids in one leg, keyed by clamped jitter j: the index of the (proved, depth,
+    reason) at bound lambda - j among those the qubit has met, kept from the jitter's first draw."""
+
+    def __init__(self, seq: Sequent, lam: int, model, proofs: dict) -> None:
+        self.cell, self.triples = (seq, lam, model, proofs), {}
+        self[0]  # lambda first: its proof answers each lower bound down to its height
+
+    def __missing__(self, j: int) -> int:
+        seq, lam, model, proofs = self.cell
+        p = proved_once(seq, lam - j, model, proofs)
+        self[j] = found = self.triples.setdefault((p.proved, p.depth, p.failure_reason), len(self.triples))
+        return found
+
+
+def _draw(getrandbits, k: int, n: int, lam: int, classes) -> tuple[int, ...]:
+    """A leg's class vector: for each of ``classes`` in turn, draw a jitter j as CPython 3.10-3.13's
+    ``randint(0, n - 1)`` of the Random owning ``getrandbits`` does (k = n.bit_length()), and look up min(j, lam)."""
+    key = []
+    for ids in classes:
+        while (r := getrandbits(k)) >= n:
+            pass
+        key.append(ids[r if r < lam else lam])
+    return tuple(key)
 
 
 def _measure_sequence(frame, src, dst, qubits, jitters, model, proofs):
@@ -234,9 +253,10 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
     answers each lower bound down to its height (``proved_once``), and at
     another bound only once a trial draws a jitter that leaves it.  A leg
     starts from a fresh copy of ``config.frame`` and each of its steps
-    reads only the earlier ones and the (proved, depth, reason) of its
-    measurement's proof, so each distinct (direction, outcome vector) is
-    measured once per run; a trial finds it by its jitters.
+    reads only the earlier ones and its jitter's class, the index of its
+    proof's (proved, depth, reason) among those its qubit has met.  So a
+    leg measures each class vector once per run, and a trial's record
+    shares the field objects of its class vector's row.
     """
     _require_kind(config, "reciprocity")
     ids = list(config.frame.worlds)
@@ -254,41 +274,29 @@ def run_reciprocity(config: ScenarioConfig) -> ScenarioReport:
 
     master_seed = _resolved_seed(config)
     frame, model = config.frame, config.cost_model
-    legs = ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1]))
-    draws = [(n.bit_length(), n) for n in (int(config.noise * frame.world(src).lam) + 1 for _, src, _, _ in legs)]
     proofs: dict = {}
-
-    def by_jitter(cell, j):
-        """(proved, depth, reason) of a (lambda, sequent, row) ``cell`` at jitter ``j``, kept from first use."""
-        lam, seq, row = cell
-        if (found := row.get(j := min(j, lam))) is None:  # jitter lambda leaves no bound, nor does any larger
-            p = proved_once(seq, lam - j, model, proofs)
-            found = row[j] = (p.proved, p.depth, p.failure_reason)
-        return found
-
-    tables = [[(frame.world(src).lam, measurement(q, _outcome(q)), {}) for q in order] for _, src, _, order in legs]
-    for cell in tables[0] + tables[1]:  # each qubit at its leg's lambda first
-        by_jitter(cell, 0)
-    seen: tuple[dict, dict] = ({}, {})  # per leg: jitter vector -> outcome
-    outcomes: dict = {}
+    legs: list[tuple] = []
+    for direction, src, dst, order in ((FORWARD, first, second, qubits), (REVERSE, second, first, qubits[::-1])):
+        lam, n = frame.world(src).lam, int(config.noise * frame.world(src).lam) + 1
+        classes = [_Classes(measurement(q, _outcome(q)), lam, model, proofs) for q in order]
+        legs.append((direction, src, dst, order, lam, n.bit_length(), n, classes, {}))  # {}: class vector -> row
     trials: list[TrialRecord] = []
     rng = random.Random(0)  # a constant seed reads no os.urandom; each trial reseeds it
     seed, getrandbits = super(random.Random, rng).seed, rng.getrandbits  # the C seed: random.py's adds only checks
     for index in range(config.trials):
         seed(derive_trial_seed(master_seed, index))
-        for (direction, src, dst, order), (k, n), table, known in zip(legs, draws, tables, seen):
-            if (outcome := known.get(jitter := tuple([_draw(getrandbits, k, n) for _ in order]))) is None:
-                key = (direction, *map(by_jitter, table, jitter))
-                if key not in outcomes:
-                    outcomes[key] = _measure_sequence(frame.copy(), src, dst, order, jitter, model, proofs)
-                outcome = known[jitter] = outcomes[key]
-            trials.append(TrialRecord(index, direction, *outcome))
+        for direction, src, dst, order, lam, k, n, classes, known in legs:
+            if (row := known.get(key := _draw(getrandbits, k, n, lam, classes))) is None:
+                # every jitter of a class meets the same proof: measure at each class's first
+                jitters = [next(j for j, c in table.items() if c == cls) for table, cls in zip(classes, key)]
+                row = known[key] = (direction, *_measure_sequence(frame.copy(), src, dst, order, jitters, model, proofs))
+            trials.append(tuple.__new__(TrialRecord, (index,) + row))
 
     # trials alternate forward, reverse; each direction gives two table
     # cells (successes, failures) and the row of its measuring world
     cells: list[int] = []
     rows = []
-    for offset, (_, wid, _, _) in enumerate(legs):
+    for offset, (_, wid, *_) in enumerate(legs):
         world = config.frame.world(wid)
         records = trials[offset::2]
         bits = [1 if t.success else 0 for t in records]
@@ -369,7 +377,7 @@ def _json_cell(value) -> str:
         return "null"
     if value is True or value is False:
         return "true" if value else "false"
-    return _json_str(value) if isinstance(value, str) else repr(value)
+    return _json_str(value) if isinstance(value, str) else (float if isinstance(value, float) else int).__repr__(value)
 
 
 def _json_objects(cls, records, indent: str) -> list[str]:
@@ -381,12 +389,16 @@ def _json_objects(cls, records, indent: str) -> list[str]:
 
 
 def _trial_texts(trials, cell, template: str) -> list[str]:
-    """``template`` filled with each trial's cells, the text after the index made once per distinct
-    objects after it: the same objects print alike, equal values may not (True, 1, 1.0; 0.0, -0.0)."""
+    """``template`` filled with each trial's cells, an ``int`` index as ``str`` prints it and the text after it once
+    per distinct objects there: the same objects print alike, equal values may not (True, 1, 1.0; 0.0, -0.0)."""
     head, tail = template.split("%s", 1)
     tails: dict = {}
-    keyed = ((t, (id(t[1]), id(t[2]), id(t[3]), id(t[4]))) for t in trials)
-    return [head + cell(t[0]) + (tails.get(k) or tails.setdefault(k, tail % tuple(map(cell, t[1:])))) for t, k in keyed]
+    texts = []
+    for index, direction, success, depth, reason in trials:
+        if (text := tails.get(key := (id(direction), id(success), id(depth), id(reason)))) is None:
+            text = tails[key] = tail % (cell(direction), cell(success), cell(depth), cell(reason))
+        texts.append(f"{head}{index}{text}" if type(index) is int else head + cell(index) + text)
+    return texts
 
 
 def _json_list(cls, records) -> str:
@@ -412,7 +424,7 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
+    return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
 def _csv(cls, rows) -> str:

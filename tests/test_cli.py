@@ -981,6 +981,30 @@ class TestOtherInterpreters:
             assert prove[1].splitlines()[-3] == b"proved: depth 401 (bound 500)"
             assert files["1/per_world.csv"].splitlines()[1:] == [b"w0,0.0,1.0,1.0,0.0,401.0", b"w1,0.0,1.0,1.0,0.0,401.0"]
 
+    def test_tallest_api_formulas_under_every_interpreter(self):
+        # the constructors bound a formula at MAX_FORMULA_NODES + 1 levels however
+        # it is built, so prove at MAX_LAMBDA, coherence and format_formula walk the
+        # tallest Bang chain and the tallest right-nested Tensor chain, a shape the
+        # DSL's parentheses cannot reach, under every interpreter; without that
+        # bound a 2,000-deep chain ends all three in RecursionError
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r})\n"
+            "from eclc import Atom, Bang, CostModel, Sequent, Tensor, coherence, format_formula, prove\n"
+            "from eclc.formula import MAX_FORMULA_NODES\n"
+            "from eclc.frame import MAX_LAMBDA\n"
+            "bang = tensor = a = Atom('A')\n"
+            "for _ in range(MAX_FORMULA_NODES):\n"
+            "    bang, tensor = Bang(bang), Tensor(a, tensor)\n"
+            "for phi in (bang, tensor):\n"
+            "    r = prove(Sequent((phi,), (phi,)), MAX_LAMBDA, CostModel({}), 0.0)\n"
+            "    print(r.proved, r.depth, r.failure_reason, coherence(phi), len(format_formula(phi)))\n"
+        )
+        # the Bang chain's search ends at its work budget before a proof is found
+        expected = "False 0 search_budget_exceeded 1 201\nTrue 401 None 1 1199\n"
+        for python in [sys.executable, *other_interpreters()]:
+            proc = subprocess.run([python, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, ""), python
+
     def test_bundled_reports_match_across_interpreters(self, tmp_path):
         pythons = other_interpreters()
         if not pythons:

@@ -213,6 +213,39 @@ class TestValidation:
             with pytest.raises(TypeError, match=f"{named} must be a formula"):
                 build()
 
+    def test_constructors_bound_the_height(self):
+        # a node is one level taller than its tallest child, an atom one level:
+        # every constructor refuses a node taller than MAX_FORMULA_NODES + 1,
+        # the tallest a formula of MAX_FORMULA_NODES connectives can be, so no
+        # formula walk nears the recursion limit however the formula was built
+        message = f"formula would be more than {formula.MAX_FORMULA_NODES + 1} levels tall"
+        assert formula.MAX_FORMULA_NODES == 200
+        a = Atom("A")
+        tallest = [a, a, a, a, a, a]
+        for _ in range(formula.MAX_FORMULA_NODES):
+            tallest = [
+                Bang(tallest[0]),
+                Tensor(tallest[1], a),
+                Lolli(a, tallest[2]),
+                With(tallest[3], tallest[3]),
+                Diamond(0.5, tallest[4]),
+                Tensor(tallest[5], tallest[0]),
+            ]
+        assert [node._height for node in tallest] == [201] * 6
+        builds = (Bang, lambda x: Tensor(a, x), lambda x: Lolli(x, a), lambda x: With(x, x), lambda x: Diamond(1.0, x))
+        for node in tallest:
+            for build in builds:
+                with pytest.raises(ValueError) as err:
+                    build(node)
+                assert str(err.value) == message
+        # an API-built 2,000-deep chain stops at its 202nd level
+        chain = a
+        with pytest.raises(ValueError) as err:
+            for depth in range(2, 2001):
+                chain = Bang(chain)
+        assert (str(err.value), depth, chain._height) == (message, 202, 201)
+        assert coherence(chain) == 1 and formula.format_formula(chain) == "!" * 200 + "A"
+
     def test_formulas_hashable_and_immutable(self):
         phi = Tensor(Atom("A"), Bang(Atom("B")))
         assert hash(phi) == hash(Tensor(Atom("A"), Bang(Atom("B"))))
@@ -283,7 +316,7 @@ class TestValidation:
         assert phi._buckets is not None
         assert copy.deepcopy(phi) is phi
         assert pickle.loads(pickle.dumps(phi)) is phi
-        assert "_buckets" not in repr(phi) and "_withs" not in repr(phi)
-        for slot in ("_buckets", "_withs"):
+        assert "_buckets" not in repr(phi) and "_withs" not in repr(phi) and "_height" not in repr(phi)
+        for slot in ("_buckets", "_withs", "_height"):
             with pytest.raises(AttributeError, match=f"cannot assign to field '{slot}'"):
                 setattr(phi, slot, None)

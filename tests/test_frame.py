@@ -352,3 +352,10 @@ class TestFrameValidation:
         dup.worlds["w0"].energy = 0.0
         assert frame.worlds["w0"].props[PHI] == 1
         assert frame.worlds["w0"].energy == 10.0
+        # a copy equals its source and shares no Counter with it; a count set
+        # to zero by hand is dropped from the copy, as World() drops it
+        dup = frame.copy()
+        assert dup == frame
+        assert all(dup.worlds[w].props is not frame.worlds[w].props for w in frame.worlds)
+        frame.worlds["w0"].props[PHI] = 0
+        assert frame.copy().worlds["w0"].props == Counter() and PHI in frame.worlds["w0"].props

@@ -194,6 +194,10 @@ def test_world_is_mutable_and_normalizes():
     assert world != ("w", 0.5, 0.0, 2, Counter({A: 1}))
     copy = world.copy()
     assert copy == world and copy is not world and copy.props is not world.props
+    # a copy drops a count set to zero by hand, as the constructor and +props do
+    world.props[B] = 0
+    copy = world.copy()
+    assert copy.props == Counter({A: 1}) and B in world.props and copy == World("w", 0.5, 0.0, 2, world.props)
 
 
 def test_scenario_config_is_unhashable_and_equal_by_fields():

@@ -1,3 +1,4 @@
+import enum
 import itertools
 import math
 import random
@@ -74,20 +75,29 @@ class TestDeriveTrialSeed:
             assert 0 <= derive_trial_seed((1 << 64) - 1, index) < (1 << 64)
 
 
+class _Itself(dict):
+    """A class table whose class id of each jitter is the jitter."""
+
+    def __missing__(self, j):
+        return j
+
+
 class TestDraw:
     def test_same_draws_as_randint(self):
-        # run_reciprocity draws its jitters with _draw, which copies the
-        # rejection loop of random.py's _randbelow; a CPython whose randint
-        # draws otherwise fails here instead of silently changing reports
+        # run_reciprocity draws each leg's jitters with _draw, which copies
+        # the rejection loop of random.py's _randbelow; a CPython whose randint
+        # draws otherwise fails here instead of silently changing reports.
+        # _draw looks each jitter up clamped to lambda, so at lambda = span it
+        # returns the draws themselves, and at half the span their clamps
         seeds = [0, 1, (1 << 64) - 1] + [derive_trial_seed(master, i) for master in (9, 2**63 + 5) for i in range(5)]
         spans = [*range(501), 50_000, 2**16 - 1, 2**16, 2**31, 2**32 - 1, 2**40 + 3]
         for span in spans:
             n = span + 1
-            for seed in seeds:
+            for seed, lam in itertools.product(seeds, (span, span // 2)):
                 ours, theirs = random.Random(seed), random.Random(seed)
-                drawn = [sim._draw(ours.getrandbits, n.bit_length(), n) for _ in range(3)]
-                assert drawn == [theirs.randint(0, span) for _ in range(3)], (span, seed)
-                assert ours.getstate() == theirs.getstate(), (span, seed)
+                drawn = sim._draw(ours.getrandbits, n.bit_length(), n, lam, [_Itself()] * 3)
+                assert drawn == tuple(min(theirs.randint(0, span), lam) for _ in range(3)), (span, seed, lam)
+                assert ours.getstate() == theirs.getstate(), (span, seed, lam)
 
 
 class TestDecohere:
@@ -887,6 +897,27 @@ COLLIDING_TRIALS = ScenarioReport(
 )
 
 
+class _Index(enum.IntEnum):
+    ONE = 1
+
+
+class _Real(float):
+    def __repr__(self):
+        return "_Real(" + float.__repr__(self) + ")"
+
+
+# Cells of int and float subclasses, which json.dumps prints by int.__repr__
+# and float.__repr__, where repr would print <_Index.ONE: 1> and _Real(0.5).
+SUBCLASS_CELLS = ScenarioReport(
+    "reciprocity",
+    (WorldRow("wA", _Real(0.5), 1.0, None, _Real(-0.0), _Index.ONE),),
+    None,
+    _Real(0.25),
+    (TrialRecord(_Index.ONE, "forward", True, _Index.ONE, None), TrialRecord(2, "reverse", False, 0, "x")),
+    _Index.ONE,
+)
+
+
 class TestWriteInPlace:
     TEXT = "{\n  \"w\u00e9\": [1, 2]\n}\n" * 500
 
@@ -925,6 +956,7 @@ class TestReportWriter:
     @example(ScenarioReport("coherence", (), None, None, (), 0))
     @example(ScenarioReport("coherence", (), FitResult(1.0, 1.0), math.inf, (), 0))
     @example(COLLIDING_TRIALS)
+    @example(SUBCLASS_CELLS)
     def test_generated_reports_match_the_reference(self, report):
         assert report_to_json(report) == oracles.reference_report_json(report)
 
@@ -939,6 +971,7 @@ class TestReportWriter:
     @given(scenario_reports())
     @example(ScenarioReport("coherence", (), None, None, (), 0))
     @example(COLLIDING_TRIALS)
+    @example(SUBCLASS_CELLS)
     def test_generated_csv_match_the_reference(self, report):
         assert per_world_csv(report) == oracles.reference_csv(WorldRow, report.per_world)
         assert trials_csv(report) == oracles.reference_csv(TrialRecord, report.trials)
