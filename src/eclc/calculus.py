@@ -468,18 +468,88 @@ def _withs(phi) -> tuple:
     return withs
 
 
+def _polar_walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set) -> bool:
+    """``_walk`` by polarity (Girard 1987): ``sign`` is -1 in gamma and +1 in delta, flipped under a lolli's left side.
+    Quantum and Classical atoms keep their own buckets (rule c, read by ``_signed_refuted``), and a positive ``!`` keeps
+    the slack state it is in (rule b): only promotion removes it, and its premise holds the inner formula once."""
+    if isinstance(phi, Atom):
+        bucket = (phi.name, phi.args, phi.coherent)
+        if slack:
+            (up if sign > 0 else down).add(bucket)
+        else:
+            fixed[bucket] = fixed.get(bucket, 0) + sign
+        return False
+    if isinstance(phi, (Tensor, Lolli, With)):
+        left, slack = -sign if isinstance(phi, Lolli) else sign, slack or isinstance(phi, With)
+        return _polar_walk(phi.left, left, slack, fixed, up, down) or _polar_walk(phi.right, sign, slack, fixed, up, down)
+    if isinstance(phi, Bang):
+        return _polar_walk(phi.inner, sign, slack or sign < 0, fixed, up, down)
+    return not slack
+
+
+def _flags(phi) -> tuple[bool, bool]:
+    """(``phi`` holds a lolli outside diamonds, it is stuck: an atom or diamond, a tensor with a stuck part or a ``&`` with two)."""
+    if isinstance(phi, (Tensor, With)):
+        (lolli, stuck), (lolli_2, stuck_2) = _flags(phi.left), _flags(phi.right)
+        return lolli or lolli_2, (stuck or stuck_2) if isinstance(phi, Tensor) else (stuck and stuck_2)
+    return (_flags(phi.inner)[0], False) if isinstance(phi, Bang) else (isinstance(phi, Lolli), not isinstance(phi, Lolli))
+
+
+def _signed(phi, i: int):
+    """Item ``i`` of the list kept on ``phi``: its signed tally as a gamma and as a delta member (``_polar_walk``), each
+    walked on first read, then its two ``_flags``.  Buckets are atom fields, so the list holds no node."""
+    if (signed := getattr(phi, "_signed", None)) is None:
+        object.__setattr__(phi, "_signed", signed := [None, None, *_flags(phi)])
+    if signed[i] is None:
+        fixed, up, down = {}, set(), set()
+        signed[i] = (_polar_walk(phi, 2 * i - 1, False, fixed, up, down), fixed, frozenset(up), frozenset(down))
+    return signed[i]
+
+
+def _signed_refuted(gamma, delta) -> bool:
+    """True iff the signed tallies (``_signed``) refute gamma |- delta.  An axiom links a negative atom to a positive one,
+    the same atom or a negative Quantum to a positive Classical (collapse), so each net total is repairable by slack, but
+    a Quantum may run negative and a Classical positive if the Quantums that must collapse fit the Classicals that may."""
+    net, up, down = Counter(), set(), set()
+    for i, side in enumerate((gamma, delta)):
+        for phi in side:
+            fatal, fixed, ups, downs = _signed(phi, i)
+            if fatal:
+                return True
+            net.update(fixed)
+            up, down = up | ups, down | downs
+    out = into = out_room = into_room = 0  # negative Quantums that must (may) collapse, positive Classicals likewise
+    for bucket, total in net.items():
+        if bucket[0] == QUANTUM and total < 0:
+            out, out_room = out - (0 if bucket in up else total), out_room - total
+        elif bucket[0] == CLASSICAL and total > 0:
+            into, into_room = into + (0 if bucket in down else total), into_room + total
+        elif total > 0 and bucket not in down or total < 0 and bucket not in up:
+            return True
+    return out > into_room and all(b[0] != CLASSICAL for b in up) or into > out_room and all(b[0] != QUANTUM for b in down)
+
+
+def _blocked(gamma, delta) -> bool:
+    """True iff gamma holds no lolli outside diamonds, so only left rules, which keep delta, and promotion apply (Andreoli
+    1992), and delta is empty, or one ``!`` while a member of gamma is stuck (``_flags``): promotion needs all of gamma
+    banged and one formula on the right, and every axiom one atom there."""
+    if delta and (len(delta) > 1 or not isinstance(delta[0], Bang)) or any(_signed(phi, 2) for phi in gamma):
+        return False
+    return not delta or any(_signed(phi, 3) for phi in gamma)
+
+
 def _hopeless(gamma, delta) -> bool:
     """True iff no depth proves gamma |- delta, a goal that ``_refuted`` passes: its banged copies cannot balance
-    (``_copies_refuted``), or some choice at its positive ``&``s (8 at most) leaves every choice at the negative ones
-    refuted (Andreoli 1992), as only with-right removes a positive ``&``, keeping the rest in each premise, and only
-    with-left a negative one: a proof kept to those premises derives one projection per path.  A mask picks each
-    member's projection from those kept on its node (``_withs``)."""
-    if _copies_refuted(gamma, delta):
+    (``_copies_refuted``), no left rule unblocks it (``_blocked``), the signed tallies refute it (``_signed_refuted``), or
+    some choice at its positive ``&``s (8 at most) leaves every choice at the negative ones so refuted (Andreoli 1992), as
+    only with-right removes a positive ``&``, keeping the rest in each premise, and only with-left a negative one: a proof
+    kept to those premises derives one projection per path.  A mask picks each member's projection from its ``_withs``."""
+    if _copies_refuted(gamma, delta) or _blocked(gamma, delta):
         return True
     members = [(sign > 0, phi, _withs(phi)) for sign, side in ((-1, gamma), (1, delta)) for phi in side]
     signs = [s if right else -s for right, _, withs in members if withs for s in withs[0]]
-    if not signs or len(signs) > 8:
-        return False
+    if not signs or len(signs) > 8:  # else the projections decide: a goal so refuted refutes each one
+        return _signed_refuted(gamma, delta)
     full, positive = 1 << len(signs), sum(1 << i for i, sign in enumerate(signs) if sign > 0)
 
     def refuted(mask):  # gamma's &s in the low bits, then delta's
@@ -491,7 +561,7 @@ def _hopeless(gamma, delta) -> bool:
                     projection = projections[local] = _project(phi, iter([local >> i & 1 for i in range(len(own))]))
                 phi, mask = projection, mask >> len(own)
             sides[right].append(phi)
-        return _refuted(_tally(sides[0]), _tally(sides[1]))
+        return _signed_refuted(*sides)
 
     return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
 

@@ -77,8 +77,8 @@ class _Node:
     """Immutable, hash-consed formula node: equal trees are one object,
     so ``==`` is identity."""
 
-    # ``_buckets`` and ``_withs`` stay unset at build; ``calculus`` fills each on first use
-    __slots__ = ("_hash", "_height", "_buckets", "_withs", "__weakref__")
+    # ``_buckets``, ``_withs`` and ``_signed`` stay unset at build; ``calculus`` fills each on first use
+    __slots__ = ("_hash", "_height", "_buckets", "_withs", "_signed", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash

@@ -54,7 +54,11 @@ class World:
     def copy(self) -> World:
         dup = object.__new__(World)
         dup.id, dup.energy, dup.kappa, dup.lam = self.id, self.energy, self.kappa, self.lam
-        dup.props = +self.props if 0 in self.props.values() else self.props.copy()  # as __init__ keeps them
+        if 0 in self.props.values():
+            dup.props = +self.props  # as __init__ keeps them
+        else:  # a dict copy: Counter.copy runs __init__'s Python-level update
+            dup.props = Counter.__new__(Counter)
+            dict.update(dup.props, self.props)
         return dup
 
 

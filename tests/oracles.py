@@ -490,12 +490,97 @@ def _project(phi, bits):
     return phi
 
 
+def signed_profile(gamma, delta):
+    """(net totals by atom, atoms that slack can raise, atoms that it can
+    lower, has a diamond outside slack), computed iteratively by each
+    occurrence's polarity: -1 in gamma, +1 in delta, flipped under a
+    lolli's left side.  ``&`` and a negative ``!`` are slack; a positive
+    ``!`` is not, as only promotion removes it, leaving its inner formula
+    once.  Quantum and Classical atoms count apart."""
+    net: Counter = Counter()
+    up, down, fatal = set(), set(), False
+    stack = [(phi, -1, False) for phi in gamma] + [(phi, +1, False) for phi in delta]
+    while stack:
+        phi, sign, slack = stack.pop()
+        if isinstance(phi, Atom):
+            if slack:
+                (up if sign > 0 else down).add(phi)
+            else:
+                net[phi] += sign
+        elif isinstance(phi, Tensor):
+            stack += [(phi.left, sign, slack), (phi.right, sign, slack)]
+        elif isinstance(phi, Lolli):
+            stack += [(phi.left, -sign, slack), (phi.right, sign, slack)]
+        elif isinstance(phi, With):
+            stack += [(phi.left, sign, True), (phi.right, sign, True)]
+        elif isinstance(phi, Bang):
+            stack.append((phi.inner, sign, slack or sign < 0))
+        elif not slack:
+            fatal = True
+    return net, up, down, fatal
+
+
+def signed_refuted(gamma, delta) -> bool:
+    """Refutation by axiom links: every axiom links a negative atom to a
+    positive one, the same atom or, by collapse, a negative Quantum to a
+    positive Classical.  So a provable goal has each atom's net total
+    repairable by slack, except that a Quantum may run negative and a
+    Classical positive, and the collapses out of the Quantums (a range,
+    from what no slack absorbs to all, or any count under a negative
+    Quantum slack) meet the collapses into the Classicals (likewise)."""
+    net, up, down, fatal = signed_profile(gamma, delta)
+    if fatal:
+        return True
+    quantum, classical = (lambda atom: atom.name == QUANTUM), (lambda atom: atom.name == CLASSICAL)
+    for atom, total in net.items():
+        if total > 0 and atom not in down and not classical(atom):
+            return True
+        if total < 0 and atom not in up and not quantum(atom):
+            return True
+    out_low = sum(-t for a, t in net.items() if quantum(a) and t < 0 and a not in up)
+    out_high = sum(-t for a, t in net.items() if quantum(a) and t < 0) if not any(map(quantum, down)) else float("inf")
+    in_low = sum(t for a, t in net.items() if classical(a) and t > 0 and a not in down)
+    in_high = sum(t for a, t in net.items() if classical(a) and t > 0) if not any(map(classical, up)) else float("inf")
+    return max(out_low, in_low) > min(out_high, in_high)
+
+
+def reference_blocked(gamma, delta) -> bool:
+    """The barrier: gamma holds no lolli outside diamonds, and delta is
+    empty, or one ``!`` while some member of gamma cannot be cleared to
+    banged parts by left rules (a ``!`` clears, a tensor when both parts
+    do, a ``&`` when either branch does)."""
+
+    def has_lolli(phi) -> bool:
+        stack = [phi]
+        while stack:
+            phi = stack.pop()
+            if isinstance(phi, Lolli):
+                return True
+            if isinstance(phi, (Tensor, With)):
+                stack += [phi.left, phi.right]
+            elif isinstance(phi, Bang):
+                stack.append(phi.inner)
+        return False
+
+    def clears(phi) -> bool:
+        if isinstance(phi, Tensor):
+            return clears(phi.left) and clears(phi.right)
+        if isinstance(phi, With):
+            return clears(phi.left) or clears(phi.right)
+        return isinstance(phi, Bang)
+
+    if any(map(has_lolli, gamma)):
+        return False
+    return not delta or len(delta) == 1 and isinstance(delta[0], Bang) and not all(map(clears, gamma))
+
+
 def reference_hopeless(gamma, delta) -> bool:
-    """``calculus._hopeless`` as it was when every mask rebuilt every projected
-    member through the constructors: the counted check, then, for 8 ``&``s at
-    most, some choice at the positive ones that leaves every choice at the
-    negative ones refuted."""
-    if _copies_refuted(gamma, delta):
+    """``calculus._hopeless`` rebuilt from the references: the counted check,
+    the barrier and the signed refutation, then, with every projected member
+    rebuilt through the constructors for each mask and for 8 ``&``s at most,
+    some choice at the positive ones that leaves every choice at the
+    negative ones refuted by the signed check."""
+    if _copies_refuted(gamma, delta) or reference_blocked(gamma, delta) or signed_refuted(gamma, delta):
         return True
     signs = [s for sign, side in ((-1, gamma), (1, delta)) for phi in side for s in _with_polarities(phi, sign, [])]
     if not signs or len(signs) > 8:
@@ -504,7 +589,7 @@ def reference_hopeless(gamma, delta) -> bool:
 
     def refuted(mask):
         bits = iter([mask >> i & 1 for i in range(len(signs))])  # gamma's &s, then delta's
-        return _refuted(*(_tally(tuple(_project(phi, bits) for phi in side)) for side in (gamma, delta)))
+        return signed_refuted(*(tuple(_project(phi, bits) for phi in side) for side in (gamma, delta)))
 
     return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
 

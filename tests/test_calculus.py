@@ -621,9 +621,11 @@ class TestSearchBudget:
     def test_a_search_stops_at_the_same_slot_count(self, monkeypatch):
         monkeypatch.setattr(calculus, "MAX_SEARCH_WORK", 5000)
         states = recorded_states(monkeypatch)
-        # proof-only mode moves the first two stops: from 5,005 and 5,011 without it, from 5,002
-        # and 5,011 when only the root's death turned it on
-        for seq, bound, work in ((WORST_C01, 7, 5012), (BANGED_SELF_CARRY, 64, 5012), (SPENT_TWICE, 64, 5021)):
+        # the first goal has a proof, so no check accepts it; WORST_C01 at bound 7 stopped here at
+        # 5,012 units until the signed tally let its root stop at its first death, after 2,859.
+        # Proof-only mode moved the banged self-carry's stop from 5,011 without it
+        carry = parse_formula("!(B -o A) * (Phi * B & A)")
+        for seq, bound, work in ((Sequent((carry,), (carry,)), 16, 5001), (BANGED_SELF_CARRY, 64, 5012), (SPENT_TWICE, 64, 5021)):
             for _ in range(3):
                 assert prove(seq, bound, *ZERO).failure_reason == SEARCH_BUDGET_EXCEEDED
                 assert states[-1][3] == work
@@ -768,6 +770,112 @@ class TestKeptProjections:
         assert calculus._hopeless(*CASE_2332) and not calculus._copies_refuted(*CASE_2332)
 
 
+# Quantum and Classical atoms over two argument values, with both coherence flags
+QC_ATOMS = [Atom(name, (arg,), flag) for name in ("Quantum", "Classical") for arg in ("q0", "q1") for flag in (True, False)]
+
+
+def polar_sides(leaves, max_leaves=3):
+    """Sides of 0-2 members rich in ``!``, lollis and ``&`` over ``leaves``, so a ``!``
+    often sits under a lolli's left side, in gamma and in delta."""
+    grown = st.recursive(
+        st.sampled_from(leaves),
+        lambda kids: st.one_of(
+            st.builds(Bang, kids), st.builds(Lolli, kids, kids), st.builds(Tensor, kids, kids), st.builds(With, kids, kids)
+        ),
+        max_leaves=max_leaves,
+    )
+    return st.lists(grown | grown.map(Bang), max_size=2).map(tuple)
+
+
+def measured(phi, sign=1):
+    """``phi`` as a delta member with each positive Quantum atom replaced by the Classical one its collapse leaves."""
+    if isinstance(phi, Atom):
+        return Atom("Classical", phi.args, phi.coherent) if sign > 0 and phi.name == "Quantum" else phi
+    if isinstance(phi, Bang):
+        return Bang(measured(phi.inner, sign))
+    return type(phi)(measured(phi.left, -sign if isinstance(phi, Lolli) else sign), measured(phi.right, sign))
+
+
+def polar_goals(leaves):
+    """Goals over two ``polar_sides``, or goals that are often provable: one side on both
+    sides of the turnstile, with the other's first member banged in gamma, and delta's
+    positive Quantums collapsed (``measured``), each member of delta now and then as a
+    ``&`` of itself."""
+    sides, small = polar_sides(leaves), polar_sides(leaves, max_leaves=2)
+    mirrored = st.tuples(small, small, st.booleans()).map(
+        lambda t: (t[0] + tuple(map(Bang, t[1][:1])), tuple(With(m, m) if t[2] else m for m in map(measured, t[0])))
+    )
+    return st.tuples(sides, sides) | mirrored
+
+
+# lolli-free members (now and then a lolli) with banged, &, tensor and diamond parts
+barrier_members = st.recursive(
+    st.sampled_from([A, B, QC_ATOMS[0], QC_ATOMS[6], Diamond(0.0, A), Bang(A)]),
+    lambda kids: st.one_of(
+        st.builds(Bang, kids), st.builds(Tensor, kids, kids), st.builds(With, kids, kids), st.builds(Diamond, st.just(0.0), kids)
+    ),
+    max_leaves=3,
+)
+barrier_gammas = st.lists(barrier_members | st.builds(Lolli, barrier_members, barrier_members), max_size=3).map(tuple)
+barrier_deltas = st.one_of(st.just(()), barrier_members.map(lambda phi: (Bang(phi),)), st.lists(barrier_members, max_size=1).map(tuple))
+barrier_atoms = st.sampled_from([A, B, QC_ATOMS[0], QC_ATOMS[6]])
+# goals that carry !phi across, provable at height 3 or 4 unless blocked: alone, beside a stuck
+# member in a &, or behind a lolli from a stuck member
+carried = st.tuples(barrier_atoms, barrier_atoms, st.integers(0, 2)).map(
+    lambda t: (((Bang(t[0]),), (With(t[1], Bang(t[0])),), (t[1], Lolli(t[1], Bang(t[0]))))[t[2]], (Bang(t[0]),))
+)
+barrier_goals = st.tuples(barrier_gammas, barrier_deltas) | carried
+
+
+class TestSignedChecks:
+    """Each check that ``_hopeless`` adds to the sign-blind tally refutes only goals
+    that raw enumeration, with no refutation shortcut, proves at no bound up to 4:
+    rule (b), a positive ``!`` counts its inner formula once; rule (c), a collapse
+    link runs only from a negative Quantum to a positive Classical; and the barrier."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(polar_goals([A, B, Bang(A)]))
+    @example(((Bang(A),), (Tensor(A, A),)))  # a negative ! stays slack
+    @example(((Lolli(Bang(A), B),), (Lolli(Bang(A), B),)))  # a ! under a lolli's left side, both sides
+    @example(((Bang(A),), (Lolli(Lolli(Bang(A), B), B),)))
+    @example(((A,), (Bang(Tensor(A, A)),)))  # refuted: promotion leaves A * A, where the tally saw slack
+    def test_rule_b_is_sound(self, goal):
+        gamma, delta = goal
+        if calculus._signed_refuted(gamma, delta):
+            assert not oracles.provable(gamma, delta, 4, use_filter=False), (gamma, delta)
+
+    @settings(max_examples=400, deadline=None)
+    @given(polar_goals(QC_ATOMS))
+    @example(((QC_ATOMS[0],), (QC_ATOMS[6],)))  # collapse, across arguments and flags
+    @example(((QC_ATOMS[0],), (With(QC_ATOMS[4], QC_ATOMS[6]),)))  # a positive Classical slack takes the collapse
+    @example(((Bang(QC_ATOMS[2]),), (Tensor(QC_ATOMS[4], QC_ATOMS[6]),)))  # a negative Quantum slack gives both
+    @example(((QC_ATOMS[6],), (QC_ATOMS[0],)))  # refuted: no link runs from a Classical to a Quantum
+    def test_rule_c_is_sound(self, goal):
+        gamma, delta = goal
+        if calculus._signed_refuted(gamma, delta):
+            assert not oracles.provable(gamma, delta, 4, use_filter=False), (gamma, delta)
+
+    @settings(max_examples=400, deadline=None)
+    @given(barrier_goals)
+    @example(((Bang(A),), (Bang(A),)))  # promotion: a banged gamma is not stuck
+    @example(((With(A, Bang(B)),), (Bang(B),)))  # nor is a & with a branch that is not
+    @example(((A, Lolli(A, Bang(B))), (Bang(B),)))  # a lolli unblocks the goal
+    @example(((Bang(QC_ATOMS[6]),), ()))  # refuted: nothing on the right
+    def test_barrier_is_sound(self, goal):
+        gamma, delta = goal
+        if calculus._blocked(gamma, delta):
+            assert not oracles.provable(gamma, delta, 4, use_filter=False), (gamma, delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polar_sides([A, *QC_ATOMS[::3], Diamond(0.0, A)]), polar_sides([A, *QC_ATOMS[::3], Diamond(0.0, A)]))
+    def test_signed_tally_refutes_what_the_tally_refutes(self, gamma, delta):
+        # so the & projections need read only the signed one
+        if _refuted(_tally(gamma), _tally(delta)):
+            assert calculus._signed_refuted(gamma, delta)
+        assert calculus._signed_refuted(gamma, delta) == oracles.signed_refuted(gamma, delta)
+        assert calculus._blocked(gamma, delta) == oracles.reference_blocked(gamma, delta)
+
+
 # the connectives and atoms a short proof of a wide goal would have to spend
 wide_formulas = st.recursive(
     shortcut_leaves | st.sampled_from([QUANTUM_Q, CLASSICAL_O]),
@@ -805,9 +913,10 @@ class TestTwoLevelStop:
         monkeypatch.setattr(calculus, "_search", lambda *args: entries.append(1) or search(*args))
         seq, bound, model, kappa = POOL_CASES[2179]
         assert POOL.proof_record(prove(seq, bound, model, kappa)) == "D0"
-        # 850 when only the root's death turned on proof-only mode, 2,087 before that mode,
-        # 5,658 when every two-level goal tried all its applications
-        assert len(entries) == 344
+        # 344 before the signed checks let the root stop at its first death, 850 when only the
+        # root's death turned on proof-only mode, 2,087 before that mode, 5,658 when every
+        # two-level goal tried all its applications
+        assert len(entries) == 40
 
 
 # the 14 pool cases whose searches made the most entries without proof-only mode, largest first
@@ -841,8 +950,9 @@ class TestProofOnlyMode:
         cases = [POOL.corpus_case(builder, case) for case in every_25th + LARGEST_WITHOUT_PROOF_ONLY]
         new_tables, states = calculus._new_tables, recorded_states(monkeypatch)
         with_mode = [prove(*case) for case in cases]
-        # 39 of the 96 searches go on past a spine goal's first death; 28 when only the root's counted
-        assert (len(states), sum(state[4] for state in states)) == (96, 39)
+        # 32 of the 96 searches go on past a spine goal's first death; 39 before the signed checks
+        # stopped more roots at their first death, 28 when only the root's death counted
+        assert (len(states), sum(state[4] for state in states)) == (96, 32)
         monkeypatch.setattr(calculus, "_new_tables", lambda: _ProofOnlyOff(new_tables()))
         assert [prove(*case) for case in cases] == with_mode
 

@@ -16,9 +16,12 @@ import eclc
 from eclc import calculus, cli, observer, parse_scenario, scenarios, serialize_scenario, sim
 from eclc.calculus import format_sequent
 from eclc.cli import main
+from eclc.dsl import parse_formula
+from eclc.formula import MAX_FORMULA_NODES
 from eclc.sim import ScenarioError, run_scenario, write_report
 from gen import extreme_scenario_texts, random_config
 from oracles import check_proof
+from test_dsl import _shapes
 from test_report_pins import accessibility_text
 
 SRC = str(Path(eclc.__file__).resolve().parents[1])
@@ -525,6 +528,26 @@ class TestSearchBudget:
         capsys.readouterr()
         assert reasons and calculus.SEARCH_BUDGET_EXCEEDED not in reasons
 
+    def test_signed_checks_leave_no_antecedent_search_to_the_budget(self, tmp_path, capsys, monkeypatch):
+        # 29 of this file's lambda=64 antecedent searches each spent the whole budget (the run took
+        # 23-28 s on a 2-CPU machine) while the sign-blind tally let one Classical atom cancel another:
+        # a negative Classical needs a positive one of the same atom, as no link runs into a Quantum
+        reasons = []
+
+        def recorded(prove):
+            return lambda *args: reasons.append((result := prove(*args)).failure_reason) or result
+
+        for module in (calculus, observer, sim):
+            monkeypatch.setattr(module, "prove", recorded(module.prove))
+        path = tmp_path / "extreme-78.eclc"
+        path.write_text(extreme_scenario_texts(12, 200)[78])
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert reasons and reasons.count(calculus.SEARCH_BUDGET_EXCEEDED) == 0
+        gamma, delta = ["!(Entangled(a,b) -o B) & (<0.0>B -o <0.0>Phi)"], ["!Entangled(a,b) -o Classical(q0) -o Classical(q1)"]
+        gamma, delta = (tuple(map(parse_formula, side)) for side in (gamma, delta))
+        assert not calculus._refuted(calculus._tally(gamma), calculus._tally(delta)) and calculus._hopeless(gamma, delta)
+
     def test_an_antecedent_search_past_a_dead_spine_goal_proves(self, tmp_path, capsys, monkeypatch):
         # w1's lambda=64 antecedent search spent the whole budget when only the root's
         # first death turned on proof-only mode, and w1's access_fraction was 0.0
@@ -1004,6 +1027,33 @@ class TestOtherInterpreters:
         for python in [sys.executable, *other_interpreters()]:
             proc = subprocess.run([python, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=120)
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, ""), python
+
+    def test_dsl_formulas_at_the_bound_under_every_interpreter(self):
+        # TestFormulaBound's shapes at MAX_FORMULA_NODES, parsed from DSL text, each
+        # proved as X |- X at MAX_LAMBDA under zero costs and its proof rendered
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r})\n"
+            "from eclc import CostModel, Sequent, prove, render_proof\n"
+            "from eclc.dsl import parse_formula\n"
+            "from eclc.frame import MAX_LAMBDA\n"
+            f"for text in {_shapes(MAX_FORMULA_NODES)!r}:\n"
+            "    phi = parse_formula(text)\n"
+            "    r = prove(Sequent((phi,), (phi,)), MAX_LAMBDA, CostModel({}, default_cost=0.0), 0.0)\n"
+            "    print(r.proved, r.depth, r.failure_reason, len(render_proof(r.tree)) if r.proved else 0)\n"
+        )
+        # parentheses, bangs, diamonds, tensors, lollis and &s (proved, depth, reason, rendered
+        # length): the bang and lolli chains end at the work budget
+        expected = [
+            "True 1 None 16",
+            "False 0 search_budget_exceeded 0",
+            "False 0 no_rule_applies 0",
+            "True 401 None 573816",
+            "False 0 search_budget_exceeded 0",
+            "True 201 None 248016",
+        ]
+        for python in [sys.executable, *other_interpreters()]:
+            proc = subprocess.run([python, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=120)
+            assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (0, expected, ""), python
 
     def test_bundled_reports_match_across_interpreters(self, tmp_path):
         pythons = other_interpreters()

@@ -26,6 +26,7 @@ from eclc import (
     prove,
 )
 from eclc import formula
+from eclc.calculus import _signed_refuted
 from gen import formulas
 
 from oracles import flat_cost
@@ -301,13 +302,16 @@ class TestValidation:
             del a, b, goal, node
             assert len(formula._interned) == before
             # a root whose first death asks _hopeless keeps each member's & projections
-            # on its node; no projection holds a node back, so all go with the last user
+            # on its node, and each projection's signed tallies and barrier flags on
+            # the projection; none holds a node back, so all go with the last user
             a, b, c = Atom("Probe_7"), Atom("Probe_8"), Atom("Probe_9")
             left, right = Tensor(a, With(c, b)), Tensor(With(a, b), c)
             assert prove(Sequent((left,), (right,)), 4, zero, 0.0).failure_reason == "depth_exceeded"
             assert left._withs[1] == [Tensor(a, c), Tensor(a, b)] and right._withs[1] == [Tensor(a, c), Tensor(b, c)]
+            for node in (*left._withs[1], *right._withs[1]):
+                assert node._signed is not None
             assert len(formula._interned) == before + 10
-            del a, b, c, left, right
+            del a, b, c, left, right, node
             assert len(formula._interned) == before
         finally:
             gc.enable()
@@ -316,7 +320,8 @@ class TestValidation:
         assert phi._buckets is not None
         assert copy.deepcopy(phi) is phi
         assert pickle.loads(pickle.dumps(phi)) is phi
-        assert "_buckets" not in repr(phi) and "_withs" not in repr(phi) and "_height" not in repr(phi)
-        for slot in ("_buckets", "_withs", "_height"):
+        assert _signed_refuted((), (phi,)) and phi._signed is not None  # its diamond sits outside slack
+        for slot in ("_buckets", "_withs", "_height", "_signed"):
+            assert slot not in repr(phi)
             with pytest.raises(AttributeError, match=f"cannot assign to field '{slot}'"):
                 setattr(phi, slot, None)

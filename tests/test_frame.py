@@ -356,6 +356,8 @@ class TestFrameValidation:
         # to zero by hand is dropped from the copy, as World() drops it
         dup = frame.copy()
         assert dup == frame
-        assert all(dup.worlds[w].props is not frame.worlds[w].props for w in frame.worlds)
+        for w, world in frame.worlds.items():
+            props = dup.worlds[w].props
+            assert type(props) is Counter and props == world.props and props is not world.props
         frame.worlds["w0"].props[PHI] = 0
         assert frame.copy().worlds["w0"].props == Counter() and PHI in frame.worlds["w0"].props
