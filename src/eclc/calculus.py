@@ -438,33 +438,26 @@ def _copies_refuted(gamma, delta) -> bool:
     return any(row[-1] for row in rows)
 
 
-def _with_polarities(phi, sign: int, out: list) -> list:
-    """Append to ``out`` the polarity of each ``&`` in ``phi`` outside ``!`` and diamonds, children
-    first: ``sign`` (-1 in gamma, +1 in delta), flipped under a lolli's left side."""
-    if isinstance(phi, (Tensor, With, Lolli)):
-        _with_polarities(phi.left, -sign if isinstance(phi, Lolli) else sign, out)
-        _with_polarities(phi.right, sign, out)
-    if isinstance(phi, With):
-        out.append(sign)
-    return out
-
-
-def _project(phi, bits):
-    """``phi`` with each ``&`` that ``_with_polarities`` lists replaced by the branch the next of ``bits`` picks (1: right)."""
-    if isinstance(phi, With):
-        return (_project(phi.left, bits), _project(phi.right, bits))[next(bits)]
-    if isinstance(phi, (Tensor, Lolli)):
-        return type(phi)(_project(phi.left, bits), _project(phi.right, bits))
-    return phi
-
-
 def _withs(phi) -> tuple:
-    """``phi``'s ``&`` polarities in delta (``_with_polarities``) and, for 8 at most, its projections by a mask whose
-    bits pick in ``_project``'s order, each None until ``_hopeless`` builds it; () if none.  Kept on the node: a
-    projection has no ``&`` outside ``!`` and diamonds, so it holds no ``_withs`` back, and a node stays collectable."""
+    """``phi``'s ``&`` polarities in delta, outside ``!`` and diamonds, children first and flipped under a lolli's left
+    side, and, for 8 at most, its projections by a mask whose bits pick those ``&``s' branches in that order (1: right);
+    () if none.  Built from the children's and kept on the node: a projection has no ``&`` outside ``!`` and diamonds,
+    so it holds no ``_withs`` back, and a node stays collectable."""
     if (withs := getattr(phi, "_withs", None)) is None:
-        n = len(signs := tuple(_with_polarities(phi, 1, [])))
-        object.__setattr__(phi, "_withs", withs := (signs, [None] * (1 << n) if n <= 8 else None) if n else ())
+        withs = ()
+        if isinstance(phi, (Tensor, Lolli, With)):
+            left, lefts = _withs(phi.left) or ((), [phi.left])
+            right, rights = _withs(phi.right) or ((), [phi.right])
+            if isinstance(phi, Lolli):
+                left = tuple(-sign for sign in left)
+            signs = left + right + ((1,) if isinstance(phi, With) else ())
+            if len(signs) > 8:
+                withs = (signs, None)
+            elif isinstance(phi, With):  # its own bit the highest: the left branch's at every mask of the lower bits, then the right's
+                withs = (signs, lefts * len(rights) + [p for p in rights for _ in lefts])
+            elif signs:  # the left part's bits low
+                withs = (signs, [type(phi)(p, q) for q in rights for p in lefts])
+        object.__setattr__(phi, "_withs", withs)
     return withs
 
 
@@ -556,10 +549,7 @@ def _hopeless(gamma, delta) -> bool:
         sides = ([], [])
         for right, phi, withs in members:
             if withs:
-                own, projections = withs
-                if (projection := projections[local := mask & (len(projections) - 1)]) is None:
-                    projection = projections[local] = _project(phi, iter([local >> i & 1 for i in range(len(own))]))
-                phi, mask = projection, mask >> len(own)
+                phi, mask = withs[1][mask & (len(withs[1]) - 1)], mask >> len(withs[0])
             sides[right].append(phi)
         return _signed_refuted(*sides)
 

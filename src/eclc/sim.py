@@ -171,7 +171,8 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
         carried: list[Formula] = []
         for phi in current:
             if hop_ok and coherence(phi) == 1:
-                surcharge = curvature_cost(phi, model, target.kappa) - base_cost(phi, model)
+                # a flat hop scales by exactly 1, and an infinite cost less itself would be NaN
+                surcharge = curvature_cost(phi, model, target.kappa) - base_cost(phi, model) if target.kappa else 0.0
                 if _self_carry(phi, source, model, proofs).proved and spent + surcharge <= budget:
                     spent += surcharge
                     carried.append(phi)

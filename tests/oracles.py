@@ -103,7 +103,8 @@ def occurrence_profile(gamma, delta):
 def tally_refuted(gamma, delta) -> bool:
     """Depth-independent refutation by the occurrence tally alone: an
     undiscardable diamond, or a fixed occurrence imbalance with no slack
-    in the repairing direction."""
+    in the repairing direction.  The reference for the prover's tallies
+    kept per node (``calculus._tally`` and ``_refuted``)."""
     fixed, up, down, dead = occurrence_profile(gamma, delta)
     if dead:
         return True
@@ -113,67 +114,8 @@ def tally_refuted(gamma, delta) -> bool:
     return False
 
 
-# The prover's refutation shortcut as it was before signatures were
-# stored on formulas: one recursive walk of every member per call.  Kept
-# verbatim as the reference for the stored-signature sum.
 QUANTUM = "Quantum"
 CLASSICAL = "Classical"
-_QC_BUCKET = ("QC",)
-
-
-def refuted_outright_walk(gamma, delta) -> bool:
-    """Depth-independent refutation by signed occurrence accounting.
-
-    Axioms consume one left and one right occurrence of the same
-    bucket, and every rule preserves signed bucket totals, except that
-    with-projections and bang-weakening may drop occurrences and
-    bang-contraction may replay them.  A provable sequent therefore
-    needs each bucket's fixed total to be repairable by slack of the
-    right direction.  A diamond that is not discardable (not under a
-    bang or a with-branch) eventually surfaces at top level where no
-    rule and no axiom can consume it, which refutes the goal outright.
-    """
-    fixed: Counter = Counter()
-    can_increase: set = set()
-    can_decrease: set = set()
-    fatal = False
-
-    def walk(phi, sign: int, slack: bool) -> None:
-        nonlocal fatal
-        if fatal:
-            return
-        if isinstance(phi, Atom):
-            bucket = _QC_BUCKET if phi.name in (QUANTUM, CLASSICAL) else phi
-            if slack:
-                (can_increase if sign > 0 else can_decrease).add(bucket)
-            else:
-                fixed[bucket] += sign
-        elif isinstance(phi, Tensor):
-            walk(phi.left, sign, slack)
-            walk(phi.right, sign, slack)
-        elif isinstance(phi, Lolli):
-            walk(phi.left, -sign, slack)
-            walk(phi.right, sign, slack)
-        elif isinstance(phi, With):
-            walk(phi.left, sign, True)
-            walk(phi.right, sign, True)
-        elif isinstance(phi, Bang):
-            walk(phi.inner, sign, True)
-        elif not slack:
-            fatal = True
-
-    for phi in gamma:
-        walk(phi, -1, False)
-    for phi in delta:
-        walk(phi, +1, False)
-    if fatal:
-        return True
-    for bucket, total in fixed.items():
-        if total > 0 and bucket not in can_decrease:
-            return True
-        if total < 0 and bucket not in can_increase:
-            return True
-    return False
 
 
 # The prover's search as it was before callers probed the memo and memo

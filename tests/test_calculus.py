@@ -301,12 +301,12 @@ class TestRefutationShortcut:
     @example([Bang(A), Bang(Tensor(QUANTUM_Q, B))], [Tensor(CLASSICAL_O, Atom("A", coherent=False))])
     def test_signature_sum_matches_reference_walk(self, gamma, delta):
         gamma, delta = tuple(gamma), tuple(delta)
-        assert _refuted(_tally(gamma), _tally(delta)) == oracles.refuted_outright_walk(gamma, delta)
+        assert _refuted(_tally(gamma), _tally(delta)) == oracles.tally_refuted(gamma, delta)
         # every member now has a stored signature; read each again on the other side too
         for phi in gamma + delta:
             g, d = gamma + (phi,), delta + (phi,)
-            assert _refuted(_tally(g), _tally(d)) == oracles.refuted_outright_walk(g, d)
-        assert _refuted(_tally(delta), _tally(gamma)) == oracles.refuted_outright_walk(delta, gamma)
+            assert _refuted(_tally(g), _tally(d)) == oracles.tally_refuted(g, d)
+        assert _refuted(_tally(delta), _tally(gamma)) == oracles.tally_refuted(delta, gamma)
 
 
 search_formulas = leaf_formulas(3)
@@ -471,7 +471,7 @@ class TestSearchDifferential:
         for gamma, delta, k in entries:
             if calculus._is_axiom(gamma, delta) is None:
                 # memoized at any depth iff the reference walk refutes it
-                assert (k in refuted) == oracles.refuted_outright_walk(gamma, delta), (gamma, delta)
+                assert (k in refuted) == oracles.tally_refuted(gamma, delta), (gamma, delta)
         assert refuted <= {k for _, _, k in entries}
 
     def test_memo_hits_do_not_enter_the_search(self, monkeypatch):
@@ -741,9 +741,11 @@ WITHS_4, WITHS_5 = functools.reduce(With, [A, B, C, A, B]), functools.reduce(Wit
 
 
 class TestKeptProjections:
-    """``_hopeless`` picks each member's ``&`` projection by mask from the list kept on
-    its node; it must answer as the check that rebuilt every projection per mask did,
-    on goals with 0-9 ``&``s on both sides, under a lolli's left side, ``!`` and diamonds."""
+    """``_withs`` builds each node's ``&`` signs and projections from its children's.  Every
+    node with 8 ``&``s or fewer outside ``!`` and diamonds keeps all 2^n projections, each the
+    one the reference builds at its mask, and one with more keeps None; ``_hopeless``, which
+    picks each member's projection by mask, answers as the reference.  Goals hold 0-9 ``&``s
+    on both sides, under a lolli's left side, ``!`` and diamonds."""
 
     @settings(max_examples=400, deadline=None)
     @given(projection_sides, projection_sides)
@@ -757,12 +759,20 @@ class TestKeptProjections:
         gamma, delta = tuple(gamma), tuple(delta)
         assume(len([s for phi in gamma + delta for s in oracles._with_polarities(phi, 1, [])]) <= 9)
         assert calculus._hopeless(gamma, delta) == oracles.reference_hopeless(gamma, delta)
-        # each projection a mask read is the one its local bits pick, in the reference order
-        for phi in gamma + delta:
-            signs, projections = getattr(phi, "_withs", None) or ((), None)
-            for local, projection in enumerate(projections or ()):
-                if projection is not None:
-                    assert projection is oracles._project(phi, iter([local >> i & 1 for i in range(len(signs))]))
+        nodes = list(gamma + delta)
+        while nodes:
+            phi = nodes.pop()
+            nodes += [getattr(phi, part) for part in ("left", "right", "inner") if hasattr(phi, part)]
+            signs = tuple(oracles._with_polarities(phi, 1, []))
+            withs = calculus._withs(phi)
+            if not signs:
+                assert withs == ()
+            elif len(signs) > 8:
+                assert withs == (signs, None)
+            else:
+                assert withs[0] == signs and len(withs[1]) == 1 << len(signs)
+                for mask, projection in enumerate(withs[1]):
+                    assert projection is oracles._project(phi, iter([mask >> i & 1 for i in range(len(signs))]))
 
     def test_pool_case_2332_is_hopeless(self):
         seq = POOL.corpus_case(POOL.Builder(), 2332)[0]

@@ -50,6 +50,16 @@ sequent s w1 -> w2 : A |- A
 """
 
 
+INFINITE_COST_HOP = """scenario coherence
+cost A = 1e308
+world w0 {{ energy=10.0, kappa=0.0, lambda=4 }}
+world w1 {{ energy=10.0, kappa={kappa}, lambda=4 }}
+edge w0 -> w1 {{ deltaE=0.0 }}
+prop w0 : A * A
+prop w0 : B
+"""
+
+
 FLAT_PI_CHAIN = """scenario coherence
 cost * = 0.0
 world w0 { energy=10.0, kappa=0.5, lambda=4 }
@@ -192,6 +202,15 @@ class TestRun:
             assert "nan" not in capsys.readouterr().out
         assert outputs[0] == outputs[1]
         assert [line.split(",")[2] for line in outputs[0].splitlines()[1:]] == ["1.0", "1.0", "1.0"]
+
+    @pytest.mark.parametrize("kappa, pi", [("0.0", "pi=[1, 1] (no fit)"), ("1.0", "pi=[1, 0.5] rate=0.693147 r_squared=1")])
+    def test_a_flat_hop_carries_an_overflowing_cost(self, tmp_path, capsys, kappa, pi):
+        # A * A costs inf, and inf - inf would be a NaN surcharge that no budget
+        # covers; a flat hop scales by exactly 1, while a curved one still decoheres
+        path = tmp_path / "inf.eclc"
+        path.write_text(INFINITE_COST_HOP.format(kappa=kappa))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"coherence: {pi}"
 
     @pytest.mark.parametrize("name", scenarios.NAMES)
     def test_timings_change_no_report_and_no_stdout(self, tmp_path, capsys, monkeypatch, name):
@@ -1033,23 +1052,26 @@ class TestOtherInterpreters:
         # proved as X |- X at MAX_LAMBDA under zero costs and its proof rendered
         code = (
             f"import sys; sys.path.insert(0, {SRC!r})\n"
-            "from eclc import CostModel, Sequent, prove, render_proof\n"
+            "from eclc import Atom, CostModel, Sequent, prove, render_proof\n"
+            "from eclc.calculus import _hopeless, _withs\n"
             "from eclc.dsl import parse_formula\n"
             "from eclc.frame import MAX_LAMBDA\n"
             f"for text in {_shapes(MAX_FORMULA_NODES)!r}:\n"
             "    phi = parse_formula(text)\n"
             "    r = prove(Sequent((phi,), (phi,)), MAX_LAMBDA, CostModel({}, default_cost=0.0), 0.0)\n"
-            "    print(r.proved, r.depth, r.failure_reason, len(render_proof(r.tree)) if r.proved else 0)\n"
+            "    hopeless = _hopeless((phi,), (Atom('B'),))\n"
+            "    print(r.proved, r.depth, r.failure_reason, len(render_proof(r.tree)) if r.proved else 0, hopeless, len((_withs(phi) or ((),))[0]))\n"
         )
         # parentheses, bangs, diamonds, tensors, lollis and &s (proved, depth, reason, rendered
-        # length): the bang and lolli chains end at the work budget
+        # length, whether _hopeless refutes phi |- B, and phi's & count): the bang and lolli
+        # chains end at the work budget, and _withs walks the 100-& chain from its children
         expected = [
-            "True 1 None 16",
-            "False 0 search_budget_exceeded 0",
-            "False 0 no_rule_applies 0",
-            "True 401 None 573816",
-            "False 0 search_budget_exceeded 0",
-            "True 201 None 248016",
+            "True 1 None 16 True 0",
+            "False 0 search_budget_exceeded 0 True 0",
+            "False 0 no_rule_applies 0 True 0",
+            "True 401 None 573816 True 0",
+            "False 0 search_budget_exceeded 0 True 0",
+            "True 201 None 248016 False 100",
         ]
         for python in [sys.executable, *other_interpreters()]:
             proc = subprocess.run([python, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, timeout=120)
