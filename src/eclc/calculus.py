@@ -287,52 +287,16 @@ def _is_axiom(gamma, delta) -> str | None:
 _QC_BUCKET = ("QC",)
 
 
-def _walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set) -> bool:
-    """Tally ``phi``'s atom occurrences into ``fixed`` or, under slack,
-    into the buckets that can go ``up`` or ``down``; True iff ``phi``
-    holds a diamond that is not under slack."""
-    if isinstance(phi, Atom):
-        bucket = _QC_BUCKET if phi.name in (QUANTUM, CLASSICAL) else (phi.name, phi.args, phi.coherent)
-        if slack:
-            (up if sign > 0 else down).add(bucket)
-        else:
-            fixed[bucket] = fixed.get(bucket, 0) + sign
-        return False
-    if isinstance(phi, Tensor):
-        return _walk(phi.left, sign, slack, fixed, up, down) or _walk(phi.right, sign, slack, fixed, up, down)
-    if isinstance(phi, Lolli):
-        return _walk(phi.left, -sign, slack, fixed, up, down) or _walk(phi.right, sign, slack, fixed, up, down)
-    if isinstance(phi, With):
-        return _walk(phi.left, sign, True, fixed, up, down) or _walk(phi.right, sign, True, fixed, up, down)
-    if isinstance(phi, Bang):
-        return _walk(phi.inner, sign, True, fixed, up, down)
-    return not slack
-
-
-def _signature(phi) -> tuple:
-    """``phi``'s tally as a one-member side (``_tally``), walked once and
-    kept on the node.  An atom's bucket is its fields, not the atom
-    itself, so a signature holds no node."""
-    fixed: dict = {}
-    up: set = set()
-    down: set = set()
-    fatal = _walk(phi, +1, False, fixed, up, down)
-    signature = (fatal, fixed, frozenset(up), frozenset(down))
-    object.__setattr__(phi, "_buckets", signature)
-    return signature
-
-
 def _tally(side) -> tuple:
-    """``side``'s signed bucket tally on the right of the turnstile, the
-    sum of its members' signatures: ``(fatal, fixed totals, buckets that
-    can go up, buckets that can go down)``.  A fatal member's signature
-    stands for a fatal side, and a one-member side's tally is its member's."""
+    """``side``'s sign-blind bucket tally on the right of the turnstile, the sum of its members'
+    (``_kept`` entry 2): ``(fatal, fixed totals, buckets that can go up, buckets that can go down)``.
+    A fatal member's tally stands for a fatal side, and a one-member side's tally is its member's."""
     if len(side) == 1:
-        return getattr(side[0], "_buckets", None) or _signature(side[0])
+        return (kept := side[0]._kept) and kept[2] or _kept(side[0], 2)
     fixed: dict = {}
     ups = downs = frozenset()
     for phi in side:
-        fatal, totals, up, down = getattr(phi, "_buckets", None) or _signature(phi)
+        fatal, totals, up, down = (kept := phi._kept) and kept[2] or _kept(phi, 2)
         if fatal:
             return fatal, totals, up, down
         for bucket, total in totals.items():
@@ -441,42 +405,44 @@ def _copies_refuted(gamma, delta) -> bool:
 def _withs(phi) -> tuple:
     """``phi``'s ``&`` polarities in delta, outside ``!`` and diamonds, children first and flipped under a lolli's left
     side, and, for 8 at most, its projections by a mask whose bits pick those ``&``s' branches in that order (1: right);
-    () if none.  Built from the children's and kept on the node: a projection has no ``&`` outside ``!`` and diamonds,
-    so it holds no ``_withs`` back, and a node stays collectable."""
-    if (withs := getattr(phi, "_withs", None)) is None:
-        withs = ()
-        if isinstance(phi, (Tensor, Lolli, With)):
-            left, lefts = _withs(phi.left) or ((), [phi.left])
-            right, rights = _withs(phi.right) or ((), [phi.right])
-            if isinstance(phi, Lolli):
-                left = tuple(-sign for sign in left)
-            signs = left + right + ((1,) if isinstance(phi, With) else ())
-            if len(signs) > 8:
-                withs = (signs, None)
-            elif isinstance(phi, With):  # its own bit the highest: the left branch's at every mask of the lower bits, then the right's
-                withs = (signs, lefts * len(rights) + [p for p in rights for _ in lefts])
-            elif signs:  # the left part's bits low
-                withs = (signs, [type(phi)(p, q) for q in rights for p in lefts])
-        object.__setattr__(phi, "_withs", withs)
-    return withs
+    () if none.  Built from the children's and kept as ``_kept`` entry 5: a projection has no ``&`` outside ``!`` and
+    diamonds, so it holds no ``&`` data back, and a node stays collectable."""
+    if not isinstance(phi, (Tensor, Lolli, With)):
+        return ()
+    left, lefts = _kept(phi.left, 5) or ((), [phi.left])
+    right, rights = _kept(phi.right, 5) or ((), [phi.right])
+    if isinstance(phi, Lolli):
+        left = tuple(-sign for sign in left)
+    signs = left + right + ((1,) if isinstance(phi, With) else ())
+    if len(signs) > 8:
+        return signs, None
+    if isinstance(phi, With):  # its own bit the highest: the left branch's at every mask of the lower bits, then the right's
+        return signs, lefts * len(rights) + [p for p in rights for _ in lefts]
+    return (signs, [type(phi)(p, q) for q in rights for p in lefts]) if signs else ()  # the left part's bits low
 
 
-def _polar_walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set) -> bool:
-    """``_walk`` by polarity (Girard 1987): ``sign`` is -1 in gamma and +1 in delta, flipped under a lolli's left side.
-    Quantum and Classical atoms keep their own buckets (rule c, read by ``_signed_refuted``), and a positive ``!`` keeps
-    the slack state it is in (rule b): only promotion removes it, and its premise holds the inner formula once."""
+def _polar_walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set, blind: bool) -> bool:
+    """Tally ``phi``'s atom occurrences by polarity (Girard 1987) into ``fixed`` or, under slack, into the buckets that
+    can go ``up`` or ``down``; True iff ``phi`` holds a diamond that is not under slack.  ``sign`` is -1 in gamma and +1
+    in delta, flipped under a lolli's left side, and both branches of a ``&`` are slack.  Quantum and Classical atoms
+    keep their own buckets (rule c, read by ``_signed_refuted``), and a positive ``!`` keeps the slack state it is in
+    (rule b): only promotion removes it, and its premise holds the inner formula once.  Walked ``blind`` (the tally of
+    ``_refuted``), every ``!`` is slack and every Quantum and Classical atom shares ``_QC_BUCKET``."""
     if isinstance(phi, Atom):
-        bucket = (phi.name, phi.args, phi.coherent)
+        bucket = _QC_BUCKET if blind and phi.name in (QUANTUM, CLASSICAL) else (phi.name, phi.args, phi.coherent)
         if slack:
             (up if sign > 0 else down).add(bucket)
         else:
             fixed[bucket] = fixed.get(bucket, 0) + sign
         return False
-    if isinstance(phi, (Tensor, Lolli, With)):
-        left, slack = -sign if isinstance(phi, Lolli) else sign, slack or isinstance(phi, With)
-        return _polar_walk(phi.left, left, slack, fixed, up, down) or _polar_walk(phi.right, sign, slack, fixed, up, down)
+    if isinstance(phi, Tensor):
+        return _polar_walk(phi.left, sign, slack, fixed, up, down, blind) or _polar_walk(phi.right, sign, slack, fixed, up, down, blind)
+    if isinstance(phi, Lolli):
+        return _polar_walk(phi.left, -sign, slack, fixed, up, down, blind) or _polar_walk(phi.right, sign, slack, fixed, up, down, blind)
+    if isinstance(phi, With):
+        return _polar_walk(phi.left, sign, True, fixed, up, down, blind) or _polar_walk(phi.right, sign, True, fixed, up, down, blind)
     if isinstance(phi, Bang):
-        return _polar_walk(phi.inner, sign, slack or sign < 0, fixed, up, down)
+        return _polar_walk(phi.inner, sign, slack or blind or sign < 0, fixed, up, down, blind)
     return not slack
 
 
@@ -488,25 +454,31 @@ def _flags(phi) -> tuple[bool, bool]:
     return (_flags(phi.inner)[0], False) if isinstance(phi, Bang) else (isinstance(phi, Lolli), not isinstance(phi, Lolli))
 
 
-def _signed(phi, i: int):
-    """Item ``i`` of the list kept on ``phi``: its signed tally as a gamma and as a delta member (``_polar_walk``), each
-    walked on first read, then its two ``_flags``.  Buckets are atom fields, so the list holds no node."""
-    if (signed := getattr(phi, "_signed", None)) is None:
-        object.__setattr__(phi, "_signed", signed := [None, None, *_flags(phi)])
-    if signed[i] is None:
-        fixed, up, down = {}, set(), set()
-        signed[i] = (_polar_walk(phi, 2 * i - 1, False, fixed, up, down), fixed, frozenset(up), frozenset(down))
-    return signed[i]
+def _kept(phi, i: int):
+    """Entry ``i`` of the one list kept on ``phi``, each built on first read: its signed tally as a gamma (0) and as a
+    delta member (1) and its sign-blind tally (2), each a ``_polar_walk``, its two ``_flags`` (3, 4) and its ``_withs``
+    (5).  Buckets are atom fields and projections hold no ``&`` data, so the list holds no node that holds it back."""
+    if (kept := phi._kept) is None:
+        object.__setattr__(phi, "_kept", kept := [None] * 6)
+    if kept[i] is None:
+        if i < 3:
+            fixed, up, down = {}, set(), set()
+            kept[i] = (_polar_walk(phi, 1 if i else -1, False, fixed, up, down, i == 2), fixed, frozenset(up), frozenset(down))
+        elif i < 5:
+            kept[3:5] = _flags(phi)
+        else:
+            kept[5] = _withs(phi)
+    return kept[i]
 
 
 def _signed_refuted(gamma, delta) -> bool:
-    """True iff the signed tallies (``_signed``) refute gamma |- delta.  An axiom links a negative atom to a positive one,
+    """True iff the signed tallies (``_kept``) refute gamma |- delta.  An axiom links a negative atom to a positive one,
     the same atom or a negative Quantum to a positive Classical (collapse), so each net total is repairable by slack, but
     a Quantum may run negative and a Classical positive if the Quantums that must collapse fit the Classicals that may."""
     net, up, down = Counter(), set(), set()
     for i, side in enumerate((gamma, delta)):
         for phi in side:
-            fatal, fixed, ups, downs = _signed(phi, i)
+            fatal, fixed, ups, downs = _kept(phi, i)
             if fatal:
                 return True
             net.update(fixed)
@@ -526,9 +498,9 @@ def _blocked(gamma, delta) -> bool:
     """True iff gamma holds no lolli outside diamonds, so only left rules, which keep delta, and promotion apply (Andreoli
     1992), and delta is empty, or one ``!`` while a member of gamma is stuck (``_flags``): promotion needs all of gamma
     banged and one formula on the right, and every axiom one atom there."""
-    if delta and (len(delta) > 1 or not isinstance(delta[0], Bang)) or any(_signed(phi, 2) for phi in gamma):
+    if delta and (len(delta) > 1 or not isinstance(delta[0], Bang)) or any(_kept(phi, 3) for phi in gamma):
         return False
-    return not delta or any(_signed(phi, 3) for phi in gamma)
+    return not delta or any(_kept(phi, 4) for phi in gamma)
 
 
 def _hopeless(gamma, delta) -> bool:
@@ -539,7 +511,7 @@ def _hopeless(gamma, delta) -> bool:
     kept to those premises derives one projection per path.  A mask picks each member's projection from its ``_withs``."""
     if _copies_refuted(gamma, delta) or _blocked(gamma, delta):
         return True
-    members = [(sign > 0, phi, _withs(phi)) for sign, side in ((-1, gamma), (1, delta)) for phi in side]
+    members = [(sign > 0, phi, _kept(phi, 5)) for sign, side in ((-1, gamma), (1, delta)) for phi in side]
     signs = [s if right else -s for right, _, withs in members if withs for s in withs[0]]
     if not signs or len(signs) > 8:  # else the projections decide: a goal so refuted refutes each one
         return _signed_refuted(gamma, delta)

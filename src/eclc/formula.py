@@ -66,6 +66,7 @@ def _intern(cls, parts: tuple, below: int = 0):
         for name, value in zip(cls.__slots__, parts[1:]):
             object.__setattr__(node, name, value)
         object.__setattr__(node, "_height", below + 1)
+        object.__setattr__(node, "_kept", None)
         # structural, from the children's hashes: a tree freed and built
         # again hashes as before
         object.__setattr__(node, "_hash", hash(parts))
@@ -77,8 +78,9 @@ class _Node:
     """Immutable, hash-consed formula node: equal trees are one object,
     so ``==`` is identity."""
 
-    # ``_buckets``, ``_withs`` and ``_signed`` stay unset at build; ``calculus`` fills each on first use
-    __slots__ = ("_hash", "_height", "_buckets", "_withs", "_signed", "__weakref__")
+    # ``_kept`` is None at build: ``calculus`` makes it one list of the node's tallies, flags and
+    # ``&`` data on first use, and fills each entry the first time it is read
+    __slots__ = ("_hash", "_height", "_kept", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash

@@ -168,11 +168,12 @@ def run_coherence(config: ScenarioConfig) -> ScenarioReport:
             hop_ok = proved_once(gate, source.lam, model, proofs).proved
         budget = source.energy
         spent = 0.0
+        scale = 1.0 + model.alpha * target.kappa  # as curvature_cost scales
         carried: list[Formula] = []
         for phi in current:
             if hop_ok and coherence(phi) == 1:
-                # a flat hop scales by exactly 1, and an infinite cost less itself would be NaN
-                surcharge = curvature_cost(phi, model, target.kappa) - base_cost(phi, model) if target.kappa else 0.0
+                # a hop whose scale rounds to exactly 1 is flat, and an infinite cost less itself would be NaN
+                surcharge = curvature_cost(phi, model, target.kappa) - base_cost(phi, model) if scale != 1.0 else 0.0
                 if _self_carry(phi, source, model, proofs).proved and spent + surcharge <= budget:
                     spent += surcharge
                     carried.append(phi)

@@ -203,10 +203,14 @@ class TestRun:
         assert outputs[0] == outputs[1]
         assert [line.split(",")[2] for line in outputs[0].splitlines()[1:]] == ["1.0", "1.0", "1.0"]
 
-    @pytest.mark.parametrize("kappa, pi", [("0.0", "pi=[1, 1] (no fit)"), ("1.0", "pi=[1, 0.5] rate=0.693147 r_squared=1")])
+    @pytest.mark.parametrize(
+        "kappa, pi",
+        [("0.0", "pi=[1, 1] (no fit)"), ("1e-300", "pi=[1, 1] (no fit)"), ("1.0", "pi=[1, 0.5] rate=0.693147 r_squared=1")],
+    )
     def test_a_flat_hop_carries_an_overflowing_cost(self, tmp_path, capsys, kappa, pi):
         # A * A costs inf, and inf - inf would be a NaN surcharge that no budget
-        # covers; a flat hop scales by exactly 1, while a curved one still decoheres
+        # covers; a flat hop scales by exactly 1, as does one whose 1 + alpha * kappa
+        # rounds to 1, while a curved one still decoheres
         path = tmp_path / "inf.eclc"
         path.write_text(INFINITE_COST_HOP.format(kappa=kappa))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0

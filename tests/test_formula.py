@@ -26,7 +26,8 @@ from eclc import (
     prove,
 )
 from eclc import formula
-from eclc.calculus import _signed_refuted
+from eclc.calculus import _signed_refuted, _withs
+from eclc.formula import _Node
 from gen import formulas
 
 from oracles import flat_cost
@@ -285,9 +286,9 @@ class TestValidation:
         del fillers
 
     def test_stored_signature_keeps_formulas_collectable_and_frozen(self):
-        # the prover keeps a bucket signature on every formula it meets;
-        # it must hold no reference back to a node, or the node would
-        # outlive its last user until a gc pass
+        # the prover keeps one list of tallies, flags and & data on every
+        # formula it meets; it must hold no reference back to a node, or the
+        # node would outlive its last user until a gc pass
         zero = CostModel({}, default_cost=0.0)
         gc.collect()
         gc.disable()
@@ -297,7 +298,7 @@ class TestValidation:
             goal = Tensor(a, With(b, Bang(b)))
             assert prove(Sequent((a, Bang(b)), (goal,)), 6, zero, 0.0).proved
             for node in (a, b, Bang(b), goal.right, goal):
-                assert node._buckets is not None
+                assert node._kept[2] is not None  # its sign-blind tally
             assert len(formula._interned) == before + 5
             del a, b, goal, node
             assert len(formula._interned) == before
@@ -307,21 +308,25 @@ class TestValidation:
             a, b, c = Atom("Probe_7"), Atom("Probe_8"), Atom("Probe_9")
             left, right = Tensor(a, With(c, b)), Tensor(With(a, b), c)
             assert prove(Sequent((left,), (right,)), 4, zero, 0.0).failure_reason == "depth_exceeded"
-            assert left._withs[1] == [Tensor(a, c), Tensor(a, b)] and right._withs[1] == [Tensor(a, c), Tensor(b, c)]
-            for node in (*left._withs[1], *right._withs[1]):
-                assert node._signed is not None
+            assert left._kept[5] == _withs(left) and right._kept[5] == _withs(right)
+            assert _withs(left)[1] == [Tensor(a, c), Tensor(a, b)] and _withs(right)[1] == [Tensor(a, c), Tensor(b, c)]
+            for side, nodes in enumerate((_withs(left)[1], _withs(right)[1])):
+                for node in nodes:  # signed as a member of gamma (0), then of delta (1)
+                    assert node._kept[side] is not None
             assert len(formula._interned) == before + 10
-            del a, b, c, left, right, node
+            del a, b, c, left, right, nodes, node
             assert len(formula._interned) == before
         finally:
             gc.enable()
         phi = Lolli(Diamond(1.5, Atom("Probe_5")), With(Atom("Probe_5"), Bang(Atom("Probe_6"))))
         prove(Sequent((phi,), (phi,)), 3, zero, 0.0)
-        assert phi._buckets is not None
+        assert phi._kept[2] is not None
         assert copy.deepcopy(phi) is phi
         assert pickle.loads(pickle.dumps(phi)) is phi
-        assert _signed_refuted((), (phi,)) and phi._signed is not None  # its diamond sits outside slack
-        for slot in ("_buckets", "_withs", "_height", "_signed"):
+        assert _signed_refuted((), (phi,)) and phi._kept[1] is not None  # its diamond sits outside slack
+        slots = [slot for slot in _Node.__slots__ if slot != "__weakref__"]
+        assert "_kept" in slots
+        for slot in slots:
             assert slot not in repr(phi)
             with pytest.raises(AttributeError, match=f"cannot assign to field '{slot}'"):
                 setattr(phi, slot, None)
