@@ -421,13 +421,14 @@ def _withs(phi) -> tuple:
     return (signs, [type(phi)(p, q) for q in rights for p in lefts]) if signs else ()  # the left part's bits low
 
 
-def _polar_walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set, blind: bool) -> bool:
+def _polar_walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set, blind: bool, zoned: bool) -> bool:
     """Tally ``phi``'s atom occurrences by polarity (Girard 1987) into ``fixed`` or, under slack, into the buckets that
     can go ``up`` or ``down``; True iff ``phi`` holds a diamond that is not under slack.  ``sign`` is -1 in gamma and +1
     in delta, flipped under a lolli's left side, and both branches of a ``&`` are slack.  Quantum and Classical atoms
     keep their own buckets (rule c, read by ``_signed_refuted``), and a positive ``!`` keeps the slack state it is in
     (rule b): only promotion removes it, and its premise holds the inner formula once.  Walked ``blind`` (the tally of
-    ``_refuted``), every ``!`` is slack and every Quantum and Classical atom shares ``_QC_BUCKET``."""
+    ``_refuted``), every ``!`` is slack and every Quantum and Classical atom shares ``_QC_BUCKET``.  Walked ``zoned``
+    (rule d), it leaves out each positive ``!``'s content: promotion alone surfaces it, where no unbanged formula is."""
     if isinstance(phi, Atom):
         bucket = _QC_BUCKET if blind and phi.name in (QUANTUM, CLASSICAL) else (phi.name, phi.args, phi.coherent)
         if slack:
@@ -436,53 +437,49 @@ def _polar_walk(phi, sign: int, slack: bool, fixed: dict, up: set, down: set, bl
             fixed[bucket] = fixed.get(bucket, 0) + sign
         return False
     if isinstance(phi, Tensor):
-        return _polar_walk(phi.left, sign, slack, fixed, up, down, blind) or _polar_walk(phi.right, sign, slack, fixed, up, down, blind)
+        return _polar_walk(phi.left, sign, slack, fixed, up, down, blind, zoned) or _polar_walk(phi.right, sign, slack, fixed, up, down, blind, zoned)
     if isinstance(phi, Lolli):
-        return _polar_walk(phi.left, -sign, slack, fixed, up, down, blind) or _polar_walk(phi.right, sign, slack, fixed, up, down, blind)
+        return _polar_walk(phi.left, -sign, slack, fixed, up, down, blind, zoned) or _polar_walk(phi.right, sign, slack, fixed, up, down, blind, zoned)
     if isinstance(phi, With):
-        return _polar_walk(phi.left, sign, True, fixed, up, down, blind) or _polar_walk(phi.right, sign, True, fixed, up, down, blind)
+        return _polar_walk(phi.left, sign, True, fixed, up, down, blind, zoned) or _polar_walk(phi.right, sign, True, fixed, up, down, blind, zoned)
     if isinstance(phi, Bang):
-        return _polar_walk(phi.inner, sign, slack or blind or sign < 0, fixed, up, down, blind)
+        if zoned and sign > 0:
+            return False
+        return _polar_walk(phi.inner, sign, slack or blind or sign < 0, fixed, up, down, blind, zoned)
     return not slack
 
 
-def _flags(phi) -> tuple[bool, bool]:
-    """(``phi`` holds a lolli outside diamonds, it is stuck: an atom or diamond, a tensor with a stuck part or a ``&`` with two)."""
-    if isinstance(phi, (Tensor, With)):
-        (lolli, stuck), (lolli_2, stuck_2) = _flags(phi.left), _flags(phi.right)
-        return lolli or lolli_2, (stuck or stuck_2) if isinstance(phi, Tensor) else (stuck and stuck_2)
-    return (_flags(phi.inner)[0], False) if isinstance(phi, Bang) else (isinstance(phi, Lolli), not isinstance(phi, Lolli))
-
-
 def _kept(phi, i: int):
-    """Entry ``i`` of the one list kept on ``phi``, each built on first read: its signed tally as a gamma (0) and as a
-    delta member (1) and its sign-blind tally (2), each a ``_polar_walk``, its two ``_flags`` (3, 4) and its ``_withs``
-    (5).  Buckets are atom fields and projections hold no ``&`` data, so the list holds no node that holds it back."""
+    """Entry ``i`` of the one list kept on ``phi``, each built on first read, each but the last a ``_polar_walk``: its
+    signed tally as a gamma (0) and as a delta member (1), its sign-blind tally (2), its zoned tally as a gamma (3) and
+    as a delta member (4), and its ``_withs`` (5).  Buckets are atom fields and projections hold no ``&`` data, so the
+    list holds no node that holds it back."""
     if (kept := phi._kept) is None:
         object.__setattr__(phi, "_kept", kept := [None] * 6)
     if kept[i] is None:
-        if i < 3:
+        if i < 5:
             fixed, up, down = {}, set(), set()
-            kept[i] = (_polar_walk(phi, 1 if i else -1, False, fixed, up, down, i == 2), fixed, frozenset(up), frozenset(down))
-        elif i < 5:
-            kept[3:5] = _flags(phi)
+            kept[i] = (_polar_walk(phi, 1 if i % 3 else -1, False, fixed, up, down, i == 2, i > 2), fixed, frozenset(up), frozenset(down))
         else:
             kept[5] = _withs(phi)
     return kept[i]
 
 
-def _signed_refuted(gamma, delta) -> bool:
-    """True iff the signed tallies (``_kept``) refute gamma |- delta.  An axiom links a negative atom to a positive one,
-    the same atom or a negative Quantum to a positive Classical (collapse), so each net total is repairable by slack, but
-    a Quantum may run negative and a Classical positive if the Quantums that must collapse fit the Classicals that may."""
+def _signed_refuted(gamma, delta, zoned: int = 0) -> bool:
+    """True iff the signed tallies (``_kept`` 0, 1), or with ``zoned`` 3 the zoned ones (3, 4), refute gamma |- delta.  An
+    axiom links a negative atom to a positive one, the same atom or a negative Quantum to a positive Classical (collapse),
+    so each net total is repairable by slack, but a Quantum may run negative and a Classical positive if the Quantums that
+    must collapse fit the Classicals that may.  The signed tallies also need an occurrence of each polarity for a leaf."""
     net, up, down = Counter(), set(), set()
     for i, side in enumerate((gamma, delta)):
         for phi in side:
-            fatal, fixed, ups, downs = _kept(phi, i)
+            fatal, fixed, ups, downs = _kept(phi, i + zoned)
             if fatal:
                 return True
             net.update(fixed)
             up, down = up | ups, down | downs
+    if not (net or zoned or up and down):
+        return True
     out = into = out_room = into_room = 0  # negative Quantums that must (may) collapse, positive Classicals likewise
     for bucket, total in net.items():
         if bucket[0] == QUANTUM and total < 0:
@@ -494,27 +491,19 @@ def _signed_refuted(gamma, delta) -> bool:
     return out > into_room and all(b[0] != CLASSICAL for b in up) or into > out_room and all(b[0] != QUANTUM for b in down)
 
 
-def _blocked(gamma, delta) -> bool:
-    """True iff gamma holds no lolli outside diamonds, so only left rules, which keep delta, and promotion apply (Andreoli
-    1992), and delta is empty, or one ``!`` while a member of gamma is stuck (``_flags``): promotion needs all of gamma
-    banged and one formula on the right, and every axiom one atom there."""
-    if delta and (len(delta) > 1 or not isinstance(delta[0], Bang)) or any(_kept(phi, 3) for phi in gamma):
-        return False
-    return not delta or any(_kept(phi, 4) for phi in gamma)
-
-
 def _hopeless(gamma, delta) -> bool:
     """True iff no depth proves gamma |- delta, a goal that ``_refuted`` passes: its banged copies cannot balance
-    (``_copies_refuted``), no left rule unblocks it (``_blocked``), the signed tallies refute it (``_signed_refuted``), or
-    some choice at its positive ``&``s (8 at most) leaves every choice at the negative ones so refuted (Andreoli 1992), as
-    only with-right removes a positive ``&``, keeping the rest in each premise, and only with-left a negative one: a proof
-    kept to those premises derives one projection per path.  A mask picks each member's projection from its ``_withs``."""
-    if _copies_refuted(gamma, delta) or _blocked(gamma, delta):
+    (``_copies_refuted``), or some choice at its positive ``&``s (8 at most) leaves every choice at the negative ones
+    refuted by the signed or the zoned tally (``_signed_refuted``; Andreoli 1992), as only with-right removes a positive
+    ``&``, keeping the rest in each premise, and only with-left a negative one: a proof kept to those premises derives
+    one projection per path.  A mask picks each member's projection from its ``_withs``.  Past 8 ``&``s only the goal
+    is asked, so a goal stuck only through a ``&``, as ``A & B`` beside eight more ``&``s ``|- !A``, passes."""
+    if _copies_refuted(gamma, delta):
         return True
     members = [(sign > 0, phi, _kept(phi, 5)) for sign, side in ((-1, gamma), (1, delta)) for phi in side]
     signs = [s if right else -s for right, _, withs in members if withs for s in withs[0]]
     if not signs or len(signs) > 8:  # else the projections decide: a goal so refuted refutes each one
-        return _signed_refuted(gamma, delta)
+        return _signed_refuted(gamma, delta) or _signed_refuted(gamma, delta, 3)
     full, positive = 1 << len(signs), sum(1 << i for i, sign in enumerate(signs) if sign > 0)
 
     def refuted(mask):  # gamma's &s in the low bits, then delta's
@@ -523,7 +512,7 @@ def _hopeless(gamma, delta) -> bool:
             if withs:
                 phi, mask = withs[1][mask & (len(withs[1]) - 1)], mask >> len(withs[0])
             sides[right].append(phi)
-        return _signed_refuted(*sides)
+        return _signed_refuted(*sides) or _signed_refuted(*sides, 3)
 
     return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
 

@@ -78,7 +78,7 @@ class _Node:
     """Immutable, hash-consed formula node: equal trees are one object,
     so ``==`` is identity."""
 
-    # ``_kept`` is None at build: ``calculus`` makes it one list of the node's tallies, flags and
+    # ``_kept`` is None at build: ``calculus`` makes it one list of the node's five tallies and
     # ``&`` data on first use, and fills each entry the first time it is read
     __slots__ = ("_hash", "_height", "_kept", "__weakref__")
 

@@ -432,19 +432,21 @@ def _project(phi, bits):
     return phi
 
 
-def signed_profile(gamma, delta):
+def signed_profile(gamma, delta, zoned: bool = False):
     """(net totals by atom, atoms that slack can raise, atoms that it can
-    lower, has a diamond outside slack), computed iteratively by each
-    occurrence's polarity: -1 in gamma, +1 in delta, flipped under a
-    lolli's left side.  ``&`` and a negative ``!`` are slack; a positive
-    ``!`` is not, as only promotion removes it, leaving its inner formula
-    once.  Quantum and Classical atoms count apart."""
+    lower, has a diamond outside slack, the polarities that occur),
+    computed iteratively by each occurrence's polarity: -1 in gamma, +1 in
+    delta, flipped under a lolli's left side.  ``&`` and a negative ``!``
+    are slack; a positive ``!`` is not, as only promotion removes it,
+    leaving its inner formula once.  Quantum and Classical atoms count
+    apart.  ``zoned``, the inner formula of each positive ``!`` is skipped."""
     net: Counter = Counter()
-    up, down, fatal = set(), set(), False
+    up, down, fatal, polarities = set(), set(), False, set()
     stack = [(phi, -1, False) for phi in gamma] + [(phi, +1, False) for phi in delta]
     while stack:
         phi, sign, slack = stack.pop()
         if isinstance(phi, Atom):
+            polarities.add(sign)
             if slack:
                 (up if sign > 0 else down).add(phi)
             else:
@@ -456,22 +458,25 @@ def signed_profile(gamma, delta):
         elif isinstance(phi, With):
             stack += [(phi.left, sign, True), (phi.right, sign, True)]
         elif isinstance(phi, Bang):
-            stack.append((phi.inner, sign, slack or sign < 0))
+            if not (zoned and sign > 0):
+                stack.append((phi.inner, sign, slack or sign < 0))
         elif not slack:
             fatal = True
-    return net, up, down, fatal
+    return net, up, down, fatal, polarities
 
 
-def signed_refuted(gamma, delta) -> bool:
+def signed_refuted(gamma, delta, zoned: bool = False) -> bool:
     """Refutation by axiom links: every axiom links a negative atom to a
     positive one, the same atom or, by collapse, a negative Quantum to a
     positive Classical.  So a provable goal has each atom's net total
     repairable by slack, except that a Quantum may run negative and a
     Classical positive, and the collapses out of the Quantums (a range,
     from what no slack absorbs to all, or any count under a negative
-    Quantum slack) meet the collapses into the Classicals (likewise)."""
-    net, up, down, fatal = signed_profile(gamma, delta)
-    if fatal:
+    Quantum slack) meet the collapses into the Classicals (likewise).
+    Its proof has a leaf, so the goal has atoms of both polarities; not
+    so the ``zoned`` profile, which leaves what promotion surfaces out."""
+    net, up, down, fatal, polarities = signed_profile(gamma, delta, zoned)
+    if fatal or not zoned and polarities != {-1, 1}:
         return True
     quantum, classical = (lambda atom: atom.name == QUANTUM), (lambda atom: atom.name == CLASSICAL)
     for atom, total in net.items():
@@ -487,10 +492,11 @@ def signed_refuted(gamma, delta) -> bool:
 
 
 def reference_blocked(gamma, delta) -> bool:
-    """The barrier: gamma holds no lolli outside diamonds, and delta is
-    empty, or one ``!`` while some member of gamma cannot be cleared to
-    banged parts by left rules (a ``!`` clears, a tensor when both parts
-    do, a ``&`` when either branch does)."""
+    """The promotion barrier (Andreoli 1992), which ``_hopeless`` must
+    refute too, up to 8 ``&``s: gamma holds no lolli outside diamonds, and
+    delta is empty, or one ``!`` while some member of gamma cannot be
+    cleared to banged parts by left rules (a ``!`` clears, a tensor when
+    both parts do, a ``&`` when either branch does)."""
 
     def has_lolli(phi) -> bool:
         stack = [phi]
@@ -518,20 +524,21 @@ def reference_blocked(gamma, delta) -> bool:
 
 def reference_hopeless(gamma, delta) -> bool:
     """``calculus._hopeless`` rebuilt from the references: the counted check,
-    the barrier and the signed refutation, then, with every projected member
-    rebuilt through the constructors for each mask and for 8 ``&``s at most,
-    some choice at the positive ones that leaves every choice at the
-    negative ones refuted by the signed check."""
-    if _copies_refuted(gamma, delta) or reference_blocked(gamma, delta) or signed_refuted(gamma, delta):
+    then, with every projected member rebuilt through the constructors for
+    each mask and for 8 ``&``s at most (past that, the goal alone), some
+    choice at the positive ones that leaves every choice at the negative
+    ones refuted by the signed profile or the zoned one."""
+    if _copies_refuted(gamma, delta):
         return True
     signs = [s for sign, side in ((-1, gamma), (1, delta)) for phi in side for s in _with_polarities(phi, sign, [])]
-    if not signs or len(signs) > 8:
-        return False
+    if len(signs) > 8:
+        return signed_refuted(gamma, delta) or signed_refuted(gamma, delta, zoned=True)
     full, positive = 1 << len(signs), sum(1 << i for i, sign in enumerate(signs) if sign > 0)
 
     def refuted(mask):
         bits = iter([mask >> i & 1 for i in range(len(signs))])  # gamma's &s, then delta's
-        return signed_refuted(*(tuple(_project(phi, bits) for phi in side) for side in (gamma, delta)))
+        sides = [tuple(_project(phi, bits) for phi in side) for side in (gamma, delta)]
+        return signed_refuted(*sides) or signed_refuted(*sides, zoned=True)
 
     return any(all(refuted(p | m) for m in range(full) if not m & positive) for p in range(full) if not p & ~positive)
 

@@ -837,11 +837,19 @@ carried = st.tuples(barrier_atoms, barrier_atoms, st.integers(0, 2)).map(
 barrier_goals = st.tuples(barrier_gammas, barrier_deltas) | carried
 
 
+def parsed(gamma: str, delta: str):
+    """The goal whose sides list ``, ``-separated formulas."""
+    return tuple(tuple(map(parse_formula, filter(None, side.split(", ")))) for side in (gamma, delta))
+
+
 class TestSignedChecks:
     """Each check that ``_hopeless`` adds to the sign-blind tally refutes only goals
     that raw enumeration, with no refutation shortcut, proves at no bound up to 4:
     rule (b), a positive ``!`` counts its inner formula once; rule (c), a collapse
-    link runs only from a negative Quantum to a positive Classical; and the barrier."""
+    link runs only from a negative Quantum to a positive Classical; the occurrence
+    rule, a leaf needs an atom of each polarity; and rule (d), the zoned tally
+    leaves out what only promotion surfaces.  Together they refute every goal the
+    promotion barrier (``oracles.reference_blocked``) refutes, up to 8 ``&``s."""
 
     @settings(max_examples=400, deadline=None)
     @given(polar_goals([A, B, Bang(A)]))
@@ -866,15 +874,29 @@ class TestSignedChecks:
             assert not oracles.provable(gamma, delta, 4, use_filter=False), (gamma, delta)
 
     @settings(max_examples=400, deadline=None)
-    @given(barrier_goals)
-    @example(((Bang(A),), (Bang(A),)))  # promotion: a banged gamma is not stuck
-    @example(((With(A, Bang(B)),), (Bang(B),)))  # nor is a & with a branch that is not
-    @example(((A, Lolli(A, Bang(B))), (Bang(B),)))  # a lolli unblocks the goal
-    @example(((Bang(QC_ATOMS[6]),), ()))  # refuted: nothing on the right
-    def test_barrier_is_sound(self, goal):
+    @given(barrier_goals | polar_goals([A, B, Bang(A)]))
+    @example(parsed("", "!(A -o A)"))  # provable, yet its zoned tally is empty: the occurrence rule reads the signed one only
+    @example(parsed("B, !(A -o B * A)", "!B"))  # refuted by the zone: the B outside every ! meets only the one in !B
+    @example(parsed("!Classical(q2)", ""))  # refuted: no positive occurrence
+    @example(parsed("!!Quantum(q0), A", "!A"))  # refuted by the zone
+    @example(((Bang(A),), (Bang(A),)))  # promotion: a banged gamma meets the inside of !A
+    @example(((With(A, Bang(B)),), (Bang(B),)))  # and so does a & with a banged branch
+    @example(((A, Lolli(A, Bang(B))), (Bang(B),)))  # a lolli spends the A outside every !
+    def test_zoned_and_occurrence_checks_are_sound(self, goal):
         gamma, delta = goal
-        if calculus._blocked(gamma, delta):
+        if calculus._signed_refuted(gamma, delta) or calculus._signed_refuted(gamma, delta, 3):
             assert not oracles.provable(gamma, delta, 4, use_filter=False), (gamma, delta)
+
+    @settings(max_examples=400, deadline=None)
+    @given(barrier_goals)
+    @example(parsed("!Classical(q2)", ""))  # nothing on the right
+    @example(parsed("!!Quantum(q0), A", "!A"))  # A is stuck
+    @example(((With(A, B),), (Bang(A),)))  # stuck through a &: each projection is refuted
+    def test_hopeless_refutes_what_the_barrier_refutes(self, goal):
+        gamma, delta = goal
+        assume(len([s for phi in gamma + delta for s in oracles._with_polarities(phi, 1, [])]) <= 8)
+        if oracles.reference_blocked(gamma, delta):
+            assert calculus._hopeless(gamma, delta), (gamma, delta)
 
     @settings(max_examples=300, deadline=None)
     @given(polar_sides([A, *QC_ATOMS[::3], Diamond(0.0, A)]), polar_sides([A, *QC_ATOMS[::3], Diamond(0.0, A)]))
@@ -883,7 +905,7 @@ class TestSignedChecks:
         if _refuted(_tally(gamma), _tally(delta)):
             assert calculus._signed_refuted(gamma, delta)
         assert calculus._signed_refuted(gamma, delta) == oracles.signed_refuted(gamma, delta)
-        assert calculus._blocked(gamma, delta) == oracles.reference_blocked(gamma, delta)
+        assert calculus._signed_refuted(gamma, delta, 3) == oracles.signed_refuted(gamma, delta, zoned=True)
 
 
 # the connectives and atoms a short proof of a wide goal would have to spend
@@ -960,9 +982,10 @@ class TestProofOnlyMode:
         cases = [POOL.corpus_case(builder, case) for case in every_25th + LARGEST_WITHOUT_PROOF_ONLY]
         new_tables, states = calculus._new_tables, recorded_states(monkeypatch)
         with_mode = [prove(*case) for case in cases]
-        # 32 of the 96 searches go on past a spine goal's first death; 39 before the signed checks
-        # stopped more roots at their first death, 28 when only the root's death counted
-        assert (len(states), sum(state[4] for state in states)) == (96, 32)
+        # 31 of the 96 searches go on past a spine goal's first death; 32 before the zoned tally and
+        # the occurrence rule stopped one more root at its first death, 39 before the signed checks
+        # stopped more, 28 when only the root's death counted
+        assert (len(states), sum(state[4] for state in states)) == (96, 31)
         monkeypatch.setattr(calculus, "_new_tables", lambda: _ProofOnlyOff(new_tables()))
         assert [prove(*case) for case in cases] == with_mode
 

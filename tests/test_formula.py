@@ -286,7 +286,7 @@ class TestValidation:
         del fillers
 
     def test_stored_signature_keeps_formulas_collectable_and_frozen(self):
-        # the prover keeps one list of tallies, flags and & data on every
+        # the prover keeps one list of tallies and & data on every
         # formula it meets; it must hold no reference back to a node, or the
         # node would outlive its last user until a gc pass
         zero = CostModel({}, default_cost=0.0)
@@ -303,8 +303,8 @@ class TestValidation:
             del a, b, goal, node
             assert len(formula._interned) == before
             # a root whose first death asks _hopeless keeps each member's & projections
-            # on its node, and each projection's signed tallies and barrier flags on
-            # the projection; none holds a node back, so all go with the last user
+            # on its node, and each projection's signed and zoned tallies on the
+            # projection; none holds a node back, so all go with the last user
             a, b, c = Atom("Probe_7"), Atom("Probe_8"), Atom("Probe_9")
             left, right = Tensor(a, With(c, b)), Tensor(With(a, b), c)
             assert prove(Sequent((left,), (right,)), 4, zero, 0.0).failure_reason == "depth_exceeded"
@@ -313,6 +313,8 @@ class TestValidation:
             for side, nodes in enumerate((_withs(left)[1], _withs(right)[1])):
                 for node in nodes:  # signed as a member of gamma (0), then of delta (1)
                     assert node._kept[side] is not None
+            # of the projection pairs asked, only a * c |- a * c passes its signed tallies and reads its zoned ones
+            assert Tensor(a, c)._kept[3] is not None and Tensor(a, c)._kept[4] is not None
             assert len(formula._interned) == before + 10
             del a, b, c, left, right, nodes, node
             assert len(formula._interned) == before

@@ -275,6 +275,18 @@ class TestObserverValuation:
         assert truth_at(frame, "w0", With(PHI, Atom("C")), unit_model, verdicts) == 0
         assert truth_at(frame, "w0", PHI, unit_model, verdicts) == 1
 
+    def test_a_zoned_refutation_spares_a_search(self, monkeypatch):
+        # of the three multisets that balance !B, B, !(A -o B * A) has no proof: its B outside every !
+        # can meet only the B inside !B, which surfaces at promotion, whose context must be all banged;
+        # the zoned tally refutes it, so only !(A -o B * A) is searched (a full search at lambda 64)
+        a, b = Atom("A"), Atom("B")
+        lolli = Bang(Lolli(a, Tensor(b, a)))
+        frame = Frame([World("w0", 10.0, 0.0, 64, [b, lolli])], [])
+        searched, search = [], observer.prove
+        monkeypatch.setattr(observer, "prove", lambda seq, *args: searched.append(seq) or search(seq, *args))
+        assert truth_at(frame, "w0", Bang(b), CostModel({}, default_cost=0.0), {}) == 0
+        assert searched == [calculus.Sequent((lolli,), (Bang(b),))]
+
     def test_zero_count_prop_is_not_held(self, unit_model):
         # a World drops a zero count, so Phi neither holds nor balances Phi * Phi
         frame = Frame([World("w0", 1.0, 0.0, 4, Counter({PHI: 0}))], [])
